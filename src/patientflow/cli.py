@@ -19,7 +19,7 @@ from pathlib import Path
 
 import dataclasses
 
-from . import __version__, estimators, inflow, pathways
+from . import __version__, codec, estimators, inflow, pathways
 from .domain import DepartmentSpec, bucketize, extract_trajectories, parse_event_log
 from .engine import (
     AttributeSampler,
@@ -137,7 +137,6 @@ def _cmd_fit(args) -> int:
                 raise ConfigError("lag_regression requires --lags")
             calendar = () if args.calendar == "none" else inflow.default_calendar(width)
             model = inflow.fit_lag_regression(series, _parse_lags(args.lags), calendar)
-        payload = inflow.to_jsonable(model)
 
     elif kind in LOS_KINDS or kind in COT_KINDS:
         if kind in COT_KINDS:
@@ -162,49 +161,28 @@ def _cmd_fit(args) -> int:
             model = estimators.fit_lognormal([max(t, 0.01) for t in targets])
         else:  # conditional_cot
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
-        payload = estimators.to_jsonable(model)
 
     else:  # pathway kinds
         trajectories = extract_trajectories(entries)
         if kind == "transition":
-            payload = pathways.matrix_to_jsonable(
-                pathways.fit_transition_matrix(trajectories)
-            )
+            model = pathways.fit_transition_matrix(trajectories)
         else:
             if args.k is None or args.seed is None:
                 raise ConfigError("clusters requires --k and --seed")
             by_id = {p.patient_id: p for p in profiles}
             traj_profiles = [by_id[tr.patient_id] for tr in trajectories]
-            payload = pathways.clusters_to_jsonable(
-                pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
-            )
+            model = pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
 
-    _write_json(payload, Path(args.out))
+    _write_json(codec.encode(model), Path(args.out))
     _info(f"fitted {kind}, wrote {args.out}")
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    payload = _read_json(args.model)
-    kind = payload.get("kind")
-    if kind not in ("poisson", "seasonal_naive", "holt_winters", "lag_regression"):
-        raise ConfigError(f"model kind {kind!r} cannot forecast")
-    model = inflow.from_jsonable(payload)
+    model = codec.decode(_read_json(args.model), *codec.INFLOW_KINDS)
     for value in inflow.forecast(model, args.h):
         sys.stdout.write(f"{value:.6f}\n")
     return 0
-
-
-def _parse_estimator_model(d: dict):
-    return estimators.from_jsonable(d)
-
-
-def _parse_pathway_model(d: dict):
-    if d.get("kind") == "transition_matrix":
-        return pathways.matrix_from_jsonable(d)
-    if d.get("kind") == "pathway_clusters":
-        return pathways.clusters_from_jsonable(d)
-    raise ConfigError(f"unknown pathway model kind {d.get('kind')!r}")
 
 
 def _parse_sampler(d: dict, base: Path):
@@ -254,10 +232,11 @@ def _cmd_simulate(args) -> int:
             warm_up=float(d.get("warm_up", 0.0)),
             arrival_driver=_parse_driver(d["arrival_driver"]),
             los_models={
-                name: _parse_estimator_model(m) for name, m in d["los_models"].items()
+                name: codec.decode(m, *codec.ESTIMATOR_KINDS)
+                for name, m in d["los_models"].items()
             },
-            cot_model=_parse_estimator_model(d["cot_model"]),
-            pathway=_parse_pathway_model(d["pathway"]),
+            cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
+            pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
             profile_sampler=_parse_sampler(d["profile_sampler"], base),
             seed=int(d["seed"]),
             replications=int(d.get("replications", 1)),

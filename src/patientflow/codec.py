@@ -1,0 +1,126 @@
+"""The fitted-model document: the one JSON format of every learned sub-model.
+
+``fit`` writes these documents and ``forecast``, ``simulate`` and the
+experiment's fingerprints read them. A document holds a model
+dataclass's fields by name: tuples become lists and nested dataclasses
+nest. Every class in ``KINDS`` carries its ``"kind"`` (nested transition
+matrices keep theirs) and tree nodes carry ``"leaf"``, which is how
+``decode`` tells alternatives apart.
+
+``decode`` converts each field to its annotated type. A field with a
+default may be absent; unknown keys are ignored. Anything else that does
+not fit, including a NaN or infinite float, raises ``ConfigError``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import sys
+import types
+import typing
+
+from . import estimators, inflow, pathways
+from .errors import ConfigError
+
+KINDS = {
+    "lognormal": estimators.LognormalFit,
+    "gamma": estimators.GammaFit,
+    "weibull": estimators.WeibullFit,
+    "lognormal_mixture": estimators.MixtureFit,
+    "conditional": estimators.ConditionalModel,
+    "tree": estimators.RegressionTree,
+    "poisson": inflow.HomogeneousPoisson,
+    "seasonal_naive": inflow.SeasonalNaive,
+    "holt_winters": inflow.HoltWinters,
+    "lag_regression": inflow.LagRegression,
+    "transition_matrix": pathways.TransitionMatrix,
+    "pathway_clusters": pathways.PathwayClusters,
+}
+
+
+def _kinds_of(module) -> tuple[str, ...]:
+    return tuple(kind for kind, cls in KINDS.items() if cls.__module__ == module.__name__)
+
+
+ESTIMATOR_KINDS = _kinds_of(estimators)  # stay and cost models
+INFLOW_KINDS = _kinds_of(inflow)
+PATHWAY_KINDS = _kinds_of(pathways)
+
+# the (key, value) pair a class's document carries to name its class
+_TAGS = {cls: ("kind", kind) for kind, cls in KINDS.items()}
+_TAGS[estimators.TreeLeaf] = ("leaf", True)
+_TAGS[estimators.TreeSplit] = ("leaf", False)
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
+    """(field, annotated type) of each field in the document. Fields kept
+    out of equality are run-time state, not model (unseen-level counts)."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.compare)
+
+
+def encode(model) -> dict:
+    """The JSON-ready document of a model of one of the ``KINDS``."""
+    if type(model) not in KINDS.values():
+        raise ConfigError(f"no model document for {type(model).__name__}")
+    return _encode(model)
+
+
+def _encode(value):
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    doc = {f.name: _encode(getattr(value, f.name)) for f, _ in _fields(type(value))}
+    if type(value) in _TAGS:
+        key, tag = _TAGS[type(value)]
+        doc[key] = tag
+    return doc
+
+
+def decode(doc, *kinds: str):
+    """Read a model document back. ``kinds`` limits the accepted kinds
+    (all of ``KINDS`` when empty)."""
+    allowed = kinds or tuple(KINDS)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in allowed:
+        raise ConfigError(f"model kind {kind!r} is not one of {', '.join(allowed)}")
+    return _decode(doc, KINDS[kind], kind)
+
+
+def _decode(value, hint, path: str):
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        options = [t for t in typing.get_args(hint) if t is not type(None)]
+        if value is None and len(options) < len(typing.get_args(hint)):
+            return None
+        if len(options) > 1:  # dataclass alternatives, told apart by their tag
+            names = " or ".join(t.__name__ for t in options)
+            options = [t for t in options if isinstance(value, dict)
+                       and value.get(_TAGS[t][0]) == _TAGS[t][1]]
+            if not options:
+                raise ConfigError(f"{path}: expected a {names} document, got {value!r:.60}")
+        hint = options[0]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r:.60}")
+        item = typing.get_args(hint)[0]
+        return tuple(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r:.60}")
+        values = {}
+        for f, t in _fields(hint):
+            if f.name in value:
+                values[f.name] = _decode(value[f.name], t, f"{path}.{f.name}")
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(f"{path}: missing {f.name!r}")
+        return hint(**values)
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
+            return float(value)
+    elif type(value) is hint:
+        return value
+    expected = "a finite number" if hint is float else hint.__name__
+    raise ConfigError(f"{path}: expected {expected}, got {value!r:.60}")

@@ -44,7 +44,7 @@ from .errors import ConfigError, ForecastTooShort, ModelIncompatible
 from .estimators import sample as sample_estimator
 from .pathways import PathwayClusters, TransitionMatrix, assign, next_department
 from .seeding import stream
-from .synthehr import WALK_CAP, AgeMixture, LinearRate, _draw_categorical
+from .synthehr import WALK_CAP, AgeMixture, LinearRate, draw_attributes
 
 _ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
 
@@ -120,19 +120,8 @@ class AttributeSampler:
     drg_probs: dict[str, float]
 
     def sample(self, rng: Generator, patient_id: str) -> PatientProfile:
-        mix = self.age_mix
-        while True:
-            if rng.random() < mix.weight:
-                x = rng.normal(mix.mean1, mix.sd1)
-            else:
-                x = rng.normal(mix.mean2, mix.sd2)
-            if 0.0 <= x <= 120.0:
-                break
-        age = int(round(x))
-        gender = "F" if rng.random() < self.gender_p else "M"
-        com = min(int(rng.poisson(self.comorbidity.at(age))), 30)
-        return PatientProfile(patient_id, age, gender, com,
-                              _draw_categorical(self.drg_probs, rng))
+        return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
+                               self.drg_probs, patient_id)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,6 @@ class UnencodableProfile(DataError):
     pass
 
 
-class ConstantTarget(DataError):
-    pass
-
-
 # --- pathways --------------------------------------------------------------
 
 class UnknownDepartment(DataError):

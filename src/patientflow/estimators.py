@@ -33,7 +33,7 @@ from .errors import (
     UnencodableProfile,
     ZeroVariance,
 )
-from .seeding import stream
+from .seeding import draw_index, stream
 
 RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
@@ -461,14 +461,7 @@ def sample(
     if isinstance(model, WeibullFit):
         return model.scale * float(rng.weibull(model.shape))
     if isinstance(model, MixtureFit):
-        u = rng.random()
-        acc = 0.0
-        comp = model.components[-1]
-        for c in model.components:
-            acc += c.weight
-            if u < acc:
-                comp = c
-                break
+        comp = model.components[draw_index([c.weight for c in model.components], rng)]
         return float(rng.lognormal(comp.mu, comp.sigma))
     if isinstance(model, RegressionTree):
         if profile is None:
@@ -608,9 +601,7 @@ def fit_tree(
     num_cols = {n: np.asarray([float(getattr(p, n)) for p in profiles]) for n in numeric}
     cat_cols = {n: np.asarray([str(getattr(p, n)) for p in profiles]) for n in categorical}
     root = _grow(num_cols, cat_cols, y, np.arange(len(t)), 0, max_depth, min_leaf)
-    tree = RegressionTree(root=root, max_depth=max_depth, min_leaf=min_leaf,
-                          numeric=tuple(numeric), categorical=tuple(categorical))
-    residuals = y - np.asarray([tree_leaf_ln(tree, p) for p in profiles])
+    residuals = y - np.asarray([_leaf(root, p).mean_ln for p in profiles])
     return RegressionTree(root=root, max_depth=max_depth, min_leaf=min_leaf,
                           numeric=tuple(numeric), categorical=tuple(categorical),
                           residual_sigma=float(np.sqrt(np.mean(residuals**2))))
@@ -618,25 +609,22 @@ def fit_tree(
 
 def predict_tree(tree: RegressionTree, profile: PatientProfile) -> float:
     """Exponentiated mean ln target of the leaf the profile reaches."""
-    node = tree.root
+    return math.exp(tree_leaf_ln(tree, profile))
+
+
+def tree_leaf_ln(tree: RegressionTree, profile: PatientProfile) -> float:
+    """ln-space leaf mean (exact leaf statistic, no exponentiation)."""
+    return _leaf(tree.root, profile).mean_ln
+
+
+def _leaf(node: TreeNode, profile: PatientProfile) -> TreeLeaf:
     while isinstance(node, TreeSplit):
         if node.kind == "numeric":
             go_left = float(getattr(profile, node.feature)) <= node.threshold
         else:
             go_left = str(getattr(profile, node.feature)) == node.level
         node = node.left if go_left else node.right
-    return math.exp(node.mean_ln)
-
-
-def tree_leaf_ln(tree: RegressionTree, profile: PatientProfile) -> float:
-    """ln-space leaf mean (exact leaf statistic, no exponentiation)."""
-    node = tree.root
-    while isinstance(node, TreeSplit):
-        if node.kind == "numeric":
-            node = node.left if float(getattr(profile, node.feature)) <= node.threshold else node.right
-        else:
-            node = node.left if str(getattr(profile, node.feature)) == node.level else node.right
-    return node.mean_ln
+    return node
 
 
 # --- distribution distance -----------------------------------------------------
@@ -651,130 +639,3 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-# --- JSON round trip -------------------------------------------------------------
-
-def _spec_to_jsonable(spec: FeatureSpec) -> dict:
-    return {
-        "numeric": [{"name": f.name, "mean": f.mean, "sd": f.sd} for f in spec.numeric],
-        "categorical": [{"name": c.name, "levels": list(c.levels)} for c in spec.categorical],
-    }
-
-
-def _spec_from_jsonable(d: dict) -> FeatureSpec:
-    return FeatureSpec(
-        numeric=tuple(NumericFeature(f["name"], float(f["mean"]), float(f["sd"]))
-                      for f in d["numeric"]),
-        categorical=tuple(CategoricalFeature(c["name"], tuple(c["levels"]))
-                          for c in d["categorical"]),
-    )
-
-
-def _node_to_jsonable(node: TreeNode) -> dict:
-    if isinstance(node, TreeLeaf):
-        return {"leaf": True, "mean_ln": node.mean_ln, "count": node.count}
-    return {
-        "leaf": False,
-        "feature": node.feature,
-        "kind": node.kind,
-        "threshold": node.threshold,
-        "level": node.level,
-        "left": _node_to_jsonable(node.left),
-        "right": _node_to_jsonable(node.right),
-    }
-
-
-def _node_from_jsonable(d: dict) -> TreeNode:
-    if d["leaf"]:
-        return TreeLeaf(mean_ln=float(d["mean_ln"]), count=int(d["count"]))
-    return TreeSplit(
-        feature=d["feature"],
-        kind=d["kind"],
-        threshold=None if d["threshold"] is None else float(d["threshold"]),
-        level=d["level"],
-        left=_node_from_jsonable(d["left"]),
-        right=_node_from_jsonable(d["right"]),
-    )
-
-
-def to_jsonable(model) -> dict:
-    if isinstance(model, LognormalFit):
-        return {"kind": "lognormal", "mu": model.mu, "sigma": model.sigma,
-                "n": model.n, "loglik": model.loglik, "degenerate": model.degenerate}
-    if isinstance(model, GammaFit):
-        return {"kind": "gamma", "shape": model.shape, "scale": model.scale,
-                "n": model.n, "loglik": model.loglik}
-    if isinstance(model, WeibullFit):
-        return {"kind": "weibull", "shape": model.shape, "scale": model.scale,
-                "n": model.n, "loglik": model.loglik, "converged": model.converged}
-    if isinstance(model, MixtureFit):
-        return {
-            "kind": "lognormal_mixture",
-            "components": [{"weight": c.weight, "mu": c.mu, "sigma": c.sigma}
-                           for c in model.components],
-            "n": model.n,
-            "loglik": model.loglik,
-            "trace": list(model.trace),
-        }
-    if isinstance(model, ConditionalModel):
-        return {
-            "kind": "conditional",
-            "target_kind": model.target_kind,
-            "feature_spec": _spec_to_jsonable(model.feature_spec),
-            "coef": list(model.coef),
-            "residual_sigma": model.residual_sigma,
-            "n": model.n,
-            "constant_target": model.constant_target,
-        }
-    if isinstance(model, RegressionTree):
-        return {
-            "kind": "tree",
-            "max_depth": model.max_depth,
-            "min_leaf": model.min_leaf,
-            "numeric": list(model.numeric),
-            "categorical": list(model.categorical),
-            "residual_sigma": model.residual_sigma,
-            "root": _node_to_jsonable(model.root),
-        }
-    raise ConfigError(f"unknown estimator type {type(model).__name__}")
-
-
-def from_jsonable(d: dict):
-    kind = d.get("kind")
-    if kind == "lognormal":
-        return LognormalFit(mu=float(d["mu"]), sigma=float(d["sigma"]), n=int(d["n"]),
-                            loglik=float(d["loglik"]), degenerate=bool(d.get("degenerate", False)))
-    if kind == "gamma":
-        return GammaFit(shape=float(d["shape"]), scale=float(d["scale"]), n=int(d["n"]),
-                        loglik=float(d["loglik"]))
-    if kind == "weibull":
-        return WeibullFit(shape=float(d["shape"]), scale=float(d["scale"]), n=int(d["n"]),
-                          loglik=float(d["loglik"]), converged=bool(d.get("converged", True)))
-    if kind == "lognormal_mixture":
-        return MixtureFit(
-            components=tuple(MixtureComponent(float(c["weight"]), float(c["mu"]), float(c["sigma"]))
-                             for c in d["components"]),
-            n=int(d["n"]),
-            loglik=float(d["loglik"]),
-            trace=tuple(float(v) for v in d["trace"]),
-        )
-    if kind == "conditional":
-        return ConditionalModel(
-            feature_spec=_spec_from_jsonable(d["feature_spec"]),
-            coef=tuple(float(c) for c in d["coef"]),
-            residual_sigma=float(d["residual_sigma"]),
-            target_kind=d["target_kind"],
-            n=int(d["n"]),
-            constant_target=bool(d.get("constant_target", False)),
-        )
-    if kind == "tree":
-        return RegressionTree(
-            root=_node_from_jsonable(d["root"]),
-            max_depth=int(d["max_depth"]),
-            min_leaf=int(d["min_leaf"]),
-            numeric=tuple(d["numeric"]),
-            categorical=tuple(d["categorical"]),
-            residual_sigma=float(d.get("residual_sigma", 0.0)),
-        )
-    raise ConfigError(f"unknown estimator kind {kind!r}")

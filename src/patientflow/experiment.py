@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import estimators, inflow, pathways
+from . import codec, estimators, inflow, pathways
 from .domain import (
     DepartmentSpec,
     EventLogEntry,
@@ -96,43 +96,46 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        gen = GeneratorConfig.from_dict(d["generator"])
-        bucket_width = float(d.get("bucket_width", 1.0))
-        f = d.get("forecaster", {"kind": "holt_winters", "m": 168})
-        calendar = f.get("calendar", "default")
-        if calendar == "default":
-            calendar = default_calendar(bucket_width)
-        else:
-            calendar = tuple(
-                inflow.CalendarTerm(int(t["n_phases"]), int(t.get("phase_width", 1)))
-                for t in calendar
+        try:
+            gen = GeneratorConfig.from_dict(d["generator"])
+            bucket_width = float(d.get("bucket_width", 1.0))
+            f = d.get("forecaster", {"kind": "holt_winters", "m": 168})
+            calendar = f.get("calendar", "default")
+            if calendar == "default":
+                calendar = default_calendar(bucket_width)
+            else:
+                calendar = tuple(
+                    inflow.CalendarTerm(int(t["n_phases"]), int(t.get("phase_width", 1)))
+                    for t in calendar
+                )
+            spec = ForecasterSpec(
+                kind=f["kind"],
+                m=f.get("m"),
+                alpha=f.get("alpha"),
+                beta=f.get("beta"),
+                gamma=f.get("gamma"),
+                lags=tuple(int(l) for l in f.get("lags", ())),
+                calendar=calendar,
             )
-        spec = ForecasterSpec(
-            kind=f["kind"],
-            m=f.get("m"),
-            alpha=f.get("alpha"),
-            beta=f.get("beta"),
-            gamma=f.get("gamma"),
-            lags=tuple(int(l) for l in f.get("lags", ())),
-            calendar=calendar,
-        )
-        pathway_k = d.get("pathway_k", 2)
-        if pathway_k != "sweep":
-            pathway_k = int(pathway_k)
-        return cls(
-            generator=gen,
-            split_fraction=float(d["split_fraction"]),
-            bucket_width=bucket_width,
-            forecaster=spec,
-            los_estimator=d.get("los_estimator", "conditional"),
-            cot_estimator=d.get("cot_estimator", "conditional"),
-            pathway_k=pathway_k,
-            capacities=d.get("capacities"),
-            warm_up=float(d.get("warm_up", 0.0)),
-            replications=int(d.get("replications", 20)),
-            census_bucket=float(d.get("census_bucket", 24.0)),
-            jobs=int(d.get("jobs", 1)),
-        )
+            pathway_k = d.get("pathway_k", 2)
+            if pathway_k != "sweep":
+                pathway_k = int(pathway_k)
+            return cls(
+                generator=gen,
+                split_fraction=float(d["split_fraction"]),
+                bucket_width=bucket_width,
+                forecaster=spec,
+                los_estimator=d.get("los_estimator", "conditional"),
+                cot_estimator=d.get("cot_estimator", "conditional"),
+                pathway_k=pathway_k,
+                capacities=d.get("capacities"),
+                warm_up=float(d.get("warm_up", 0.0)),
+                replications=int(d.get("replications", 20)),
+                census_bucket=float(d.get("census_bucket", 24.0)),
+                jobs=int(d.get("jobs", 1)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"scenario missing key {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -275,7 +278,14 @@ class _Stack:
     los_models: dict
     cot_model: object
     pathway: object
-    fingerprints: dict
+
+    @property
+    def fingerprints(self) -> dict:
+        """component -> md5 of its model document"""
+        models = {"inflow": self.inflow_model, "cot": self.cot_model,
+                  "pathway": self.pathway}
+        models.update((f"los:{dept}", m) for dept, m in self.los_models.items())
+        return {name: model_fingerprint(codec.encode(m)) for name, m in models.items()}
 
 
 def _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories, departments):
@@ -288,16 +298,7 @@ def _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories, departments
     costs = [max(c, COST_FLOOR) for c in cost_by_pid.values()]
     cot_model = estimators.fit_lognormal(costs)
     pathway = pathways.fit_transition_matrix(trajectories, departments)
-    fingerprints = {
-        "inflow": model_fingerprint(inflow.to_jsonable(inflow_model)),
-        "cot": model_fingerprint(estimators.to_jsonable(cot_model)),
-        "pathway": model_fingerprint(pathways.matrix_to_jsonable(pathway)),
-    }
-    for dept in departments:
-        fingerprints[f"los:{dept}"] = model_fingerprint(
-            estimators.to_jsonable(los_models[dept])
-        )
-    return _Stack(STACK_A, inflow_model, los_models, cot_model, pathway, fingerprints)
+    return _Stack(STACK_A, inflow_model, los_models, cot_model, pathway)
 
 
 def _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid, trajectories,
@@ -338,16 +339,7 @@ def _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid, trajectories,
             trajectories, scenario.pathway_k, scenario.generator.seed,
             traj_profiles, departments,
         )
-    fingerprints = {
-        "inflow": model_fingerprint(inflow.to_jsonable(inflow_model)),
-        "cot": model_fingerprint(estimators.to_jsonable(cot_model)),
-        "pathway": model_fingerprint(pathways.clusters_to_jsonable(pathway)),
-    }
-    for dept in departments:
-        fingerprints[f"los:{dept}"] = model_fingerprint(
-            estimators.to_jsonable(los_models[dept])
-        )
-    return _Stack(STACK_B, inflow_model, los_models, cot_model, pathway, fingerprints)
+    return _Stack(STACK_B, inflow_model, los_models, cot_model, pathway)
 
 
 def generator_class_matrix(config: GeneratorConfig, severity: int) -> TransitionMatrix:

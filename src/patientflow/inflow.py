@@ -420,68 +420,3 @@ def backtest(
             raise ModelFitError(name, exc) from exc
         reports[name] = evaluate(predicted, tail)
     return reports
-
-
-# --- JSON round trip ---------------------------------------------------------
-
-def to_jsonable(model: InflowModel) -> dict:
-    if isinstance(model, HomogeneousPoisson):
-        return {"kind": "poisson", "lam": model.lam, "degenerate": model.degenerate}
-    if isinstance(model, SeasonalNaive):
-        return {"kind": "seasonal_naive", "m": model.m, "tail": list(model.tail)}
-    if isinstance(model, HoltWinters):
-        return {
-            "kind": "holt_winters",
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "gamma": model.gamma,
-            "m": model.m,
-            "level": model.level,
-            "trend": model.trend,
-            "seasonal": list(model.seasonal),
-            "phase": model.phase,
-        }
-    if isinstance(model, LagRegression):
-        return {
-            "kind": "lag_regression",
-            "lags": list(model.lags),
-            "calendar": [
-                {"n_phases": t.n_phases, "phase_width": t.phase_width}
-                for t in model.calendar
-            ],
-            "coef": list(model.coef),
-            "n_train": model.n_train,
-            "history": list(model.history),
-        }
-    raise ConfigError(f"unknown model type {type(model).__name__}")
-
-
-def from_jsonable(d: dict) -> InflowModel:
-    kind = d.get("kind")
-    if kind == "poisson":
-        return HomogeneousPoisson(lam=float(d["lam"]), degenerate=bool(d.get("degenerate", False)))
-    if kind == "seasonal_naive":
-        return SeasonalNaive(m=int(d["m"]), tail=tuple(float(v) for v in d["tail"]))
-    if kind == "holt_winters":
-        return HoltWinters(
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            gamma=float(d["gamma"]),
-            m=int(d["m"]),
-            level=float(d["level"]),
-            trend=float(d["trend"]),
-            seasonal=tuple(float(v) for v in d["seasonal"]),
-            phase=int(d["phase"]),
-        )
-    if kind == "lag_regression":
-        return LagRegression(
-            lags=tuple(int(v) for v in d["lags"]),
-            calendar=tuple(
-                CalendarTerm(int(t["n_phases"]), int(t["phase_width"]))
-                for t in d["calendar"]
-            ),
-            coef=tuple(float(v) for v in d["coef"]),
-            n_train=int(d["n_train"]),
-            history=tuple(float(v) for v in d["history"]),
-        )
-    raise ConfigError(f"unknown inflow model kind {kind!r}")

@@ -27,7 +27,7 @@ from .errors import (
     UnknownDepartment,
     UnobservedRow,
 )
-from .seeding import stream
+from .seeding import draw_index, stream
 
 MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
@@ -221,31 +221,28 @@ def _kmeans_once(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.
             centroids[j] = X[min(idx, n - 1)]
         d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
 
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dists, axis=1)
-        assigned_d2 = dists[np.arange(n), labels]
-        # repair empty clusters by stealing the globally worst-fitting point
-        for j in range(k):
-            if not np.any(labels == j):
-                worst = int(np.argmax(assigned_d2))
-                labels[worst] = j
-                assigned_d2[worst] = -np.inf  # each repair takes a fresh point
+        labels = _nearest(X, centroids)
         new_centroids = np.vstack([X[labels == j].mean(axis=0) for j in range(k)])
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
+    return centroids, _nearest(X, centroids)
+
+
+def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Label each point with its nearest centroid, then repair empty
+    clusters by stealing the globally worst-fitting point."""
     dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     labels = np.argmin(dists, axis=1)
-    assigned_d2 = dists[np.arange(n), labels]
-    for j in range(k):
+    assigned_d2 = dists[np.arange(len(X)), labels]
+    for j in range(len(centroids)):
         if not np.any(labels == j):
             worst = int(np.argmax(assigned_d2))
             labels[worst] = j
-            assigned_d2[worst] = -np.inf
-    return centroids, labels
+            assigned_d2[worst] = -np.inf  # each repair takes a fresh point
+    return labels
 
 
 def _kmeans(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -377,14 +374,7 @@ def next_department(
         if strict:
             raise UnobservedRow(f"no observed transitions out of {state!r}")
         return DISCHARGE
-    row = matrix.probs[i]
-    u = rng.random()
-    acc = 0.0
-    for j, p in enumerate(row):
-        acc += p
-        if u < acc:
-            return matrix.column_state(j)
-    return DISCHARGE
+    return matrix.column_state(draw_index(matrix.probs[i], rng))
 
 
 # --- diagnostics ------------------------------------------------------------------
@@ -464,87 +454,3 @@ def sweep_k(
     if best is None:
         raise TooFewTrajectories("no feasible k in range")
     return best[1]
-
-
-# --- JSON round trip ----------------------------------------------------------------
-
-def matrix_to_jsonable(m: TransitionMatrix) -> dict:
-    return {
-        "kind": "transition_matrix",
-        "departments": list(m.departments),
-        "probs": [list(r) for r in m.probs],
-        "counts": [list(r) for r in m.counts],
-        "row_observed": list(m.row_observed),
-    }
-
-
-def matrix_from_jsonable(d: dict) -> TransitionMatrix:
-    return TransitionMatrix(
-        departments=tuple(d["departments"]),
-        probs=tuple(tuple(float(p) for p in r) for r in d["probs"]),
-        counts=tuple(tuple(int(c) for c in r) for r in d["counts"]),
-        row_observed=tuple(bool(o) for o in d["row_observed"]),
-    )
-
-
-def clusters_to_jsonable(pc: PathwayClusters) -> dict:
-    return {
-        "kind": "pathway_clusters",
-        "k": pc.k,
-        "departments": list(pc.departments),
-        "clusters": [
-            {
-                "centroid": list(c.centroid),
-                "matrix": matrix_to_jsonable(c.matrix),
-                "member_count": c.member_count,
-                "attribute_centroid": (
-                    None if c.attribute_centroid is None else list(c.attribute_centroid)
-                ),
-                "use_fallback": c.use_fallback,
-            }
-            for c in pc.clusters
-        ],
-        "fallback": matrix_to_jsonable(pc.fallback),
-        "profile_encoder": (
-            None
-            if pc.profile_encoder is None
-            else {
-                "means": list(pc.profile_encoder.means),
-                "sds": list(pc.profile_encoder.sds),
-                "drg_levels": list(pc.profile_encoder.drg_levels),
-            }
-        ),
-        "labels": list(pc.labels),
-    }
-
-
-def clusters_from_jsonable(d: dict) -> PathwayClusters:
-    encoder = None
-    if d.get("profile_encoder") is not None:
-        pe = d["profile_encoder"]
-        encoder = ProfileEncoder(
-            means=tuple(float(v) for v in pe["means"]),
-            sds=tuple(float(v) for v in pe["sds"]),
-            drg_levels=tuple(pe["drg_levels"]),
-        )
-    return PathwayClusters(
-        k=int(d["k"]),
-        departments=tuple(d["departments"]),
-        clusters=tuple(
-            PathwayCluster(
-                centroid=tuple(float(v) for v in c["centroid"]),
-                matrix=matrix_from_jsonable(c["matrix"]),
-                member_count=int(c["member_count"]),
-                attribute_centroid=(
-                    None
-                    if c["attribute_centroid"] is None
-                    else tuple(float(v) for v in c["attribute_centroid"])
-                ),
-                use_fallback=bool(c["use_fallback"]),
-            )
-            for c in d["clusters"]
-        ),
-        fallback=matrix_from_jsonable(d["fallback"]),
-        profile_encoder=encoder,
-        labels=tuple(int(v) for v in d["labels"]),
-    )

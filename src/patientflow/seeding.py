@@ -10,9 +10,26 @@ results.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from numpy.random import PCG64, Generator, SeedSequence
 
 
 def stream(seed: int, *key: int) -> Generator:
     """Return the PCG64 generator for a (seed, purpose-key) pair."""
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def draw_index(probs: Collection[float], rng: Generator) -> int:
+    """Inverse-CDF draw of an index into ``probs`` from one ``rng.random()``.
+
+    Probabilities are summed in order; a uniform at or above the summed
+    total (rounding can leave it short of 1) takes the last index.
+    """
+    u = rng.random()
+    acc = 0.0
+    for j, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return j
+    return len(probs) - 1

@@ -31,7 +31,7 @@ from numpy.random import Generator
 
 from .domain import EventLogEntry, PatientProfile, serialize_event_log
 from .errors import ConfigError, OutOfHorizon
-from .seeding import stream
+from .seeding import draw_index, stream
 
 WALK_CAP = 50       # max stays per patient before forced discharge
 LOS_FLOOR = 0.01    # hours; keeps stays positive after 6-decimal rounding
@@ -324,19 +324,31 @@ def sample_profile(
     """
     if severity is None:
         severity = _draw_severity(config, rng)
-    mix = config.age_mix
+    return draw_attributes(rng, config.age_mix, config.gender_p,
+                           config.comorbidity_rate(severity), config.drg_probs, patient_id)
+
+
+def draw_attributes(
+    rng: Generator,
+    age_mix: AgeMixture,
+    gender_p: float,
+    comorbidity: LinearRate,
+    drg_probs: dict[str, float],
+    patient_id: str,
+) -> PatientProfile:
+    """Draw age (rejection from the mixture truncated to [0, 120]),
+    gender, a Poisson comorbidity count capped at 30 and a DRG."""
     while True:
-        if rng.random() < mix.weight:
-            x = rng.normal(mix.mean1, mix.sd1)
+        if rng.random() < age_mix.weight:
+            x = rng.normal(age_mix.mean1, age_mix.sd1)
         else:
-            x = rng.normal(mix.mean2, mix.sd2)
+            x = rng.normal(age_mix.mean2, age_mix.sd2)
         if 0.0 <= x <= 120.0:
             break
     age = int(round(x))
-    gender = "F" if rng.random() < config.gender_p else "M"
-    com = int(rng.poisson(config.comorbidity_rate(severity).at(age)))
-    com = min(com, 30)
-    drg = _draw_categorical(config.drg_probs, rng)
+    gender = "F" if rng.random() < gender_p else "M"
+    com = min(int(rng.poisson(comorbidity.at(age))), 30)
+    drg = list(drg_probs)[draw_index(drg_probs.values(), rng)]
     return PatientProfile(patient_id, age, gender, com, drg)
 
 
@@ -344,18 +356,6 @@ def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
     if config.n_classes == 1:
         return 0
     return 1 if rng.random() < config.severity_split else 0
-
-
-def _draw_categorical(probs: dict[str, float], rng: Generator) -> str:
-    u = rng.random()
-    acc = 0.0
-    last = None
-    for label, p in probs.items():
-        acc += p
-        last = label
-        if u < acc:
-            return label
-    return last  # guard against accumulated rounding
 
 
 def generate(config: GeneratorConfig) -> GenerateResult:
@@ -396,15 +396,8 @@ def generate(config: GeneratorConfig) -> GenerateResult:
             )
             t += stay_los
             n_stays += 1
-            u = rng.random()
-            acc = 0.0
-            nxt = n_dep  # DISCHARGE column
-            for j, p in enumerate(matrix[state]):
-                acc += p
-                if u < acc:
-                    nxt = j
-                    break
-            if nxt == n_dep:
+            nxt = draw_index(matrix[state], rng)
+            if nxt == n_dep:  # DISCHARGE column
                 break
             state = nxt
         else:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -181,8 +182,9 @@ def test_simulate_writes_outputs(tmp_path, log_path):
     assert len(patients_lines) > 100
 
 
-def test_simulate_deterministic(tmp_path, log_path):
-    sim_config = {
+def attribute_sim_config():
+    """A one-department simulation whose profiles come from an attribute sampler."""
+    return {
         "seed": 6,
         "horizon": 240.0,
         "departments": [{"name": "ER", "bed_capacity": None}],
@@ -206,6 +208,10 @@ def test_simulate_deterministic(tmp_path, log_path):
                             "comorbidity": {"c0": 1.0, "c1": 0.0},
                             "drg_probs": {"GEN": 1.0}},
     }
+
+
+def test_simulate_deterministic(tmp_path, log_path):
+    sim_config = attribute_sim_config()
     config_path = write_json(tmp_path / "sim.json", sim_config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", config_path, "--out", str(out_a)]) == 0
@@ -266,3 +272,38 @@ def test_report_command_renders_simulation_summary(tmp_path, capsys):
 
 def test_report_command_missing_artifacts(tmp_path):
     assert main(["report", "--in", str(tmp_path)]) == 2
+
+
+HOLT_WINTERS = {"kind": "holt_winters", "alpha": 0.5, "beta": 0.1, "gamma": 0.2, "m": 2,
+                "level": 5.0, "trend": 0.0, "seasonal": [1.0, -1.0], "phase": 0}
+
+
+@pytest.mark.parametrize("command, model", [
+    ("forecast", {k: v for k, v in HOLT_WINTERS.items() if k != "beta"}),
+    ("forecast", {"kind": "poisson", "lam": "abc"}),
+    ("simulate", {"kind": "lognormal", "mu": "x", "sigma": 0.3, "n": 10, "loglik": 0.0}),
+    ("forecast", {"kind": "poisson", "lam": math.nan}),
+    ("forecast", {**HOLT_WINTERS, "level": math.inf}),
+], ids=["missing-beta", "lam-not-a-number", "stay-mu-not-a-number", "lam-nan",
+        "level-infinity"])
+def test_malformed_model_document_exits_2(tmp_path, capsys, command, model):
+    if command == "forecast":
+        argv = ["forecast", "--model", write_json(tmp_path / "model.json", model),
+                "--h", "2"]
+    else:
+        sim_config = attribute_sim_config()
+        sim_config["los_models"]["ER"] = model
+        argv = ["simulate", "--config", write_json(tmp_path / "sim.json", sim_config),
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["generator", "split_fraction"])
+def test_compare_scenario_missing_key_exits_2(tmp_path, capsys, default_scenario_dict, key):
+    scenario = {k: v for k, v in default_scenario_dict.items() if k != key}
+    path = write_json(tmp_path / "scenario.json", scenario)
+    assert main(["compare", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -25,7 +25,7 @@ from patientflow.estimators import (
 )
 from patientflow.pathways import TransitionMatrix
 from patientflow.seeding import stream
-from patientflow.synthehr import AgeMixture, LinearRate
+from patientflow.synthehr import AgeMixture, LinearRate, sample_profile
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
 
@@ -345,3 +345,13 @@ def test_config_validation():
         base_config(warm_up=720.0)
     with pytest.raises(ConfigError):
         base_config(replications=0)
+
+
+def test_attribute_sampler_matches_generator_profiles(default_generator):
+    config = default_generator
+    sampler = AttributeSampler(config.age_mix, config.gender_p,
+                               config.comorbidity_rate(1), config.drg_probs)
+    rng_a, rng_b = stream(41), stream(41)
+    for i in range(300):
+        pid = f"P{i:03d}"
+        assert sampler.sample(rng_a, pid) == sample_profile(config, rng_b, 1, pid)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from patientflow import estimators
+from patientflow import codec, estimators
 from patientflow.domain import PatientProfile, first_stays
 from patientflow.errors import (
     EmptySample,
@@ -457,7 +457,7 @@ def test_estimator_json_round_trips():
         fit_tree(profiles, targets, max_depth=3, min_leaf=10),
     ]
     for model in models:
-        clone = estimators.from_jsonable(estimators.to_jsonable(model))
+        clone = codec.decode(codec.encode(model))
         rng_a, rng_b = stream(30), stream(30)
         if isinstance(model, (estimators.ConditionalModel,)):
             assert sample(model, rng_a, profile=profiles[0]) == sample(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from patientflow import inflow
+from patientflow import codec, inflow
 from patientflow.domain import EventLogEntry, bucketize, first_stays
 from patientflow.engine import ReplicationSummary, bucket_census
 from patientflow.errors import ConfigError, WindowMismatch
@@ -184,7 +184,7 @@ def test_stack_a_fingerprint_is_shared_baseline_fitter(small_report_pair):
     admissions = first_stays(oracle.entries)
     train_entries = [e for e in oracle.entries if admissions[e.patient_id] < t_split]
     series = bucketize(train_entries, scenario.bucket_width, 0.0, t_split)
-    expected = model_fingerprint(inflow.to_jsonable(inflow.fit_poisson(series)))
+    expected = model_fingerprint(codec.encode(inflow.fit_poisson(series)))
     assert report.fingerprints[STACK_A]["inflow"] == expected
 
 

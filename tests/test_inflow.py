@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import inflow
+from patientflow import codec
 from patientflow.domain import ArrivalSeries, bucketize
 from patientflow.errors import (
     AllActualsZero,
@@ -339,5 +339,5 @@ def test_json_round_trip_preserves_forecasts():
         fit_lag_regression(series, (1, 6), calendar=(CalendarTerm(6, 1),)),
     ]
     for model in models:
-        clone = inflow.from_jsonable(inflow.to_jsonable(model))
+        clone = codec.decode(codec.encode(model))
         assert forecast(clone, 12) == forecast(model, 12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patientflow import codec
 from patientflow.domain import DISCHARGE, ENTRY, EventLogEntry, PatientProfile, Trajectory
 from patientflow.domain import extract_trajectories
 from patientflow.errors import (
@@ -12,12 +13,8 @@ from patientflow.errors import (
 from patientflow.pathways import (
     assign,
     cluster,
-    clusters_from_jsonable,
-    clusters_to_jsonable,
     encode,
     fit_transition_matrix,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     mean_silhouette,
     next_department,
     row_average_tv,
@@ -360,8 +357,8 @@ def test_pathway_json_round_trips():
     ]
     profiles = [profile(f"p{i}", age=30 + i) for i in range(50)]
     m = fit_transition_matrix(trs)
-    assert matrix_from_jsonable(matrix_to_jsonable(m)) == m
+    assert codec.decode(codec.encode(m)) == m
     pc = cluster(trs, 2, seed=11, profiles=profiles)
-    clone = clusters_from_jsonable(clusters_to_jsonable(pc))
+    clone = codec.decode(codec.encode(pc))
     assert clone == pc
     assert assign(profile("q", age=42), clone) == assign(profile("q", age=42), pc)

@@ -6,7 +6,7 @@ from scipy.stats import chi2
 
 from patientflow.domain import serialize_event_log
 from patientflow.errors import ConfigError, OutOfHorizon
-from patientflow.seeding import stream
+from patientflow.seeding import draw_index, stream
 from patientflow.synthehr import (
     GeneratorConfig,
     generate,
@@ -259,3 +259,10 @@ def test_ground_truth_classes_cover_all_patients(default_oracle):
         p.patient_id for p in default_oracle.profiles
     }
     assert set(default_oracle.truth.latent_class.values()) == {0, 1}
+
+
+def test_draw_index_sums_in_order_and_falls_through_to_last():
+    u = stream(17).random()
+    expected = 0 if u < 0.25 else 1 if u < 0.75 else 2
+    assert draw_index([0.25, 0.5, 0.25], stream(17)) == expected
+    assert draw_index([0.0, 0.0, 0.0], stream(17)) == 2  # total short of any uniform
