@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -205,15 +206,27 @@ def _parse_sampler(d: dict, base: Path):
     raise ConfigError(f"unknown profile sampler kind {kind!r}")
 
 
+def _number(value, name: str, convert=float):
+    """A finite config number; anything else is a ConfigError."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a number, got {value!r:.60}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r:.60}")
+    return number
+
+
 def _parse_driver(d: dict):
     kind = d.get("kind")
     if kind == "poisson":
-        return PoissonBaseline(lam=float(d["lam"]),
-                               bucket_width=float(d.get("bucket_width", 24.0)))
+        return PoissonBaseline(lam=_number(d["lam"], "lam"),
+                               bucket_width=_number(d.get("bucket_width", 24.0),
+                                                    "bucket_width"))
     if kind == "forecast":
         return ForecastDriven(
-            forecast=tuple(float(v) for v in d["forecast"]),
-            bucket_width=float(d["bucket_width"]),
+            forecast=tuple(_number(v, "forecast") for v in d["forecast"]),
+            bucket_width=_number(d["bucket_width"], "bucket_width"),
             deterministic=bool(d.get("deterministic", False)),
         )
     raise ConfigError(f"unknown arrival driver kind {kind!r}")
@@ -228,8 +241,8 @@ def _cmd_simulate(args) -> int:
                 DepartmentSpec(name=dep["name"], bed_capacity=dep.get("bed_capacity"))
                 for dep in d["departments"]
             ),
-            horizon=float(d["horizon"]),
-            warm_up=float(d.get("warm_up", 0.0)),
+            horizon=_number(d["horizon"], "horizon"),
+            warm_up=_number(d.get("warm_up", 0.0), "warm_up"),
             arrival_driver=_parse_driver(d["arrival_driver"]),
             los_models={
                 name: codec.decode(m, *codec.ESTIMATOR_KINDS)
@@ -238,13 +251,13 @@ def _cmd_simulate(args) -> int:
             cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
             pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
             profile_sampler=_parse_sampler(d["profile_sampler"], base),
-            seed=int(d["seed"]),
-            replications=int(d.get("replications", 1)),
+            seed=_number(d["seed"], "seed", int),
+            replications=_number(d.get("replications", 1), "replications", int),
         )
     except KeyError as exc:
         raise ConfigError(f"simulation config missing key {exc}") from None
-    results, summary = replicate(config, jobs=args.jobs,
-                                 census_bucket=float(d.get("census_bucket", 24.0)))
+    census_bucket = _number(d.get("census_bucket", 24.0), "census_bucket")
+    results, summary = replicate(config, jobs=args.jobs, census_bucket=census_bucket)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_census_csv(results[0], out / "census.csv")

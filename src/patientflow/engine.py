@@ -31,16 +31,17 @@ import heapq
 import json
 import math
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.random import Generator
 
 from .domain import DISCHARGE, ENTRY, DepartmentSpec, PatientProfile
-from .errors import ConfigError, ForecastTooShort, ModelIncompatible
+from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
 from .estimators import sample as sample_estimator
 from .pathways import PathwayClusters, TransitionMatrix, assign, next_department
 from .seeding import stream
@@ -108,6 +109,10 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
 
 
 # --- profile samplers -----------------------------------------------------------
+#
+# ``sample(rng, patient_id=None)`` draws one arrival's profile. The engine
+# passes no id: it identifies patients by arrival index, so the profile's
+# own id is irrelevant there.
 
 @dataclass(frozen=True)
 class AttributeSampler:
@@ -119,9 +124,9 @@ class AttributeSampler:
     comorbidity: LinearRate
     drg_probs: dict[str, float]
 
-    def sample(self, rng: Generator, patient_id: str) -> PatientProfile:
+    def sample(self, rng: Generator, patient_id: str | None = None) -> PatientProfile:
         return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
-                               self.drg_probs, patient_id)
+                               self.drg_probs, patient_id or "")
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,10 @@ class EmpiricalSampler:
 
     profiles: tuple[PatientProfile, ...]
 
-    def sample(self, rng: Generator, patient_id: str) -> PatientProfile:
+    def sample(self, rng: Generator, patient_id: str | None = None) -> PatientProfile:
+        """The pooled profile itself, relabelled only when an id is given."""
         base = self.profiles[int(rng.integers(len(self.profiles)))]
-        return replace(base, patient_id=patient_id)
+        return base if patient_id is None else replace(base, patient_id=patient_id)
 
 
 ProfileSampler = Union[AttributeSampler, EmpiricalSampler]
@@ -185,7 +191,6 @@ class StayRecord:
 @dataclass(frozen=True)
 class PatientRecord:
     patient_id: str
-    profile: PatientProfile
     admission_time: float
     cluster: int | None
     stays: tuple[StayRecord, ...]
@@ -201,8 +206,37 @@ class PatientRecord:
         return sum(s.wait for s in self.stays)
 
 
-@dataclass(frozen=True)
+def _patient_id(index: int) -> str:
+    """The id of the patient with the given arrival index."""
+    return f"S{index + 1:06d}"
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[k], b[k]) for k in a))
+    return a == b
+
+
+@dataclass(frozen=True, eq=False)
 class SimResult:
+    """One replication, its patients and stays stored as columns.
+
+    Per patient, in arrival order: ``admission``; ``discharge`` and
+    ``cost``, NaN while the patient is still in the system; ``cluster``,
+    -1 without clustered pathways; and ``stay_offset``, one entry longer:
+    patient i's stays are rows ``stay_offset[i]:stay_offset[i + 1]`` of
+    the stay columns. Per stay, patient-major and then in stay order:
+    ``stay_department`` (an index into ``departments``), ``stay_request``,
+    ``stay_start`` and ``stay_end``. Per department: ``census_times`` and
+    ``census_occupied``, the occupancy step series up to the horizon.
+
+    ``census`` and ``patients`` are read-only views built from the
+    columns on access, for tests and inspection.
+    """
+
     horizon: float
     warm_up: float
     seed: int
@@ -211,44 +245,122 @@ class SimResult:
     discharges: int
     in_system: int
     truncated_walks: int
-    census: dict  # department -> tuple[(time, occupied)], step series to horizon
     avg_census: dict  # department -> time-average over [warm_up, horizon]
     utilization: dict  # department -> avg / capacity (None when unbounded)
-    patients: tuple[PatientRecord, ...]  # all patients, cohort derivable by admission_time
+    departments: tuple[str, ...]
+    admission: np.ndarray
+    discharge: np.ndarray
+    cost: np.ndarray
+    cluster: np.ndarray
+    stay_offset: np.ndarray
+    stay_department: np.ndarray
+    stay_request: np.ndarray
+    stay_start: np.ndarray
+    stay_end: np.ndarray
+    census_times: dict  # department -> step times, 0 to horizon
+    census_occupied: dict  # department -> occupied beds from each step time on
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimResult):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    @property
+    def census(self) -> dict:
+        """department -> tuple of (time, occupied) steps"""
+        return {name: tuple(zip(self.census_times[name].tolist(),
+                                self.census_occupied[name].tolist()))
+                for name in self.departments}
+
+    @property
+    def patients(self) -> "PatientsView":
+        return PatientsView(self)
+
+
+def _optional(value: float) -> float | None:
+    return None if math.isnan(value) else value
+
+
+class PatientsView(Sequence):
+    """A SimResult's patients as records, built on access."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: SimResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.admission)
+
+    def __getitem__(self, index: int) -> PatientRecord:
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("patient index out of range")
+        index %= n
+        return next(self._records(index, index + 1))
+
+    def __iter__(self):
+        return self._records(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatientsView):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _records(self, start: int, stop: int):
+        """Records of patients start..stop-1, converting their columns once."""
+        r = self._result
+        offset = r.stay_offset[start:stop + 1].tolist()
+        lo, hi = offset[0], offset[-1]
+        stays = list(map(StayRecord,
+                         [r.departments[d] for d in r.stay_department[lo:hi].tolist()],
+                         r.stay_request[lo:hi].tolist(), r.stay_start[lo:hi].tolist(),
+                         r.stay_end[lo:hi].tolist()))
+        rows = zip(range(start, stop), r.admission[start:stop].tolist(),
+                   r.discharge[start:stop].tolist(), r.cost[start:stop].tolist(),
+                   r.cluster[start:stop].tolist(), offset, offset[1:])
+        for i, admission, discharge, cost, cluster, first, last in rows:
+            yield PatientRecord(
+                patient_id=_patient_id(i),
+                admission_time=admission,
+                cluster=cluster if cluster >= 0 else None,
+                stays=tuple(stays[first - lo:last - lo]),
+                discharge_time=_optional(discharge),
+                total_cost=_optional(cost),
+            )
 
 
 class _Patient:
-    __slots__ = ("pid", "profile", "admission_time", "cluster", "matrix",
-                 "request_time", "stays", "discharge_time", "cost")
+    __slots__ = ("index", "profile", "matrix", "request_time", "n_stays")
 
-    def __init__(self, pid: str, profile: PatientProfile, t: float):
-        self.pid = pid
+    def __init__(self, index: int, profile: PatientProfile, t: float):
+        self.index = index
         self.profile = profile
-        self.admission_time = t
-        self.cluster: int | None = None
         self.matrix: TransitionMatrix | None = None
         self.request_time = t
-        self.stays: list[StayRecord] = []
-        self.discharge_time: float | None = None
-        self.cost: float | None = None
+        self.n_stays = 0
 
 
 class _Dept:
-    __slots__ = ("spec", "occupied", "queue", "census")
+    __slots__ = ("spec", "index", "occupied", "queue", "times", "occupancy")
 
-    def __init__(self, spec: DepartmentSpec):
+    def __init__(self, spec: DepartmentSpec, index: int):
         self.spec = spec
+        self.index = index
         self.occupied = 0
         self.queue: deque[_Patient] = deque()
-        self.census: list[tuple[float, int]] = [(0.0, 0)]
+        self.times: list[float] = [0.0]
+        self.occupancy: list[int] = [0]
 
 
-def _integrate_mean(series: Sequence[tuple[float, float]], a: float, b: float) -> float:
+def _integrate_mean(times: Sequence[float], values: Sequence[float],
+                    a: float, b: float) -> float:
     """Time average of a step series over [a, b]."""
     if b <= a:
         return 0.0
     total = 0.0
-    for (t0, v), (t1, _) in zip(series, series[1:]):
+    for t0, t1, v in zip(times, times[1:], values):
         lo, hi = max(t0, a), min(t1, b)
         if hi > lo:
             total += v * (hi - lo)
@@ -287,9 +399,19 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     heapq.heapify(heap)
     seq = len(arrivals)
 
-    depts = {d.name: _Dept(d) for d in config.departments}
+    depts = {d.name: _Dept(d, i) for i, d in enumerate(config.departments)}
     clustered = isinstance(config.pathway, PathwayClusters)
-    patients: list[_Patient] = []
+    # per patient, in arrival order
+    admission: list[float] = []
+    discharge: list[float] = []
+    cost: list[float] = []
+    cluster: list[int] = []
+    # per stay, in the order beds are granted
+    stay_patient: list[int] = []
+    stay_department: list[int] = []
+    stay_request: list[float] = []
+    stay_start: list[float] = []
+    stay_end: list[float] = []
     truncated = 0
     last_time = 0.0
 
@@ -300,36 +422,47 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
 
     def start_stay(patient: _Patient, dept: _Dept, now: float):
         dept.occupied += 1
-        dept.census.append((now, dept.occupied))
+        dept.times.append(now)
+        dept.occupancy.append(dept.occupied)
         name = dept.spec.name
         los = sample_estimator(config.los_models[name], los_rng, profile=patient.profile)
-        patient.stays.append(StayRecord(name, patient.request_time, now, now + los))
+        patient.n_stays += 1
+        stay_patient.append(patient.index)
+        stay_department.append(dept.index)
+        stay_request.append(patient.request_time)
+        stay_start.append(now)
+        stay_end.append(now + los)
         schedule(now + los, _STAY_END, patient, name)
 
-    def discharge(patient: _Patient, now: float):
-        patient.discharge_time = now
-        patient.cost = sample_estimator(config.cot_model, cost_rng, profile=patient.profile)
+    def discharge_at(patient: _Patient, now: float):
+        discharge[patient.index] = now
+        cost[patient.index] = sample_estimator(config.cot_model, cost_rng,
+                                               profile=patient.profile)
 
     while heap:
         time, _, kind, patient, dept_name = heapq.heappop(heap)
         if time >= config.horizon:
             break
-        assert time >= last_time  # event causality
+        if time < last_time:
+            raise InvariantViolation("event time", f"{time} precedes {last_time}")
         last_time = time
 
         if kind == _ARRIVAL:
-            pid = f"S{len(patients) + 1:06d}"
-            profile = config.profile_sampler.sample(prof_rng, pid)
-            patient = _Patient(pid, profile, time)
+            profile = config.profile_sampler.sample(prof_rng)
+            patient = _Patient(len(admission), profile, time)
+            admission.append(time)
+            discharge.append(math.nan)
+            cost.append(math.nan)
             if clustered:
-                patient.cluster = assign(profile, config.pathway)
-                patient.matrix = config.pathway.routing_matrix(patient.cluster)
+                index = assign(profile, config.pathway)
+                cluster.append(index)
+                patient.matrix = config.pathway.routing_matrix(index)
             else:
+                cluster.append(-1)
                 patient.matrix = config.pathway
-            patients.append(patient)
             first = next_department(ENTRY, patient.matrix, route_rng)
             if first == DISCHARGE:
-                discharge(patient, time)
+                discharge_at(patient, time)
             else:
                 if first not in depts:
                     raise ModelIncompatible(f"pathway routes to unknown department {first!r}")
@@ -347,13 +480,14 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         else:  # _STAY_END
             dept = depts[dept_name]
             dept.occupied -= 1
-            dept.census.append((time, dept.occupied))
+            dept.times.append(time)
+            dept.occupancy.append(dept.occupied)
             nxt = next_department(dept_name, patient.matrix, route_rng)
-            if nxt != DISCHARGE and len(patient.stays) >= WALK_CAP:
+            if nxt != DISCHARGE and patient.n_stays >= WALK_CAP:
                 truncated += 1
                 nxt = DISCHARGE
             if nxt == DISCHARGE:
-                discharge(patient, time)
+                discharge_at(patient, time)
             else:
                 if nxt not in depts:
                     raise ModelIncompatible(f"pathway routes to unknown department {nxt!r}")
@@ -364,32 +498,32 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
                 if cap is None or dept.occupied < cap:
                     start_stay(dept.queue.popleft(), dept, time)
 
-    census = {}
+    census_times = {}
+    census_occupied = {}
     avg_census = {}
     utilization = {}
     for name, dept in depts.items():
-        dept.census.append((config.horizon, dept.occupied))
-        census[name] = tuple(dept.census)
-        avg = _integrate_mean(dept.census, config.warm_up, config.horizon)
+        dept.times.append(config.horizon)
+        dept.occupancy.append(dept.occupied)
+        census_times[name] = np.array(dept.times, dtype=float)
+        census_occupied[name] = np.array(dept.occupancy, dtype=np.int32)
+        avg = _integrate_mean(dept.times, dept.occupancy, config.warm_up, config.horizon)
         avg_census[name] = avg
         cap = dept.spec.bed_capacity
         utilization[name] = (avg / cap) if cap is not None else None
 
-    records = tuple(
-        PatientRecord(
-            patient_id=p.pid,
-            profile=p.profile,
-            admission_time=p.admission_time,
-            cluster=p.cluster,
-            stays=tuple(p.stays),
-            discharge_time=p.discharge_time,
-            total_cost=p.cost,
-        )
-        for p in patients
-    )
-    cohort = [p for p in records if p.admission_time >= config.warm_up]
-    admissions = len(cohort)
-    discharges = sum(1 for p in cohort if p.discharge_time is not None)
+    # stays are granted in event order; a stable sort by patient makes
+    # them patient-major while keeping each patient's stays in order
+    by_patient = np.array(stay_patient, dtype=np.int64)
+    order = np.argsort(by_patient, kind="stable")
+    stay_offset = np.zeros(len(admission) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(by_patient, minlength=len(admission)), out=stay_offset[1:])
+
+    admission_col = np.array(admission, dtype=float)
+    discharge_col = np.array(discharge, dtype=float)
+    cohort = admission_col >= config.warm_up
+    admissions = int(np.count_nonzero(cohort))
+    discharges = int(np.count_nonzero(cohort & ~np.isnan(discharge_col)))
     return SimResult(
         horizon=config.horizon,
         warm_up=config.warm_up,
@@ -399,10 +533,20 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         discharges=discharges,
         in_system=admissions - discharges,
         truncated_walks=truncated,
-        census=census,
         avg_census=avg_census,
         utilization=utilization,
-        patients=records,
+        departments=tuple(depts),
+        admission=admission_col,
+        discharge=discharge_col,
+        cost=np.array(cost, dtype=float),
+        cluster=np.array(cluster, dtype=np.int32),
+        stay_offset=stay_offset,
+        stay_department=np.array(stay_department, dtype=np.int32)[order],
+        stay_request=np.array(stay_request, dtype=float)[order],
+        stay_start=np.array(stay_start, dtype=float)[order],
+        stay_end=np.array(stay_end, dtype=float)[order],
+        census_times=census_times,
+        census_occupied=census_occupied,
     )
 
 
@@ -430,17 +574,24 @@ def replicate(
     are identical whatever the execution order or the number of worker
     processes; the summary reduces results pre-sorted by index.
     """
+    if not census_bucket > 0.0:
+        raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     indices = list(range(config.replications))
     if jobs > 1 and config.replications > 1:
+        # one chunk per worker, so the config is pickled once per worker
+        chunk = math.ceil(config.replications / jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_indexed, [(config, r) for r in indices]))
+            results = list(pool.map(_run_indexed, [(config, r) for r in indices],
+                                    chunksize=chunk))
     else:
         results = [run(config, r) for r in indices]
 
     per_dept: dict[str, np.ndarray] = {}
     for d in config.departments:
         rows = np.asarray(
-            [bucket_census(res.census[d.name], census_bucket, config.horizon)
+            [bucket_census(list(zip(res.census_times[d.name].tolist(),
+                                    res.census_occupied[d.name].tolist())),
+                           census_bucket, config.horizon)
              for res in results]
         )
         per_dept[d.name] = rows
@@ -472,21 +623,28 @@ def replicate(
 
 def write_census_csv(result: SimResult, path: Path) -> None:
     lines = ["time,department,occupied"]
-    for name in sorted(result.census):
-        for t, occ in result.census[name]:
+    for name in sorted(result.departments):
+        for t, occ in zip(result.census_times[name].tolist(),
+                          result.census_occupied[name].tolist()):
             lines.append(f"{t:.6f},{name},{occ}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_patients_csv(result: SimResult, path: Path) -> None:
     lines = ["patient_id,admission,discharge,los,wait,cost,trajectory"]
-    for p in result.patients:
-        discharge = f"{p.discharge_time:.6f}" if p.discharge_time is not None else ""
-        cost = f"{p.total_cost:.6f}" if p.total_cost is not None else ""
-        path_str = "|".join(s.department for s in p.stays)
+    los = (result.stay_end - result.stay_start).tolist()
+    wait = (result.stay_start - result.stay_request).tolist()
+    names = [result.departments[d] for d in result.stay_department.tolist()]
+    offset = result.stay_offset.tolist()
+    for i, (admission, discharge, cost) in enumerate(zip(
+            result.admission.tolist(), result.discharge.tolist(), result.cost.tolist())):
+        lo, hi = offset[i], offset[i + 1]
+        discharge_str = "" if math.isnan(discharge) else f"{discharge:.6f}"
+        cost_str = "" if math.isnan(cost) else f"{cost:.6f}"
         lines.append(
-            f"{p.patient_id},{p.admission_time:.6f},{discharge},"
-            f"{p.total_los:.6f},{p.total_wait:.6f},{cost},{path_str}"
+            f"{_patient_id(i)},{admission:.6f},{discharge_str},"
+            f"{sum(los[lo:hi]):.6f},{sum(wait[lo:hi]):.6f},{cost_str},"
+            f"{'|'.join(names[lo:hi])}"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

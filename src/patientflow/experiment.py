@@ -462,18 +462,18 @@ def run_experiment(
     los_ks = {}
     sim_los_by_stack = {}
     for name, (results, _) in sims.items():
-        sim_by_dept = {d: [] for d in departments}
+        parts = {d: [] for d in departments}
         for res in results:
-            for p in res.patients:
-                if p.admission_time < scenario.warm_up:
-                    continue
-                for s in p.stays:
-                    sim_by_dept[s.department].append(s.los)
-        sim_los_by_stack[name] = [v for d in departments for v in sim_by_dept[d]]
+            cohort = np.repeat(res.admission >= scenario.warm_up, np.diff(res.stay_offset))
+            los = res.stay_end - res.stay_start
+            for index, d in enumerate(res.departments):
+                parts[d].append(los[cohort & (res.stay_department == index)])
+        sim_by_dept = {d: np.concatenate(parts[d]) for d in departments}
+        sim_los_by_stack[name] = np.concatenate([sim_by_dept[d] for d in departments])
         acc = 0.0
         total = 0
         for d in departments:
-            if sim_by_dept[d] and truth_los_by_dept[d]:
+            if len(sim_by_dept[d]) and truth_los_by_dept[d]:
                 n = len(truth_los_by_dept[d])
                 acc += n * estimators.ks_statistic(sim_by_dept[d], truth_los_by_dept[d])
                 total += n
@@ -491,13 +491,11 @@ def run_experiment(
     truth_mean_cost = float(np.mean(discharged_costs))
     cot_rel_err = {}
     for name, (results, _) in sims.items():
-        sim_costs = [
-            p.total_cost
+        sim_costs = np.concatenate([
+            res.cost[(res.admission >= scenario.warm_up) & ~np.isnan(res.cost)]
             for res in results
-            for p in res.patients
-            if p.total_cost is not None and p.admission_time >= scenario.warm_up
-        ]
-        sim_mean = float(np.mean(sim_costs)) if sim_costs else math.nan
+        ])
+        sim_mean = float(np.mean(sim_costs)) if len(sim_costs) else math.nan
         cot_rel_err[name] = abs(sim_mean - truth_mean_cost) / truth_mean_cost
 
     # pathway matrices vs each held-out patient's latent class

@@ -87,6 +87,10 @@ class HoltWinters:
                 raise ConfigError(f"{name}={v} outside [0, 1]")
         if self.m < 2:
             raise ConfigError("seasonal period m must be >= 2")
+        if len(self.seasonal) != self.m:
+            raise ConfigError(f"seasonal has {len(self.seasonal)} entries, m is {self.m}")
+        if not (0 <= self.phase < self.m):
+            raise ConfigError(f"phase {self.phase} outside [0, {self.m})")
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,10 @@ class CalendarTerm:
 
     n_phases: int
     phase_width: int = 1
+
+    def __post_init__(self):
+        if self.n_phases < 1 or self.phase_width < 1:
+            raise ConfigError("calendar n_phases and phase_width must be >= 1")
 
     def phase(self, t: int) -> int:
         return (t // self.phase_width) % self.n_phases
@@ -115,6 +123,19 @@ class LagRegression:
     coef: tuple[float, ...]  # [intercept, lag coefs, calendar coefs, ramp coef]
     n_train: int
     history: tuple[float, ...]  # last max(lags) observed counts
+
+    def __post_init__(self):
+        if not self.lags or min(self.lags) < 1:
+            raise ConfigError("lags must be positive integers")
+        width = _design_width(self.lags, self.calendar)
+        if len(self.coef) != width:
+            raise ConfigError(f"coef has {len(self.coef)} entries, lags and calendar "
+                              f"imply {width}")
+        if len(self.history) != max(self.lags):
+            raise ConfigError(f"history has {len(self.history)} entries, "
+                              f"max(lags) is {max(self.lags)}")
+        if self.n_train < len(self.history):
+            raise ConfigError(f"n_train {self.n_train} is shorter than the history")
 
     @property
     def intercept(self) -> float:
@@ -250,6 +271,11 @@ def default_calendar(bucket_width: float) -> tuple[CalendarTerm, ...]:
     return ()
 
 
+def _design_width(lags: tuple[int, ...], calendar: tuple[CalendarTerm, ...]) -> int:
+    """Regressors per row: intercept, lags, calendar one-hots, ramp."""
+    return 1 + len(lags) + sum(t.n_phases - 1 for t in calendar) + 1
+
+
 def _lag_design_row(
     t: int,
     value_at: Callable[[int], float],
@@ -278,7 +304,7 @@ def fit_lag_regression(
     calendar = tuple(calendar)
     n = len(y)
     max_lag = max(lags)
-    width = 1 + len(lags) + sum(t.n_phases - 1 for t in calendar) + 1
+    width = _design_width(lags, calendar)
     if n - max_lag <= width:
         raise InsufficientData(
             f"need more than max_lag + {width} = {max_lag + width} buckets, got {n}"

@@ -46,6 +46,16 @@ class TransitionMatrix:
     counts: tuple[tuple[int, ...], ...]
     row_observed: tuple[bool, ...]
 
+    def __post_init__(self):
+        rows, cols = 1 + len(self.departments), len(self.departments) + 1
+        for name in ("probs", "counts"):
+            table = getattr(self, name)
+            if len(table) != rows or any(len(row) != cols for row in table):
+                raise ConfigError(f"transition matrix {name} must have {rows} rows "
+                                  f"of {cols} entries")
+        if len(self.row_observed) != rows:
+            raise ConfigError(f"transition matrix row_observed must have {rows} entries")
+
     def row_index(self, state: str) -> int:
         if state == ENTRY:
             return 0

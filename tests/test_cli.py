@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -306,4 +307,123 @@ def test_compare_scenario_missing_key_exits_2(tmp_path, capsys, default_scenario
     scenario = {k: v for k, v in default_scenario_dict.items() if k != key}
     path = write_json(tmp_path / "scenario.json", scenario)
     assert main(["compare", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+LAG_REGRESSION = {"kind": "lag_regression", "lags": [1, 2],
+                  "calendar": [{"n_phases": 3, "phase_width": 1}],
+                  "coef": [0.5, 0.2, 0.1, 0.3, -0.3, 0.0], "n_train": 12,
+                  "history": [4.0, 5.0]}
+
+
+@pytest.mark.parametrize("command, base, change", [
+    ("forecast", HOLT_WINTERS, {"seasonal": [1.0]}),
+    ("forecast", HOLT_WINTERS, {"phase": 2}),
+    ("forecast", HOLT_WINTERS, {"phase": -1}),
+    ("forecast", LAG_REGRESSION, {"coef": [0.5, 0.2, 0.1]}),
+    ("forecast", LAG_REGRESSION, {"history": [5.0]}),
+    ("forecast", LAG_REGRESSION, {"lags": []}),
+    ("simulate", attribute_sim_config()["pathway"], {"probs": [[1.0], [0.0, 1.0]]}),
+    ("simulate", attribute_sim_config()["pathway"], {"counts": [[1, 0]]}),
+    ("simulate", attribute_sim_config()["pathway"], {"row_observed": [True]}),
+], ids=["seasonal-shorter-than-m", "phase-equals-m", "phase-negative", "coef-too-short",
+        "history-too-short", "no-lags", "ragged-probs-row", "counts-missing-row",
+        "row-observed-too-short"])
+def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, command, base, change):
+    def argv_for(model, name):
+        if command == "forecast":
+            return ["forecast", "--model", write_json(tmp_path / f"{name}.json", model),
+                    "--h", "3"]
+        sim_config = attribute_sim_config()
+        sim_config["pathway"] = model
+        return ["simulate", "--config", write_json(tmp_path / f"{name}.json", sim_config),
+                "--out", str(tmp_path / name)]
+
+    assert main(argv_for(base, "good")) == 0
+    capsys.readouterr()
+    assert main(argv_for({**base, **change}, "bad")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("path", [
+    ("arrival_driver", "lam"), ("arrival_driver", "bucket_width"), ("horizon",),
+    ("warm_up",), ("seed",), ("replications",), ("census_bucket",),
+], ids=lambda path: path[-1])
+def test_non_numeric_simulate_value_exits_2(tmp_path, capsys, path):
+    sim_config = attribute_sim_config()
+    sim_config["arrival_driver"] = {"kind": "poisson", "lam": 10.0, "bucket_width": 24.0}
+    *parents, key = path
+    target = sim_config
+    for parent in parents:
+        target = target[parent]
+    target[key] = "x"
+    argv = ["simulate", "--config", write_json(tmp_path / "sim.json", sim_config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{key}: expected a number" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def capped_two_department_config():
+    """Two departments with few beds, transfers both ways, discharges at
+    entry and patients still waiting or in a bed at the horizon."""
+    return {
+        "seed": 11,
+        "horizon": 336.0,
+        "warm_up": 48.0,
+        "replications": 2,
+        "departments": [{"name": "ER", "bed_capacity": 4},
+                        {"name": "WARD", "bed_capacity": 8}],
+        "arrival_driver": {"kind": "poisson", "lam": 18.0, "bucket_width": 24.0},
+        "los_models": {
+            "ER": {"kind": "lognormal", "mu": 1.5, "sigma": 0.5, "n": 10, "loglik": 0.0},
+            "WARD": {"kind": "lognormal", "mu": 3.0, "sigma": 0.4, "n": 10,
+                     "loglik": 0.0},
+        },
+        "cot_model": {"kind": "lognormal", "mu": 6.0, "sigma": 0.5, "n": 10,
+                      "loglik": 0.0},
+        "pathway": {
+            "kind": "transition_matrix",
+            "departments": ["ER", "WARD"],
+            "probs": [[0.9, 0.0, 0.1], [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]],
+            "counts": [[9, 0, 1], [0, 5, 5], [2, 0, 8]],
+            "row_observed": [True, True, True],
+        },
+        "profile_sampler": {"kind": "attributes",
+                            "age_mix": {"weight": 0.6, "mean1": 35.0, "sd1": 10.0,
+                                        "mean2": 70.0, "sd2": 8.0},
+                            "gender_p": 0.5,
+                            "comorbidity": {"c0": 1.0, "c1": 0.02},
+                            "drg_probs": {"GEN": 0.7, "CARD": 0.3}},
+    }
+
+
+# SHA-256 of simulate's outputs for capped_two_department_config, recorded
+# when results were still built as per-patient record objects
+SIMULATE_GOLDEN = {
+    "census.csv": "6d50647539a2a247ebbabf56b8cb18d5bb567f40eaed2db090f4998fe2235be8",
+    "patients.csv": "c7a04c25ab770e0767e0cc9642f68c49612e7b8cb95614f4420cb3b02b992b96",
+    "summary.json": "73b22f99cf05f345e66ccce1a3629924906be59eeb14a81651a7ddc7a3d270e1",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_golden_bytes(tmp_path, jobs):
+    config_path = write_json(tmp_path / "sim.json", capped_two_department_config())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config_path, "--out", str(out),
+                 "--jobs", jobs]) == 0
+    for name, digest in SIMULATE_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("width", [0.0, -24.0])
+def test_non_positive_census_bucket_exits_2(tmp_path, capsys, width):
+    sim_config = {**attribute_sim_config(), "census_bucket": width}
+    argv = ["simulate", "--config", write_json(tmp_path / "sim.json", sim_config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err

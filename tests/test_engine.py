@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patientflow.domain import DepartmentSpec
 from patientflow.engine import (
@@ -355,3 +357,107 @@ def test_attribute_sampler_matches_generator_profiles(default_generator):
     for i in range(300):
         pid = f"P{i:03d}"
         assert sampler.sample(rng_a, pid) == sample_profile(config, rng_b, 1, pid)
+
+
+# --- columnar results -------------------------------------------------------------
+
+def capped_config(**overrides):
+    """Two capped departments, transfers both ways, discharges at entry."""
+    matrix = TransitionMatrix(
+        departments=("W", "X"),
+        probs=((0.9, 0.0, 0.1), (0.0, 0.5, 0.5), (0.2, 0.0, 0.8)),
+        counts=((9, 0, 1), (0, 5, 5), (2, 0, 8)),
+        row_observed=(True, True, True),
+    )
+    defaults = dict(
+        departments=(DepartmentSpec("W", 3), DepartmentSpec("X", 5)),
+        horizon=240.0,
+        warm_up=24.0,
+        arrival_driver=PoissonBaseline(lam=18.0, bucket_width=24.0),
+        los_models={"W": LognormalFit(mu=1.5, sigma=0.5, n=10, loglik=0.0),
+                    "X": LognormalFit(mu=3.0, sigma=0.4, n=10, loglik=0.0)},
+        pathway=matrix,
+        replications=3,
+    )
+    defaults.update(overrides)
+    return base_config(**defaults)
+
+
+def test_replicate_capped_jobs_give_equal_columns():
+    config = capped_config(seed=31)
+    serial, serial_summary = replicate(config, jobs=1)
+    parallel, parallel_summary = replicate(config, jobs=2)
+    assert serial_summary == parallel_summary
+    for a, b in zip(serial, parallel, strict=True):
+        assert a == b
+        for name in ("admission", "discharge", "cost", "cluster", "stay_offset",
+                     "stay_department", "stay_request", "stay_start", "stay_end"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+        for dept in a.departments:
+            assert np.array_equal(a.census_times[dept], b.census_times[dept])
+            assert np.array_equal(a.census_occupied[dept], b.census_occupied[dept])
+    assert any(np.any(r.stay_start > r.stay_request) for r in serial)  # beds ran out
+
+
+def test_patients_view_matches_columns():
+    result = run(capped_config(seed=32))
+    patients = result.patients
+    assert len(patients) == len(result.admission)
+    assert patients[-1] == list(patients)[-1]
+    stays = [s for p in patients for s in p.stays]
+    assert [s.start_time for s in stays] == result.stay_start.tolist()
+    assert sum(p.discharge_time is None for p in patients) == np.isnan(result.discharge).sum()
+    with pytest.raises(IndexError):
+        patients[len(patients)]
+
+
+@st.composite
+def small_capped_configs(draw):
+    names = ("A", "B", "C")[:draw(st.integers(1, 3))]
+    weight = st.floats(0.0, 1.0)
+
+    def row(discharge_floor):
+        weights = [draw(weight) for _ in names] + [draw(st.floats(discharge_floor, 1.0))]
+        total = sum(weights)
+        if total == 0.0:
+            return (0.0,) * len(names) + (1.0,)
+        return tuple(w / total for w in weights)
+
+    n = len(names) + 1
+    matrix = TransitionMatrix(
+        departments=names,
+        probs=tuple(row(0.0 if i == 0 else 0.1) for i in range(n)),
+        counts=((0,) * n,) * n,
+        row_observed=(True,) * n,
+    )
+    horizon = draw(st.floats(24.0, 240.0))
+    return capped_config(
+        departments=tuple(DepartmentSpec(d, draw(st.integers(1, 6))) for d in names),
+        horizon=horizon,
+        warm_up=draw(st.floats(0.0, 0.5)) * horizon,
+        arrival_driver=PoissonBaseline(lam=draw(st.floats(1.0, 40.0)), bucket_width=24.0),
+        los_models={d: LognormalFit(mu=draw(st.floats(0.0, 3.5)), sigma=0.5, n=10,
+                                    loglik=0.0) for d in names},
+        pathway=matrix,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        replications=1,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_capped_configs())
+def test_capped_runs_conserve_bound_and_queue_fifo(config):
+    result = run(config)
+    cohort = result.admission >= result.warm_up
+    assert result.admissions == np.count_nonzero(cohort)
+    assert result.discharges == np.count_nonzero(cohort & ~np.isnan(result.discharge))
+    assert result.admissions == result.discharges + result.in_system
+    for spec in config.departments:
+        occupied = result.census_occupied[spec.name]
+        assert occupied.min() >= 0 and occupied.max() <= spec.bed_capacity
+    for index, name in enumerate(result.departments):
+        here = result.stay_department == index
+        waited = here & (result.stay_start > result.stay_request)
+        order = np.lexsort((result.stay_start[waited], result.stay_request[waited]))
+        starts = result.stay_start[waited][order]
+        assert np.all(np.diff(starts) >= 0.0), name
