@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from numbers import Integral
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    ConfigError,
     ConflictingProfile,
     EmptyWindow,
     InvariantViolation,
@@ -68,6 +71,12 @@ class PatientProfile:
                 "comorbidity_count",
                 f"{self.comorbidity_count} outside [0, {COMORBIDITY_MAX}]",
             )
+
+
+# Every attribute of a profile except its id: the attributes models read,
+# and the key under which the engine caches one profile's predictions.
+PROFILE_ATTRIBUTES = ("age", "gender", "comorbidity_count", "drg")
+profile_key = attrgetter(*PROFILE_ATTRIBUTES)
 
 
 @dataclass(frozen=True)
@@ -148,8 +157,11 @@ class DepartmentSpec:
     bed_capacity: int | None = None
 
     def __post_init__(self):
-        if self.bed_capacity is not None and self.bed_capacity < 1:
-            raise InvariantViolation("bed_capacity", f"{self.bed_capacity} < 1")
+        cap = self.bed_capacity
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral)
+                                or cap < 1):
+            raise ConfigError(f"department {self.name!r}: bed_capacity must be an "
+                              f"integer >= 1 or null, got {cap!r:.60}")
 
 
 def _fmt(x: float) -> str:

@@ -34,17 +34,18 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 from numpy.random import Generator
 
-from .domain import DISCHARGE, ENTRY, DepartmentSpec, PatientProfile
+from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, PatientProfile, profile_key
 from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
-from .estimators import sample as sample_estimator
-from .pathways import PathwayClusters, TransitionMatrix, assign, next_department
-from .seeding import stream
+from .estimators import PROFILE_MODELS, location, profile_attributes, sampler
+from .pathways import PathwayClusters, TransitionMatrix, assign, cumulative_rows
+from .seeding import draw_cumulative, stream
 from .synthehr import WALK_CAP, AgeMixture, LinearRate, draw_attributes
 
 _ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
@@ -171,6 +172,18 @@ class SimConfig:
             if name not in self.los_models:
                 raise ModelIncompatible(f"department {name!r} has no stay-duration model")
 
+    @cached_property
+    def tables(self) -> "_Tables":
+        """The config compiled for the event loop, built on first use in
+        each process; the models must not change after that."""
+        return _Tables(self)
+
+    def __getstate__(self) -> dict:
+        # a pickled config carries no tables: each process builds its own
+        state = self.__dict__.copy()
+        state.pop("tables", None)
+        return state
+
 
 @dataclass(frozen=True)
 class StayRecord:
@@ -245,6 +258,7 @@ class SimResult:
     discharges: int
     in_system: int
     truncated_walks: int
+    unseen_levels: int  # categorical levels the conditional models had not seen, per draw
     avg_census: dict  # department -> time-average over [warm_up, horizon]
     utilization: dict  # department -> avg / capacity (None when unbounded)
     departments: tuple[str, ...]
@@ -331,63 +345,185 @@ class PatientsView(Sequence):
             )
 
 
-class _Patient:
-    __slots__ = ("index", "profile", "matrix", "request_time", "n_stays")
+# --- the compiled configuration -------------------------------------------------------
+#
+# ``run`` works against tables built once per SimConfig and process, not
+# against the models. Department d of the config is index d throughout.
+# Each model becomes a ``draw(rng, loc)`` function (``estimators.sampler``).
+# What depends on the patient is computed once per distinct attribute
+# tuple (``domain.profile_key``) with the same calls that a per-event
+# prediction makes: the ln-space location of every profile-dependent
+# stay and cost model (``estimators.location``: the per-row dot product,
+# or the tree leaf) and the cluster from ``pathways.assign``. Transition
+# matrices become rows of running sums over department indices, drawn by
+# bisection (``seeding.draw_cumulative``). Every value and every draw is
+# the one the models give directly, so results keep their bits.
 
-    def __init__(self, index: int, profile: PatientProfile, t: float):
+_DISCHARGE = -1  # routing target of the DISCHARGE column
+
+
+class _Routing:
+    """A transition matrix as rows of running sums: row 0 is ENTRY, row
+    1 + d department d. A draw gives a department index, an index past
+    the config's departments for a department it lacks, or _DISCHARGE."""
+
+    __slots__ = ("rows", "targets")
+
+    def __init__(self, matrix: TransitionMatrix, names: tuple[str, ...],
+                 targets: dict[str, int]):
+        cum = cumulative_rows(matrix)
+        own = {name: 1 + i for i, name in enumerate(matrix.departments)}
+        # a department outside the matrix is never entered with it
+        self.rows = [cum[0]] + [cum[own[name]] if name in own else None for name in names]
+        self.targets = [targets.setdefault(name, len(targets)) for name in matrix.departments]
+        self.targets.append(_DISCHARGE)
+
+    def next(self, state: int, rng: Generator) -> int:
+        row = self.rows[state]
+        if row is None:  # unobserved row: discharge
+            return _DISCHARGE
+        return self.targets[draw_cumulative(row, rng)]
+
+
+class _Profile:
+    """What the models predict for one attribute tuple. ``loc`` and
+    ``unseen`` hold one slot per department's stay model, then the cost
+    model's."""
+
+    __slots__ = ("loc", "unseen", "cluster", "routing")
+
+    def __init__(self, loc: list[float], unseen: list[int], cluster: int, routing: _Routing):
+        self.loc = loc
+        self.unseen = unseen
+        self.cluster = cluster
+        self.routing = routing
+
+
+class _Tables:
+    """A SimConfig compiled for the event loop (see above)."""
+
+    def __init__(self, config: SimConfig):
+        names = tuple(d.name for d in config.departments)
+        self.capacity = [d.bed_capacity for d in config.departments]
+        models = [config.los_models[name] for name in names]
+        models.append(config.cot_model)
+        self.draw = [sampler(m) for m in models]
+        self.profile_models = [(slot, m) for slot, m in enumerate(models)
+                               if isinstance(m, PROFILE_MODELS)]
+        read = set().union(*(profile_attributes(m) for _, m in self.profile_models))
+        if not read <= set(PROFILE_ATTRIBUTES):
+            raise ModelIncompatible(f"models read {sorted(read - set(PROFILE_ATTRIBUTES))}, "
+                                    f"which are not profile attributes")
+        # routing target of each name: departments first, then names only
+        # the pathway knows, which are rejected when drawn
+        targets = {name: i for i, name in enumerate(names)}
+        pathway = config.pathway
+        self.clusters = pathway if isinstance(pathway, PathwayClusters) else None
+        matrices = ([pathway.routing_matrix(k) for k in range(pathway.k)]
+                    if self.clusters is not None else [pathway])
+        self.routings = [_Routing(m, names, targets) for m in matrices]
+        self.target_names = list(targets)
+        self.profiles: dict[tuple, _Profile] = {}
+
+    def profile(self, profile: PatientProfile) -> _Profile:
+        key = profile_key(profile)
+        entry = self.profiles.get(key)
+        if entry is None:
+            entry = self.profiles[key] = self._predict(profile)
+        return entry
+
+    def _predict(self, profile: PatientProfile) -> _Profile:
+        slots = len(self.draw)
+        loc, unseen = [0.0] * slots, [0] * slots
+        for slot, model in self.profile_models:
+            loc[slot], unseen[slot] = location(model, profile)
+        if self.clusters is None:
+            return _Profile(loc, unseen, -1, self.routings[0])
+        index = assign(profile, self.clusters)
+        return _Profile(loc, unseen, index, self.routings[index])
+
+
+class _Patient:
+    __slots__ = ("index", "entry", "request_time", "n_stays")
+
+    def __init__(self, index: int, entry: _Profile, t: float):
         self.index = index
-        self.profile = profile
-        self.matrix: TransitionMatrix | None = None
+        self.entry = entry
         self.request_time = t
         self.n_stays = 0
 
 
 class _Dept:
-    __slots__ = ("spec", "index", "occupied", "queue", "times", "occupancy")
+    __slots__ = ("index", "capacity", "occupied", "queue", "times", "occupancy")
 
-    def __init__(self, spec: DepartmentSpec, index: int):
-        self.spec = spec
+    def __init__(self, index: int, capacity: int | None):
         self.index = index
+        self.capacity = capacity
         self.occupied = 0
         self.queue: deque[_Patient] = deque()
         self.times: list[float] = [0.0]
         self.occupancy: list[int] = [0]
 
 
-def _integrate_mean(times: Sequence[float], values: Sequence[float],
-                    a: float, b: float) -> float:
+_SLIVER = 1e-12  # a census piece this short at the end of a step is dropped
+
+
+def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -> float:
     """Time average of a step series over [a, b]."""
     if b <= a:
         return 0.0
-    total = 0.0
-    for t0, t1, v in zip(times, times[1:], values):
-        lo, hi = max(t0, a), min(t1, b)
-        if hi > lo:
-            total += v * (hi - lo)
+    lo = np.maximum(times[:-1], a)
+    hi = np.minimum(times[1:], b)
+    inside = hi > lo
+    pieces = values[:-1][inside] * (hi[inside] - lo[inside])
+    # a running sum adds the pieces one by one in time order
+    total = float(np.cumsum(pieces)[-1]) if len(pieces) else 0.0
     return total / (b - a)
 
 
-def bucket_census(series: Sequence[tuple[float, float]], width: float,
-                  horizon: float) -> list[float]:
-    """Per-bucket time-averaged census of a step series over [0, horizon)."""
-    nb = int(math.ceil(horizon / width - 1e-9))
-    acc = [0.0] * nb
-    for (t0, v), (t1, _) in zip(series, series[1:]):
-        lo, hi = max(t0, 0.0), min(t1, horizon)
-        while lo < hi - 1e-12:
-            k = min(int(lo // width), nb - 1)
-            edge = min((k + 1) * width, hi)
-            acc[k] += v * (edge - lo)
-            lo = edge
-    out = []
-    for k in range(nb):
-        span = min((k + 1) * width, horizon) - k * width
-        out.append(acc[k] / span)
-    return out
+def bucket_census(times: Sequence[float], values: Sequence[float], width: float,
+                  horizon: float) -> np.ndarray:
+    """Per-bucket time-averaged census over [0, horizon) of the step series
+    that holds ``values[i]`` from ``times[i]`` to ``times[i + 1]``.
+
+    Each step is cut at the bucket edges ``k * width``; bucket k counts
+    from edge k, and the last bucket also takes whatever lies past its
+    edge. A piece shorter than 1e-12 at the end of a step is dropped.
+    ``np.bincount`` adds each bucket's pieces in time order, one by one.
+    """
+    nb = max(1, int(math.ceil(horizon / width - 1e-9)))
+    t = np.asarray(times, dtype=float)
+    lo = np.maximum(t[:-1], 0.0)
+    hi = np.minimum(t[1:], horizon)
+    keep = lo < hi - _SLIVER
+    lo, hi = lo[keep], hi[keep]
+    v = np.asarray(values, dtype=float)[:-1][keep]
+    first = np.minimum(lo // width, nb - 1).astype(np.int64)
+    # a step's last bucket is the last edge k * width below hi - 1e-12,
+    # found exactly by correcting the quotient's rounding
+    bound = hi - _SLIVER
+    last = np.ceil(bound / width).astype(np.int64) - 1
+    while True:
+        down = last * width >= bound
+        up = (last + 1) * width < bound
+        if not (down.any() or up.any()):
+            break
+        last += up.astype(np.int64) - down
+    last = np.clip(last, first, nb - 1)
+    counts = last - first + 1
+    step = np.repeat(np.arange(len(lo)), counts)
+    k = np.arange(len(step)) - np.repeat(np.cumsum(counts) - counts, counts) + first[step]
+    start = np.where(k == first[step], lo[step], k * width)
+    last_end = np.where(last < nb - 1, np.minimum((last + 1) * width, hi), hi)
+    end = np.where(k == last[step], last_end[step], (k + 1) * width)
+    acc = np.bincount(k, weights=v[step] * (end - start), minlength=nb)
+    edge = np.arange(nb)
+    return acc / (np.minimum((edge + 1) * width, horizon) - edge * width)
 
 
 def run(config: SimConfig, replication: int = 0) -> SimResult:
     """Execute one replication of the event loop."""
+    tables = config.tables
     arr_rng = stream(config.seed, replication, 0)
     prof_rng = stream(config.seed, replication, 1)
     route_rng = stream(config.seed, replication, 2)
@@ -395,12 +531,14 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     cost_rng = stream(config.seed, replication, 4)
 
     arrivals = inject_arrivals(config.arrival_driver, config.horizon, arr_rng)
-    heap: list[tuple] = [(t, i, _ARRIVAL, None, None) for i, t in enumerate(arrivals)]
+    heap: list[tuple] = [(t, i, _ARRIVAL, None, 0) for i, t in enumerate(arrivals)]
     heapq.heapify(heap)
     seq = len(arrivals)
 
-    depts = {d.name: _Dept(d, i) for i, d in enumerate(config.departments)}
-    clustered = isinstance(config.pathway, PathwayClusters)
+    depts = [_Dept(i, cap) for i, cap in enumerate(tables.capacity)]
+    n_depts = len(depts)
+    draw = tables.draw
+    draw_cost = draw[-1]
     # per patient, in arrival order
     admission: list[float] = []
     discharge: list[float] = []
@@ -413,34 +551,47 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     stay_start: list[float] = []
     stay_end: list[float] = []
     truncated = 0
+    unseen = 0
     last_time = 0.0
 
-    def schedule(time: float, kind: int, patient, dept_name):
+    def schedule(time: float, kind: int, patient, dept: int):
         nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, patient, dept_name))
+        heapq.heappush(heap, (time, seq, kind, patient, dept))
         seq += 1
 
     def start_stay(patient: _Patient, dept: _Dept, now: float):
+        nonlocal unseen
         dept.occupied += 1
         dept.times.append(now)
         dept.occupancy.append(dept.occupied)
-        name = dept.spec.name
-        los = sample_estimator(config.los_models[name], los_rng, profile=patient.profile)
+        d = dept.index
+        entry = patient.entry
+        los = draw[d](los_rng, entry.loc[d])
+        unseen += entry.unseen[d]
         patient.n_stays += 1
         stay_patient.append(patient.index)
-        stay_department.append(dept.index)
+        stay_department.append(d)
         stay_request.append(patient.request_time)
         stay_start.append(now)
         stay_end.append(now + los)
-        schedule(now + los, _STAY_END, patient, name)
+        schedule(now + los, _STAY_END, patient, d)
 
     def discharge_at(patient: _Patient, now: float):
+        nonlocal unseen
+        entry = patient.entry
         discharge[patient.index] = now
-        cost[patient.index] = sample_estimator(config.cot_model, cost_rng,
-                                               profile=patient.profile)
+        cost[patient.index] = draw_cost(cost_rng, entry.loc[-1])
+        unseen += entry.unseen[-1]
+
+    def request_bed(patient: _Patient, dept: int, now: float):
+        if dept >= n_depts:
+            raise ModelIncompatible(
+                f"pathway routes to unknown department {tables.target_names[dept]!r}")
+        patient.request_time = now
+        schedule(now, _SEIZE, patient, dept)
 
     while heap:
-        time, _, kind, patient, dept_name = heapq.heappop(heap)
+        time, _, kind, patient, d = heapq.heappop(heap)
         if time >= config.horizon:
             break
         if time < last_time:
@@ -448,69 +599,55 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         last_time = time
 
         if kind == _ARRIVAL:
-            profile = config.profile_sampler.sample(prof_rng)
-            patient = _Patient(len(admission), profile, time)
+            entry = tables.profile(config.profile_sampler.sample(prof_rng))
+            patient = _Patient(len(admission), entry, time)
             admission.append(time)
             discharge.append(math.nan)
             cost.append(math.nan)
-            if clustered:
-                index = assign(profile, config.pathway)
-                cluster.append(index)
-                patient.matrix = config.pathway.routing_matrix(index)
-            else:
-                cluster.append(-1)
-                patient.matrix = config.pathway
-            first = next_department(ENTRY, patient.matrix, route_rng)
-            if first == DISCHARGE:
+            cluster.append(entry.cluster)
+            first = entry.routing.next(0, route_rng)
+            if first == _DISCHARGE:
                 discharge_at(patient, time)
             else:
-                if first not in depts:
-                    raise ModelIncompatible(f"pathway routes to unknown department {first!r}")
-                patient.request_time = time
-                schedule(time, _SEIZE, patient, first)
+                request_bed(patient, first, time)
 
         elif kind == _SEIZE:
-            dept = depts[dept_name]
-            cap = dept.spec.bed_capacity
-            if cap is None or dept.occupied < cap:
+            dept = depts[d]
+            if dept.capacity is None or dept.occupied < dept.capacity:
                 start_stay(patient, dept, time)
             else:
                 dept.queue.append(patient)
 
         else:  # _STAY_END
-            dept = depts[dept_name]
+            dept = depts[d]
             dept.occupied -= 1
             dept.times.append(time)
             dept.occupancy.append(dept.occupied)
-            nxt = next_department(dept_name, patient.matrix, route_rng)
-            if nxt != DISCHARGE and patient.n_stays >= WALK_CAP:
+            nxt = patient.entry.routing.next(1 + d, route_rng)
+            if nxt != _DISCHARGE and patient.n_stays >= WALK_CAP:
                 truncated += 1
-                nxt = DISCHARGE
-            if nxt == DISCHARGE:
+                nxt = _DISCHARGE
+            if nxt == _DISCHARGE:
                 discharge_at(patient, time)
             else:
-                if nxt not in depts:
-                    raise ModelIncompatible(f"pathway routes to unknown department {nxt!r}")
-                patient.request_time = time
-                schedule(time, _SEIZE, patient, nxt)
-            if dept.queue:
-                cap = dept.spec.bed_capacity
-                if cap is None or dept.occupied < cap:
-                    start_stay(dept.queue.popleft(), dept, time)
+                request_bed(patient, nxt, time)
+            if dept.queue and (dept.capacity is None or dept.occupied < dept.capacity):
+                start_stay(dept.queue.popleft(), dept, time)
 
+    names = tuple(spec.name for spec in config.departments)
     census_times = {}
     census_occupied = {}
     avg_census = {}
     utilization = {}
-    for name, dept in depts.items():
+    for name, dept in zip(names, depts):
         dept.times.append(config.horizon)
         dept.occupancy.append(dept.occupied)
         census_times[name] = np.array(dept.times, dtype=float)
         census_occupied[name] = np.array(dept.occupancy, dtype=np.int32)
-        avg = _integrate_mean(dept.times, dept.occupancy, config.warm_up, config.horizon)
+        avg = _integrate_mean(census_times[name], census_occupied[name],
+                              config.warm_up, config.horizon)
         avg_census[name] = avg
-        cap = dept.spec.bed_capacity
-        utilization[name] = (avg / cap) if cap is not None else None
+        utilization[name] = (avg / dept.capacity) if dept.capacity is not None else None
 
     # stays are granted in event order; a stable sort by patient makes
     # them patient-major while keeping each patient's stays in order
@@ -533,9 +670,10 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         discharges=discharges,
         in_system=admissions - discharges,
         truncated_walks=truncated,
+        unseen_levels=unseen,
         avg_census=avg_census,
         utilization=utilization,
-        departments=tuple(depts),
+        departments=names,
         admission=admission_col,
         discharge=discharge_col,
         cost=np.array(cost, dtype=float),
@@ -588,13 +726,11 @@ def replicate(
 
     per_dept: dict[str, np.ndarray] = {}
     for d in config.departments:
-        rows = np.asarray(
-            [bucket_census(list(zip(res.census_times[d.name].tolist(),
-                                    res.census_occupied[d.name].tolist())),
+        per_dept[d.name] = np.asarray(
+            [bucket_census(res.census_times[d.name], res.census_occupied[d.name],
                            census_bucket, config.horizon)
              for res in results]
         )
-        per_dept[d.name] = rows
     summary = ReplicationSummary(
         bucket_width=census_bucket,
         horizon=config.horizon,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator
@@ -33,7 +33,7 @@ from .errors import (
     UnencodableProfile,
     ZeroVariance,
 )
-from .seeding import draw_index, stream
+from .seeding import cumulative, draw_cumulative, stream
 
 RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
@@ -186,6 +186,10 @@ class MixtureComponent:
     mu: float
     sigma: float
 
+    def __post_init__(self):
+        if self.weight < 0.0:
+            raise ConfigError("mixture component weights must be non-negative")
+
 
 @dataclass(frozen=True)
 class MixtureFit:
@@ -316,9 +320,18 @@ class FeatureSpec:
         return 1 + len(self.numeric) + sum(len(c.levels) - 1 for c in self.categorical)
 
     def encode(self, profile: PatientProfile, strict: bool = False) -> np.ndarray:
+        row, unseen = self.encode_counting(profile, strict)
+        self.unseen_level_count += unseen
+        return row
+
+    def encode_counting(self, profile: PatientProfile,
+                        strict: bool = False) -> tuple[np.ndarray, int]:
+        """The encoded row and the number of unseen levels in it, leaving
+        ``unseen_level_count`` alone."""
         row = np.zeros(self.width)
         row[0] = 1.0
         i = 1
+        unseen = 0
         for f in self.numeric:
             row[i] = (float(getattr(profile, f.name)) - f.mean) / f.sd
             i += 1
@@ -327,14 +340,14 @@ class FeatureSpec:
             if value not in c.levels:
                 if strict:
                     raise UnencodableProfile(f"unseen {c.name} level {value!r}")
-                self.unseen_level_count += 1
+                unseen += 1
                 i += len(c.levels) - 1
                 continue
             j = c.levels.index(value)
             if j > 0:
                 row[i + j - 1] = 1.0
             i += len(c.levels) - 1
-        return row
+        return row, unseen
 
 
 DEFAULT_NUMERIC = ("age", "comorbidity_count")
@@ -435,8 +448,73 @@ def predict_mean(model: ConditionalModel, profile: PatientProfile,
     return mean_ln_scale
 
 
+def location(model: ConditionalModel | RegressionTree, profile: PatientProfile,
+             strict: bool = False) -> tuple[float, int]:
+    """ln-space location of a profile's draws, and the unseen levels met.
+
+    For a conditional model this is the linear predictor, for a tree the
+    leaf's mean ln target. The model's shared ``unseen_level_count`` is
+    left alone; callers that keep a count add the second value.
+    """
+    if isinstance(model, ConditionalModel):
+        row, unseen = model.feature_spec.encode_counting(profile, strict)
+        return float(np.dot(model.coef, row)), unseen
+    return tree_leaf_ln(model, profile), 0
+
+
+def profile_attributes(model) -> set[str]:
+    """Names of the profile attributes a model reads when it predicts."""
+    if isinstance(model, ConditionalModel):
+        spec = model.feature_spec
+        return {f.name for f in spec.numeric} | {c.name for c in spec.categorical}
+    names: set[str] = set()
+    stack = [model.root] if isinstance(model, RegressionTree) else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeSplit):
+            names.add(node.feature)
+            stack += (node.left, node.right)
+    return names
+
+
+def sampler(model) -> Callable[[Generator, float], float]:
+    """Compile a fitted model into ``draw(rng, loc) -> float``.
+
+    ``loc`` is the profile's ``location`` for the models in
+    ``PROFILE_MODELS`` and is ignored by the others. Each draw consumes
+    the generator exactly as ``sample`` does.
+    """
+    if isinstance(model, ConditionalModel):
+        sigma = model.residual_sigma
+        if model.target_kind == TARGET_COT:
+            return lambda rng, loc: max(0.0, math.exp(loc + rng.normal(0.0, sigma)) - 1.0)
+        return lambda rng, loc: math.exp(loc + rng.normal(0.0, sigma))
+    if isinstance(model, RegressionTree):
+        sigma = model.residual_sigma
+        return lambda rng, loc: math.exp(loc + rng.normal(0.0, sigma))
+    if isinstance(model, LognormalFit):
+        mu, sigma = model.mu, model.sigma
+        return lambda rng, loc: float(rng.lognormal(mu, sigma))
+    if isinstance(model, GammaFit):
+        shape, scale = model.shape, model.scale
+        return lambda rng, loc: float(rng.gamma(shape, scale))
+    if isinstance(model, WeibullFit):
+        shape, scale = model.shape, model.scale
+        return lambda rng, loc: scale * float(rng.weibull(shape))
+    if isinstance(model, MixtureFit):
+        cum = cumulative(c.weight for c in model.components)
+        params = [(c.mu, c.sigma) for c in model.components]
+
+        def draw_mixture(rng: Generator, loc: float) -> float:
+            mu, sigma = params[draw_cumulative(cum, rng)]
+            return float(rng.lognormal(mu, sigma))
+
+        return draw_mixture
+    raise ConfigError(f"cannot sample from {type(model).__name__}")
+
+
 def sample(
-    model: ConditionalModel | UnivariateFit | MixtureFit,
+    model: ConditionalModel | UnivariateFit | MixtureFit | RegressionTree,
     rng: Generator,
     profile: PatientProfile | None = None,
     strict: bool = False,
@@ -446,29 +524,15 @@ def sample(
     Conditional models need a profile; the others ignore it. Duration
     draws are strictly positive, cost draws non-negative.
     """
+    draw = sampler(model)
+    if not isinstance(model, PROFILE_MODELS):
+        return draw(rng, 0.0)
+    if profile is None:
+        kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
+        raise ConfigError(f"{kind} models require a profile to sample")
     if isinstance(model, ConditionalModel):
-        if profile is None:
-            raise ConfigError("conditional models require a profile to sample")
-        lp = _linear_predictor(model, profile, strict)
-        value = math.exp(lp + rng.normal(0.0, model.residual_sigma))
-        if model.target_kind == TARGET_COT:
-            return max(0.0, value - 1.0)
-        return value
-    if isinstance(model, LognormalFit):
-        return float(rng.lognormal(model.mu, model.sigma))
-    if isinstance(model, GammaFit):
-        return float(rng.gamma(model.shape, model.scale))
-    if isinstance(model, WeibullFit):
-        return model.scale * float(rng.weibull(model.shape))
-    if isinstance(model, MixtureFit):
-        comp = model.components[draw_index([c.weight for c in model.components], rng)]
-        return float(rng.lognormal(comp.mu, comp.sigma))
-    if isinstance(model, RegressionTree):
-        if profile is None:
-            raise ConfigError("tree models require a profile to sample")
-        return math.exp(tree_leaf_ln(model, profile)
-                        + rng.normal(0.0, model.residual_sigma))
-    raise ConfigError(f"cannot sample from {type(model).__name__}")
+        return draw(rng, _linear_predictor(model, profile, strict))
+    return draw(rng, tree_leaf_ln(model, profile))
 
 
 # --- CART regression tree ------------------------------------------------------
@@ -500,6 +564,10 @@ class RegressionTree:
     numeric: tuple[str, ...]
     categorical: tuple[str, ...]
     residual_sigma: float = 0.0  # pooled within-leaf ln-target sd, for sampling
+
+
+# models whose draws depend on the patient profile
+PROFILE_MODELS = (ConditionalModel, RegressionTree)
 
 
 def _best_numeric_split(values: np.ndarray, y: np.ndarray, min_leaf: int):

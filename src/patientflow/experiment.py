@@ -40,6 +40,7 @@ from .domain import (
     bucketize,
     extract_trajectories,
     first_stays,
+    profile_key,
 )
 from .engine import (
     EmpiricalSampler,
@@ -88,6 +89,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown cot_estimator {self.cot_estimator!r}")
         if not (isinstance(self.pathway_k, int) or self.pathway_k == "sweep"):
             raise ConfigError("pathway_k must be an integer or 'sweep'")
+        if self.capacities is not None:
+            if not isinstance(self.capacities, dict):
+                raise ConfigError("capacities must map departments to bed capacities")
+            for name, capacity in self.capacities.items():
+                DepartmentSpec(name=name, bed_capacity=capacity)  # checks the capacity
 
     @property
     def split_time(self) -> float:
@@ -238,8 +244,8 @@ def census_error(
     out = {}
     for dept in departments:
         sim = np.asarray(summary.mean_census[dept])
-        steps = truth_census_steps(entries, dept, window_start, window_end)
-        truth = np.asarray(bucket_census(steps, width, summary.horizon))
+        times, occupied = zip(*truth_census_steps(entries, dept, window_start, window_end))
+        truth = bucket_census(times, occupied, width, summary.horizon)
         if len(sim) != len(truth):
             raise WindowMismatch(
                 f"{dept}: {len(sim)} sim buckets vs {len(truth)} truth buckets"
@@ -498,21 +504,30 @@ def run_experiment(
         sim_mean = float(np.mean(sim_costs)) if len(sim_costs) else math.nan
         cot_rel_err[name] = abs(sim_mean - truth_mean_cost) / truth_mean_cost
 
-    # pathway matrices vs each held-out patient's latent class
+    # pathway matrices vs each held-out patient's latent class; the
+    # distances depend only on the (class, cluster) pair, and the cluster
+    # only on the patient's attributes
     class_matrices = [
         generator_class_matrix(gen_config, c) for c in range(gen_config.n_classes)
     ]
+    clusters_b = stack_b.pathway
+    tv_by_class = [pathways.row_average_tv(stack_a.pathway, m) for m in class_matrices]
+    tv_by_pair = {}
+    cluster_by_key = {}
     tv_a = []
     tv_b = []
-    clusters_b = stack_b.pathway
     for pid in sorted(test_pids):
         cls = truth.latent_class[pid]
-        truth_matrix = class_matrices[cls]
-        tv_a.append(pathways.row_average_tv(stack_a.pathway, truth_matrix))
-        idx = pathways.assign(profile_by_id[pid], clusters_b)
-        tv_b.append(
-            pathways.row_average_tv(clusters_b.routing_matrix(idx), truth_matrix)
-        )
+        profile = profile_by_id[pid]
+        key = profile_key(profile)
+        if key not in cluster_by_key:
+            cluster_by_key[key] = pathways.assign(profile, clusters_b)
+        pair = (cls, cluster_by_key[key])
+        if pair not in tv_by_pair:
+            tv_by_pair[pair] = pathways.row_average_tv(
+                clusters_b.routing_matrix(pair[1]), class_matrices[cls])
+        tv_a.append(tv_by_class[cls])
+        tv_b.append(tv_by_pair[pair])
     pathway_tv = {STACK_A: float(np.mean(tv_a)), STACK_B: float(np.mean(tv_b))}
 
     verdicts = {
@@ -567,8 +582,9 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     h_test = report.horizon - t_split
     lines = ["bucket_start_hour,department,truth,stack_a,stack_b"]
     for dept in departments:
-        steps = truth_census_steps(test_entries, dept, t_split, report.horizon)
-        truth_curve = bucket_census(steps, cw, h_test)
+        times, occupied = zip(*truth_census_steps(test_entries, dept, t_split,
+                                                  report.horizon))
+        truth_curve = bucket_census(times, occupied, cw, h_test)
         a_curve = sims[STACK_A][1].mean_census[dept]
         b_curve = sims[STACK_B][1].mean_census[dept]
         for i, tv in enumerate(truth_curve):

@@ -27,7 +27,7 @@ from .errors import (
     UnknownDepartment,
     UnobservedRow,
 )
-from .seeding import draw_index, stream
+from .seeding import cumulative, draw_cumulative, stream
 
 MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
@@ -55,6 +55,8 @@ class TransitionMatrix:
                                   f"of {cols} entries")
         if len(self.row_observed) != rows:
             raise ConfigError(f"transition matrix row_observed must have {rows} entries")
+        if any(p < 0.0 for row in self.probs for p in row):
+            raise ConfigError("transition matrix probs must be non-negative")
 
     def row_index(self, state: str) -> int:
         if state == ENTRY:
@@ -384,7 +386,14 @@ def next_department(
         if strict:
             raise UnobservedRow(f"no observed transitions out of {state!r}")
         return DISCHARGE
-    return matrix.column_state(draw_index(matrix.probs[i], rng))
+    return matrix.column_state(draw_cumulative(cumulative(matrix.probs[i]), rng))
+
+
+def cumulative_rows(matrix: TransitionMatrix) -> tuple[list[float] | None, ...]:
+    """Each row's running sums for ``draw_cumulative`` (ENTRY first, then
+    the departments), None where the row is unobserved."""
+    return tuple(cumulative(row) if seen else None
+                 for row, seen in zip(matrix.probs, matrix.row_observed))
 
 
 # --- diagnostics ------------------------------------------------------------------

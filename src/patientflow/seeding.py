@@ -10,7 +10,9 @@ results.
 
 from __future__ import annotations
 
-from typing import Collection
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Collection, Iterable, Sequence
 
 from numpy.random import PCG64, Generator, SeedSequence
 
@@ -33,3 +35,21 @@ def draw_index(probs: Collection[float], rng: Generator) -> int:
         if u < acc:
             return j
     return len(probs) - 1
+
+
+def cumulative(probs: Iterable[float]) -> list[float]:
+    """Running sums of ``probs``, added in order exactly as ``draw_index``
+    adds them."""
+    return list(accumulate(probs))
+
+
+def draw_cumulative(cum: Sequence[float], rng: Generator) -> int:
+    """``draw_index`` over precomputed running sums.
+
+    For non-negative probabilities the running sums never decrease, so
+    the first sum above the uniform is found by bisection: the same index
+    from the same one ``rng.random()``, with the same fall-through to the
+    last index.
+    """
+    j = bisect_right(cum, rng.random())
+    return j if j < len(cum) else len(cum) - 1

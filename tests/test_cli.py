@@ -427,3 +427,79 @@ def test_non_positive_census_bucket_exits_2(tmp_path, capsys, width):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ml_sim_config_path(tmp_path_factory, default_scenario_dict):
+    """A capped three-department simulate config whose every sub-model is
+    learned from a short synthetic log: conditional, mixture and tree stay
+    models, a conditional cost model, clustered pathways and an empirical
+    profile sampler."""
+    tmp = tmp_path_factory.mktemp("ml_sim")
+    generator = {**default_scenario_dict["generator"], "horizon": 336.0, "seed": 77}
+    gen_path = write_json(tmp / "gen.json", generator)
+    assert main(["synth", "--config", gen_path, "--out", str(tmp / "data")]) == 0
+    log = str(tmp / "data" / "log.csv")
+    fits = {
+        "conditional_los": ["--department", "ER"],
+        "mixture_los": ["--department", "ICU", "--k", "2", "--seed", "3"],
+        "tree_los": ["--department", "WARD", "--max-depth", "3"],
+        "conditional_cot": [],
+        "clusters": ["--k", "2", "--seed", "3"],
+    }
+    models = {}
+    for kind, flags in fits.items():
+        out = tmp / f"{kind}.json"
+        assert main(["fit", "--log", log, "--model", kind, *flags, "--out", str(out)]) == 0
+        models[kind] = json.loads(out.read_text())
+    return write_json(tmp / "sim.json", {
+        "seed": 12,
+        "horizon": 480.0,
+        "warm_up": 24.0,
+        "replications": 3,
+        "departments": [{"name": "ER", "bed_capacity": 30},
+                        {"name": "ICU", "bed_capacity": 4},
+                        {"name": "WARD", "bed_capacity": 8}],
+        "arrival_driver": {"kind": "poisson", "lam": 18.0, "bucket_width": 24.0},
+        "los_models": {"ER": models["conditional_los"], "ICU": models["mixture_los"],
+                       "WARD": models["tree_los"]},
+        "cot_model": models["conditional_cot"],
+        "pathway": models["clusters"],
+        "profile_sampler": {"kind": "empirical", "log": "data/log.csv"},
+    })
+
+
+# SHA-256 of simulate's outputs for ml_sim_config_path, recorded while every
+# stay, cost and pathway prediction was still computed once per draw
+ML_SIMULATE_GOLDEN = {
+    "census.csv": "983739ff0dbd1d06693b12874ed01c1627df04778a1d54cb75c5e7eec3b0ac34",
+    "patients.csv": "77c83b3eed5619b37f480f71ddc2874c030cefd574a9d3ca0296b170c37661c9",
+    "summary.json": "ec71e1d700ebf37150eb5ab4782add078fb90f4197d8566d1e254967ad92c377",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_learned_models_golden_bytes(tmp_path, ml_sim_config_path, jobs):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", ml_sim_config_path, "--out", str(out),
+                 "--jobs", jobs]) == 0
+    for name, digest in ML_SIMULATE_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("capacity", ["x", 2.5, True, 0],
+                         ids=["string", "fraction", "boolean", "zero"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_invalid_bed_capacity_exits_2(tmp_path, capsys, default_scenario_dict, command,
+                                      capacity):
+    if command == "simulate":
+        config = attribute_sim_config()
+        config["departments"][0]["bed_capacity"] = capacity
+        argv = ["simulate", "--config", write_json(tmp_path / "sim.json", config)]
+    else:
+        scenario = {**default_scenario_dict, "capacities": {"ER": capacity}}
+        argv = ["compare", "--scenario", write_json(tmp_path / "scenario.json", scenario)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "bed_capacity must be an integer >= 1 or null" in captured.err
+    assert "Traceback" not in captured.err

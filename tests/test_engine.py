@@ -1,11 +1,15 @@
 import math
+import signal
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow.domain import DepartmentSpec
+from patientflow import engine
+from patientflow.domain import DepartmentSpec, PatientProfile, extract_trajectories
 from patientflow.engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -19,15 +23,20 @@ from patientflow.engine import (
 )
 from patientflow.errors import ConfigError, ForecastTooShort, ModelIncompatible
 from patientflow.estimators import (
+    TARGET_COT,
     TARGET_LOS,
+    CategoricalFeature,
+    ConditionalModel,
+    FeatureSpec,
     LognormalFit,
     fit_conditional,
+    fit_tree,
     ks_statistic,
     sample,
 )
-from patientflow.pathways import TransitionMatrix
+from patientflow.pathways import TransitionMatrix, cluster
 from patientflow.seeding import stream
-from patientflow.synthehr import AgeMixture, LinearRate, sample_profile
+from patientflow.synthehr import AgeMixture, GeneratorConfig, LinearRate, generate, sample_profile
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
 
@@ -305,7 +314,8 @@ def test_replicate_single_matches_run():
     results, summary = replicate(config, census_bucket=24.0)
     assert len(results) == 1
     assert results[0] == run(config, 0)
-    expected = bucket_census(results[0].census["W"], 24.0, config.horizon)
+    expected = bucket_census(results[0].census_times["W"], results[0].census_occupied["W"],
+                             24.0, config.horizon)
     assert summary.mean_census["W"] == pytest.approx(tuple(expected))
     assert all(v == 0.0 for v in summary.sd_census["W"])
 
@@ -337,7 +347,7 @@ def test_replicate_parallel_identical():
 
 def test_bucket_census_step_integration():
     series = [(0.0, 0), (10.0, 2), (30.0, 1), (48.0, 1)]
-    out = bucket_census(series, 24.0, 48.0)
+    out = bucket_census(*zip(*series), 24.0, 48.0)
     assert out[0] == pytest.approx((0 * 10 + 2 * 14) / 24.0)
     assert out[1] == pytest.approx((2 * 6 + 1 * 18) / 24.0)
 
@@ -461,3 +471,169 @@ def test_capped_runs_conserve_bound_and_queue_fifo(config):
         order = np.lexsort((result.stay_start[waited], result.stay_request[waited]))
         starts = result.stay_start[waited][order]
         assert np.all(np.diff(starts) >= 0.0), name
+
+
+# --- census buckets -------------------------------------------------------------------
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def reference_bucket_census(series, width, horizon):
+    """The census bucketing written as a loop over the pieces of each step."""
+    nb = int(math.ceil(horizon / width - 1e-9))
+    acc = [0.0] * nb
+    for (t0, v), (t1, _) in zip(series, series[1:]):
+        lo, hi = max(t0, 0.0), min(t1, horizon)
+        k = min(int(lo // width), nb - 1)
+        while lo < hi - 1e-12:
+            edge = hi if k == nb - 1 else min((k + 1) * width, hi)
+            acc[k] += v * (edge - lo)
+            lo = edge
+            k += 1
+    return [acc[k] / (min((k + 1) * width, horizon) - k * width) for k in range(nb)]
+
+
+@pytest.mark.parametrize("width, horizon", [
+    (0.1, 100.0), (0.3, 100.0), (0.7, 100.0), (1.1, 100.0), (24.0, 240.0000000001),
+    (1e12, 100.0),
+])
+def test_bucket_census_returns_for_any_width(width, horizon):
+    rng = stream(51)
+    for times in ([0.0, 100.0, horizon],
+                  [0.0, *np.sort(rng.uniform(0.0, horizon, 40)).tolist(), horizon]):
+        values = [1] + rng.integers(0, 6, len(times) - 1).tolist()
+        with time_limit(5):
+            out = bucket_census(times, values, width, horizon)
+        edge = np.arange(len(out))
+        areas = out * (np.minimum((edge + 1) * width, horizon) - edge * width)
+        integral = float(np.sum(np.asarray(values[:-1]) * np.diff(times)))
+        assert float(np.sum(areas)) == pytest.approx(integral, rel=1e-9)
+
+
+@pytest.mark.parametrize("horizon", [240.0, 250.5, 1.0])
+def test_bucket_census_whole_widths_keep_their_bits(horizon):
+    rng = stream(52)
+    for trial in range(40):
+        width = float(rng.choice([1.0, 24.0, 168.0]))
+        times = np.sort(rng.uniform(0.0, 1.2 * horizon, int(rng.integers(1, 60))))
+        if trial % 2:  # steps on bucket edges and slivers next to them
+            times = np.sort(np.concatenate([times, np.arange(0.0, horizon, width) + 1e-13]))
+        times = np.concatenate([[0.0], times, [horizon]])
+        values = rng.integers(0, 9, len(times))
+        series = list(zip(times.tolist(), values.tolist()))
+        expected = reference_bucket_census(series, width, horizon)
+        assert bucket_census(times, values, width, horizon).tolist() == expected
+
+
+# --- compiled configuration ----------------------------------------------------------
+
+def new_drg_sampler():
+    """Profiles whose DRG no model was fitted on."""
+    return AttributeSampler(AgeMixture(1.0, 55.0, 12.0, 55.0, 12.0), 0.5,
+                            LinearRate(1.0, 0.1), {"NEW": 1.0})
+
+
+def test_unseen_levels_counted_per_replication():
+    rng = stream(53)
+    profiles = [PatientProfile(f"P{i}", int(rng.integers(20, 90)), ("F", "M")[i % 2],
+                               int(rng.integers(0, 5)), ("GEN", "CARD")[i % 3 == 0])
+                for i in range(80)]
+    los = fit_conditional(profiles, rng.uniform(2.0, 30.0, len(profiles)), TARGET_LOS)
+    cot = fit_conditional(profiles, rng.uniform(100.0, 900.0, len(profiles)), TARGET_COT)
+    config = capped_config(seed=54, los_models={"W": los, "X": los}, cot_model=cot,
+                           profile_sampler=new_drg_sampler())
+    serial, _ = replicate(config, jobs=1)
+    parallel, _ = replicate(config, jobs=2)
+    for result in serial:
+        # one unseen DRG per stay draw and per cost draw
+        cost_draws = np.count_nonzero(~np.isnan(result.discharge))
+        assert result.unseen_levels == len(result.stay_start) + cost_draws > 0
+    assert [r.unseen_levels for r in parallel] == [r.unseen_levels for r in serial]
+    assert los.feature_spec.unseen_level_count == 0
+    assert cot.feature_spec.unseen_level_count == 0
+
+
+@pytest.fixture(scope="module")
+def learned_config(default_generator):
+    """Three capped departments with conditional and tree stay models, a
+    conditional cost model, clustered pathways and an empirical pool."""
+    oracle = generate(GeneratorConfig.from_dict({**default_generator.to_dict(),
+                                                 "horizon": 240.0}))
+    by_id = {p.patient_id: p for p in oracle.profiles}
+    stays = {}
+    for e in oracle.entries:
+        stays.setdefault(e.department, ([], []))
+        stays[e.department][0].append(by_id[e.patient_id])
+        stays[e.department][1].append(e.los_hours)
+    costs = {}
+    for e in oracle.entries:
+        costs[e.patient_id] = costs.get(e.patient_id, 0.0) + e.cost
+    trajectories = extract_trajectories(oracle.entries)
+    return SimConfig(
+        departments=(DepartmentSpec("ER", 25), DepartmentSpec("ICU", 4),
+                     DepartmentSpec("WARD", 10)),
+        horizon=240.0,
+        warm_up=0.0,
+        arrival_driver=PoissonBaseline(lam=24.0, bucket_width=24.0),
+        los_models={"ER": fit_conditional(*stays["ER"], TARGET_LOS),
+                    "ICU": fit_conditional(*stays["ICU"], TARGET_LOS),
+                    "WARD": fit_tree(*stays["WARD"], max_depth=3)},
+        cot_model=fit_conditional([by_id[pid] for pid in costs], list(costs.values()),
+                                  TARGET_COT),
+        pathway=cluster(trajectories, 2, 5, [by_id[t.patient_id] for t in trajectories]),
+        profile_sampler=EmpiricalSampler(tuple(oracle.profiles[:60])),
+        seed=55,
+        replications=4,
+    )
+
+
+def test_per_profile_work_is_done_once_per_attribute_tuple(learned_config, monkeypatch):
+    calls = {"encode": 0, "assign": 0}
+    encode, assign = FeatureSpec.encode_counting, engine.assign
+
+    def counted_encode(self, *args, **kwargs):
+        calls["encode"] += 1
+        return encode(self, *args, **kwargs)
+
+    def counted_assign(*args, **kwargs):
+        calls["assign"] += 1
+        return assign(*args, **kwargs)
+
+    monkeypatch.setattr(FeatureSpec, "encode_counting", counted_encode)
+    monkeypatch.setattr(engine, "assign", counted_assign)
+    config = replace(learned_config)  # a copy compiles afresh
+    results, _ = replicate(config)
+    tuples = len({(p.age, p.gender, p.comorbidity_count, p.drg)
+                  for p in config.profile_sampler.profiles})
+    draws = sum(len(r.stay_start) + len(r.admission) for r in results)
+    assert draws > 10 * tuples  # the bound below is far from the per-draw count
+    assert calls["encode"] <= 3 * tuples  # three conditional models
+    assert calls["assign"] <= tuples
+
+
+def test_learned_models_replicate_identically_across_jobs(learned_config):
+    serial, serial_summary = replicate(learned_config, jobs=1)
+    parallel, parallel_summary = replicate(learned_config, jobs=2)
+    assert serial == parallel
+    assert serial_summary == parallel_summary
+    assert any(np.any(r.stay_start > r.stay_request) for r in serial)
+    assert set(np.concatenate([r.cluster for r in serial]).tolist()) == {0, 1}
+
+
+def test_model_reading_other_than_profile_attributes_rejected():
+    spec = FeatureSpec(numeric=(), categorical=(CategoricalFeature("patient_id", ("a", "b")),))
+    los = ConditionalModel(feature_spec=spec, coef=(2.0, 0.0), residual_sigma=0.1,
+                           target_kind=TARGET_LOS, n=5)
+    with pytest.raises(ModelIncompatible):
+        run(base_config(los_models={"W": los}))

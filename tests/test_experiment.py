@@ -102,7 +102,7 @@ def test_census_error_zero_when_identical():
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
     steps = truth_census_steps(entries, "W", 100.0, 340.0)
-    truth_curve = tuple(bucket_census(steps, 24.0, 240.0))
+    truth_curve = tuple(bucket_census(*zip(*steps), 24.0, 240.0))
     summary = summary_for({"W": truth_curve}, 24.0, 240.0)
     errors = census_error(summary, entries, 100.0, ["W"])
     assert errors["W"] == pytest.approx(0.0, abs=1e-12)
@@ -115,7 +115,7 @@ def test_census_error_constant_offset():
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
     steps = truth_census_steps(entries, "W", 100.0, 340.0)
-    truth_curve = bucket_census(steps, 24.0, 240.0)
+    truth_curve = bucket_census(*zip(*steps), 24.0, 240.0)
     offset = tuple(v + 2.0 for v in truth_curve)
     summary = summary_for({"W": offset}, 24.0, 240.0)
     errors = census_error(summary, entries, 100.0, ["W"])

@@ -1,0 +1,37 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patientflow.seeding import cumulative, draw_cumulative, draw_index, stream
+
+# rows of non-negative weights with zeros among them, some summing to 1,
+# some short of it (the fall-through to the last index) and some over it
+weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)
+
+
+@st.composite
+def rows(draw):
+    row = draw(weights)
+    total = sum(row)
+    scale = draw(st.sampled_from([None, 1.0, 0.999, 0.5]))
+    if scale is None or total == 0.0:
+        return row
+    return [w * scale / total for w in row]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows(), st.integers(0, 2**32 - 1), st.integers(1, 20), st.booleans())
+def test_cumulative_draw_matches_draw_index(row, seed, draws, tie):
+    if tie:  # the first uniform equals a running sum, and a zero weight follows
+        row = [stream(seed).random(), 0.0, *row]
+    cum = cumulative(row)
+    rng_a, rng_b = stream(seed), stream(seed)
+    for _ in range(draws):
+        assert draw_cumulative(cum, rng_a) == draw_index(row, rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_cumulative_draw_skips_zero_weights_and_falls_through():
+    rng = stream(3)
+    u = stream(3).random()
+    assert draw_cumulative(cumulative([0.0, 0.5, 0.0, 0.5]), rng) == (1 if u < 0.5 else 3)
+    assert draw_cumulative(cumulative([0.0, 0.0]), stream(3)) == 1
