@@ -699,8 +699,16 @@ class ReplicationSummary:
     mean_utilization: dict
 
 
-def _run_indexed(args: tuple[SimConfig, int]) -> SimResult:
-    return run(args[0], args[1])
+_worker_config: SimConfig | None = None  # the config a pool worker runs
+
+
+def _set_worker_config(config: SimConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _run_in_worker(replication: int) -> SimResult:
+    return run(_worker_config, replication)
 
 
 def replicate(
@@ -716,11 +724,13 @@ def replicate(
         raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     indices = list(range(config.replications))
     if jobs > 1 and config.replications > 1:
-        # one chunk per worker, so the config is pickled once per worker
+        # Each worker gets the config once, as its initializer argument: a
+        # forked worker inherits it without pickling, other start methods
+        # pickle it once per worker. One chunk of replications per worker.
         chunk = math.ceil(config.replications / jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_indexed, [(config, r) for r in indices],
-                                    chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_config,
+                                 initargs=(config,)) as pool:
+            results = list(pool.map(_run_in_worker, indices, chunksize=chunk))
     else:
         results = [run(config, r) for r in indices]
 
