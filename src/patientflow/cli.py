@@ -21,7 +21,14 @@ from pathlib import Path
 import dataclasses
 
 from . import __version__, codec, estimators, inflow, pathways
-from .domain import DepartmentSpec, bucketize, extract_trajectories, parse_event_log
+from .domain import (
+    DepartmentSpec,
+    admission_costs,
+    bucketize,
+    extract_trajectories,
+    parse_event_log,
+    stay_targets,
+)
 from .engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -35,7 +42,7 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, NumericError, PatientFlowError
 from .experiment import ScenarioConfig, run_experiment
-from .synthehr import AgeMixture, GeneratorConfig, LinearRate, generate, write_outputs
+from .synthehr import GeneratorConfig, generate, write_outputs
 
 INFLOW_KINDS = ("poisson", "seasonal_naive", "holt_winters", "lag_regression")
 LOS_KINDS = ("lognormal_los", "gamma_los", "weibull_los", "mixture_los",
@@ -73,7 +80,7 @@ def _load_log(path: str):
 def _cmd_synth(args) -> int:
     config = GeneratorConfig.from_dict(_read_json(args.config))
     if args.seed is not None:
-        config = GeneratorConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     result = generate(config)
     log_path, truth_path = write_outputs(result, args.out)
     _info(f"wrote {log_path} ({len(result.entries)} stays, "
@@ -93,24 +100,15 @@ def _auto_horizon(entries, width: float) -> float:
     return (int(latest // width) + 1) * width
 
 
-def _stay_targets(entries, profiles, department):
+def _targets(kind, entries, profiles, department):
+    """The rows a cost model (admissions by patient id) or a stay model
+    (stays in log order, of one department if given) is fitted on."""
     by_id = {p.patient_id: p for p in profiles}
-    profs, targets = [], []
-    for e in entries:
-        if department is not None and e.department != department:
-            continue
-        profs.append(by_id[e.patient_id])
-        targets.append(e.los_hours)
-    return profs, targets
-
-
-def _admission_targets(entries, profiles):
-    by_id = {p.patient_id: p for p in profiles}
-    totals: dict[str, float] = {}
-    for e in entries:
-        totals[e.patient_id] = totals.get(e.patient_id, 0.0) + e.cost
-    pids = sorted(totals)
-    return [by_id[pid] for pid in pids], [totals[pid] for pid in pids]
+    if kind in COT_KINDS:
+        totals = admission_costs(entries)
+        pids = sorted(totals)
+        return [by_id[pid] for pid in pids], [totals[pid] for pid in pids]
+    return stay_targets([e for e in entries if department in (None, e.department)], by_id)
 
 
 def _cmd_fit(args) -> int:
@@ -123,27 +121,13 @@ def _cmd_fit(args) -> int:
         width = args.bucket_width
         horizon = args.horizon if args.horizon is not None else _auto_horizon(entries, width)
         series = bucketize(entries, width, args.start, horizon)
-        if kind == "poisson":
-            model = inflow.fit_poisson(series)
-        elif kind == "seasonal_naive":
-            if args.m is None:
-                raise ConfigError("seasonal_naive requires --m")
-            model = inflow.fit_seasonal_naive(series, args.m)
-        elif kind == "holt_winters":
-            if args.m is None:
-                raise ConfigError("holt_winters requires --m")
-            model = inflow.fit_holt_winters(series, args.m, args.alpha, args.beta, args.gamma)
-        else:
-            if args.lags is None:
-                raise ConfigError("lag_regression requires --lags")
-            calendar = () if args.calendar == "none" else inflow.default_calendar(width)
-            model = inflow.fit_lag_regression(series, _parse_lags(args.lags), calendar)
+        calendar = () if args.calendar == "none" else inflow.default_calendar(width)
+        spec = inflow.ForecasterSpec(kind, args.m, args.alpha, args.beta, args.gamma,
+                                     _parse_lags(args.lags or ""), calendar)
+        model = spec.fit(series)
 
     elif kind in LOS_KINDS or kind in COT_KINDS:
-        if kind in COT_KINDS:
-            profs, targets = _admission_targets(entries, profiles)
-        else:
-            profs, targets = _stay_targets(entries, profiles, args.department)
+        profs, targets = _targets(kind, entries, profiles, args.department)
         if kind == "lognormal_los":
             model = estimators.fit_lognormal(targets)
         elif kind == "gamma_los":
@@ -186,23 +170,21 @@ def _cmd_forecast(args) -> int:
     return 0
 
 
-def _parse_sampler(d: dict, base: Path):
-    kind = d.get("kind")
+def _kind(d):
+    return d.get("kind") if isinstance(d, dict) else None
+
+
+def _parse_sampler(d, base: Path):
+    kind = _kind(d)
     if kind == "empirical":
-        if "log" in d:
-            _, profiles = _load_log(str((base / d["log"]).resolve()))
-        else:
+        if not isinstance(d.get("log"), str):
             raise ConfigError("empirical sampler requires a 'log' path")
+        _, profiles = _load_log(str((base / d["log"]).resolve()))
         if not profiles:
             raise DataError("empirical sampler log has no profiles")
         return EmpiricalSampler(tuple(profiles))
     if kind == "attributes":
-        return AttributeSampler(
-            age_mix=AgeMixture(**d["age_mix"]),
-            gender_p=float(d["gender_p"]),
-            comorbidity=LinearRate(**d["comorbidity"]),
-            drg_probs={str(k): float(v) for k, v in d["drg_probs"].items()},
-        )
+        return codec.read(AttributeSampler, d, "profile_sampler")
     raise ConfigError(f"unknown profile sampler kind {kind!r}")
 
 
@@ -217,24 +199,21 @@ def _number(value, name: str, convert=float):
     return number
 
 
-def _parse_driver(d: dict):
-    kind = d.get("kind")
-    if kind == "poisson":
-        return PoissonBaseline(lam=_number(d["lam"], "lam"),
-                               bucket_width=_number(d.get("bucket_width", 24.0),
-                                                    "bucket_width"))
-    if kind == "forecast":
-        return ForecastDriven(
-            forecast=tuple(_number(v, "forecast") for v in d["forecast"]),
-            bucket_width=_number(d["bucket_width"], "bucket_width"),
-            deterministic=bool(d.get("deterministic", False)),
-        )
-    raise ConfigError(f"unknown arrival driver kind {kind!r}")
+DRIVERS = {"poisson": PoissonBaseline, "forecast": ForecastDriven}
 
 
-def _cmd_simulate(args) -> int:
-    d = _read_json(args.config)
-    base = Path(args.config).parent
+def _parse_driver(d):
+    kind = _kind(d)
+    if not isinstance(kind, str) or kind not in DRIVERS:
+        raise ConfigError(f"unknown arrival driver kind {kind!r}")
+    return codec.read(DRIVERS[kind], d, "arrival_driver")
+
+
+def _read_sim_config(d, base: Path) -> tuple[SimConfig, float]:
+    """A simulation config document and its census bucket width; an
+    empirical sampler's log path is relative to ``base``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"simulation config: expected an object, got {d!r:.60}")
     try:
         config = SimConfig(
             departments=tuple(
@@ -256,7 +235,12 @@ def _cmd_simulate(args) -> int:
         )
     except KeyError as exc:
         raise ConfigError(f"simulation config missing key {exc}") from None
-    census_bucket = _number(d.get("census_bucket", 24.0), "census_bucket")
+    return config, _number(d.get("census_bucket", 24.0), "census_bucket")
+
+
+def _cmd_simulate(args) -> int:
+    config, census_bucket = _read_sim_config(_read_json(args.config),
+                                             Path(args.config).parent)
     results, summary = replicate(config, jobs=args.jobs, census_bucket=census_bucket)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,17 @@
-"""The fitted-model document: the one JSON format of every learned sub-model.
+"""The JSON document: one format for every learned sub-model and config.
 
-``fit`` writes these documents and ``forecast``, ``simulate`` and the
-experiment's fingerprints read them. A document holds a model
-dataclass's fields by name: tuples become lists and nested dataclasses
-nest. Every class in ``KINDS`` carries its ``"kind"`` (nested transition
-matrices keep theirs) and tree nodes carry ``"leaf"``, which is how
-``decode`` tells alternatives apart.
+``fit`` writes model documents and ``forecast``, ``simulate`` and the
+experiment's fingerprints read them; the generator, scenario and
+simulation configs are documents of the same form. A document holds a
+dataclass's fields by name: tuples become lists, nested dataclasses and
+``dict[str, T]`` values nest. Every class in ``KINDS`` carries its
+``"kind"`` (nested transition matrices keep theirs) and tree nodes carry
+``"leaf"``, which is how ``decode`` tells alternatives apart.
 
-``decode`` converts each field to its annotated type. A field with a
+``read`` converts each field to its annotated type. A field with a
 default may be absent; unknown keys are ignored. Anything else that does
-not fit, including a NaN or infinite float, raises ``ConfigError``.
+not fit, including a NaN or infinite float, raises ``ConfigError`` naming
+the value's path in the document.
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ _TAGS[estimators.TreeSplit] = ("leaf", False)
 
 @functools.cache
 def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
-    """(field, annotated type) of each field in the document. Fields kept
-    out of equality are run-time state, not model (unseen-level counts)."""
+    """(field, annotated type) of each field in the document."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls) if f.compare)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def encode(model) -> dict:
@@ -68,9 +69,16 @@ def encode(model) -> dict:
     return _encode(model)
 
 
+def document(obj) -> dict:
+    """The JSON-ready document of any dataclass instance."""
+    return _encode(obj)
+
+
 def _encode(value):
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
     if not dataclasses.is_dataclass(value):
         return value
     doc = {f.name: _encode(getattr(value, f.name)) for f, _ in _fields(type(value))}
@@ -90,23 +98,43 @@ def decode(doc, *kinds: str):
     return _decode(doc, KINDS[kind], kind)
 
 
+def read(cls, doc, path: str):
+    """Decode the document of dataclass ``cls``; ``path`` names the
+    document in error messages."""
+    return _decode(doc, cls, path)
+
+
+def _matches(value, option) -> bool:
+    """Whether a value can be read as one alternative of a union: tagged
+    dataclasses by their tag, scalars by their exact JSON type."""
+    if option in _TAGS:
+        key, tag = _TAGS[option]
+        return isinstance(value, dict) and value.get(key) == tag
+    return type(value) is option
+
+
 def _decode(value, hint, path: str):
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         options = [t for t in typing.get_args(hint) if t is not type(None)]
         if value is None and len(options) < len(typing.get_args(hint)):
             return None
-        if len(options) > 1:  # dataclass alternatives, told apart by their tag
+        if len(options) > 1:
             names = " or ".join(t.__name__ for t in options)
-            options = [t for t in options if isinstance(value, dict)
-                       and value.get(_TAGS[t][0]) == _TAGS[t][1]]
+            options = [t for t in options if _matches(value, t)]
             if not options:
-                raise ConfigError(f"{path}: expected a {names} document, got {value!r:.60}")
+                raise ConfigError(f"{path}: expected {names}, got {value!r:.60}")
         hint = options[0]
-    if typing.get_origin(hint) is tuple:
+    origin = typing.get_origin(hint)
+    if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r:.60}")
         item = typing.get_args(hint)[0]
         return tuple(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+            raise ConfigError(f"{path}: expected an object, got {value!r:.60}")
+        item = typing.get_args(hint)[1]
+        return {k: _decode(v, item, f"{path}.{k}") for k, v in value.items()}
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {value!r:.60}")
@@ -120,7 +148,8 @@ def _decode(value, hint, path: str):
     if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
             return float(value)
-    elif type(value) is hint:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r:.60}")
+    if type(value) is hint:
         return value
-    expected = "a finite number" if hint is float else hint.__name__
+    expected = "a number" if hint is float else hint.__name__
     raise ConfigError(f"{path}: expected {expected}, got {value!r:.60}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from operator import attrgetter
@@ -90,6 +91,11 @@ class EventLogEntry:
     cost: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.enter_time) and math.isfinite(self.exit_time)
+                and math.isfinite(self.cost)):
+            name = next(n for n in ("enter_time", "exit_time", "cost")
+                        if not math.isfinite(getattr(self, n)))
+            raise InvariantViolation(name, f"{getattr(self, name)} is not finite")
         if self.enter_time < 0:
             raise InvariantViolation("enter_time", f"{self.enter_time} < 0")
         if self.exit_time <= self.enter_time:
@@ -157,6 +163,8 @@ class DepartmentSpec:
     bed_capacity: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"department name must be a string, got {self.name!r:.60}")
         cap = self.bed_capacity
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral)
                                 or cap < 1):
@@ -266,6 +274,23 @@ def first_stays(entries: Sequence[EventLogEntry]) -> dict[str, float]:
         if t is None or e.enter_time < t:
             admissions[e.patient_id] = e.enter_time
     return admissions
+
+
+def stay_targets(
+    entries: Sequence[EventLogEntry], profile_by_id: Mapping[str, PatientProfile]
+) -> tuple[list[PatientProfile], list[float]]:
+    """Each entry's patient profile and stay hours, in entry order: the
+    rows a stay-duration model is fitted on."""
+    return [profile_by_id[e.patient_id] for e in entries], [e.los_hours for e in entries]
+
+
+def admission_costs(entries: Sequence[EventLogEntry]) -> dict[str, float]:
+    """Total cost per patient over the entries, patients in order of first
+    appearance: the targets a cost model is fitted on."""
+    totals: dict[str, float] = {}
+    for e in entries:
+        totals[e.patient_id] = totals.get(e.patient_id, 0.0) + e.cost
+    return totals
 
 
 def bucketize(

@@ -53,12 +53,20 @@ _ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
 
 # --- arrival drivers ----------------------------------------------------------
 
+def _check_bucket_width(width: float) -> None:
+    if not width > 0:
+        raise ConfigError(f"arrival bucket_width must be positive, got {width}")
+
+
 @dataclass(frozen=True)
 class PoissonBaseline:
     """Homogeneous Poisson arrivals at lam per bucket."""
 
     lam: float
     bucket_width: float = 24.0
+
+    def __post_init__(self):
+        _check_bucket_width(self.bucket_width)
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,9 @@ class ForecastDriven:
     forecast: tuple[float, ...]
     bucket_width: float
     deterministic: bool = False
+
+    def __post_init__(self):
+        _check_bucket_width(self.bucket_width)
 
 
 ArrivalDriver = Union[PoissonBaseline, ForecastDriven]

@@ -17,7 +17,7 @@ at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -298,36 +298,32 @@ class CategoricalFeature:
     levels: tuple[str, ...]  # first level is the dropped reference
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
     """Ordered encoding plan for patient attributes.
 
     Numeric features are standardized by training mean/sd; categoricals
     are one-hot with the first (reference) level dropped; a leading
     intercept column is always present. An unseen level at prediction
-    time encodes as all zeros (the reference) and bumps
-    ``unseen_level_count``, unless strict mode is requested. Extra
+    time encodes as all zeros (the reference) and is counted by
+    ``encode_counting``, unless strict mode is requested. Extra
     numeric columns (e.g. future lab results) can be added by listing
     more attribute names.
     """
 
     numeric: tuple[NumericFeature, ...]
     categorical: tuple[CategoricalFeature, ...]
-    unseen_level_count: int = field(default=0, compare=False)
 
     @property
     def width(self) -> int:
         return 1 + len(self.numeric) + sum(len(c.levels) - 1 for c in self.categorical)
 
     def encode(self, profile: PatientProfile, strict: bool = False) -> np.ndarray:
-        row, unseen = self.encode_counting(profile, strict)
-        self.unseen_level_count += unseen
-        return row
+        return self.encode_counting(profile, strict)[0]
 
     def encode_counting(self, profile: PatientProfile,
                         strict: bool = False) -> tuple[np.ndarray, int]:
-        """The encoded row and the number of unseen levels in it, leaving
-        ``unseen_level_count`` alone."""
+        """The encoded row and the number of unseen levels in it."""
         row = np.zeros(self.width)
         row[0] = 1.0
         i = 1
@@ -428,12 +424,6 @@ def fit_conditional(
     )
 
 
-def _linear_predictor(model: ConditionalModel, profile: PatientProfile,
-                      strict: bool) -> float:
-    row = model.feature_spec.encode(profile, strict=strict)
-    return float(np.dot(model.coef, row))
-
-
 def predict_mean(model: ConditionalModel, profile: PatientProfile,
                  strict: bool = False) -> float:
     """Mean target: exp(linear predictor + residual_sigma^2 / 2).
@@ -441,7 +431,7 @@ def predict_mean(model: ConditionalModel, profile: PatientProfile,
     The half-variance term is the lognormal mean correction. Cost models
     additionally undo the +1 shift and clamp at zero.
     """
-    lp = _linear_predictor(model, profile, strict)
+    lp = location(model, profile, strict)[0]
     mean_ln_scale = math.exp(lp + 0.5 * model.residual_sigma**2)
     if model.target_kind == TARGET_COT:
         return max(0.0, mean_ln_scale - 1.0)
@@ -453,13 +443,12 @@ def location(model: ConditionalModel | RegressionTree, profile: PatientProfile,
     """ln-space location of a profile's draws, and the unseen levels met.
 
     For a conditional model this is the linear predictor, for a tree the
-    leaf's mean ln target. The model's shared ``unseen_level_count`` is
-    left alone; callers that keep a count add the second value.
+    leaf's mean ln target (exact leaf statistic, no exponentiation).
     """
     if isinstance(model, ConditionalModel):
         row, unseen = model.feature_spec.encode_counting(profile, strict)
         return float(np.dot(model.coef, row)), unseen
-    return tree_leaf_ln(model, profile), 0
+    return _leaf(model.root, profile).mean_ln, 0
 
 
 def profile_attributes(model) -> set[str]:
@@ -530,9 +519,7 @@ def sample(
     if profile is None:
         kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
         raise ConfigError(f"{kind} models require a profile to sample")
-    if isinstance(model, ConditionalModel):
-        return draw(rng, _linear_predictor(model, profile, strict))
-    return draw(rng, tree_leaf_ln(model, profile))
+    return draw(rng, location(model, profile, strict)[0])
 
 
 # --- CART regression tree ------------------------------------------------------
@@ -677,12 +664,7 @@ def fit_tree(
 
 def predict_tree(tree: RegressionTree, profile: PatientProfile) -> float:
     """Exponentiated mean ln target of the leaf the profile reaches."""
-    return math.exp(tree_leaf_ln(tree, profile))
-
-
-def tree_leaf_ln(tree: RegressionTree, profile: PatientProfile) -> float:
-    """ln-space leaf mean (exact leaf statistic, no exponentiation)."""
-    return _leaf(tree.root, profile).mean_ln
+    return math.exp(location(tree, profile)[0])
 
 
 def _leaf(node: TreeNode, profile: PatientProfile) -> TreeLeaf:

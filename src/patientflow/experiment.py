@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,10 +37,12 @@ from . import codec, estimators, inflow, pathways
 from .domain import (
     DepartmentSpec,
     EventLogEntry,
+    admission_costs,
     bucketize,
     extract_trajectories,
     first_stays,
     profile_key,
+    stay_targets,
 )
 from .engine import (
     EmpiricalSampler,
@@ -83,6 +85,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
+        if not self.bucket_width > 0:
+            raise ConfigError(f"bucket_width must be positive, got {self.bucket_width}")
         if self.los_estimator not in ("conditional", "tree"):
             raise ConfigError(f"unknown los_estimator {self.los_estimator!r}")
         if self.cot_estimator != "conditional":
@@ -102,53 +106,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        try:
-            gen = GeneratorConfig.from_dict(d["generator"])
-            bucket_width = float(d.get("bucket_width", 1.0))
-            f = d.get("forecaster", {"kind": "holt_winters", "m": 168})
-            calendar = f.get("calendar", "default")
-            if calendar == "default":
-                calendar = default_calendar(bucket_width)
-            else:
-                calendar = tuple(
-                    inflow.CalendarTerm(int(t["n_phases"]), int(t.get("phase_width", 1)))
-                    for t in calendar
-                )
-            spec = ForecasterSpec(
-                kind=f["kind"],
-                m=f.get("m"),
-                alpha=f.get("alpha"),
-                beta=f.get("beta"),
-                gamma=f.get("gamma"),
-                lags=tuple(int(l) for l in f.get("lags", ())),
-                calendar=calendar,
-            )
-            pathway_k = d.get("pathway_k", 2)
-            if pathway_k != "sweep":
-                pathway_k = int(pathway_k)
-            return cls(
-                generator=gen,
-                split_fraction=float(d["split_fraction"]),
-                bucket_width=bucket_width,
-                forecaster=spec,
-                los_estimator=d.get("los_estimator", "conditional"),
-                cot_estimator=d.get("cot_estimator", "conditional"),
-                pathway_k=pathway_k,
-                capacities=d.get("capacities"),
-                warm_up=float(d.get("warm_up", 0.0)),
-                replications=int(d.get("replications", 20)),
-                census_bucket=float(d.get("census_bucket", 24.0)),
-                jobs=int(d.get("jobs", 1)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scenario missing key {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from None
+        """Read a scenario document. Beyond the fields with defaults, it may
+        leave out ``bucket_width`` (1.0) and ``forecaster`` (Holt-Winters
+        with m = 168); a forecaster ``calendar`` that is absent or
+        ``"default"`` becomes ``default_calendar(bucket_width)``."""
+        if not isinstance(d, dict):
+            return codec.read(cls, d, "scenario")  # raises
+        f = d.get("forecaster", {"kind": "holt_winters", "m": 168})
+        default = isinstance(f, dict) and f.get("calendar", "default") == "default"
+        doc = {"bucket_width": 1.0, **d, "forecaster": {**f, "calendar": []} if default else f}
+        scenario = codec.read(cls, doc, "scenario")
+        if not default:
+            return scenario
+        calendar = default_calendar(scenario.bucket_width)
+        return replace(scenario, forecaster=replace(scenario.forecaster, calendar=calendar))
 
 
 @dataclass(frozen=True)
@@ -257,24 +228,12 @@ def census_error(
 
 # --- stack fitting ---------------------------------------------------------------
 
-def _stay_rows(entries, pids, profile_by_id):
-    """(profile, stay hours) pairs grouped per department."""
-    rows: dict[str, tuple[list, list]] = {}
+def _stay_rows(entries, profile_by_id):
+    """``stay_targets`` per department, departments in first-appearance order."""
+    by_department: dict[str, list] = {}
     for e in entries:
-        if e.patient_id not in pids:
-            continue
-        profs, targets = rows.setdefault(e.department, ([], []))
-        profs.append(profile_by_id[e.patient_id])
-        targets.append(e.los_hours)
-    return rows
-
-
-def _admission_costs(entries, pids):
-    totals: dict[str, float] = {}
-    for e in entries:
-        if e.patient_id in pids:
-            totals[e.patient_id] = totals.get(e.patient_id, 0.0) + e.cost
-    return totals
+        by_department.setdefault(e.department, []).append(e)
+    return {dept: stay_targets(es, profile_by_id) for dept, es in by_department.items()}
 
 
 @dataclass(frozen=True)
@@ -308,28 +267,18 @@ def _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories, departments
 
 
 def _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid, trajectories,
-                 train_profiles, profile_by_id, departments):
+                 profile_by_id, departments):
     inflow_model = scenario.forecaster.fit(train_series)
     all_profiles = [p for profs, _ in stay_rows.values() for p in profs]
     all_targets = [t for _, targets in stay_rows.values() for t in targets]
+    fit = estimators.fit_tree if scenario.los_estimator == "tree" else estimators.fit_conditional
     los_models = {}
     for dept in departments:
         profs, targets = stay_rows.get(dept, ([], []))
-        # departments with too little data fall back to a pooled fit
-        if scenario.los_estimator == "tree":
-            try:
-                los_models[dept] = estimators.fit_tree(profs, targets)
-            except DataError:
-                los_models[dept] = estimators.fit_tree(all_profiles, all_targets)
-        else:
-            try:
-                los_models[dept] = estimators.fit_conditional(
-                    profs, targets, estimators.TARGET_LOS
-                )
-            except DataError:
-                los_models[dept] = estimators.fit_conditional(
-                    all_profiles, all_targets, estimators.TARGET_LOS
-                )
+        try:
+            los_models[dept] = fit(profs, targets)
+        except DataError:  # departments with too little data fall back to a pooled fit
+            los_models[dept] = fit(all_profiles, all_targets)
     cost_profiles = [profile_by_id[pid] for pid in cost_by_pid]
     cot_model = estimators.fit_conditional(
         cost_profiles, list(cost_by_pid.values()), estimators.TARGET_COT
@@ -399,15 +348,15 @@ def run_experiment(
     departments = tuple(sorted(gen_config.departments))
 
     train_series = bucketize(train_entries, scenario.bucket_width, 0.0, t_split)
-    stay_rows = _stay_rows(train_entries, train_pids, profile_by_id)
-    cost_by_pid = _admission_costs(train_entries, train_pids)
+    stay_rows = _stay_rows(train_entries, profile_by_id)
+    cost_by_pid = admission_costs(train_entries)
     trajectories = extract_trajectories(train_entries)
     train_profiles = [profile_by_id[pid] for pid in sorted(train_pids)]
 
     stack_a = _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories,
                            departments)
     stack_b = _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid,
-                           trajectories, train_profiles, profile_by_id, departments)
+                           trajectories, profile_by_id, departments)
 
     # held-out admissions per bucket
     n_test_buckets = int(round(h_test / scenario.bucket_width))
@@ -490,7 +439,7 @@ def run_experiment(
     last_exit: dict[str, float] = {}
     for e in test_entries:
         last_exit[e.patient_id] = max(last_exit.get(e.patient_id, 0.0), e.exit_time)
-    truth_costs = _admission_costs(test_entries, test_pids)
+    truth_costs = admission_costs(test_entries)
     discharged_costs = [
         c for pid, c in truth_costs.items() if last_exit[pid] <= horizon
     ]

@@ -14,6 +14,7 @@ sequence-edit-distance medoids are possible extensions, not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -163,22 +164,25 @@ class ProfileEncoder:
     sds: tuple[float, ...]
     drg_levels: tuple[str, ...]
 
+    @cached_property
+    def _scale(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.means), np.asarray(self.sds)
+
     def encode(self, profile: PatientProfile) -> np.ndarray:
-        raw = [float(profile.age), float(profile.comorbidity_count),
-               1.0 if profile.gender == "F" else 0.0]
-        raw.extend(1.0 if profile.drg == lvl else 0.0 for lvl in self.drg_levels)
-        return (np.asarray(raw) - np.asarray(self.means)) / np.asarray(self.sds)
+        means, sds = self._scale
+        return (np.asarray(_raw_row(profile, self.drg_levels)) - means) / sds
+
+
+def _raw_row(profile: PatientProfile, drg_levels: tuple[str, ...]) -> list[float]:
+    """Age, comorbidity count, female indicator, then one-hot DRG."""
+    return ([float(profile.age), float(profile.comorbidity_count),
+             1.0 if profile.gender == "F" else 0.0]
+            + [1.0 if profile.drg == lvl else 0.0 for lvl in drg_levels])
 
 
 def _build_profile_encoder(profiles: Sequence[PatientProfile]) -> ProfileEncoder:
     levels = tuple(sorted({p.drg for p in profiles}))
-    raw = np.asarray(
-        [
-            [float(p.age), float(p.comorbidity_count), 1.0 if p.gender == "F" else 0.0]
-            + [1.0 if p.drg == lvl else 0.0 for lvl in levels]
-            for p in profiles
-        ]
-    )
+    raw = np.asarray([_raw_row(p, levels) for p in profiles])
     means = raw.mean(axis=0)
     sds = raw.std(axis=0)
     sds[sds < 1e-12] = 1.0
@@ -198,6 +202,10 @@ class PathwayCluster:
     member_count: int
     attribute_centroid: tuple[float, ...] | None
     use_fallback: bool
+
+    @cached_property
+    def _attribute_array(self) -> np.ndarray:
+        return np.asarray(self.attribute_centroid)
 
 
 @dataclass(frozen=True)
@@ -363,10 +371,8 @@ def assign(profile: PatientProfile, clusters: PathwayClusters) -> int:
     if clusters.k == 1:
         return 0
     v = clusters.profile_encoder.encode(profile)
-    dists = [
-        float(np.sum((v - np.asarray(c.attribute_centroid)) ** 2))
-        for c in clusters.clusters
-    ]
+    # ndarray.sum is np.sum's reduction without its dispatch: the same bits
+    dists = [float(((v - c._attribute_array) ** 2).sum()) for c in clusters.clusters]
     return int(np.argmin(dists))  # argmin takes the lowest index on ties
 
 

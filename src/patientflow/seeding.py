@@ -16,9 +16,13 @@ from typing import Collection, Iterable, Sequence
 
 from numpy.random import PCG64, Generator, SeedSequence
 
+from .errors import ConfigError
+
 
 def stream(seed: int, *key: int) -> Generator:
     """Return the PCG64 generator for a (seed, purpose-key) pair."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 

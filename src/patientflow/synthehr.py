@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from numpy.random import Generator
 
+from . import codec
 from .domain import EventLogEntry, PatientProfile, serialize_event_log
 from .errors import ConfigError, OutOfHorizon
 from .seeding import draw_index, stream
@@ -174,64 +175,11 @@ class GeneratorConfig:
         return rates[min(severity, len(rates) - 1)]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hourly_profile"] = list(self.hourly_profile)
-        d["weekly_profile"] = list(self.weekly_profile)
-        d["monthly_profile"] = list(self.monthly_profile)
-        d["comorbidity_rate_by_age"] = [asdict(r) for r in self.comorbidity_rate_by_age]
-        d["departments"] = list(self.departments)
-        d["transition_matrices"] = [
-            [list(row) for row in m] for m in self.transition_matrices
-        ]
-        return d
+        return codec.document(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        try:
-            return cls(
-                seed=int(d["seed"]),
-                horizon=float(d["horizon"]),
-                base_rate=float(d["base_rate"]),
-                trend_slope=float(d["trend_slope"]),
-                hourly_profile=tuple(float(v) for v in d["hourly_profile"]),
-                weekly_profile=tuple(float(v) for v in d["weekly_profile"]),
-                monthly_profile=tuple(float(v) for v in d["monthly_profile"]),
-                age_mix=AgeMixture(**d["age_mix"]),
-                gender_p=float(d["gender_p"]),
-                comorbidity_rate_by_age=tuple(
-                    LinearRate(**r) for r in d["comorbidity_rate_by_age"]
-                ),
-                drg_probs={str(k): float(v) for k, v in d["drg_probs"].items()},
-                los_coeffs=LosCoeffs(
-                    beta0=float(d["los_coeffs"]["beta0"]),
-                    beta_age=float(d["los_coeffs"]["beta_age"]),
-                    beta_com=float(d["los_coeffs"]["beta_com"]),
-                    drg_offsets=dict(d["los_coeffs"]["drg_offsets"]),
-                    sigma_ln=float(d["los_coeffs"]["sigma_ln"]),
-                ),
-                cot_coeffs=CotCoeffs(
-                    gamma0=float(d["cot_coeffs"]["gamma0"]),
-                    gamma1=float(d["cot_coeffs"]["gamma1"]),
-                    drg_offsets=dict(d["cot_coeffs"]["drg_offsets"]),
-                    sigma=float(d["cot_coeffs"]["sigma"]),
-                ),
-                severity_split=float(d["severity_split"]),
-                departments=tuple(str(x) for x in d["departments"]),
-                entry_department=str(d["entry_department"]),
-                transition_matrices=tuple(
-                    tuple(tuple(float(p) for p in row) for row in m)
-                    for m in d["transition_matrices"]
-                ),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"generator config missing key {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorConfig":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from None
+        return codec.read(cls, d, "generator")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,16 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patientflow.cli import main
-from patientflow.domain import parse_event_log
+from patientflow.cli import _read_sim_config, main
+from patientflow.domain import CSV_FIELDS, parse_event_log
+from patientflow.errors import PatientFlowError
+from patientflow.experiment import ScenarioConfig
+from patientflow.synthehr import GeneratorConfig
 
-from conftest import flat_generator_dict
+from conftest import SCENARIOS, flat_generator_dict
 
 
 def write_json(path: Path, obj) -> str:
@@ -503,3 +508,125 @@ def test_invalid_bed_capacity_exits_2(tmp_path, capsys, default_scenario_dict, c
     captured = capsys.readouterr()
     assert "bed_capacity must be an integer >= 1 or null" in captured.err
     assert "Traceback" not in captured.err
+
+
+MISSING = object()
+
+
+def replaced(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced, or
+    removed when ``value`` is ``MISSING``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+# (command, path into its config, value, exit code): values the hand-written
+# config readers let through to a traceback (exit 1) or a silent run (exit 0)
+CONFIG_HOLES = [
+    ("synth", ("age_mix", "weight"), "x", 2),
+    ("synth", ("age_mix", "extra"), 1.0, 0),
+    ("synth", ("drg_probs", "ACS"), "x", 2),
+    ("synth", ("comorbidity_rate_by_age", 0, "c0"), "x", 2),
+    ("synth", ("los_coeffs", "drg_offsets", "HF"), "x", 2),
+    ("synth", ("trend_slope",), math.nan, 2),
+    ("synth", ("los_coeffs", "sigma_ln"), math.nan, 2),
+    ("compare", ("replications",), "x", 2),
+    ("compare", ("jobs",), "two", 2),
+    ("compare", ("bucket_width",), "x", 2),
+    ("compare", ("pathway_k",), "many", 2),
+    ("compare", ("forecaster",), [1], 2),
+    ("compare", ("forecaster", "calendar"), [{"n_phases": "x"}], 2),
+    ("compare", ("forecaster", "alpha"), "x", 2),
+    ("simulate", ("profile_sampler", "age_mix", "extra"), 1.0, 0),
+    ("simulate", ("profile_sampler", "age_mix", "weight"), "x", 2),
+    ("simulate", ("profile_sampler", "drg_probs", "GEN"), "x", 2),
+    ("simulate", ("profile_sampler", "comorbidity", "c1"), MISSING, 2),
+    ("simulate", ("profile_sampler", "gender_p"), math.nan, 2),
+    ("simulate", ("arrival_driver", "deterministic"), "no", 2),
+    ("synth", ("seed",), -1, 2),
+    ("compare", ("bucket_width",), 0.0, 2),
+    ("simulate", ("seed",), -1, 2),
+    ("simulate", ("arrival_driver", "bucket_width"), 0.0, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value, code", CONFIG_HOLES,
+    ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{'missing' if c[2] is MISSING else c[2]}"
+         for c in CONFIG_HOLES])
+def test_config_value_runs_or_exits_with_one_line(tmp_path, capsys, default_scenario_dict,
+                                                  command, path, value, code):
+    if command == "synth":
+        generator = {**default_scenario_dict["generator"], "horizon": 48.0}
+        argv = ["synth", "--config",
+                write_json(tmp_path / "gen.json", replaced(generator, path, value))]
+    elif command == "compare":
+        argv = ["compare", "--scenario", write_json(
+            tmp_path / "scenario.json", replaced(default_scenario_dict, path, value))]
+    else:
+        argv = ["simulate", "--config", write_json(
+            tmp_path / "sim.json", replaced(attribute_sim_config(), path, value))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert len(err.strip().splitlines()) == 1
+        assert str(path[-1]) in err
+
+
+@pytest.mark.parametrize("column, value", [("exit_time", "inf"), ("cost", "nan"),
+                                           ("enter_time", "-inf")])
+def test_non_finite_log_value_exits_3(tmp_path, capsys, column, value):
+    rows = [["P1", "ER", "0.0", "10.0", "100.0", "50", "F", "1", "GEN"],
+            ["P2", "ER", "1.0", "12.0", "100.0", "60", "M", "2", "GEN"]]
+    rows[1][CSV_FIELDS.index(column)] = value
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join([",".join(CSV_FIELDS), *map(",".join, rows)]) + "\n")
+    assert main(["fit", "--log", str(log), "--model", "lognormal_los",
+                 "--out", str(tmp_path / "los.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"line 3: {column}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "los.json").exists()
+
+
+def leaf_paths(doc, path=()):
+    """Paths to the scalars (and empty containers) of a JSON document; of
+    each list, only the first item is visited, as the rest read alike."""
+    if isinstance(doc, dict) and doc:
+        for key, value in doc.items():
+            yield from leaf_paths(value, (*path, key))
+    elif isinstance(doc, list) and doc:
+        yield from leaf_paths(doc[0], (*path, 0))
+    else:
+        yield path
+
+
+FUZZ_SCENARIO = json.loads((SCENARIOS / "default.json").read_text())
+FUZZ_READERS = {
+    "generator": (FUZZ_SCENARIO["generator"], GeneratorConfig.from_dict),
+    "scenario": (FUZZ_SCENARIO, ScenarioConfig.from_dict),
+    "simulate": (attribute_sim_config(), lambda doc: _read_sim_config(doc, Path("."))),
+}
+FUZZ_LEAVES = [(name, path) for name, (doc, _) in FUZZ_READERS.items()
+               for path in leaf_paths(doc)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_LEAVES))
+def test_config_readers_raise_only_patientflow_errors(leaf):
+    name, path = leaf
+    doc, read = FUZZ_READERS[name]
+    for value in ("x", math.nan, math.inf, -math.inf, [1.0], None):
+        try:
+            read(replaced(doc, path, value))
+        except PatientFlowError:
+            pass

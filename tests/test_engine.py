@@ -560,8 +560,6 @@ def test_unseen_levels_counted_per_replication():
         cost_draws = np.count_nonzero(~np.isnan(result.discharge))
         assert result.unseen_levels == len(result.stay_start) + cost_draws > 0
     assert [r.unseen_levels for r in parallel] == [r.unseen_levels for r in serial]
-    assert los.feature_spec.unseen_level_count == 0
-    assert cot.feature_spec.unseen_level_count == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,14 @@ def make_config(**overrides):
     d = flat_generator_dict(**base_kwargs)
     d.update(overrides)
     return GeneratorConfig.from_dict(d)
+
+
+def test_generator_config_round_trips(default_generator):
+    for config in (default_generator, make_config()):
+        doc = config.to_dict()
+        assert GeneratorConfig.from_dict(doc) == config
+        assert GeneratorConfig.from_dict(json.loads(json.dumps(doc))) == config
+    assert list(default_generator.to_dict()["drg_probs"]) == ["ACS", "HF", "ARR"]
 
 
 def test_rate_at_flat():
