@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -138,6 +137,10 @@ def _cmd_fit(args) -> int:
             if args.k is None or args.seed is None:
                 raise ConfigError("mixture_los requires --k and --seed")
             model = estimators.fit_mixture_em(targets, args.k, args.seed)
+            if not model.converged():
+                _info(f"warning: EM reached max_iter ({len(model.trace)}) before the "
+                      f"log-likelihood gain fell below tol ({estimators.EM_TOL:g}); "
+                      f"last gain {model.trace[-1] - model.trace[-2]:.3g}")
         elif kind == "conditional_los":
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_LOS)
         elif kind == "tree_los":
@@ -188,17 +191,6 @@ def _parse_sampler(d, base: Path):
     raise ConfigError(f"unknown profile sampler kind {kind!r}")
 
 
-def _number(value, name: str, convert=float):
-    """A finite config number; anything else is a ConfigError."""
-    try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name}: expected a number, got {value!r:.60}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r:.60}")
-    return number
-
-
 DRIVERS = {"poisson": PoissonBaseline, "forecast": ForecastDriven}
 
 
@@ -220,8 +212,8 @@ def _read_sim_config(d, base: Path) -> tuple[SimConfig, float]:
                 DepartmentSpec(name=dep["name"], bed_capacity=dep.get("bed_capacity"))
                 for dep in d["departments"]
             ),
-            horizon=_number(d["horizon"], "horizon"),
-            warm_up=_number(d.get("warm_up", 0.0), "warm_up"),
+            horizon=codec.read(float, d["horizon"], "horizon"),
+            warm_up=codec.read(float, d.get("warm_up", 0.0), "warm_up"),
             arrival_driver=_parse_driver(d["arrival_driver"]),
             los_models={
                 name: codec.decode(m, *codec.ESTIMATOR_KINDS)
@@ -230,12 +222,12 @@ def _read_sim_config(d, base: Path) -> tuple[SimConfig, float]:
             cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
             pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
             profile_sampler=_parse_sampler(d["profile_sampler"], base),
-            seed=_number(d["seed"], "seed", int),
-            replications=_number(d.get("replications", 1), "replications", int),
+            seed=codec.read(int, d["seed"], "seed"),
+            replications=codec.read(int, d.get("replications", 1), "replications"),
         )
     except KeyError as exc:
         raise ConfigError(f"simulation config missing key {exc}") from None
-    return config, _number(d.get("census_bucket", 24.0), "census_bucket")
+    return config, codec.read(float, d.get("census_bucket", 24.0), "census_bucket")
 
 
 def _cmd_simulate(args) -> int:

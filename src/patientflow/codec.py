@@ -99,8 +99,8 @@ def decode(doc, *kinds: str):
 
 
 def read(cls, doc, path: str):
-    """Decode the document of dataclass ``cls``; ``path`` names the
-    document in error messages."""
+    """Decode the document of ``cls``, a dataclass or a scalar type such as
+    ``float``; ``path`` names the document in error messages."""
     return _decode(doc, cls, path)
 
 
@@ -151,5 +151,5 @@ def _decode(value, hint, path: str):
         raise ConfigError(f"{path}: expected a finite number, got {value!r:.60}")
     if type(value) is hint:
         return value
-    expected = "a number" if hint is float else hint.__name__
+    expected = {float: "a number", int: "a number (an integer)"}.get(hint, hint.__name__)
     raise ConfigError(f"{path}: expected {expected}, got {value!r:.60}")

@@ -16,7 +16,9 @@ at zero.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -37,12 +39,22 @@ from .seeding import cumulative, draw_cumulative, stream
 
 RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
+EM_TOL = 1e-8               # EM stops once an E step gains less log-likelihood
 DEGENERATE_SIGMA = 1e-12
 
 TARGET_LOS = "los"
 TARGET_COT = "cot"
 
 _LN_2PI = math.log(2.0 * math.pi)
+
+
+def _check_non_negative(model, *names: str) -> None:
+    """Reject a negative weight or scale parameter, as numpy's samplers
+    would; 0 is allowed, as it is in numpy."""
+    for name in names:
+        value = getattr(model, name)
+        if value < 0.0:
+            raise ConfigError(f"{type(model).__name__} {name} must be >= 0, got {value!r}")
 
 
 # --- univariate fits ---------------------------------------------------------
@@ -55,6 +67,9 @@ class LognormalFit:
     loglik: float
     degenerate: bool = False
 
+    def __post_init__(self):
+        _check_non_negative(self, "sigma")
+
 
 @dataclass(frozen=True)
 class GammaFit:
@@ -62,6 +77,9 @@ class GammaFit:
     scale: float
     n: int
     loglik: float
+
+    def __post_init__(self):
+        _check_non_negative(self, "shape", "scale")
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,9 @@ class WeibullFit:
     n: int
     loglik: float
     converged: bool = True
+
+    def __post_init__(self):
+        _check_non_negative(self, "shape", "scale")
 
 
 UnivariateFit = Union[LognormalFit, GammaFit, WeibullFit]
@@ -187,8 +208,7 @@ class MixtureComponent:
     sigma: float
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ConfigError("mixture component weights must be non-negative")
+        _check_non_negative(self, "weight", "sigma")
 
 
 @dataclass(frozen=True)
@@ -197,6 +217,11 @@ class MixtureFit:
     n: int
     loglik: float
     trace: tuple[float, ...]  # log-likelihood after each E step
+
+    def converged(self) -> bool:
+        """Whether EM stopped on a log-likelihood gain below the default
+        ``EM_TOL`` rather than at its iteration cap."""
+        return len(self.trace) >= 2 and self.trace[-1] - self.trace[-2] < EM_TOL
 
 
 def _kmeanspp_means(lnx: np.ndarray, k: int, rng: Generator) -> np.ndarray:
@@ -221,7 +246,7 @@ def fit_mixture_em(
     seed: int,
     init: tuple[Sequence[float], Sequence[float], Sequence[float]] | None = None,
     max_iter: int = 500,
-    tol: float = 1e-8,
+    tol: float = EM_TOL,
 ) -> MixtureFit:
     """Fit a k-component lognormal mixture by EM on ln x.
 
@@ -252,27 +277,30 @@ def fit_mixture_em(
         sigma = np.full(k, max(float(np.std(lnx)), SIGMA_FLOOR))
         w = np.full(k, 1.0 / k)
 
+    # One array per component. Each sum adds in the order numpy reduces the
+    # (n, k) responsibility array: a row folds its components left to right,
+    # and a column sum is sequential for k > 1 (np.cumsum) but pairwise for
+    # k = 1, where the (n, 1) array reduces like a flat one.
+    colsum = (lambda v: v.sum()) if k == 1 else (lambda v: np.cumsum(v)[-1])
     trace: list[float] = []
     for _ in range(max_iter):
         # E step: responsibilities and current log-likelihood
-        logp = (
-            -0.5 * ((lnx[:, None] - mu[None, :]) / sigma[None, :]) ** 2
-            - np.log(sigma)[None, :]
-            - 0.5 * _LN_2PI
-            + np.log(w)[None, :]
-        )
-        row_max = logp.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(logp - row_max).sum(axis=1))
+        log_sigma, log_w = np.log(sigma), np.log(w)
+        logp = [-0.5 * ((lnx - mu[j]) / sigma[j]) ** 2 - log_sigma[j] - 0.5 * _LN_2PI
+                + log_w[j] for j in range(k)]
+        row_max = functools.reduce(np.maximum, logp)
+        lse = row_max + np.log(functools.reduce(operator.add,
+                                                [np.exp(c - row_max) for c in logp]))
         ll = float(lse.sum()) - jacobian
         trace.append(ll)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
-        resp = np.exp(logp - lse[:, None])
+        resp = [np.exp(c - lse) for c in logp]
         # M step
-        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        nk = np.maximum([colsum(r) for r in resp], 1e-12)
         w = nk / nk.sum()
-        mu = (resp * lnx[:, None]).sum(axis=0) / nk
-        var = (resp * (lnx[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        mu = np.array([colsum(r * lnx) for r in resp]) / nk
+        var = np.array([colsum(r * (lnx - m) ** 2) for r, m in zip(resp, mu)]) / nk
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
 
     order = np.argsort(mu)
@@ -380,6 +408,9 @@ class ConditionalModel:
     target_kind: str  # TARGET_LOS or TARGET_COT
     n: int
     constant_target: bool = False
+
+    def __post_init__(self):
+        _check_non_negative(self, "residual_sigma")
 
 
 def _ln_target(targets: np.ndarray, target_kind: str) -> np.ndarray:
@@ -551,6 +582,9 @@ class RegressionTree:
     numeric: tuple[str, ...]
     categorical: tuple[str, ...]
     residual_sigma: float = 0.0  # pooled within-leaf ln-target sd, for sampling
+
+    def __post_init__(self):
+        _check_non_negative(self, "residual_sigma")
 
 
 # models whose draws depend on the patient profile

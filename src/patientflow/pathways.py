@@ -77,22 +77,46 @@ class TransitionMatrix:
         return self.row_observed[self.row_index(state)]
 
 
-def _transition_counts(
+def transition_counts(
     trajectories: Sequence[Trajectory], departments: tuple[str, ...]
 ) -> np.ndarray:
+    """Each trajectory's moves as an (ENTRY + departments) x (departments +
+    DISCHARGE) integer count matrix: shape (len(trajectories), n + 1, n + 1).
+
+    ENTRY -> first department and last department -> DISCHARGE count as
+    pseudo-moves, so a trajectory of s stays has s + 1 moves.
+    """
     idx = {d: i for i, d in enumerate(departments)}
-    n = len(departments)
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)  # row 0 = ENTRY, col n = DISCHARGE
-    for tr in trajectories:
-        try:
-            path = [idx[s.department] for s in tr.stays]
-        except KeyError as exc:
-            raise UnknownDepartment(f"department {exc} not in alphabet") from None
-        counts[0, path[0]] += 1
-        for a, b in zip(path, path[1:]):
-            counts[1 + a, b] += 1
-        counts[1 + path[-1], n] += 1
-    return counts
+    n, m = len(departments), len(trajectories)
+    try:
+        codes = np.array([idx[s.department] for tr in trajectories for s in tr.stays],
+                         dtype=np.int64)
+    except KeyError as exc:
+        raise UnknownDepartment(f"department {exc} not in alphabet") from None
+    lengths = np.array([len(tr.stays) for tr in trajectories], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    rows = np.empty_like(codes)  # the state each stay is entered from
+    rows[1:] = 1 + codes[:-1]
+    rows[ends - lengths] = 0     # a first stay is entered from ENTRY
+    owner = np.repeat(np.arange(m), lengths)
+    cells = np.concatenate([(owner * (n + 1) + rows) * (n + 1) + codes,
+                            (np.arange(m) * (n + 1) + 1 + codes[ends - 1]) * (n + 1) + n])
+    return np.bincount(cells, minlength=m * (n + 1) ** 2).reshape(m, n + 1, n + 1)
+
+
+def _matrix(counts: np.ndarray, departments: tuple[str, ...]) -> TransitionMatrix:
+    """Row-normalise an (n + 1) x (n + 1) count matrix; rows with no
+    observations are flagged rather than invented."""
+    row_sums = counts.sum(axis=1)
+    probs = np.zeros_like(counts, dtype=float)
+    observed = row_sums > 0
+    probs[observed] = counts[observed] / row_sums[observed, None]
+    return TransitionMatrix(
+        departments=departments,
+        probs=tuple(tuple(float(p) for p in row) for row in probs),
+        counts=tuple(tuple(int(c) for c in row) for row in counts),
+        row_observed=tuple(bool(o) for o in observed),
+    )
 
 
 def fit_transition_matrix(
@@ -110,17 +134,7 @@ def fit_transition_matrix(
     if departments is None:
         departments = sorted({s.department for tr in trajectories for s in tr.stays})
     departments = tuple(departments)
-    counts = _transition_counts(trajectories, departments)
-    row_sums = counts.sum(axis=1)
-    probs = np.zeros_like(counts, dtype=float)
-    observed = row_sums > 0
-    probs[observed] = counts[observed] / row_sums[observed, None]
-    return TransitionMatrix(
-        departments=departments,
-        probs=tuple(tuple(float(p) for p in row) for row in probs),
-        counts=tuple(tuple(int(c) for c in row) for row in counts),
-        row_observed=tuple(bool(o) for o in observed),
-    )
+    return _matrix(transition_counts(trajectories, departments).sum(axis=0), departments)
 
 
 # --- trajectory encoding ------------------------------------------------------
@@ -131,6 +145,19 @@ STAY_COUNT_SCALE = 10.0  # keeps the length feature comparable to the unit-mass 
 def encoding_width(departments: Sequence[str]) -> int:
     n = len(departments)
     return (n + 1) * (n + 1) + 1
+
+
+def encode_all(trajectories: Sequence[Trajectory], departments: Sequence[str]) -> np.ndarray:
+    """One ``encode`` row per trajectory."""
+    return _encoding(transition_counts(trajectories, tuple(departments)), trajectories)
+
+
+def _encoding(counts: np.ndarray, trajectories: Sequence[Trajectory]) -> np.ndarray:
+    flat = counts.reshape(len(counts), -1)
+    X = np.empty((len(flat), flat.shape[1] + 1))
+    X[:, :-1] = flat / flat.sum(axis=1, keepdims=True)
+    X[:, -1] = [len(tr.stays) / STAY_COUNT_SCALE for tr in trajectories]
+    return X
 
 
 def encode(trajectory: Trajectory, departments: Sequence[str]) -> np.ndarray:
@@ -145,13 +172,7 @@ def encode(trajectory: Trajectory, departments: Sequence[str]) -> np.ndarray:
     with proportional transition counts and equal length encode
     identically.
     """
-    departments = tuple(departments)
-    counts = _transition_counts([trajectory], departments)
-    total = counts.sum()
-    vec = np.empty(counts.size + 1)
-    vec[:-1] = counts.reshape(-1) / total
-    vec[-1] = len(trajectory.stays) / STAY_COUNT_SCALE
-    return vec
+    return encode_all([trajectory], departments)[0]
 
 
 # --- profile encoding for attribute centroids ----------------------------------
@@ -180,17 +201,21 @@ def _raw_row(profile: PatientProfile, drg_levels: tuple[str, ...]) -> list[float
             + [1.0 if profile.drg == lvl else 0.0 for lvl in drg_levels])
 
 
-def _build_profile_encoder(profiles: Sequence[PatientProfile]) -> ProfileEncoder:
+def _build_profile_encoder(
+    profiles: Sequence[PatientProfile],
+) -> tuple[ProfileEncoder, np.ndarray]:
+    """The encoder and the raw rows of ``profiles`` it was fitted on."""
     levels = tuple(sorted({p.drg for p in profiles}))
     raw = np.asarray([_raw_row(p, levels) for p in profiles])
     means = raw.mean(axis=0)
     sds = raw.std(axis=0)
     sds[sds < 1e-12] = 1.0
-    return ProfileEncoder(
+    encoder = ProfileEncoder(
         means=tuple(float(m) for m in means),
         sds=tuple(float(s) for s in sds),
         drg_levels=levels,
     )
+    return encoder, raw
 
 
 # --- clustering -----------------------------------------------------------------
@@ -299,28 +324,32 @@ def cluster(
     if departments is None:
         departments = sorted({s.department for tr in trajectories for s in tr.stays})
     departments = tuple(departments)
-    fallback = fit_transition_matrix(trajectories, departments)
-    X = np.vstack([encode(tr, departments) for tr in trajectories])
+    counts = transition_counts(trajectories, departments)
+    fallback = _matrix(counts.sum(axis=0), departments)
+    X = _encoding(counts, trajectories)
+    # the per-cluster sums need the counts through k-means, whose distance
+    # arrays set the peak memory: hold them in the smallest exact dtype
+    counts = counts.astype(np.min_scalar_type(counts.max()))
     if k == 1:
         centroids = X.mean(axis=0, keepdims=True)
         labels = np.zeros(len(X), dtype=np.int64)
     else:
         centroids, labels = _kmeans(X, k, stream(seed))
 
-    encoder = _build_profile_encoder(profiles) if profiles is not None else None
+    encoder, raw = _build_profile_encoder(profiles) if profiles is not None else (None, None)
     attr_centroids: list[np.ndarray | None] = []
     matrices = []
     member_counts = []
     for j in range(k):
         member_idx = np.where(labels == j)[0]
-        members = [trajectories[i] for i in member_idx]
         member_counts.append(len(member_idx))
         matrices.append(
-            fit_transition_matrix(members, departments) if members else fallback
+            _matrix(counts[member_idx].sum(axis=0), departments)
+            if len(member_idx) else fallback
         )
         if encoder is not None and len(member_idx) > 0:
-            enc = np.vstack([encoder.encode(profiles[i]) for i in member_idx])
-            attr_centroids.append(enc.mean(axis=0))
+            means, sds = encoder._scale
+            attr_centroids.append(((raw[member_idx] - means) / sds).mean(axis=0))
         else:
             attr_centroids.append(None)
 
@@ -462,7 +491,7 @@ def sweep_k(
     if departments is None:
         departments = sorted({s.department for tr in trajectories for s in tr.stays})
     departments = tuple(departments)
-    X = np.vstack([encode(tr, departments) for tr in trajectories])
+    X = encode_all(trajectories, departments)
     if len(X) > silhouette_cap:
         pick = stream(seed, 999).choice(len(X), size=silhouette_cap, replace=False)
         pick.sort()

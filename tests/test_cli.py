@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patientflow import codec
 from patientflow.cli import _read_sim_config, main
-from patientflow.domain import CSV_FIELDS, parse_event_log
+from patientflow.domain import CSV_FIELDS, parse_event_log, stay_targets
+from patientflow.estimators import fit_mixture_em
 from patientflow.errors import PatientFlowError
 from patientflow.experiment import ScenarioConfig
 from patientflow.synthehr import GeneratorConfig
@@ -126,6 +128,25 @@ def test_fit_mixture_requires_seed(tmp_path, log_path):
                  "--out", str(out)]) == 2
     assert main(["fit", "--log", log_path, "--model", "mixture_los", "--k", "2",
                  "--seed", "1", "--out", str(out)]) == 0
+
+
+def test_mixture_that_stops_at_max_iter_says_so(tmp_path, log_path, capsys):
+    """A stay mix that EM cannot settle in 500 iterations warns on stderr;
+    the document and stdout are the same as for a silent fit."""
+    for k, warns in (("1", False), ("2", True)):
+        out = tmp_path / f"mix{k}.json"
+        assert main(["fit", "--log", log_path, "--model", "mixture_los", "--k", k,
+                     "--seed", "1", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        warned = [line.startswith("warning: EM reached max_iter (500)")
+                  for line in captured.err.splitlines()]
+        assert warned == ([True, False] if warns else [False])
+        entries, profiles = parse_event_log(Path(log_path).read_text())
+        targets = stay_targets(entries, {p.patient_id: p for p in profiles})[1]
+        fit = fit_mixture_em(targets, int(k), 1)
+        assert fit.converged() is not warns
+        assert out.read_text() == json.dumps(codec.encode(fit), indent=2, sort_keys=True) + "\n"
 
 
 def test_fit_clusters(tmp_path, log_path):
@@ -369,6 +390,61 @@ def test_non_numeric_simulate_value_exits_2(tmp_path, capsys, path):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"{key}: expected a number" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replications", 2.5), ("seed", "7"), ("seed", 7.0), ("seed", True),
+    ("replications", True), ("horizon", True), ("census_bucket", False),
+], ids=["fractional-replications", "string-seed", "float-seed", "boolean-seed",
+        "boolean-replications", "boolean-horizon", "boolean-census-bucket"])
+def test_loose_simulate_scalar_exits_2(tmp_path, capsys, key, value):
+    sim_config = {**attribute_sim_config(), key: value}
+    argv = ["simulate", "--config", write_json(tmp_path / "sim.json", sim_config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{key}: expected a number" in captured.err
+    assert "Traceback" not in captured.err
+
+
+SCALE_MODELS = {
+    "lognormal": {"kind": "lognormal", "mu": 3.0, "sigma": 0.3, "n": 10, "loglik": 0.0},
+    "gamma": {"kind": "gamma", "shape": 4.0, "scale": 5.0, "n": 10, "loglik": 0.0},
+    "weibull": {"kind": "weibull", "shape": 1.5, "scale": 20.0, "n": 10, "loglik": 0.0},
+    "mixture": {"kind": "lognormal_mixture", "n": 10, "loglik": 0.0, "trace": [0.0],
+                "components": [{"weight": 1.0, "mu": 3.0, "sigma": 0.3}]},
+    "conditional": {"kind": "conditional", "coef": [3.0], "residual_sigma": 0.3,
+                    "target_kind": "los", "n": 10,
+                    "feature_spec": {"numeric": [], "categorical": []}},
+    "tree": {"kind": "tree", "max_depth": 1, "min_leaf": 1, "numeric": [],
+             "categorical": [], "residual_sigma": 0.3,
+             "root": {"leaf": True, "mean_ln": 3.0, "count": 10}},
+}
+
+
+@pytest.mark.parametrize("model, field", [
+    ("lognormal", "sigma"), ("gamma", "shape"), ("gamma", "scale"), ("weibull", "shape"),
+    ("weibull", "scale"), ("mixture", "sigma"), ("conditional", "residual_sigma"),
+    ("tree", "residual_sigma"),
+], ids=lambda v: v)
+def test_negative_scale_exits_2(tmp_path, capsys, model, field):
+    def argv_for(doc, name):
+        sim_config = {**attribute_sim_config(), "los_models": {"ER": doc}}
+        return ["simulate", "--config", write_json(tmp_path / f"{name}.json", sim_config),
+                "--out", str(tmp_path / name)]
+
+    doc = json.loads(json.dumps(SCALE_MODELS[model]))
+    assert main(argv_for(doc, "good")) == 0
+    capsys.readouterr()
+    target = doc["components"][0] if model == "mixture" else doc
+    target[field] = 0.0  # numpy's samplers take a zero scale, and so does the reader
+    assert main(argv_for(doc, "zero")) == 0
+    capsys.readouterr()
+    target[field] = -1.0
+    assert main(argv_for(doc, "bad")) == 2
+    captured = capsys.readouterr()
+    assert f"{field} must be >= 0" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,34 @@ def test_em_nesting_with_split_initialization():
         init=([c.mu, c.mu + 1e-3], [c.sigma, c.sigma], [0.5, 0.5]),
     )
     assert two.loglik >= one.loglik - 1e-6
+
+
+# float.hex of every component and trace entry, recorded from the EM that kept
+# its responsibilities as (n, k) arrays and summed them with numpy's axis
+# reductions; the one-array-per-component EM must add in the same order.
+EM_GOLDEN = json.loads((Path(__file__).parent / "em_golden.json").read_text())
+EM_CASES = {
+    "k1": dict(k=1, seed=0),
+    "k2-tol": dict(k=2, seed=1),
+    "k3-max-iter": dict(k=3, seed=1, max_iter=30),
+    "k4-max-iter": dict(k=4, seed=2, max_iter=30),
+    "k2-init": dict(k=2, seed=0, init=((0.5, 2.0), (0.3, 0.6), (0.7, 0.3))),
+}
+
+
+@pytest.mark.parametrize("case", EM_CASES)
+def test_em_golden_bits(case):
+    x = np.concatenate([stream(61).lognormal(1.0, 0.4, 150),
+                        stream(62).lognormal(2.5, 0.5, 100)])
+    fit = fit_mixture_em(x, **EM_CASES[case])
+    expected = EM_GOLDEN[case]
+    assert [[c.weight.hex(), c.mu.hex(), c.sigma.hex()]
+            for c in fit.components] == expected["components"]
+    assert fit.loglik.hex() == expected["loglik"]
+    assert [t.hex() for t in fit.trace] == expected["trace"]
+    # the cases cover both ways EM stops: at tol and at max_iter
+    stops_at_cap = len(fit.trace) == EM_CASES[case].get("max_iter", 500)
+    assert stops_at_cap is case.endswith("max-iter")
 
 
 def test_em_requires_enough_data():

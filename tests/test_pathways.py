@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patientflow import codec
 from patientflow.domain import DISCHARGE, ENTRY, EventLogEntry, PatientProfile, Trajectory
@@ -12,8 +14,10 @@ from patientflow.errors import (
 )
 from patientflow.pathways import (
     assign,
+    STAY_COUNT_SCALE,
     cluster,
     encode,
+    encode_all,
     fit_transition_matrix,
     mean_silhouette,
     next_department,
@@ -133,6 +137,88 @@ def test_encode_alphabet_permutation_preserves_distances():
 def test_encode_unknown_department():
     with pytest.raises(UnknownDepartment):
         encode(traj("1", ["C"]), ["A", "B"])
+
+
+# --- batch encoding against the per-trajectory loop ---------------------------------
+
+def loop_transition_counts(trajectories, departments):
+    """The per-trajectory counting loop that ``transition_counts`` replaced."""
+    idx = {d: i for i, d in enumerate(departments)}
+    n = len(departments)
+    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for tr in trajectories:
+        try:
+            path = [idx[s.department] for s in tr.stays]
+        except KeyError as exc:
+            raise UnknownDepartment(f"department {exc} not in alphabet") from None
+        counts[0, path[0]] += 1
+        for a, b in zip(path, path[1:]):
+            counts[1 + a, b] += 1
+        counts[1 + path[-1], n] += 1
+    return counts
+
+
+def loop_encode(trajectory, departments):
+    """``encode`` as it was before the batch encoder: one trajectory at a time."""
+    counts = loop_transition_counts([trajectory], tuple(departments))
+    total = counts.sum()
+    vec = np.empty(counts.size + 1)
+    vec[:-1] = counts.reshape(-1) / total
+    vec[-1] = len(trajectory.stays) / STAY_COUNT_SCALE
+    return vec
+
+
+DEPARTMENTS = ("A", "B", "C")
+# single stays, repeated departments (A -> A) and every route length up to 7
+PATHS = st.lists(st.lists(st.sampled_from(DEPARTMENTS), min_size=1, max_size=7),
+                 min_size=1, max_size=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PATHS)
+def test_batch_encoder_matches_the_per_trajectory_loop(paths):
+    trs = [traj(str(i), path) for i, path in enumerate(paths)]
+    expected = np.vstack([loop_encode(tr, DEPARTMENTS) for tr in trs])
+    assert encode_all(trs, DEPARTMENTS).tobytes() == expected.tobytes()
+    for tr, row in zip(trs, expected):
+        assert encode(tr, DEPARTMENTS).tobytes() == row.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(PATHS, st.data())
+def test_batch_encoder_rejects_an_unknown_department(paths, data):
+    i = data.draw(st.integers(0, len(paths) - 1))
+    j = data.draw(st.integers(0, len(paths[i]) - 1))
+    paths[i][j] = "X"
+    trs = [traj(str(i), path) for i, path in enumerate(paths)]
+    with pytest.raises(UnknownDepartment):
+        encode_all(trs, DEPARTMENTS)
+    with pytest.raises(UnknownDepartment):
+        fit_transition_matrix(trs, DEPARTMENTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PATHS)
+def test_matrix_counts_equal_the_loop_counts(paths):
+    trs = [traj(str(i), path) for i, path in enumerate(paths)]
+    m = fit_transition_matrix(trs, DEPARTMENTS)
+    assert np.array_equal(np.asarray(m.counts), loop_transition_counts(trs, DEPARTMENTS))
+
+
+def test_cluster_matrices_count_their_members():
+    config = GeneratorConfig.from_dict(flat_generator_dict(seed=5, horizon=120.0))
+    result = generate(config)
+    trs = extract_trajectories(result.entries)
+    departments = tuple(sorted(config.departments))
+    pc = cluster(trs, 3, seed=2, departments=departments)
+    labels = np.asarray(pc.labels)
+    assert np.array_equal(np.asarray(pc.fallback.counts),
+                          loop_transition_counts(trs, departments))
+    for j, c in enumerate(pc.clusters):
+        members = [tr for tr, label in zip(trs, labels) if label == j]
+        assert c.member_count == len(members)
+        assert np.array_equal(np.asarray(c.matrix.counts),
+                              loop_transition_counts(members, departments))
 
 
 # --- clustering -------------------------------------------------------------------
