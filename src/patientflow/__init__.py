@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .domain import (  # noqa: F401
     ArrivalSeries,
     DepartmentSpec,
-    EventLogEntry,
+    EventLog,
     PatientProfile,
-    Trajectory,
+    Trajectories,
     bucketize,
     extract_trajectories,
     parse_event_log,

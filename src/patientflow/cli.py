@@ -19,15 +19,10 @@ from pathlib import Path
 
 import dataclasses
 
+import numpy as np
+
 from . import __version__, codec, estimators, inflow, pathways
-from .domain import (
-    DepartmentSpec,
-    admission_costs,
-    bucketize,
-    extract_trajectories,
-    parse_event_log,
-    stay_targets,
-)
+from .domain import DepartmentSpec, bucketize, extract_trajectories, parse_event_log
 from .engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -82,7 +77,7 @@ def _cmd_synth(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     result = generate(config)
     log_path, truth_path = write_outputs(result, args.out)
-    _info(f"wrote {log_path} ({len(result.entries)} stays, "
+    _info(f"wrote {log_path} ({len(result.log)} stays, "
           f"{len(result.profiles)} patients) and {truth_path}")
     return 0
 
@@ -94,39 +89,39 @@ def _parse_lags(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad --lags {text!r}, expected e.g. 1,24,168") from None
 
 
-def _auto_horizon(entries, width: float) -> float:
-    latest = max(e.enter_time for e in entries)
+def _auto_horizon(log, width: float) -> float:
+    latest = float(log.enter.max())
     return (int(latest // width) + 1) * width
 
 
-def _targets(kind, entries, profiles, department):
-    """The rows a cost model (admissions by patient id) or a stay model
-    (stays in log order, of one department if given) is fitted on."""
-    by_id = {p.patient_id: p for p in profiles}
+def _targets(kind, log, profiles, department):
+    """The rows a cost model (admissions in patient-id order) or a stay
+    model (stays in log order, of one department if given) is fitted on."""
     if kind in COT_KINDS:
-        totals = admission_costs(entries)
-        pids = sorted(totals)
-        return [by_id[pid] for pid in pids], [totals[pid] for pid in pids]
-    return stay_targets([e for e in entries if department in (None, e.department)], by_id)
+        totals = np.bincount(log.patient, weights=log.cost, minlength=len(profiles))
+        order = sorted(range(len(profiles)), key=lambda i: profiles[i].patient_id)
+        return [profiles[i] for i in order], totals[order].tolist()
+    rows = log.in_department(department) if department is not None else slice(None)
+    return [profiles[i] for i in log.patient[rows].tolist()], log.los[rows].tolist()
 
 
 def _cmd_fit(args) -> int:
-    entries, profiles = _load_log(args.log)
-    if not entries:
+    log, profiles = _load_log(args.log)
+    if not len(log):
         raise DataError("event log is empty")
     kind = args.model
 
     if kind in INFLOW_KINDS:
         width = args.bucket_width
-        horizon = args.horizon if args.horizon is not None else _auto_horizon(entries, width)
-        series = bucketize(entries, width, args.start, horizon)
+        horizon = args.horizon if args.horizon is not None else _auto_horizon(log, width)
+        series = bucketize(log, width, args.start, horizon)
         calendar = () if args.calendar == "none" else inflow.default_calendar(width)
         spec = inflow.ForecasterSpec(kind, args.m, args.alpha, args.beta, args.gamma,
                                      _parse_lags(args.lags or ""), calendar)
         model = spec.fit(series)
 
     elif kind in LOS_KINDS or kind in COT_KINDS:
-        profs, targets = _targets(kind, entries, profiles, args.department)
+        profs, targets = _targets(kind, log, profiles, args.department)
         if kind == "lognormal_los":
             model = estimators.fit_lognormal(targets)
         elif kind == "gamma_los":
@@ -151,14 +146,13 @@ def _cmd_fit(args) -> int:
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
 
     else:  # pathway kinds
-        trajectories = extract_trajectories(entries)
+        trajectories = extract_trajectories(log, profiles)
         if kind == "transition":
             model = pathways.fit_transition_matrix(trajectories)
         else:
             if args.k is None or args.seed is None:
                 raise ConfigError("clusters requires --k and --seed")
-            by_id = {p.patient_id: p for p in profiles}
-            traj_profiles = [by_id[tr.patient_id] for tr in trajectories]
+            traj_profiles = [profiles[i] for i in trajectories.patient.tolist()]
             model = pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
 
     _write_json(codec.encode(model), Path(args.out))

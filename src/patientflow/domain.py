@@ -1,4 +1,4 @@
-"""Core record types, event-log CSV handling, and time bucketing.
+"""Core record types, the columnar event log, its CSV form, and time bucketing.
 
 Time is a plain float count of hours since the scenario epoch; there is
 no calendar or timezone arithmetic. Periods are fixed hour multiples:
@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -23,7 +25,6 @@ from .errors import (
     EmptyWindow,
     InvariantViolation,
     MalformedHeader,
-    MissingProfile,
     OverlappingStays,
     RowParseError,
 )
@@ -80,53 +81,101 @@ PROFILE_ATTRIBUTES = ("age", "gender", "comorbidity_count", "drg")
 profile_key = attrgetter(*PROFILE_ATTRIBUTES)
 
 
-@dataclass(frozen=True)
-class EventLogEntry:
-    """One department stay of one patient."""
+def check_stay(enter: float, exit_: float, cost: float) -> None:
+    """Reject a stay with a non-finite time or cost, an enter time below 0,
+    an exit not after the enter time, or a negative cost."""
+    if not (math.isfinite(enter) and math.isfinite(exit_) and math.isfinite(cost)):
+        name, value = next((n, v) for n, v in (("enter_time", enter), ("exit_time", exit_),
+                                               ("cost", cost)) if not math.isfinite(v))
+        raise InvariantViolation(name, f"{value} is not finite")
+    if enter < 0:
+        raise InvariantViolation("enter_time", f"{enter} < 0")
+    if exit_ <= enter:
+        raise InvariantViolation("exit_time", f"{exit_} not after enter_time {enter}")
+    if cost < 0:
+        raise InvariantViolation("cost", f"{cost} < 0")
 
-    patient_id: str
-    department: str
-    enter_time: float
-    exit_time: float
-    cost: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.enter_time) and math.isfinite(self.exit_time)
-                and math.isfinite(self.cost)):
-            name = next(n for n in ("enter_time", "exit_time", "cost")
-                        if not math.isfinite(getattr(self, n)))
-            raise InvariantViolation(name, f"{getattr(self, name)} is not finite")
-        if self.enter_time < 0:
-            raise InvariantViolation("enter_time", f"{self.enter_time} < 0")
-        if self.exit_time <= self.enter_time:
-            raise InvariantViolation(
-                "exit_time", f"{self.exit_time} not after enter_time {self.enter_time}"
-            )
-        if self.cost < 0:
-            raise InvariantViolation("cost", f"{self.cost} < 0")
+_COLUMNS = ("patient", "department", "enter", "exit", "cost")
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """An event log's stays as columns, one row per stay in log order.
+
+    ``patient`` indexes the profile tuple that comes with the log. Both
+    producers give every profile at least one stay, and a subset
+    (``rows``) keeps the indexing. ``department`` indexes
+    ``departments``, which names exactly the departments that occur, in
+    order of first appearance. ``enter`` and ``exit`` are hours, ``cost``
+    is the stay's cost.
+    """
+
+    departments: tuple[str, ...]
+    patient: np.ndarray
+    department: np.ndarray
+    enter: np.ndarray
+    exit: np.ndarray
+    cost: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.patient)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.departments == other.departments and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     @property
-    def los_hours(self) -> float:
-        return self.exit_time - self.enter_time
+    def los(self) -> np.ndarray:
+        """Each stay's hours."""
+        return self.exit - self.enter
+
+    def rows(self, index: np.ndarray) -> "EventLog":
+        """The rows a boolean mask or an index array picks, in that order."""
+        return event_log(self.departments, *(getattr(self, name)[index] for name in _COLUMNS))
+
+    def in_department(self, name: str) -> np.ndarray:
+        """Mask of the rows in department ``name``."""
+        if name not in self.departments:
+            return np.zeros(len(self), dtype=bool)
+        return self.department == self.departments.index(name)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """All stays of one patient, ordered by entry time."""
+def event_log(departments: Sequence[str], patient, department, enter, exit_,
+              cost) -> EventLog:
+    """An ``EventLog`` of the given columns, ``department`` indexing
+    ``departments``; keeps only the departments that occur, renumbered in
+    order of first appearance."""
+    department = np.asarray(department, dtype=np.int64)
+    codes, first = np.unique(department, return_index=True)
+    used = codes[np.argsort(first)]
+    renumber = np.zeros(len(departments), dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return EventLog(tuple(departments[i] for i in used.tolist()),
+                    np.asarray(patient, dtype=np.int64), renumber[department],
+                    np.asarray(enter, dtype=float), np.asarray(exit_, dtype=float),
+                    np.asarray(cost, dtype=float))
 
-    patient_id: str
-    stays: tuple[EventLogEntry, ...]
 
-    def __post_init__(self):
-        if not self.stays:
-            raise InvariantViolation("stays", "trajectory must be non-empty")
-        for prev, cur in zip(self.stays, self.stays[1:]):
-            if cur.enter_time < prev.exit_time:
-                raise OverlappingStays(self.patient_id)
+@dataclass(frozen=True, eq=False)
+class Trajectories:
+    """A log's stays patient-major, laid out as ``SimResult`` stores them:
+    trajectory i is the rows ``offset[i]:offset[i + 1]`` of ``stays``, in
+    order of enter time, and trajectories run in (admission time,
+    patient_id) order."""
+
+    stays: EventLog
+    offset: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offset) - 1
 
     @property
-    def departments(self) -> tuple[str, ...]:
-        return tuple(s.department for s in self.stays)
+    def patient(self) -> np.ndarray:
+        """Each trajectory's patient, an index into the log's profiles."""
+        return self.stays.patient[self.offset[:-1]]
 
 
 @dataclass(frozen=True)
@@ -172,44 +221,21 @@ class DepartmentSpec:
                               f"integer >= 1 or null, got {cap!r:.60}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def serialize_event_log(
-    entries: Sequence[EventLogEntry],
-    profiles: Iterable[PatientProfile] | Mapping[str, PatientProfile],
-) -> str:
-    """Render entries to the canonical CSV document.
+def serialize_event_log(log: EventLog, profiles: Sequence[PatientProfile]) -> str:
+    """Render a log and its profiles to the canonical CSV document.
 
     Canonical form: fixed field order, reals as 6-decimal fixed point,
     LF line endings. ``parse_event_log`` of the output reproduces the
     inputs, and re-serializing reproduces the document byte for byte.
     """
-    if isinstance(profiles, Mapping):
-        by_id = dict(profiles)
-    else:
-        by_id = {p.patient_id: p for p in profiles}
+    ids = [p.patient_id for p in profiles]
+    attributes = [f"{p.age},{p.gender},{p.comorbidity_count},{p.drg}" for p in profiles]
     lines = [CSV_HEADER]
-    for e in entries:
-        p = by_id.get(e.patient_id)
-        if p is None:
-            raise MissingProfile(f"no profile for patient {e.patient_id!r}")
-        lines.append(
-            ",".join(
-                (
-                    e.patient_id,
-                    e.department,
-                    _fmt(e.enter_time),
-                    _fmt(e.exit_time),
-                    _fmt(e.cost),
-                    str(p.age),
-                    p.gender,
-                    str(p.comorbidity_count),
-                    p.drg,
-                )
-            )
-        )
+    lines.extend(
+        f"{ids[i]},{log.departments[d]},{enter:.6f},{exit_:.6f},{cost:.6f},{attributes[i]}"
+        for i, d, enter, exit_, cost in zip(
+            log.patient.tolist(), log.department.tolist(), log.enter.tolist(),
+            log.exit.tolist(), log.cost.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -217,10 +243,10 @@ def parse_event_log(
     text: str,
     departments: Sequence[str] | None = None,
     drg_alphabet: Sequence[str] | None = None,
-) -> tuple[list[EventLogEntry], list[PatientProfile]]:
+) -> tuple[EventLog, tuple[PatientProfile, ...]]:
     """Parse an event-log CSV document.
 
-    Returns one entry per data row and profiles deduplicated by
+    Returns the rows as an ``EventLog`` and the profiles deduplicated by
     patient_id (order of first appearance). Optional ``departments`` /
     ``drg_alphabet`` restrict the categorical columns to a known set.
     Rows that violate a type invariant are rejected with their line
@@ -233,10 +259,14 @@ def parse_event_log(
     except StopIteration:
         raise MalformedHeader("empty document") from None
     if tuple(header) != CSV_FIELDS:
-        raise MalformedHeader(f"expected header {CSV_HEADER!r}, got {','.join(header)!r}")
+        raise MalformedHeader(f"line 1: expected header {CSV_HEADER!r}, "
+                              f"got {','.join(header)!r}")
 
-    entries: list[EventLogEntry] = []
-    seen: dict[str, PatientProfile] = {}
+    patient_index: dict[str, int] = {}
+    department_index: dict[str, int] = {}
+    profiles: list[PatientProfile] = []
+    first_line: list[int] = []
+    stays: list[tuple] = []  # (patient, department, enter, exit, cost)
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue  # tolerate trailing blank line
@@ -252,49 +282,38 @@ def parse_event_log(
             raise InvariantViolation("department", f"{dept!r} unknown", line=lineno)
         if drg_alphabet is not None and drg not in drg_alphabet:
             raise InvariantViolation("drg", f"{drg!r} unknown", line=lineno)
+        attributes = (age, gender, com, drg)
+        index = patient_index.get(pid)
         try:
-            entry = EventLogEntry(pid, dept, enter, exit_, cost)
-            profile = PatientProfile(pid, age, gender, com, drg)
+            check_stay(enter, exit_, cost)
+            if index is None or attributes != profile_key(profiles[index]):
+                profile = PatientProfile(pid, *attributes)
         except InvariantViolation as exc:
             raise InvariantViolation(exc.field, str(exc), line=lineno) from None
-        prev = seen.get(pid)
-        if prev is None:
-            seen[pid] = profile
-        elif prev != profile:
-            raise ConflictingProfile(pid)
-        entries.append(entry)
-    return entries, list(seen.values())
+        if index is None:
+            index = patient_index[pid] = len(profiles)
+            profiles.append(profile)
+            first_line.append(lineno)
+        elif attributes != profile_key(profiles[index]):
+            raise ConflictingProfile(pid, lineno, first_line[index])
+        code = department_index.setdefault(dept, len(department_index))
+        stays.append((index, code, enter, exit_, cost))
+    columns = np.array(stays, dtype=float).reshape(-1, 5).T
+    return event_log(tuple(department_index), *columns), tuple(profiles)
 
 
-def first_stays(entries: Sequence[EventLogEntry]) -> dict[str, float]:
-    """Map patient_id to admission time (earliest enter_time)."""
-    admissions: dict[str, float] = {}
-    for e in entries:
-        t = admissions.get(e.patient_id)
-        if t is None or e.enter_time < t:
-            admissions[e.patient_id] = e.enter_time
-    return admissions
-
-
-def stay_targets(
-    entries: Sequence[EventLogEntry], profile_by_id: Mapping[str, PatientProfile]
-) -> tuple[list[PatientProfile], list[float]]:
-    """Each entry's patient profile and stay hours, in entry order: the
-    rows a stay-duration model is fitted on."""
-    return [profile_by_id[e.patient_id] for e in entries], [e.los_hours for e in entries]
-
-
-def admission_costs(entries: Sequence[EventLogEntry]) -> dict[str, float]:
-    """Total cost per patient over the entries, patients in order of first
-    appearance: the targets a cost model is fitted on."""
-    totals: dict[str, float] = {}
-    for e in entries:
-        totals[e.patient_id] = totals.get(e.patient_id, 0.0) + e.cost
-    return totals
+def admission_times(log: EventLog) -> np.ndarray:
+    """Each patient's admission time, the earliest enter time of their
+    stays, for patient indices up to the highest in the log; inf for a
+    patient with no stay in it."""
+    size = int(log.patient.max()) + 1 if len(log) else 0
+    admission = np.full(size, np.inf)
+    np.minimum.at(admission, log.patient, log.enter)
+    return admission
 
 
 def bucketize(
-    entries: Sequence[EventLogEntry],
+    log: EventLog,
     bucket_width: float,
     start_time: float,
     horizon: float,
@@ -311,26 +330,31 @@ def bucketize(
             f"horizon {horizon} does not span a positive whole number of "
             f"{bucket_width}h buckets"
         )
-    counts = [0] * n_buckets
-    for t in first_stays(entries).values():
-        if start_time <= t < start_time + horizon:
-            counts[int((t - start_time) // bucket_width)] += 1
-    return ArrivalSeries(float(bucket_width), float(start_time), tuple(counts))
+    t = admission_times(log)
+    t = t[(start_time <= t) & (t < start_time + horizon)]
+    bucket = ((t - start_time) // bucket_width).astype(np.int64)
+    counts = np.bincount(bucket, minlength=n_buckets)
+    return ArrivalSeries(float(bucket_width), float(start_time), tuple(counts.tolist()))
 
 
-def extract_trajectories(entries: Sequence[EventLogEntry]) -> list[Trajectory]:
-    """Group entries into one time-sorted trajectory per patient.
+def extract_trajectories(log: EventLog, profiles: Sequence[PatientProfile]) -> Trajectories:
+    """Group a log's stays into one time-sorted trajectory per patient.
 
-    The result is a partition: every entry appears in exactly one
-    trajectory. Trajectories are ordered by (admission time, patient_id)
-    for determinism.
+    Every stay appears in exactly one trajectory. Trajectories are
+    ordered by (admission time, patient_id) for determinism, and a
+    patient's stays by enter time, ties in log order. Raises
+    ``OverlappingStays`` for the first patient, in order of first
+    appearance, with a stay that starts before the previous one ends.
     """
-    by_patient: dict[str, list[EventLogEntry]] = {}
-    for e in entries:
-        by_patient.setdefault(e.patient_id, []).append(e)
-    out = []
-    for pid, stays in by_patient.items():
-        stays.sort(key=lambda s: s.enter_time)
-        out.append(Trajectory(pid, tuple(stays)))  # raises OverlappingStays
-    out.sort(key=lambda tr: (tr.stays[0].enter_time, tr.patient_id))
-    return out
+    rank = np.empty(len(profiles), dtype=np.int64)
+    rank[np.argsort([p.patient_id for p in profiles])] = np.arange(len(profiles))
+    order = np.lexsort((log.enter, rank[log.patient], admission_times(log)[log.patient]))
+    stays = log.rows(order)
+    p = stays.patient
+    same = p[1:] == p[:-1]
+    overlap = same & (stays.enter[1:] < stays.exit[:-1])
+    if overlap.any():
+        raise OverlappingStays(profiles[int(p[1:][overlap].min())].patient_id)
+    # a trajectory starts at row 0 and wherever the patient changes
+    offset = np.flatnonzero(np.concatenate([[True], ~same, [True]]))
+    return Trajectories(stays, offset if len(p) else offset[:1])

@@ -45,8 +45,8 @@ from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, PatientProfile, profile_
 from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
 from .estimators import PROFILE_MODELS, location, profile_attributes, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign, cumulative_rows
-from .seeding import draw_cumulative, stream
-from .synthehr import WALK_CAP, AgeMixture, LinearRate, draw_attributes
+from .seeding import cumulative, draw_cumulative, stream
+from .synthehr import WALK_CAP, AgeMixture, LinearRate, check_attribute_probs, draw_attributes
 
 _ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
 
@@ -136,9 +136,16 @@ class AttributeSampler:
     comorbidity: LinearRate
     drg_probs: dict[str, float]
 
+    def __post_init__(self):
+        check_attribute_probs(self.gender_p, self.drg_probs)
+
+    @cached_property
+    def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
+        return tuple(self.drg_probs), cumulative(self.drg_probs.values())
+
     def sample(self, rng: Generator, patient_id: str | None = None) -> PatientProfile:
         return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
-                               self.drg_probs, patient_id or "")
+                               self.drg_table, patient_id or "")
 
 
 @dataclass(frozen=True)

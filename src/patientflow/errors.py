@@ -44,13 +44,11 @@ class InvariantViolation(DataError):
 
 
 class ConflictingProfile(DataError):
-    def __init__(self, patient_id: str):
-        super().__init__(f"patient {patient_id!r} carries conflicting attributes")
+    def __init__(self, patient_id: str, line: int, first_line: int):
+        super().__init__(f"line {line}: patient {patient_id!r} carries conflicting "
+                         f"attributes (first seen on line {first_line})")
         self.patient_id = patient_id
-
-
-class MissingProfile(DataError):
-    pass
+        self.line = line
 
 
 class OverlappingStays(DataError):

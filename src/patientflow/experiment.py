@@ -28,21 +28,20 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import codec, estimators, inflow, pathways
 from .domain import (
     DepartmentSpec,
-    EventLogEntry,
-    admission_costs,
+    EventLog,
+    admission_times,
     bucketize,
     extract_trajectories,
-    first_stays,
     profile_key,
-    stay_targets,
 )
 from .engine import (
     EmpiricalSampler,
@@ -166,7 +165,7 @@ def model_fingerprint(jsonable: dict) -> str:
 # --- ground-truth census ------------------------------------------------------
 
 def truth_census_steps(
-    entries: Sequence[EventLogEntry],
+    log: EventLog,
     department: str,
     window_start: float,
     window_end: float,
@@ -175,48 +174,38 @@ def truth_census_steps(
 
     Times in the result are relative to ``window_start``; stays are
     clipped to the window. At every boundary the census equals entries
-    so far minus exits so far.
+    so far minus exits so far; at equal times exits come first.
     """
     if window_end <= window_start:
         raise WindowMismatch("empty census window")
-    deltas: list[tuple[float, int]] = []
-    for e in entries:
-        if e.department != department:
-            continue
-        lo = max(e.enter_time, window_start)
-        hi = min(e.exit_time, window_end)
-        if hi > lo:
-            deltas.append((lo - window_start, +1))
-            deltas.append((hi - window_start, -1))
-    deltas.sort()
-    steps = [(0.0, 0)]
-    occ = 0
-    for t, d in deltas:
-        occ += d
-        steps.append((t, occ))
-    steps.append((window_end - window_start, occ))
-    return steps
+    rows = log.in_department(department)
+    lo = np.maximum(log.enter[rows], window_start)
+    hi = np.minimum(log.exit[rows], window_end)
+    inside = hi > lo
+    times = np.concatenate([lo[inside], hi[inside]]) - window_start
+    deltas = np.repeat(np.array([1, -1]), np.count_nonzero(inside))
+    order = np.lexsort((deltas, times))
+    occupied = np.cumsum(deltas[order])
+    return [(0.0, 0), *zip(times[order].tolist(), occupied.tolist()),
+            (window_end - window_start, int(occupied[-1]) if len(occupied) else 0)]
 
 
 def census_error(
     summary: ReplicationSummary,
-    entries: Sequence[EventLogEntry],
-    window_start: float,
-    departments: Sequence[str],
+    truth_steps: Mapping[str, list[tuple[float, int]]],
     warm_up: float = 0.0,
 ) -> dict[str, float]:
     """Per-department MAE between replication-mean and true census curves.
 
+    ``truth_steps`` maps each department to its ``truth_census_steps``.
     Both curves are bucketed at the summary's bucket width; buckets that
     start before ``warm_up`` (relative time) are excluded.
     """
-    window_end = window_start + summary.horizon
     width = summary.bucket_width
     out = {}
-    for dept in departments:
+    for dept, steps in truth_steps.items():
         sim = np.asarray(summary.mean_census[dept])
-        times, occupied = zip(*truth_census_steps(entries, dept, window_start, window_end))
-        truth = bucket_census(times, occupied, width, summary.horizon)
+        truth = bucket_census(*zip(*steps), width, summary.horizon)
         if len(sim) != len(truth):
             raise WindowMismatch(
                 f"{dept}: {len(sim)} sim buckets vs {len(truth)} truth buckets"
@@ -227,14 +216,6 @@ def census_error(
 
 
 # --- stack fitting ---------------------------------------------------------------
-
-def _stay_rows(entries, profile_by_id):
-    """``stay_targets`` per department, departments in first-appearance order."""
-    by_department: dict[str, list] = {}
-    for e in entries:
-        by_department.setdefault(e.department, []).append(e)
-    return {dept: stay_targets(es, profile_by_id) for dept, es in by_department.items()}
-
 
 @dataclass(frozen=True)
 class _Stack:
@@ -253,21 +234,21 @@ class _Stack:
         return {name: model_fingerprint(codec.encode(m)) for name, m in models.items()}
 
 
-def _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories, departments):
+def _fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments):
     inflow_model = inflow.fit_poisson(train_series)
     all_los = [t for _, targets in stay_rows.values() for t in targets]
     los_models = {}
     for dept in departments:
         targets = stay_rows.get(dept, (None, []))[1]
         los_models[dept] = estimators.fit_lognormal(targets if len(targets) >= 2 else all_los)
-    costs = [max(c, COST_FLOOR) for c in cost_by_pid.values()]
+    costs = [max(c, COST_FLOOR) for c in cost_rows[1]]
     cot_model = estimators.fit_lognormal(costs)
     pathway = pathways.fit_transition_matrix(trajectories, departments)
     return _Stack(STACK_A, inflow_model, los_models, cot_model, pathway)
 
 
-def _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid, trajectories,
-                 profile_by_id, departments):
+def _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,
+                 traj_profiles, departments):
     inflow_model = scenario.forecaster.fit(train_series)
     all_profiles = [p for profs, _ in stay_rows.values() for p in profs]
     all_targets = [t for _, targets in stay_rows.values() for t in targets]
@@ -279,11 +260,7 @@ def _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid, trajectories,
             los_models[dept] = fit(profs, targets)
         except DataError:  # departments with too little data fall back to a pooled fit
             los_models[dept] = fit(all_profiles, all_targets)
-    cost_profiles = [profile_by_id[pid] for pid in cost_by_pid]
-    cot_model = estimators.fit_conditional(
-        cost_profiles, list(cost_by_pid.values()), estimators.TARGET_COT
-    )
-    traj_profiles = [profile_by_id[tr.patient_id] for tr in trajectories]
+    cot_model = estimators.fit_conditional(*cost_rows, estimators.TARGET_COT)
     if scenario.pathway_k == "sweep":
         pathway = pathways.sweep_k(
             trajectories, scenario.generator.seed, traj_profiles,
@@ -331,8 +308,7 @@ def run_experiment(
     scenario (byte-identical report JSON)."""
     gen_config = scenario.generator
     result = oracle if oracle is not None else generate(gen_config)
-    entries, profiles, truth = result.entries, result.profiles, result.truth
-    profile_by_id = {p.patient_id: p for p in profiles}
+    log, profiles, truth = result.log, result.profiles, result.truth
 
     t_split = scenario.split_time
     horizon = gen_config.horizon
@@ -340,27 +316,41 @@ def run_experiment(
     if t_split <= 0 or h_test <= 0:
         raise ConfigError("split leaves an empty window")
 
-    admissions = first_stays(entries)
-    train_pids = {pid for pid, t in admissions.items() if t < t_split}
-    test_pids = {pid for pid, t in admissions.items() if t >= t_split}
-    train_entries = [e for e in entries if e.patient_id in train_pids]
-    test_entries = [e for e in entries if e.patient_id in test_pids]
+    # patients by admission time: training before the split, test after;
+    # index order is first-appearance order
+    admission = admission_times(log)
+    train = admission < t_split
+    test = admission >= t_split
+    train_log = log.rows(train[log.patient])
+    test_log = log.rows(test[log.patient])
+    train_idx = np.flatnonzero(train)
+    test_idx = np.flatnonzero(test)
     departments = tuple(sorted(gen_config.departments))
 
-    train_series = bucketize(train_entries, scenario.bucket_width, 0.0, t_split)
-    stay_rows = _stay_rows(train_entries, profile_by_id)
-    cost_by_pid = admission_costs(train_entries)
-    trajectories = extract_trajectories(train_entries)
-    train_profiles = [profile_by_id[pid] for pid in sorted(train_pids)]
+    train_series = bucketize(train_log, scenario.bucket_width, 0.0, t_split)
+    # per department in first-appearance order: profiles and stay hours in log order
+    los = train_log.los
+    stay_rows = {}
+    for code, dept in enumerate(train_log.departments):
+        rows = train_log.department == code
+        stay_rows[dept] = ([profiles[i] for i in train_log.patient[rows].tolist()],
+                           los[rows].tolist())
+    cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
+                              minlength=len(profiles))
+    cost_rows = ([profiles[i] for i in train_idx.tolist()], cost_totals[train_idx].tolist())
+    trajectories = extract_trajectories(train_log, profiles)
+    traj_profiles = [profiles[i] for i in trajectories.patient.tolist()]
+    by_pid = attrgetter("patient_id")
+    train_profiles = sorted((profiles[i] for i in train_idx.tolist()), key=by_pid)
 
-    stack_a = _fit_stack_a(train_series, stay_rows, cost_by_pid, trajectories,
+    stack_a = _fit_stack_a(train_series, stay_rows, cost_rows, trajectories,
                            departments)
-    stack_b = _fit_stack_b(scenario, train_series, stay_rows, cost_by_pid,
-                           trajectories, profile_by_id, departments)
+    stack_b = _fit_stack_b(scenario, train_series, stay_rows, cost_rows,
+                           trajectories, traj_profiles, departments)
 
     # held-out admissions per bucket
     n_test_buckets = int(round(h_test / scenario.bucket_width))
-    test_series = bucketize(entries, scenario.bucket_width, t_split, h_test)
+    test_series = bucketize(log, scenario.bucket_width, t_split, h_test)
     forecasts = {
         STACK_A: inflow.forecast(stack_a.inflow_model, n_test_buckets),
         STACK_B: inflow.forecast(stack_b.inflow_model, n_test_buckets),
@@ -397,9 +387,10 @@ def run_experiment(
         sims[stack.name] = replicate(config, jobs=scenario.jobs,
                                      census_bucket=scenario.census_bucket)
 
+    truth_steps = {dept: truth_census_steps(test_log, dept, t_split, horizon)
+                   for dept in departments}
     census_mae = {
-        name: census_error(summary, test_entries, t_split, departments,
-                           scenario.warm_up)
+        name: census_error(summary, truth_steps, scenario.warm_up)
         for name, (_, summary) in sims.items()
     }
     census_mae_mean = {
@@ -410,10 +401,8 @@ def run_experiment(
     # stay-duration fidelity: simulated stays vs held-out true stays.
     # KS is computed per department (so routing mix does not confound
     # distributional fit) and averaged weighted by true stay counts.
-    truth_los = [e.los_hours for e in test_entries]
-    truth_los_by_dept = {d: [] for d in departments}
-    for e in test_entries:
-        truth_los_by_dept[e.department].append(e.los_hours)
+    truth_los = test_log.los
+    truth_los_by_dept = {d: truth_los[test_log.in_department(d)] for d in departments}
     los_ks = {}
     sim_los_by_stack = {}
     for name, (results, _) in sims.items():
@@ -428,7 +417,7 @@ def run_experiment(
         acc = 0.0
         total = 0
         for d in departments:
-            if len(sim_by_dept[d]) and truth_los_by_dept[d]:
+            if len(sim_by_dept[d]) and len(truth_los_by_dept[d]):
                 n = len(truth_los_by_dept[d])
                 acc += n * estimators.ks_statistic(sim_by_dept[d], truth_los_by_dept[d])
                 total += n
@@ -436,14 +425,12 @@ def run_experiment(
 
     # cost per admission, both sides restricted to patients discharged
     # inside the window so horizon censoring hits them identically
-    last_exit: dict[str, float] = {}
-    for e in test_entries:
-        last_exit[e.patient_id] = max(last_exit.get(e.patient_id, 0.0), e.exit_time)
-    truth_costs = admission_costs(test_entries)
-    discharged_costs = [
-        c for pid, c in truth_costs.items() if last_exit[pid] <= horizon
-    ]
-    truth_mean_cost = float(np.mean(discharged_costs))
+    last_exit = np.zeros(len(profiles))
+    np.maximum.at(last_exit, test_log.patient, test_log.exit)
+    truth_costs = np.bincount(test_log.patient, weights=test_log.cost,
+                              minlength=len(profiles))
+    discharged = test_idx[last_exit[test_idx] <= horizon]
+    truth_mean_cost = float(np.mean(truth_costs[discharged]))
     cot_rel_err = {}
     for name, (results, _) in sims.items():
         sim_costs = np.concatenate([
@@ -465,9 +452,8 @@ def run_experiment(
     cluster_by_key = {}
     tv_a = []
     tv_b = []
-    for pid in sorted(test_pids):
-        cls = truth.latent_class[pid]
-        profile = profile_by_id[pid]
+    for profile in sorted((profiles[i] for i in test_idx.tolist()), key=by_pid):
+        cls = truth.latent_class[profile.patient_id]
         key = profile_key(profile)
         if key not in cluster_by_key:
             cluster_by_key[key] = pathways.assign(profile, clusters_b)
@@ -491,8 +477,8 @@ def run_experiment(
     report = ComparisonReport(
         split_time=t_split,
         horizon=horizon,
-        n_train_patients=len(train_pids),
-        n_test_patients=len(test_pids),
+        n_train_patients=len(train_idx),
+        n_test_patients=len(test_idx),
         inflow_metrics=inflow_metrics,
         census_mae=census_mae,
         census_mae_mean=census_mae_mean,
@@ -506,7 +492,7 @@ def run_experiment(
     if out_dir is not None:
         _write_outputs(
             Path(out_dir), report, scenario, test_series, forecasts, sims,
-            test_entries, t_split, departments, truth_los, sim_los_by_stack,
+            truth_steps, t_split, truth_los, sim_los_by_stack,
         )
     return report
 
@@ -514,7 +500,7 @@ def run_experiment(
 # --- plot-ready exports ---------------------------------------------------------
 
 def _write_outputs(out, report, scenario, test_series, forecasts, sims,
-                   test_entries, t_split, departments, truth_los, sim_los_by_stack):
+                   truth_steps, t_split, truth_los, sim_los_by_stack):
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
 
@@ -530,10 +516,8 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     cw = scenario.census_bucket
     h_test = report.horizon - t_split
     lines = ["bucket_start_hour,department,truth,stack_a,stack_b"]
-    for dept in departments:
-        times, occupied = zip(*truth_census_steps(test_entries, dept, t_split,
-                                                  report.horizon))
-        truth_curve = bucket_census(times, occupied, cw, h_test)
+    for dept, steps in truth_steps.items():
+        truth_curve = bucket_census(*zip(*steps), cw, h_test)
         a_curve = sims[STACK_A][1].mean_census[dept]
         b_curve = sims[STACK_B][1].mean_census[dept]
         for i, tv in enumerate(truth_curve):

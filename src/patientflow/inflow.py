@@ -177,46 +177,19 @@ def fit_seasonal_naive(series: ArrivalSeries, m: int) -> SeasonalNaive:
     return SeasonalNaive(m=m, tail=tuple(float(c) for c in series.counts[-m:]))
 
 
-def _hw_init(y: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
-    level = float(np.mean(y[:m]))
-    trend = float((np.mean(y[m : 2 * m]) - np.mean(y[:m])) / m)
-    seasonal = y[:m] - level
-    seasonal = seasonal - seasonal.mean()
-    return level, trend, seasonal
-
-
-def _hw_run(
-    y: np.ndarray, m: int, alpha: float, beta: float, gamma: float
-) -> tuple[float, float, np.ndarray, float]:
-    """Run the recursion; returns final state and in-sample one-step RMSE."""
-    level, trend, seasonal = _hw_init(y, m)
-    seasonal = seasonal.copy()
-    sse = 0.0
-    for t in range(m, len(y)):
-        j = t % m
-        s_prev = seasonal[j]
-        err = y[t] - (level + trend + s_prev)
-        sse += err * err
-        new_level = alpha * (y[t] - s_prev) + (1.0 - alpha) * (level + trend)
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
-        seasonal[j] = gamma * (y[t] - new_level) + (1.0 - gamma) * s_prev
-        level = new_level
-    rmse = math.sqrt(sse / (len(y) - m))
-    return level, trend, seasonal, rmse
-
-
-def _hw_grid_search(y: np.ndarray, m: int) -> tuple[float, float, float]:
-    """Pick (alpha, beta, gamma) minimizing one-step RMSE over the 0.1..0.9 grid.
-
-    All 729 combinations are smoothed simultaneously (the recursion is
-    sequential in t but vectorizes across parameter combinations).
-    """
-    combos = np.array(list(itertools.product(HW_GRID, HW_GRID, HW_GRID)))
+def _hw_smooth(
+    y: np.ndarray, m: int, combos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the recursion for each (alpha, beta, gamma) row of ``combos`` at
+    once (it is sequential in t but vectorizes across the rows); returns
+    each row's final level, trend and seasonal state and its in-sample
+    one-step squared error."""
     a, b, g = combos[:, 0], combos[:, 1], combos[:, 2]
-    level0, trend0, seasonal0 = _hw_init(y, m)
+    level0 = float(np.mean(y[:m]))
     level = np.full(len(combos), level0)
-    trend = np.full(len(combos), trend0)
-    seasonal = np.tile(seasonal0, (len(combos), 1))
+    trend = np.full(len(combos), float((np.mean(y[m : 2 * m]) - level0) / m))
+    seasonal0 = y[:m] - level0
+    seasonal = np.tile(seasonal0 - seasonal0.mean(), (len(combos), 1))
     sse = np.zeros(len(combos))
     for t in range(m, len(y)):
         j = t % m
@@ -227,8 +200,7 @@ def _hw_grid_search(y: np.ndarray, m: int) -> tuple[float, float, float]:
         trend = b * (new_level - level) + (1.0 - b) * trend
         seasonal[:, j] = g * (y[t] - new_level) + (1.0 - g) * s_prev
         level = new_level
-    best = int(np.argmin(sse))
-    return float(a[best]), float(b[best]), float(g[best])
+    return level, trend, seasonal, sse
 
 
 def fit_holt_winters(
@@ -242,22 +214,27 @@ def fit_holt_winters(
 
     When any smoothing parameter is omitted, all three are chosen by
     grid search over {0.1, ..., 0.9}^3 minimizing in-sample one-step
-    RMSE.
+    RMSE: the recursion runs for all 729 triples at once and the fit
+    keeps the final state of the best one.
     """
     y = np.asarray(series.counts, dtype=float)
     if len(y) < 2 * m:
         raise SeriesTooShort(f"need at least 2m={2 * m} buckets, got {len(y)}")
     if alpha is None or beta is None or gamma is None:
-        alpha, beta, gamma = _hw_grid_search(y, m)
-    level, trend, seasonal, _ = _hw_run(y, m, alpha, beta, gamma)
+        combos = np.array(list(itertools.product(HW_GRID, HW_GRID, HW_GRID)))
+    else:
+        combos = np.array([[alpha, beta, gamma]], dtype=float)
+    level, trend, seasonal, sse = _hw_smooth(y, m, combos)
+    best = int(np.argmin(sse))
+    alpha, beta, gamma = (float(v) for v in combos[best])
     return HoltWinters(
         alpha=alpha,
         beta=beta,
         gamma=gamma,
         m=m,
-        level=level,
-        trend=trend,
-        seasonal=tuple(float(s) for s in seasonal),
+        level=float(level[best]),
+        trend=float(trend[best]),
+        seasonal=tuple(float(s) for s in seasonal[best]),
         phase=len(y) % m,
     )
 

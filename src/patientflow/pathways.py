@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator
 
-from .domain import DISCHARGE, ENTRY, PatientProfile, Trajectory
+from .domain import DISCHARGE, ENTRY, PatientProfile, Trajectories
 from .errors import (
     ConfigError,
     MissingAttributeCentroids,
@@ -77,24 +77,23 @@ class TransitionMatrix:
         return self.row_observed[self.row_index(state)]
 
 
-def transition_counts(
-    trajectories: Sequence[Trajectory], departments: tuple[str, ...]
-) -> np.ndarray:
+def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) -> np.ndarray:
     """Each trajectory's moves as an (ENTRY + departments) x (departments +
     DISCHARGE) integer count matrix: shape (len(trajectories), n + 1, n + 1).
 
     ENTRY -> first department and last department -> DISCHARGE count as
     pseudo-moves, so a trajectory of s stays has s + 1 moves.
     """
+    stays = trajectories.stays
     idx = {d: i for i, d in enumerate(departments)}
     n, m = len(departments), len(trajectories)
-    try:
-        codes = np.array([idx[s.department] for tr in trajectories for s in tr.stays],
-                         dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownDepartment(f"department {exc} not in alphabet") from None
-    lengths = np.array([len(tr.stays) for tr in trajectories], dtype=np.int64)
-    ends = np.cumsum(lengths)
+    codes = np.array([idx.get(d, -1) for d in stays.departments],
+                     dtype=np.int64)[stays.department]
+    if np.any(codes < 0):
+        unknown = stays.departments[stays.department[np.argmax(codes < 0)]]
+        raise UnknownDepartment(f"department {unknown!r} not in alphabet")
+    lengths = np.diff(trajectories.offset)
+    ends = trajectories.offset[1:]
     rows = np.empty_like(codes)  # the state each stay is entered from
     rows[1:] = 1 + codes[:-1]
     rows[ends - lengths] = 0     # a first stay is entered from ENTRY
@@ -120,7 +119,7 @@ def _matrix(counts: np.ndarray, departments: tuple[str, ...]) -> TransitionMatri
 
 
 def fit_transition_matrix(
-    trajectories: Sequence[Trajectory],
+    trajectories: Trajectories,
     departments: Sequence[str] | None = None,
 ) -> TransitionMatrix:
     """Estimate transition probabilities by row-normalized counts.
@@ -129,11 +128,9 @@ def fit_transition_matrix(
     counted as pseudo-transitions. Rows with no observations are flagged
     rather than invented.
     """
-    if not trajectories:
+    if not len(trajectories):
         raise TooFewTrajectories("need at least one trajectory")
-    if departments is None:
-        departments = sorted({s.department for tr in trajectories for s in tr.stays})
-    departments = tuple(departments)
+    departments = _alphabet(trajectories, departments)
     return _matrix(transition_counts(trajectories, departments).sum(axis=0), departments)
 
 
@@ -142,37 +139,33 @@ def fit_transition_matrix(
 STAY_COUNT_SCALE = 10.0  # keeps the length feature comparable to the unit-mass block
 
 
-def encoding_width(departments: Sequence[str]) -> int:
-    n = len(departments)
-    return (n + 1) * (n + 1) + 1
+def _alphabet(trajectories: Trajectories, departments: Sequence[str] | None) -> tuple[str, ...]:
+    """The given departments, or by default those the stays visit, sorted."""
+    return tuple(sorted(trajectories.stays.departments) if departments is None
+                 else departments)
 
 
-def encode_all(trajectories: Sequence[Trajectory], departments: Sequence[str]) -> np.ndarray:
-    """One ``encode`` row per trajectory."""
+def encode_all(trajectories: Trajectories, departments: Sequence[str]) -> np.ndarray:
+    """One bag-of-transitions vector plus a total-stay-count feature per
+    trajectory.
+
+    The transition block is the flattened (ENTRY + departments) x
+    (departments + DISCHARGE) count matrix of the trajectory, normalized
+    by its transition count (number of stays + 1, counting the ENTRY and
+    DISCHARGE pseudo-moves), so the block always sums to 1. The stay
+    count is scaled by ``STAY_COUNT_SCALE`` so route identity, not
+    length, dominates clustering distances. Trajectories with
+    proportional transition counts and equal length encode identically.
+    """
     return _encoding(transition_counts(trajectories, tuple(departments)), trajectories)
 
 
-def _encoding(counts: np.ndarray, trajectories: Sequence[Trajectory]) -> np.ndarray:
+def _encoding(counts: np.ndarray, trajectories: Trajectories) -> np.ndarray:
     flat = counts.reshape(len(counts), -1)
     X = np.empty((len(flat), flat.shape[1] + 1))
     X[:, :-1] = flat / flat.sum(axis=1, keepdims=True)
-    X[:, -1] = [len(tr.stays) / STAY_COUNT_SCALE for tr in trajectories]
+    X[:, -1] = np.diff(trajectories.offset) / STAY_COUNT_SCALE
     return X
-
-
-def encode(trajectory: Trajectory, departments: Sequence[str]) -> np.ndarray:
-    """Bag-of-transitions vector plus a total-stay-count feature.
-
-    The transition block is the flattened (ENTRY + departments) x
-    (departments + DISCHARGE) count matrix of this single trajectory,
-    normalized by its transition count (number of stays + 1, counting
-    the ENTRY and DISCHARGE pseudo-moves), so the block always sums
-    to 1. The stay count is scaled by ``STAY_COUNT_SCALE`` so route
-    identity, not length, dominates clustering distances. Trajectories
-    with proportional transition counts and equal length encode
-    identically.
-    """
-    return encode_all([trajectory], departments)[0]
 
 
 # --- profile encoding for attribute centroids ----------------------------------
@@ -302,7 +295,7 @@ def _kmeans(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def cluster(
-    trajectories: Sequence[Trajectory],
+    trajectories: Trajectories,
     k: int,
     seed: int,
     profiles: Sequence[PatientProfile] | None = None,
@@ -321,9 +314,7 @@ def cluster(
         raise TooFewTrajectories(f"{len(trajectories)} trajectories for k={k}")
     if profiles is not None and len(profiles) != len(trajectories):
         raise ConfigError("profiles must align with trajectories")
-    if departments is None:
-        departments = sorted({s.department for tr in trajectories for s in tr.stays})
-    departments = tuple(departments)
+    departments = _alphabet(trajectories, departments)
     counts = transition_counts(trajectories, departments)
     fallback = _matrix(counts.sum(axis=0), departments)
     X = _encoding(counts, trajectories)
@@ -474,7 +465,7 @@ def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def sweep_k(
-    trajectories: Sequence[Trajectory],
+    trajectories: Trajectories,
     seed: int,
     profiles: Sequence[PatientProfile] | None = None,
     k_range: Sequence[int] = (1, 2, 3, 4, 5),
@@ -488,9 +479,7 @@ def sweep_k(
     wins exactly when every proper clustering has a negative silhouette.
     Ties go to the smaller k.
     """
-    if departments is None:
-        departments = sorted({s.department for tr in trajectories for s in tr.stays})
-    departments = tuple(departments)
+    departments = _alphabet(trajectories, departments)
     X = encode_all(trajectories, departments)
     if len(X) > silhouette_cap:
         pick = stream(seed, 999).choice(len(X), size=silhouette_cap, replace=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from numpy.random import PCG64, Generator, SeedSequence
 
@@ -26,34 +26,18 @@ def stream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def draw_index(probs: Collection[float], rng: Generator) -> int:
-    """Inverse-CDF draw of an index into ``probs`` from one ``rng.random()``.
-
-    Probabilities are summed in order; a uniform at or above the summed
-    total (rounding can leave it short of 1) takes the last index.
-    """
-    u = rng.random()
-    acc = 0.0
-    for j, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return j
-    return len(probs) - 1
-
-
 def cumulative(probs: Iterable[float]) -> list[float]:
-    """Running sums of ``probs``, added in order exactly as ``draw_index``
-    adds them."""
+    """Running sums of ``probs``, added in order, for ``draw_cumulative``."""
     return list(accumulate(probs))
 
 
 def draw_cumulative(cum: Sequence[float], rng: Generator) -> int:
-    """``draw_index`` over precomputed running sums.
+    """Inverse-CDF draw of an index from one ``rng.random()`` over the
+    running sums ``cum`` of non-negative probabilities.
 
-    For non-negative probabilities the running sums never decrease, so
-    the first sum above the uniform is found by bisection: the same index
-    from the same one ``rng.random()``, with the same fall-through to the
-    last index.
+    The index is the first whose running sum exceeds the uniform, found
+    by bisection because the sums never decrease; a uniform at or above
+    the total (rounding can leave it short of 1) takes the last index.
     """
     j = bisect_right(cum, rng.random())
     return j if j < len(cum) else len(cum) - 1

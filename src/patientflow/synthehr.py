@@ -25,17 +25,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 from numpy.random import Generator
 
 from . import codec
-from .domain import EventLogEntry, PatientProfile, serialize_event_log
+from .domain import (
+    AGE_MAX,
+    COMORBIDITY_MAX,
+    EventLog,
+    PatientProfile,
+    check_stay,
+    event_log,
+    serialize_event_log,
+)
 from .errors import ConfigError, OutOfHorizon
-from .seeding import draw_index, stream
+from .seeding import cumulative, draw_cumulative, stream
 
 WALK_CAP = 50       # max stays per patient before forced discharge
 LOS_FLOOR = 0.01    # hours; keeps stays positive after 6-decimal rounding
+AGE_MASS_MIN = 1e-3  # least probability of an age in [0, AGE_MAX] a mixture may give
 
 _STREAM_ARRIVALS = 0
 _STREAM_PATIENTS = 1
@@ -56,6 +67,31 @@ class AgeMixture:
             raise ConfigError(f"age_mix.weight {self.weight} outside [0, 1]")
         if self.sd1 < 0 or self.sd2 < 0:
             raise ConfigError("age_mix sd must be >= 0")
+        mass = (self.weight * _age_mass(self.mean1, self.sd1)
+                + (1.0 - self.weight) * _age_mass(self.mean2, self.sd2))
+        if mass < AGE_MASS_MIN:
+            raise ConfigError(f"age_mix puts {mass:.3g} of its mass on ages in "
+                              f"[0, {AGE_MAX}], below {AGE_MASS_MIN:g}: ages are drawn "
+                              "by rejection and the draw would not end")
+
+
+def _age_mass(mean: float, sd: float) -> float:
+    """Probability of [0, AGE_MAX] under Normal(mean, sd); sd 0 is a point mass."""
+    if sd == 0:
+        return float(0.0 <= mean <= AGE_MAX)
+    scale = sd * math.sqrt(2.0)
+    return 0.5 * (math.erf((AGE_MAX - mean) / scale) - math.erf(-mean / scale))
+
+
+def check_attribute_probs(gender_p: float, drg_probs: dict[str, float]) -> None:
+    """What an attribute draw needs: ``gender_p`` in [0, 1] and ``drg_probs``
+    non-empty, non-negative and summing to 1."""
+    if not (0.0 <= gender_p <= 1.0):
+        raise ConfigError("gender_p outside [0, 1]")
+    if not drg_probs or min(drg_probs.values()) < 0:
+        raise ConfigError("drg_probs must be non-empty and non-negative")
+    if abs(sum(drg_probs.values()) - 1.0) > 1e-9:
+        raise ConfigError("drg_probs must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -131,12 +167,9 @@ class GeneratorConfig:
         _check_profile("hourly_profile", self.hourly_profile, 24)
         _check_profile("weekly_profile", self.weekly_profile, 7)
         _check_profile("monthly_profile", self.monthly_profile, 12)
-        if not (0.0 <= self.gender_p <= 1.0):
-            raise ConfigError("gender_p outside [0, 1]")
         if not (0.0 <= self.severity_split <= 1.0):
             raise ConfigError("severity_split outside [0, 1]")
-        if abs(sum(self.drg_probs.values()) - 1.0) > 1e-9:
-            raise ConfigError("drg_probs must sum to 1")
+        check_attribute_probs(self.gender_p, self.drg_probs)
         for drg in self.drg_probs:
             if drg not in self.los_coeffs.drg_offsets:
                 raise ConfigError(f"los_coeffs.drg_offsets missing {drg!r}")
@@ -169,6 +202,11 @@ class GeneratorConfig:
     @property
     def n_classes(self) -> int:
         return len(self.transition_matrices)
+
+    @cached_property
+    def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
+        """The DRG levels and their running probability sums."""
+        return tuple(self.drg_probs), cumulative(self.drg_probs.values())
 
     def comorbidity_rate(self, severity: int) -> LinearRate:
         rates = self.comorbidity_rate_by_age
@@ -206,7 +244,7 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class GenerateResult:
-    entries: tuple[EventLogEntry, ...]
+    log: EventLog
     profiles: tuple[PatientProfile, ...]
     truth: GroundTruth
 
@@ -273,7 +311,7 @@ def sample_profile(
     if severity is None:
         severity = _draw_severity(config, rng)
     return draw_attributes(rng, config.age_mix, config.gender_p,
-                           config.comorbidity_rate(severity), config.drg_probs, patient_id)
+                           config.comorbidity_rate(severity), config.drg_table, patient_id)
 
 
 def draw_attributes(
@@ -281,23 +319,24 @@ def draw_attributes(
     age_mix: AgeMixture,
     gender_p: float,
     comorbidity: LinearRate,
-    drg_probs: dict[str, float],
+    drgs: tuple[tuple[str, ...], list[float]],
     patient_id: str,
 ) -> PatientProfile:
     """Draw age (rejection from the mixture truncated to [0, 120]),
-    gender, a Poisson comorbidity count capped at 30 and a DRG."""
+    gender, a Poisson comorbidity count capped at 30 and a DRG from
+    ``drgs``, the levels and running sums of ``drg_table``."""
     while True:
         if rng.random() < age_mix.weight:
             x = rng.normal(age_mix.mean1, age_mix.sd1)
         else:
             x = rng.normal(age_mix.mean2, age_mix.sd2)
-        if 0.0 <= x <= 120.0:
+        if 0.0 <= x <= AGE_MAX:
             break
     age = int(round(x))
     gender = "F" if rng.random() < gender_p else "M"
-    com = min(int(rng.poisson(comorbidity.at(age))), 30)
-    drg = list(drg_probs)[draw_index(drg_probs.values(), rng)]
-    return PatientProfile(patient_id, age, gender, com, drg)
+    com = min(int(rng.poisson(comorbidity.at(age))), COMORBIDITY_MAX)
+    levels, cum = drgs
+    return PatientProfile(patient_id, age, gender, com, levels[draw_cumulative(cum, rng)])
 
 
 def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
@@ -314,8 +353,9 @@ def generate(config: GeneratorConfig) -> GenerateResult:
     cot = config.cot_coeffs
     entry_idx = config.departments.index(config.entry_department)
     n_dep = len(config.departments)
+    walk_rows = [[cumulative(row) for row in matrix] for matrix in config.transition_matrices]
 
-    entries: list[EventLogEntry] = []
+    stays: list[tuple] = []  # (patient, department, enter, exit, cost)
     profiles: list[PatientProfile] = []
     latent: dict[str, int] = {}
     truncated = 0
@@ -324,7 +364,7 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         pid = f"P{i + 1:06d}"
         severity = _draw_severity(config, rng)
         profile = sample_profile(config, rng, severity=severity, patient_id=pid)
-        matrix = config.transition_matrices[severity]
+        rows = walk_rows[severity]
         mu_fixed = (
             los.beta0
             + los.beta_age * profile.age / 100.0
@@ -339,12 +379,11 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         while n_stays < WALK_CAP:
             stay_los = max(math.exp(rng.normal(mu_fixed, los.sigma_ln)), LOS_FLOOR)
             cost = max(0.0, cost_fixed + cot.gamma1 * stay_los + rng.normal(0.0, cot.sigma))
-            entries.append(
-                EventLogEntry(pid, config.departments[state], t, t + stay_los, cost)
-            )
+            check_stay(t, t + stay_los, cost)
+            stays.append((i, state, t, t + stay_los, cost))
             t += stay_los
             n_stays += 1
-            nxt = draw_index(matrix[state], rng)
+            nxt = draw_cumulative(rows[state], rng)
             if nxt == n_dep:  # DISCHARGE column
                 break
             state = nxt
@@ -360,7 +399,8 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         n_patients=len(arrivals),
         config=config.to_dict(),
     )
-    return GenerateResult(tuple(entries), tuple(profiles), truth)
+    log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
+    return GenerateResult(log, tuple(profiles), truth)
 
 
 def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Path]:
@@ -369,6 +409,6 @@ def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Pa
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "log.csv"
     truth_path = out / "ground_truth.json"
-    log_path.write_text(serialize_event_log(result.entries, result.profiles), encoding="utf-8")
+    log_path.write_text(serialize_event_log(result.log, result.profiles), encoding="utf-8")
     truth_path.write_text(result.truth.to_json() + "\n", encoding="utf-8")
     return log_path, truth_path

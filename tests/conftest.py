@@ -1,8 +1,11 @@
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from patientflow.domain import PatientProfile, admission_times, event_log, extract_trajectories
 from patientflow.synthehr import GeneratorConfig, generate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -27,6 +30,62 @@ def default_generator(default_scenario_dict) -> GeneratorConfig:
 def default_oracle(default_generator):
     """The full default-scenario synthetic log (generated once per session)."""
     return generate(default_generator)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def make_log(rows, profiles=None):
+    """An EventLog of (patient_id, department, enter, exit, cost) rows, and
+    its profiles: ``profiles`` if given, else one profile per patient id in
+    order of first appearance."""
+    if profiles is None:
+        profiles = [PatientProfile(pid, 40, "F", 1, "ACS")
+                    for pid in dict.fromkeys(row[0] for row in rows)]
+    index = {p.patient_id: i for i, p in enumerate(profiles)}
+    departments = list(dict.fromkeys(row[1] for row in rows))
+    log = event_log(departments, [index[row[0]] for row in rows],
+                    [departments.index(row[1]) for row in rows],
+                    [row[2] for row in rows], [row[3] for row in rows],
+                    [row[4] for row in rows])
+    return log, tuple(profiles)
+
+
+def trajectory_paths(trajectories):
+    """Each trajectory's department names, in stay order."""
+    stays = trajectories.stays
+    names = [stays.departments[d] for d in stays.department.tolist()]
+    bounds = trajectories.offset.tolist()
+    return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def trajectories_of(paths):
+    """Trajectories of one patient per path, in the given order: patient k
+    stays an hour in each department of path k, from hour 1000 k on."""
+    rows = [(f"T{k:06d}", d, 1000.0 * k + i, 1000.0 * k + i + 1.0, 0.0)
+            for k, path in enumerate(paths) for i, d in enumerate(path)]
+    return extract_trajectories(*make_log(rows))
+
+
+def split_stays(oracle, split_time):
+    """(profile, stay hours) of every stay in log order, split by whether
+    the patient was admitted before ``split_time``."""
+    log, profiles = oracle.log, oracle.profiles
+    stays = [(profiles[i], los) for i, los in zip(log.patient.tolist(), log.los.tolist())]
+    admitted = admission_times(log)[log.patient]
+    return ([s for s, t in zip(stays, admitted) if t < split_time],
+            [s for s, t in zip(stays, admitted) if t >= split_time])
 
 
 def flat_generator_dict(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from patientflow import estimators, inflow, pathways
-from patientflow.domain import DepartmentSpec, bucketize, extract_trajectories, first_stays
+from patientflow.domain import DepartmentSpec, bucketize, extract_trajectories
 from patientflow.engine import ForecastDriven, PoissonBaseline, SimConfig, replicate, run
 from patientflow.estimators import (
     TARGET_LOS,
@@ -37,6 +37,8 @@ from patientflow.pathways import TransitionMatrix, cluster, row_average_tv
 from patientflow.engine import AttributeSampler, EmpiricalSampler
 from patientflow.seeding import stream
 from patientflow.synthehr import AgeMixture, GeneratorConfig, LinearRate, generate
+
+from conftest import split_stays
 
 
 def report_line(name: str, ok: bool, detail: str) -> None:
@@ -64,7 +66,7 @@ def test_ac1_inflow_thesis(default_scenario_dict):
     t0 = time.perf_counter()
     scenario = ScenarioConfig.from_dict(default_scenario_dict)
     oracle = generate(scenario.generator)
-    series = bucketize(oracle.entries, 1.0, 0.0, scenario.generator.horizon)
+    series = bucketize(oracle.log, 1.0, 0.0, scenario.generator.horizon)
     f = scenario.forecaster
     reports = inflow.backtest(series, 20.0 / 24.0, {
         "poisson": inflow.ForecasterSpec(kind="poisson"),
@@ -93,12 +95,7 @@ def test_ac2_heterogeneity_thesis(default_oracle, default_generator):
     EM recovers a planted two-group mixture, and stay durations are
     right-skewed."""
     t0 = time.perf_counter()
-    by_id = {p.patient_id: p for p in default_oracle.profiles}
-    admissions = first_stays(default_oracle.entries)
-    train = [(by_id[e.patient_id], e.los_hours)
-             for e in default_oracle.entries if admissions[e.patient_id] < 3360.0]
-    test = [(by_id[e.patient_id], e.los_hours)
-            for e in default_oracle.entries if admissions[e.patient_id] >= 3360.0]
+    train, test = split_stays(default_oracle, 3360.0)
     train_y = [y for _, y in train]
     ln_test = np.log([y for _, y in test])
 
@@ -129,7 +126,7 @@ def test_ac2_heterogeneity_thesis(default_oracle, default_generator):
              and abs(weights[0] - 0.5) <= 0.1 and abs(weights[1] - 0.5) <= 0.1)
 
     # (c) skewness of generated stay durations
-    los = np.array([e.los_hours for e in default_oracle.entries])
+    los = default_oracle.log.los
     skew = float(((los - los.mean()) ** 3).mean() / los.std() ** 3)
 
     elapsed = time.perf_counter() - t0
@@ -159,14 +156,13 @@ def test_ac3_pathway_thesis(default_generator):
             {**default_generator.to_dict(), "horizon": horizon, "seed": 314}
         )
         oracle = generate(config)
-        trajectories = extract_trajectories(oracle.entries)
-        by_id = {p.patient_id: p for p in oracle.profiles}
-        profiles = [by_id[t.patient_id] for t in trajectories]
+        trajectories = extract_trajectories(oracle.log, oracle.profiles)
+        profiles = [oracle.profiles[i] for i in trajectories.patient]
         pc = cluster(trajectories, 2, seed=314, profiles=profiles,
                      departments=sorted(config.departments))
         labels = np.asarray(pc.labels)
-        truth = np.asarray([oracle.truth.latent_class[t.patient_id]
-                            for t in trajectories])
+        truth = np.asarray([oracle.truth.latent_class[p.patient_id]
+                            for p in profiles])
         agree = float(np.mean(labels == truth))
         purities[label] = max(agree, 1.0 - agree)
         mapping = (0, 1) if agree >= 0.5 else (1, 0)

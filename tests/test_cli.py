@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -9,13 +13,14 @@ from hypothesis import strategies as st
 
 from patientflow import codec
 from patientflow.cli import _read_sim_config, main
-from patientflow.domain import CSV_FIELDS, parse_event_log, stay_targets
-from patientflow.estimators import fit_mixture_em
+from patientflow.domain import CSV_FIELDS, PatientProfile, parse_event_log
+from patientflow.estimators import TARGET_COT, fit_conditional, fit_mixture_em
 from patientflow.errors import PatientFlowError
 from patientflow.experiment import ScenarioConfig
+from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
-from conftest import SCENARIOS, flat_generator_dict
+from conftest import SCENARIOS, flat_generator_dict, time_limit
 
 
 def write_json(path: Path, obj) -> str:
@@ -62,8 +67,8 @@ def test_synth_writes_parseable_log(tmp_path, gen_config_path, capsys):
     assert main(["synth", "--config", gen_config_path, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     log_text = (out / "log.csv").read_text()
-    entries, profiles = parse_event_log(log_text)
-    assert entries and profiles
+    log, profiles = parse_event_log(log_text)
+    assert log and profiles
     truth = json.loads((out / "ground_truth.json").read_text())
     assert truth["n_patients"] == len(profiles)
 
@@ -122,6 +127,33 @@ def test_fit_estimator_kinds(tmp_path, log_path):
         assert json.loads(out.read_text())["kind"]
 
 
+def test_fit_takes_cost_rows_in_patient_id_order(tmp_path):
+    """Admission costs reach the cost fit in patient-id order, each the sum
+    of the patient's stay costs in log order, also when the log lists
+    patients in another order."""
+    rng = stream(12)
+    lines, profiles, totals = [",".join(CSV_FIELDS)], {}, {}
+    for k in range(60):
+        pid = f"P{(37 * k) % 60:02d}"
+        age, com, drg = int(rng.integers(20, 90)), int(rng.integers(0, 6)), ("A", "B")[k % 2]
+        profiles[pid] = PatientProfile(pid, age, "F" if k % 3 else "M", com, drg)
+        t = float(k)
+        for _ in range(int(rng.integers(1, 5))):
+            cost = round(float(rng.uniform(0.0, 5000.0)), 6)
+            lines.append(f"{pid},ER,{t:.6f},{t + 0.5:.6f},{cost:.6f},{age},"
+                         f"{profiles[pid].gender},{com},{drg}")
+            totals[pid] = totals.get(pid, 0.0) + cost
+            t += 0.5
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cot.json"
+    assert main(["fit", "--log", str(log), "--model", "conditional_cot", "--out", str(out)]) == 0
+    pids = sorted(totals)
+    expected = fit_conditional([profiles[pid] for pid in pids], [totals[pid] for pid in pids],
+                               TARGET_COT)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(codec.encode(expected)))
+
+
 def test_fit_mixture_requires_seed(tmp_path, log_path):
     out = tmp_path / "m.json"
     assert main(["fit", "--log", log_path, "--model", "mixture_los", "--k", "2",
@@ -142,8 +174,8 @@ def test_mixture_that_stops_at_max_iter_says_so(tmp_path, log_path, capsys):
         warned = [line.startswith("warning: EM reached max_iter (500)")
                   for line in captured.err.splitlines()]
         assert warned == ([True, False] if warns else [False])
-        entries, profiles = parse_event_log(Path(log_path).read_text())
-        targets = stay_targets(entries, {p.patient_id: p for p in profiles})[1]
+        log, _ = parse_event_log(Path(log_path).read_text())
+        targets = log.los.tolist()
         fit = fit_mixture_em(targets, int(k), 1)
         assert fit.converged() is not warns
         assert out.read_text() == json.dumps(codec.encode(fit), indent=2, sort_keys=True) + "\n"
@@ -270,6 +302,21 @@ def test_compare_writes_report(compare_out):
     }
     for name in ("inflow_forecasts.csv", "census_compare.csv", "los_hist.csv"):
         assert (compare_out / name).exists()
+
+
+# SHA-256 of compare's outputs for the compare_out scenario, recorded while
+# the event log was still one record object per stay
+COMPARE_GOLDEN = {
+    "report.json": "79306ac0972afa44e520a0ed234f815e27471276b8966c87ac04cd5bcd28a541",
+    "inflow_forecasts.csv": "b4eb75ed7e3f5956cb2332e08d05500a49d42d34f846f21852d6164c69a17bf2",
+    "census_compare.csv": "9d898624f25d002d554869be8d3358e6c90646d261affc0b480b646328147d06",
+    "los_hist.csv": "f4b7caea83a4193980560e615ed9e9111132255f2093a6580962048ee6b9ff22",
+}
+
+
+def test_compare_golden_bytes(compare_out):
+    for name, digest in COMPARE_GOLDEN.items():
+        assert hashlib.sha256((compare_out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_report_command_renders_comparison(compare_out, capsys):
@@ -706,3 +753,109 @@ def test_config_readers_raise_only_patientflow_errors(leaf):
             read(replaced(doc, path, value))
         except PatientFlowError:
             pass
+
+
+# (command, path into its config, value): attribute probabilities that ran
+# (exit 0) or ended in a traceback before one check covered the generator
+# config and the attribute sampler alike
+ATTRIBUTE_HOLES = [
+    ("simulate", ("profile_sampler", "drg_probs"), {}),
+    ("simulate", ("profile_sampler", "drg_probs"), {"A": 1.5, "B": -0.5}),
+    ("simulate", ("profile_sampler", "drg_probs"), {"A": 1, "B": 1}),
+    ("simulate", ("profile_sampler", "gender_p"), 2.0),
+    ("synth", ("drg_probs",), {"ACS": 1.5, "HF": -0.25, "ARR": -0.25}),
+]
+
+
+def config_argv(tmp_path, default_scenario_dict, command, path, value):
+    """Arguments running ``command`` on its small config with one value replaced."""
+    if command == "synth":
+        generator = {**default_scenario_dict["generator"], "horizon": 48.0}
+        doc = write_json(tmp_path / "gen.json", replaced(generator, path, value))
+        return ["synth", "--config", doc, "--out", str(tmp_path / "out")]
+    doc = write_json(tmp_path / "sim.json", replaced(attribute_sim_config(), path, value))
+    return ["simulate", "--config", doc, "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "command, path, value", ATTRIBUTE_HOLES,
+    ids=[f"{c}-{'.'.join(p)}-{json.dumps(v)}" for c, p, v in ATTRIBUTE_HOLES])
+def test_attribute_probabilities_are_checked(tmp_path, capsys, default_scenario_dict,
+                                             command, path, value):
+    assert main(config_argv(tmp_path, default_scenario_dict, command, path, value)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert path[-1] in err
+
+
+# age mixtures with (almost) no mass on [0, 120] years, whose draw by
+# rejection never ended, and two with enough that run
+AGE_MIXES = [
+    ({"weight": 1.0, "mean1": 500.0, "sd1": 0.0, "mean2": 50.0, "sd2": 10.0}, 2),
+    ({"weight": 1.0, "mean1": 500.0, "sd1": 100.0, "mean2": 50.0, "sd2": 10.0}, 2),
+    ({"weight": 0.9995, "mean1": -40.0, "sd1": 0.0, "mean2": 50.0, "sd2": 10.0}, 2),
+    ({"weight": 0.0, "mean1": 50.0, "sd1": 10.0, "mean2": 130.0, "sd2": 3.0}, 2),
+    ({"weight": 1.0, "mean1": 50.0, "sd1": 0.0, "mean2": 500.0, "sd2": 0.0}, 0),
+    ({"weight": 0.99, "mean1": -40.0, "sd1": 0.0, "mean2": 50.0, "sd2": 10.0}, 0),
+]
+
+
+@pytest.mark.parametrize("age_mix, code", AGE_MIXES,
+                         ids=["point-500", "normal-500", "point-below-0", "normal-130",
+                              "point-50", "one-percent-in-range"])
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_age_mixture_needs_mass_in_range(tmp_path, capsys, default_scenario_dict,
+                                         command, age_mix, code):
+    path = ("age_mix",) if command == "synth" else ("profile_sampler", "age_mix")
+    with time_limit(20):
+        assert main(config_argv(tmp_path, default_scenario_dict, command, path,
+                                age_mix)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert len(err.strip().splitlines()) == 1
+        assert "age_mix" in err
+
+
+# a small valid log, and what the fuzz test puts in its place
+FUZZ_LOG = [
+    ["P1", "ER", "0.0", "10.0", "100.0", "50", "F", "1", "GEN"],
+    ["P1", "WARD", "10.0", "30.0", "50.0", "50", "F", "1", "GEN"],
+    ["P2", "ER", "1.0", "12.0", "100.0", "60", "M", "2", "GEN"],
+    ["P3", "ER", "5.0", "7.5", "80.0", "70", "F", "0", "CARD"],
+]
+FUZZ_CELLS = st.sampled_from(["x", "nan", "NaN", "inf", "-inf", "Infinity", "", " "])
+FUZZ_FITS = [["--model", "lognormal_los"], ["--model", "lognormal_cot"],
+             ["--model", "transition"], ["--model", "poisson"],
+             ["--model", "clusters", "--k", "1", "--seed", "1"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_log_fits_or_exits_3_naming_its_line(data):
+    """One cell replaced by a non-number, or a column added to or dropped
+    from one line, the header too: ``fit`` runs, or exits 3 with one line
+    naming the line."""
+    lines = [list(CSV_FIELDS), *(list(row) for row in FUZZ_LOG)]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    change = data.draw(st.sampled_from(["cell", "add", "drop"]), label="change")
+    row = lines[i]
+    if change == "cell":
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(FUZZ_CELLS)
+    elif change == "add":
+        row.insert(data.draw(st.integers(0, len(row))), data.draw(FUZZ_CELLS))
+    else:
+        del row[data.draw(st.integers(0, len(row) - 1))]
+    fit = data.draw(st.sampled_from(FUZZ_FITS), label="fit")
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text("\n".join(map(",".join, lines)) + "\n")
+        with contextlib.redirect_stderr(stderr):
+            code = main(["fit", "--log", str(log), *fit, "--out", str(Path(tmp) / "m.json")])
+    err = stderr.getvalue()
+    assert code in (0, 3), err
+    if code == 3:
+        assert len(err.strip().splitlines()) == 1
+        assert re.search(rf"\bline {i + 1}\b", err), err

@@ -4,9 +4,11 @@ import math
 import pytest
 
 from patientflow import codec, estimators, inflow, pathways
-from patientflow.domain import ArrivalSeries, EventLogEntry, PatientProfile, Trajectory
+from patientflow.domain import ArrivalSeries, PatientProfile
 from patientflow.errors import ConfigError
 from patientflow.seeding import stream
+
+from conftest import trajectories_of
 
 X = [1.0, 2.0, 4.0, 8.0, 3.0]
 PROFILES = [
@@ -18,12 +20,6 @@ TARGETS = [2.0, 3.0, 2.5, 4.0, 20.0, 18.0, 30.0, 25.0]
 SERIES = ArrivalSeries(1.0, 0.0, (3, 5, 4, 6, 2, 7, 5, 4, 6, 3, 8, 5, 4, 6))
 
 
-def traj(pid, departments):
-    stays = tuple(EventLogEntry(pid, d, float(i), i + 1.0, 0.0)
-                  for i, d in enumerate(departments))
-    return Trajectory(pid, stays)
-
-
 def fit_tree():
     return estimators.fit_tree(PROFILES, TARGETS, max_depth=2, min_leaf=2)
 
@@ -33,9 +29,9 @@ def fit_lag_regression():
 
 
 def one_model_per_kind():
-    trajectories = [traj(f"a{i}", ["A"]) for i in range(4)] + [
-        traj(f"b{i}", ["A", "B"]) for i in range(4)
-    ]
+    trajectories = trajectories_of([["A"] for i in range(4)] + [
+        ["A", "B"] for i in range(4)
+    ])
     return [
         estimators.fit_lognormal(X),
         estimators.fit_gamma_mom(X),
@@ -158,7 +154,7 @@ def test_malformed_documents_raise_config_error(doc, kinds):
 
 def test_defaults_may_be_absent_and_errors_name_the_path():
     assert codec.decode(LOGNORMAL) == estimators.LognormalFit(1.0, 0.5, 3, 0.0)
-    doc = codec.encode(pathways.fit_transition_matrix([traj("p", ["A"])]))
+    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["A"]])))
     clusters = {"kind": "pathway_clusters", "k": 1, "departments": ["A"],
                 "clusters": [{"centroid": [0.0], "matrix": {**doc, "probs": [[1.0], "x"]},
                               "member_count": 1, "attribute_centroid": None,

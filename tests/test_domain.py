@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +6,8 @@ from hypothesis import strategies as st
 from patientflow.domain import (
     CSV_HEADER,
     ArrivalSeries,
-    EventLogEntry,
     PatientProfile,
-    Trajectory,
+    admission_times,
     bucketize,
     extract_trajectories,
     parse_event_log,
@@ -23,7 +23,7 @@ from patientflow.errors import (
 )
 from patientflow.synthehr import GeneratorConfig, generate
 
-from conftest import flat_generator_dict
+from conftest import flat_generator_dict, make_log, trajectory_paths
 
 TWO_ROWS = (
     CSV_HEADER + "\n"
@@ -33,12 +33,12 @@ TWO_ROWS = (
 
 
 def test_parse_two_rows_dedups_profiles():
-    entries, profiles = parse_event_log(TWO_ROWS)
-    assert len(entries) == 2
+    log, profiles = parse_event_log(TWO_ROWS)
+    assert len(log) == 2
     assert len(profiles) == 1
     assert profiles[0] == PatientProfile("P1", 40, "F", 1, "ACS")
-    assert entries[0].department == "ER"
-    assert entries[1].los_hours == pytest.approx(14.5)
+    assert log.departments[log.department[0]] == "ER"
+    assert log.los[1] == pytest.approx(14.5)
 
 
 def test_parse_rejects_bad_header():
@@ -79,24 +79,24 @@ def test_parse_validates_alphabets():
 
 
 def test_serialize_parse_round_trip_small():
-    entries, profiles = parse_event_log(TWO_ROWS)
-    assert serialize_event_log(entries, profiles) == TWO_ROWS
+    log, profiles = parse_event_log(TWO_ROWS)
+    assert serialize_event_log(log, profiles) == TWO_ROWS
 
 
 def test_parse_accepts_crlf():
     crlf = TWO_ROWS.replace("\n", "\r\n")
-    entries, profiles = parse_event_log(crlf)
-    assert (entries, profiles) == parse_event_log(TWO_ROWS)
+    log, profiles = parse_event_log(crlf)
+    assert (log, profiles) == parse_event_log(TWO_ROWS)
 
 
 def test_round_trip_generated_log_bit_identical():
     # ~10^4-stay log from the generator round-trips byte for byte
     config = GeneratorConfig.from_dict(flat_generator_dict(horizon=760.0))
     result = generate(config)
-    assert len(result.entries) > 8000
-    doc = serialize_event_log(result.entries, result.profiles)
-    entries, profiles = parse_event_log(doc)
-    assert serialize_event_log(entries, profiles) == doc
+    assert len(result.log) > 8000
+    doc = serialize_event_log(result.log, result.profiles)
+    log, profiles = parse_event_log(doc)
+    assert serialize_event_log(log, profiles) == doc
 
 
 def test_profile_invariants():
@@ -108,28 +108,31 @@ def test_profile_invariants():
         PatientProfile("P", 40, "F", 31, "X")
 
 
-def _entry(pid, dept, enter, exit_):
-    return EventLogEntry(pid, dept, enter, exit_, 0.0)
+def _log(*stays):
+    """The log of (patient_id, department, enter, exit) stays, cost 0."""
+    return make_log([(*stay, 0.0) for stay in stays])
+
+
+EMPTY = _log()[0]
 
 
 def test_bucketize_examples():
-    entries = [_entry("A", "ER", 2.0, 3.0), _entry("B", "ER", 12.0, 13.0),
-               _entry("C", "ER", 30.0, 31.0)]
-    series = bucketize(entries, 24.0, 0.0, 48.0)
+    log, _ = _log(("A", "ER", 2.0, 3.0), ("B", "ER", 12.0, 13.0), ("C", "ER", 30.0, 31.0))
+    series = bucketize(log, 24.0, 0.0, 48.0)
     assert series.counts == (2, 1)
-    assert bucketize([], 24.0, 0.0, 48.0).counts == (0, 0)
+    assert bucketize(EMPTY, 24.0, 0.0, 48.0).counts == (0, 0)
 
 
 def test_bucketize_counts_first_stay_only():
-    entries = [_entry("A", "ER", 2.0, 3.0), _entry("A", "WARD", 30.0, 31.0)]
-    assert bucketize(entries, 24.0, 0.0, 48.0).counts == (1, 0)
+    log, _ = _log(("A", "ER", 2.0, 3.0), ("A", "WARD", 30.0, 31.0))
+    assert bucketize(log, 24.0, 0.0, 48.0).counts == (1, 0)
 
 
 def test_bucketize_rejects_empty_window():
     with pytest.raises(EmptyWindow):
-        bucketize([], 24.0, 0.0, 0.0)
+        bucketize(EMPTY, 24.0, 0.0, 0.0)
     with pytest.raises(EmptyWindow):
-        bucketize([], 24.0, 0.0, 36.0)  # not a whole number of buckets
+        bucketize(EMPTY, 24.0, 0.0, 36.0)  # not a whole number of buckets
 
 
 def test_bucketize_constant_rate_mean():
@@ -138,7 +141,7 @@ def test_bucketize_constant_rate_mean():
         flat_generator_dict(seed=21, horizon=2400.0, base_rate=5.0 / 24.0)
     )
     result = generate(config)
-    series = bucketize(result.entries, 24.0, 0.0, 2400.0)
+    series = bucketize(result.log, 24.0, 0.0, 2400.0)
     mean = sum(series.counts) / len(series.counts)
     assert 4.5 <= mean <= 5.5
 
@@ -152,51 +155,79 @@ def test_bucketize_constant_rate_mean():
 )
 @settings(max_examples=50, deadline=None)
 def test_bucketize_conserves_admissions(rows):
-    entries = [
-        _entry(f"P{pid}", "ER", float(start), float(start + dur))
-        for pid, start, dur in rows
-    ]
-    series = bucketize(entries, 24.0, 0.0, 480.0)
-    admitted = {e.patient_id: min(x.enter_time for x in entries if x.patient_id == e.patient_id)
-                for e in entries}
+    stays = [(f"P{pid}", "ER", float(start), float(start + dur)) for pid, start, dur in rows]
+    series = bucketize(_log(*stays)[0], 24.0, 0.0, 480.0)
+    admitted = {s[0]: min(x[2] for x in stays if x[0] == s[0]) for s in stays}
     in_window = sum(1 for t in admitted.values() if 0.0 <= t < 480.0)
     assert sum(series.counts) == in_window
 
 
 def test_extract_trajectories_orders_stays():
-    entries = [_entry("P1", "B", 10.0, 20.0), _entry("P1", "A", 0.0, 10.0)]
-    trajectories = extract_trajectories(entries)
+    trajectories = extract_trajectories(*_log(("P1", "B", 10.0, 20.0), ("P1", "A", 0.0, 10.0)))
     assert len(trajectories) == 1
-    assert trajectories[0].departments == ("A", "B")
+    assert trajectory_paths(trajectories)[0] == ("A", "B")
 
 
 def test_extract_single_stay():
-    trajectories = extract_trajectories([_entry("P1", "A", 0.0, 1.0)])
-    assert len(trajectories[0].stays) == 1
+    trajectories = extract_trajectories(*_log(("P1", "A", 0.0, 1.0)))
+    assert len(trajectory_paths(trajectories)[0]) == 1
 
 
 def test_extract_rejects_overlap():
-    entries = [_entry("P1", "A", 0.0, 10.0), _entry("P1", "B", 5.0, 15.0)]
+    log = _log(("P1", "A", 0.0, 10.0), ("P1", "B", 5.0, 15.0))
     with pytest.raises(OverlappingStays):
-        extract_trajectories(entries)
+        extract_trajectories(*log)
 
 
 def test_extract_partitions_entries(default_oracle):
-    trajectories = extract_trajectories(default_oracle.entries)
-    assert sum(len(t.stays) for t in trajectories) == len(default_oracle.entries)
+    trajectories = extract_trajectories(default_oracle.log, default_oracle.profiles)
+    assert trajectories.offset[-1] == len(default_oracle.log)
+    stays = trajectories.stays
     seen = set()
-    for t in trajectories:
-        for s in t.stays:
-            key = (s.patient_id, s.enter_time, s.department)
-            assert key not in seen
-            seen.add(key)
+    for key in zip(stays.patient.tolist(), stays.enter.tolist(), stays.department.tolist()):
+        assert key not in seen
+        seen.add(key)
 
 
-def test_trajectory_invariants():
-    with pytest.raises(InvariantViolation):
-        Trajectory("P", ())
-    with pytest.raises(OverlappingStays):
-        Trajectory("P", (_entry("P", "A", 0.0, 10.0), _entry("P", "B", 5.0, 15.0)))
+def test_extract_orders_by_admission_then_patient_id():
+    """Equal admission times fall back to patient_id order; a patient's
+    stays with equal enter times keep log order."""
+    log, profiles = _log(("P2", "B", 0.0, 1.0), ("P10", "A", 5.0, 6.0), ("P2", "C", 1.0, 1.5),
+                         ("P1", "A", 0.0, 2.0), ("P10", "B", 3.0, 5.0))
+    trajectories = extract_trajectories(log, profiles)
+    assert [profiles[i].patient_id for i in trajectories.patient] == ["P1", "P2", "P10"]
+    assert trajectory_paths(trajectories) == [("A",), ("B", "C"), ("B", "A")]
+
+
+def test_extract_overlap_names_the_first_patient_to_appear():
+    log = _log(("Q", "A", 0.0, 10.0), ("P", "A", 0.0, 10.0), ("P", "B", 5.0, 15.0),
+               ("Q", "B", 5.0, 15.0))
+    with pytest.raises(OverlappingStays) as exc:
+        extract_trajectories(*log)
+    assert exc.value.patient_id == "Q"
+
+
+def test_columns_match_the_per_patient_dict_walks(default_oracle):
+    """Admission times, cost totals and trajectory order from the columns
+    equal those of the per-patient dict walks they replaced, bit for bit."""
+    log, profiles = default_oracle.log, default_oracle.profiles
+    admissions, totals, by_patient = {}, {}, {}
+    for i, d, enter, cost in zip(log.patient.tolist(), log.department.tolist(),
+                                 log.enter.tolist(), log.cost.tolist()):
+        pid = profiles[i].patient_id
+        if pid not in admissions or enter < admissions[pid]:
+            admissions[pid] = enter
+        totals[pid] = totals.get(pid, 0.0) + cost
+        by_patient.setdefault(pid, []).append((enter, log.departments[d]))
+    ids = [p.patient_id for p in profiles]
+    assert admission_times(log).tolist() == [admissions[pid] for pid in ids]
+    costs = np.bincount(log.patient, weights=log.cost)
+    assert costs.tolist() == [totals[pid] for pid in ids]
+    walked = sorted(by_patient, key=lambda pid: (admissions[pid], pid))
+    trajectories = extract_trajectories(log, profiles)
+    assert [ids[i] for i in trajectories.patient] == walked
+    assert trajectory_paths(trajectories) == [
+        tuple(d for _, d in sorted(by_patient[pid], key=lambda s: s[0])) for pid in walked]
 
 
 def test_arrival_series_invariants():
@@ -222,13 +253,10 @@ def test_arrival_series_invariants():
 )
 @settings(max_examples=60, deadline=None)
 def test_serialize_is_canonical_fixed_point(rows):
-    entries = [
-        EventLogEntry(f"P{pid}", "ER", enter / 100.0, enter / 100.0 + dur / 100.0,
-                      cost / 100.0)
+    log, profiles = make_log([
+        (f"P{pid}", "ER", enter / 100.0, enter / 100.0 + dur / 100.0, cost / 100.0)
         for pid, enter, dur, cost in rows
-    ]
-    profiles = {f"P{pid}": PatientProfile(f"P{pid}", 40, "F", 1, "ACS")
-                for pid, _, _, _ in rows}
-    doc = serialize_event_log(entries, profiles)
-    parsed_entries, parsed_profiles = parse_event_log(doc)
-    assert serialize_event_log(parsed_entries, parsed_profiles) == doc
+    ])
+    doc = serialize_event_log(log, profiles)
+    parsed_log, parsed_profiles = parse_event_log(doc)
+    assert serialize_event_log(parsed_log, parsed_profiles) == doc

@@ -1,6 +1,4 @@
 import math
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +35,9 @@ from patientflow.estimators import (
 from patientflow.pathways import TransitionMatrix, cluster
 from patientflow.seeding import stream
 from patientflow.synthehr import AgeMixture, GeneratorConfig, LinearRate, generate, sample_profile
+
+from conftest import time_limit
+
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
 
@@ -475,20 +476,6 @@ def test_capped_runs_conserve_bound_and_queue_fifo(config):
 
 # --- census buckets -------------------------------------------------------------------
 
-@contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def reference_bucket_census(series, width, horizon):
     """The census bucketing written as a loop over the pieces of each step."""
     nb = int(math.ceil(horizon / width - 1e-9))
@@ -568,16 +555,13 @@ def learned_config(default_generator):
     conditional cost model, clustered pathways and an empirical pool."""
     oracle = generate(GeneratorConfig.from_dict({**default_generator.to_dict(),
                                                  "horizon": 240.0}))
-    by_id = {p.patient_id: p for p in oracle.profiles}
+    log, profiles = oracle.log, oracle.profiles
     stays = {}
-    for e in oracle.entries:
-        stays.setdefault(e.department, ([], []))
-        stays[e.department][0].append(by_id[e.patient_id])
-        stays[e.department][1].append(e.los_hours)
-    costs = {}
-    for e in oracle.entries:
-        costs[e.patient_id] = costs.get(e.patient_id, 0.0) + e.cost
-    trajectories = extract_trajectories(oracle.entries)
+    for d in log.departments:
+        rows = log.in_department(d)
+        stays[d] = ([profiles[i] for i in log.patient[rows]], log.los[rows].tolist())
+    costs = np.bincount(log.patient, weights=log.cost, minlength=len(profiles))
+    trajectories = extract_trajectories(log, profiles)
     return SimConfig(
         departments=(DepartmentSpec("ER", 25), DepartmentSpec("ICU", 4),
                      DepartmentSpec("WARD", 10)),
@@ -587,9 +571,8 @@ def learned_config(default_generator):
         los_models={"ER": fit_conditional(*stays["ER"], TARGET_LOS),
                     "ICU": fit_conditional(*stays["ICU"], TARGET_LOS),
                     "WARD": fit_tree(*stays["WARD"], max_depth=3)},
-        cot_model=fit_conditional([by_id[pid] for pid in costs], list(costs.values()),
-                                  TARGET_COT),
-        pathway=cluster(trajectories, 2, 5, [by_id[t.patient_id] for t in trajectories]),
+        cot_model=fit_conditional(list(profiles), costs.tolist(), TARGET_COT),
+        pathway=cluster(trajectories, 2, 5, [profiles[i] for i in trajectories.patient]),
         profile_sampler=EmpiricalSampler(tuple(oracle.profiles[:60])),
         seed=55,
         replications=4,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patientflow import codec, estimators
-from patientflow.domain import PatientProfile, first_stays
+from patientflow.domain import PatientProfile
 from patientflow.errors import (
     EmptySample,
     InsufficientData,
@@ -30,6 +30,8 @@ from patientflow.estimators import (
     sample,
 )
 from patientflow.seeding import stream
+
+from conftest import split_stays
 
 
 def profile(pid="P", age=50, gender="F", com=1, drg="ACS"):
@@ -236,12 +238,7 @@ def test_conditional_out_of_sample_rmse_near_noise_floor(default_oracle,
     # the generator is log-linear in the encoded attributes, so the fitted
     # model's held-out ln-RMSE approaches sigma_ln
     sigma_ln = default_generator.los_coeffs.sigma_ln
-    by_id = {p.patient_id: p for p in default_oracle.profiles}
-    admissions = first_stays(default_oracle.entries)
-    train = [(by_id[e.patient_id], e.los_hours)
-             for e in default_oracle.entries if admissions[e.patient_id] < 3360.0]
-    test = [(by_id[e.patient_id], e.los_hours)
-            for e in default_oracle.entries if admissions[e.patient_id] >= 3360.0]
+    train, test = split_stays(default_oracle, 3360.0)
     model = fit_conditional([p for p, _ in train], [y for _, y in train], TARGET_LOS)
     spec = model.feature_spec
     X = np.vstack([spec.encode(p) for p, _ in test])
@@ -396,12 +393,7 @@ def test_tree_respects_min_leaf():
 
 
 def test_tree_beats_univariate_on_heterogeneous_data(default_oracle):
-    by_id = {p.patient_id: p for p in default_oracle.profiles}
-    admissions = first_stays(default_oracle.entries)
-    train = [(by_id[e.patient_id], e.los_hours)
-             for e in default_oracle.entries if admissions[e.patient_id] < 3360.0]
-    test = [(by_id[e.patient_id], e.los_hours)
-            for e in default_oracle.entries if admissions[e.patient_id] >= 3360.0]
+    train, test = split_stays(default_oracle, 3360.0)
     tree = fit_tree([p for p, _ in train[:20000]], [y for _, y in train[:20000]])
     ln_fit = fit_lognormal([y for _, y in train])
     ln_test = np.log([y for _, y in test[:8000]])

@@ -1,10 +1,11 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from patientflow import codec, inflow
-from patientflow.domain import EventLogEntry, bucketize, first_stays
+from patientflow.domain import admission_times, bucketize
 from patientflow.engine import ReplicationSummary, bucket_census
 from patientflow.errors import ConfigError, WindowMismatch
 from patientflow.experiment import (
@@ -19,6 +20,8 @@ from patientflow.experiment import (
 )
 from patientflow.seeding import stream
 
+from conftest import make_log
+
 
 def small_scenario_dict(default_scenario_dict, **overrides):
     d = json.loads(json.dumps(default_scenario_dict))
@@ -31,8 +34,15 @@ def small_scenario_dict(default_scenario_dict, **overrides):
     return d
 
 
+Stay = namedtuple("Stay", "patient_id department enter_time exit_time cost")
+
+
 def entry(pid, dept, enter, exit_):
-    return EventLogEntry(pid, dept, enter, exit_, 10.0)
+    return Stay(pid, dept, enter, exit_, 10.0)
+
+
+def log_of(entries):
+    return make_log(entries)[0]
 
 
 # --- ground-truth census --------------------------------------------------------
@@ -43,7 +53,7 @@ def test_truth_census_matches_brute_force():
     for i in range(300):
         start = float(rng.uniform(0.0, 400.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 80.0))))
-    steps = truth_census_steps(entries, "W", 50.0, 450.0)
+    steps = truth_census_steps(log_of(entries), "W", 50.0, 450.0)
 
     def census_at(t_abs):
         return sum(1 for e in entries
@@ -71,16 +81,22 @@ def test_truth_census_matches_brute_force():
 
 def test_truth_census_boundary_identity():
     entries = [entry("A", "W", 0.0, 10.0), entry("B", "W", 5.0, 15.0)]
-    steps = truth_census_steps(entries, "W", 0.0, 20.0)
+    steps = truth_census_steps(log_of(entries), "W", 0.0, 20.0)
     # at every boundary: entries so far minus exits so far
     assert (5.0, 2) in steps
     assert (10.0, 1) in steps
     assert (15.0, 0) in steps
 
 
+def test_truth_census_exits_come_first_at_equal_times():
+    entries = [entry("A", "W", 0.0, 10.0), entry("B", "W", 10.0, 20.0)]
+    steps = truth_census_steps(log_of(entries), "W", 0.0, 30.0)
+    assert steps == [(0.0, 0), (0.0, 1), (10.0, 0), (10.0, 1), (20.0, 0), (30.0, 0)]
+
+
 def test_truth_census_rejects_empty_window():
     with pytest.raises(WindowMismatch):
-        truth_census_steps([], "W", 10.0, 10.0)
+        truth_census_steps(log_of([]), "W", 10.0, 10.0)
 
 
 def summary_for(curves, width, horizon):
@@ -101,10 +117,10 @@ def test_census_error_zero_when_identical():
     for i in range(100):
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
-    steps = truth_census_steps(entries, "W", 100.0, 340.0)
+    steps = truth_census_steps(log_of(entries), "W", 100.0, 340.0)
     truth_curve = tuple(bucket_census(*zip(*steps), 24.0, 240.0))
     summary = summary_for({"W": truth_curve}, 24.0, 240.0)
-    errors = census_error(summary, entries, 100.0, ["W"])
+    errors = census_error(summary, {"W": steps})
     assert errors["W"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -114,11 +130,11 @@ def test_census_error_constant_offset():
     for i in range(100):
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
-    steps = truth_census_steps(entries, "W", 100.0, 340.0)
+    steps = truth_census_steps(log_of(entries), "W", 100.0, 340.0)
     truth_curve = bucket_census(*zip(*steps), 24.0, 240.0)
     offset = tuple(v + 2.0 for v in truth_curve)
     summary = summary_for({"W": offset}, 24.0, 240.0)
-    errors = census_error(summary, entries, 100.0, ["W"])
+    errors = census_error(summary, {"W": steps})
     assert errors["W"] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -181,9 +197,9 @@ def test_stack_a_fingerprint_is_shared_baseline_fitter(small_report_pair):
 
     oracle = generate(scenario.generator)
     t_split = scenario.split_time
-    admissions = first_stays(oracle.entries)
-    train_entries = [e for e in oracle.entries if admissions[e.patient_id] < t_split]
-    series = bucketize(train_entries, scenario.bucket_width, 0.0, t_split)
+    train = admission_times(oracle.log) < t_split
+    train_log = oracle.log.rows(train[oracle.log.patient])
+    series = bucketize(train_log, scenario.bucket_width, 0.0, t_split)
     expected = model_fingerprint(codec.encode(inflow.fit_poisson(series)))
     assert report.fingerprints[STACK_A]["inflow"] == expected
 

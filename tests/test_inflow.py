@@ -102,6 +102,42 @@ def test_hw_matches_reference_recursion():
     assert np.allclose(model.seasonal, seasonal, atol=1e-12)
 
 
+def scalar_hw_run(y, m, alpha, beta, gamma):
+    """The one-triple recursion ``fit_holt_winters`` ran before it ran every
+    triple through the grid's vectorised recursion: final level, trend and
+    seasonal state."""
+    y = np.asarray(y, dtype=float)
+    level = float(np.mean(y[:m]))
+    trend = float((np.mean(y[m:2 * m]) - np.mean(y[:m])) / m)
+    seasonal = y[:m] - level
+    seasonal = seasonal - seasonal.mean()
+    for t in range(m, len(y)):
+        j = t % m
+        s_prev = seasonal[j]
+        new_level = alpha * (y[t] - s_prev) + (1.0 - alpha) * (level + trend)
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        seasonal[j] = gamma * (y[t] - new_level) + (1.0 - gamma) * s_prev
+        level = new_level
+    return level, trend, tuple(float(v) for v in seasonal)
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(0, 30),
+       st.one_of(st.tuples(UNIT, UNIT, UNIT), st.none()))
+def test_hw_state_keeps_the_bits_of_the_scalar_recursion(seed, m, extra, triple):
+    """Given or grid-searched, the fitted state is the scalar recursion's,
+    bit for bit, at the fit's (alpha, beta, gamma)."""
+    y = [int(v) for v in stream(seed).poisson(15.0, size=2 * m + extra)]
+    model = fit_holt_winters(series_of(y), m, *(triple or (None, None, None)))
+    if triple is not None:
+        assert (model.alpha, model.beta, model.gamma) == triple
+    expected = scalar_hw_run(y, m, model.alpha, model.beta, model.gamma)
+    assert (model.level, model.trend, model.seasonal) == expected
+
+
 def test_hw_constant_series_state():
     model = fit_holt_winters(series_of([5] * 40), M)
     assert model.level == pytest.approx(5.0)
@@ -179,7 +215,7 @@ def test_lag_regression_beats_poisson_on_seasonal_series():
     d = flat_generator_dict(seed=31, horizon=1680.0, base_rate=12.0)
     d["weekly_profile"] = [1.3, 1.25, 1.2, 1.1, 1.0, 0.6, 0.55]
     result = generate(GeneratorConfig.from_dict(d))
-    series = bucketize(result.entries, 24.0, 0.0, 1680.0)
+    series = bucketize(result.log, 24.0, 0.0, 1680.0)
     reports = backtest(series, 0.8, {
         "poisson": ForecasterSpec(kind="poisson"),
         "lagreg": ForecasterSpec(kind="lag_regression", lags=(1, 7),

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patientflow import codec
-from patientflow.domain import DISCHARGE, ENTRY, EventLogEntry, PatientProfile, Trajectory
-from patientflow.domain import extract_trajectories
+from patientflow.domain import DISCHARGE, ENTRY, PatientProfile, extract_trajectories
 from patientflow.errors import (
     MissingAttributeCentroids,
     TooFewTrajectories,
@@ -16,7 +15,6 @@ from patientflow.pathways import (
     assign,
     STAY_COUNT_SCALE,
     cluster,
-    encode,
     encode_all,
     fit_transition_matrix,
     mean_silhouette,
@@ -27,16 +25,12 @@ from patientflow.pathways import (
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig, generate
 
-from conftest import flat_generator_dict
+from conftest import flat_generator_dict, trajectories_of, trajectory_paths
 
 
-def traj(pid, departments, start=0.0):
-    stays = []
-    t = start
-    for d in departments:
-        stays.append(EventLogEntry(pid, d, t, t + 1.0, 0.0))
-        t += 1.0
-    return Trajectory(pid, tuple(stays))
+def encode(path, departments):
+    """The encoding of one trajectory."""
+    return encode_all(trajectories_of([path]), departments)[0]
 
 
 def profile(pid, age=50, gender="F", com=1, drg="ACS"):
@@ -46,27 +40,27 @@ def profile(pid, age=50, gender="F", com=1, drg="ACS"):
 # --- transition matrix fitting -------------------------------------------------
 
 def test_fit_matrix_counting_example():
-    m = fit_transition_matrix([traj("1", ["A", "B"]), traj("2", ["A"])])
+    m = fit_transition_matrix(trajectories_of([["A", "B"], ["A"]]))
     assert m.row(ENTRY) == pytest.approx((1.0, 0.0, 0.0))  # columns A, B, DISCHARGE
     assert m.row("A") == pytest.approx((0.0, 0.5, 0.5))
     assert m.row("B") == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_fit_matrix_single_trajectory():
-    m = fit_transition_matrix([traj("1", ["A"])])
+    m = fit_transition_matrix(trajectories_of([["A"]]))
     assert m.row(ENTRY) == pytest.approx((1.0, 0.0))
     assert m.row("A") == pytest.approx((0.0, 1.0))
 
 
 def test_fit_matrix_flags_unobserved_rows():
-    m = fit_transition_matrix([traj("1", ["A"])], departments=["A", "B"])
+    m = fit_transition_matrix(trajectories_of([["A"]]), departments=["A", "B"])
     assert m.observed("A")
     assert not m.observed("B")
 
 
 def test_fit_matrix_unknown_department():
     with pytest.raises(UnknownDepartment):
-        fit_transition_matrix([traj("1", ["A"])], departments=["B"])
+        fit_transition_matrix(trajectories_of([["A"]]), departments=["B"])
 
 
 def test_fit_matrix_recovers_generator_chain():
@@ -74,7 +68,7 @@ def test_fit_matrix_recovers_generator_chain():
     d = flat_generator_dict(seed=77, horizon=950.0)
     config = GeneratorConfig.from_dict(d)
     result = generate(config)
-    trajectories = extract_trajectories(result.entries)
+    trajectories = extract_trajectories(result.log, result.profiles)
     assert len(trajectories) >= 9000
     m = fit_transition_matrix(trajectories, sorted(config.departments))
     # generating rows over sorted alphabet (ER, WARD): ENTRY->ER, ER->[WARD .3, DIS .7]
@@ -91,7 +85,7 @@ def test_fit_matrix_recovers_generator_chain():
 # --- encoding ------------------------------------------------------------------
 
 def test_encode_mass_thirds():
-    vec = encode(traj("1", ["A", "B"]), ["A", "B"])
+    vec = encode(["A", "B"], ["A", "B"])
     # rows: ENTRY, A, B; columns: A, B, DISCHARGE
     block = vec[:-1].reshape(3, 3)
     assert block[0, 0] == pytest.approx(1 / 3)  # ENTRY -> A
@@ -101,7 +95,7 @@ def test_encode_mass_thirds():
 
 
 def test_encode_single_stay_uses_entry_and_discharge():
-    vec = encode(traj("1", ["A"]), ["A", "B"])
+    vec = encode(["A"], ["A", "B"])
     block = vec[:-1].reshape(3, 3)
     assert block[0, 0] == pytest.approx(0.5)  # ENTRY -> A
     assert block[1, 2] == pytest.approx(0.5)  # A -> DISCHARGE
@@ -109,8 +103,8 @@ def test_encode_single_stay_uses_entry_and_discharge():
 
 
 def test_encode_deterministic_and_time_invariant():
-    a = encode(traj("1", ["A", "B", "A"], start=0.0), ["A", "B"])
-    b = encode(traj("2", ["A", "B", "A"], start=99.0), ["A", "B"])
+    # the second patient is admitted 1000 h after the first
+    a, b = encode_all(trajectories_of([["A", "B", "A"], ["A", "B", "A"]]), ["A", "B"])
     assert np.array_equal(a, b)
 
 
@@ -120,15 +114,14 @@ def test_encode_block_sums_to_one_any_trajectory():
         length = int(rng.integers(1, 8))
         departments = ["A", "B", "C"]
         path = [departments[int(rng.integers(3))] for _ in range(length)]
-        vec = encode(traj("p", path), departments)
+        vec = encode(path, departments)
         assert vec[:-1].sum() == pytest.approx(1.0)
 
 
 def test_encode_alphabet_permutation_preserves_distances():
     paths = [["A"], ["A", "B"], ["B", "A", "A"], ["B"]]
-    trs = [traj(str(i), p) for i, p in enumerate(paths)]
-    e1 = np.vstack([encode(t, ["A", "B"]) for t in trs])
-    e2 = np.vstack([encode(t, ["B", "A"]) for t in trs])
+    e1 = np.vstack([encode(p, ["A", "B"]) for p in paths])
+    e2 = np.vstack([encode(p, ["B", "A"]) for p in paths])
     d1 = np.linalg.norm(e1[:, None, :] - e1[None, :, :], axis=2)
     d2 = np.linalg.norm(e2[:, None, :] - e2[None, :, :], axis=2)
     assert np.allclose(d1, d2)
@@ -136,19 +129,20 @@ def test_encode_alphabet_permutation_preserves_distances():
 
 def test_encode_unknown_department():
     with pytest.raises(UnknownDepartment):
-        encode(traj("1", ["C"]), ["A", "B"])
+        encode(["C"], ["A", "B"])
 
 
 # --- batch encoding against the per-trajectory loop ---------------------------------
 
-def loop_transition_counts(trajectories, departments):
-    """The per-trajectory counting loop that ``transition_counts`` replaced."""
+def loop_transition_counts(paths, departments):
+    """The per-trajectory counting loop that ``transition_counts`` replaced,
+    over each trajectory's department names."""
     idx = {d: i for i, d in enumerate(departments)}
     n = len(departments)
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for tr in trajectories:
+    for names in paths:
         try:
-            path = [idx[s.department] for s in tr.stays]
+            path = [idx[d] for d in names]
         except KeyError as exc:
             raise UnknownDepartment(f"department {exc} not in alphabet") from None
         counts[0, path[0]] += 1
@@ -158,13 +152,13 @@ def loop_transition_counts(trajectories, departments):
     return counts
 
 
-def loop_encode(trajectory, departments):
+def loop_encode(path, departments):
     """``encode`` as it was before the batch encoder: one trajectory at a time."""
-    counts = loop_transition_counts([trajectory], tuple(departments))
+    counts = loop_transition_counts([path], tuple(departments))
     total = counts.sum()
     vec = np.empty(counts.size + 1)
     vec[:-1] = counts.reshape(-1) / total
-    vec[-1] = len(trajectory.stays) / STAY_COUNT_SCALE
+    vec[-1] = len(path) / STAY_COUNT_SCALE
     return vec
 
 
@@ -177,11 +171,11 @@ PATHS = st.lists(st.lists(st.sampled_from(DEPARTMENTS), min_size=1, max_size=7),
 @settings(max_examples=200, deadline=None)
 @given(PATHS)
 def test_batch_encoder_matches_the_per_trajectory_loop(paths):
-    trs = [traj(str(i), path) for i, path in enumerate(paths)]
-    expected = np.vstack([loop_encode(tr, DEPARTMENTS) for tr in trs])
+    trs = trajectories_of(paths)
+    expected = np.vstack([loop_encode(path, DEPARTMENTS) for path in paths])
     assert encode_all(trs, DEPARTMENTS).tobytes() == expected.tobytes()
-    for tr, row in zip(trs, expected):
-        assert encode(tr, DEPARTMENTS).tobytes() == row.tobytes()
+    for path, row in zip(paths, expected):
+        assert encode(path, DEPARTMENTS).tobytes() == row.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +184,7 @@ def test_batch_encoder_rejects_an_unknown_department(paths, data):
     i = data.draw(st.integers(0, len(paths) - 1))
     j = data.draw(st.integers(0, len(paths[i]) - 1))
     paths[i][j] = "X"
-    trs = [traj(str(i), path) for i, path in enumerate(paths)]
+    trs = trajectories_of(paths)
     with pytest.raises(UnknownDepartment):
         encode_all(trs, DEPARTMENTS)
     with pytest.raises(UnknownDepartment):
@@ -200,22 +194,22 @@ def test_batch_encoder_rejects_an_unknown_department(paths, data):
 @settings(max_examples=100, deadline=None)
 @given(PATHS)
 def test_matrix_counts_equal_the_loop_counts(paths):
-    trs = [traj(str(i), path) for i, path in enumerate(paths)]
-    m = fit_transition_matrix(trs, DEPARTMENTS)
-    assert np.array_equal(np.asarray(m.counts), loop_transition_counts(trs, DEPARTMENTS))
+    m = fit_transition_matrix(trajectories_of(paths), DEPARTMENTS)
+    assert np.array_equal(np.asarray(m.counts), loop_transition_counts(paths, DEPARTMENTS))
 
 
 def test_cluster_matrices_count_their_members():
     config = GeneratorConfig.from_dict(flat_generator_dict(seed=5, horizon=120.0))
     result = generate(config)
-    trs = extract_trajectories(result.entries)
+    trs = extract_trajectories(result.log, result.profiles)
+    paths = trajectory_paths(trs)
     departments = tuple(sorted(config.departments))
     pc = cluster(trs, 3, seed=2, departments=departments)
     labels = np.asarray(pc.labels)
     assert np.array_equal(np.asarray(pc.fallback.counts),
-                          loop_transition_counts(trs, departments))
+                          loop_transition_counts(paths, departments))
     for j, c in enumerate(pc.clusters):
-        members = [tr for tr, label in zip(trs, labels) if label == j]
+        members = [path for path, label in zip(paths, labels) if label == j]
         assert c.member_count == len(members)
         assert np.array_equal(np.asarray(c.matrix.counts),
                               loop_transition_counts(members, departments))
@@ -224,7 +218,7 @@ def test_cluster_matrices_count_their_members():
 # --- clustering -------------------------------------------------------------------
 
 def test_cluster_k1_equals_global_matrix():
-    trs = [traj("1", ["A", "B"]), traj("2", ["A"]), traj("3", ["B", "B"])]
+    trs = trajectories_of([["A", "B"], ["A"], ["B", "B"]])
     pc = cluster(trs, 1, seed=0)
     global_m = fit_transition_matrix(trs)
     assert pc.clusters[0].matrix.counts == global_m.counts
@@ -232,9 +226,9 @@ def test_cluster_k1_equals_global_matrix():
 
 
 def test_cluster_separates_two_pure_groups():
-    trs = [traj(f"a{i}", ["A"]) for i in range(30)] + [
-        traj(f"b{i}", ["A", "B", "B"]) for i in range(30)
-    ]
+    trs = trajectories_of([["A"] for i in range(30)] + [
+        ["A", "B", "B"] for i in range(30)
+    ])
     pc = cluster(trs, 2, seed=1)
     labels = np.asarray(pc.labels)
     assert set(labels[:30]) != set(labels[30:])
@@ -248,10 +242,11 @@ def test_cluster_separates_two_pure_groups():
 def test_cluster_counts_conserved():
     rng = stream(4)
     departments = ["A", "B", "C"]
-    trs = []
+    paths = []
     for i in range(200):
         length = int(rng.integers(1, 6))
-        trs.append(traj(str(i), [departments[int(rng.integers(3))] for _ in range(length)]))
+        paths.append([departments[int(rng.integers(3))] for _ in range(length)])
+    trs = trajectories_of(paths)
     pc = cluster(trs, 3, seed=5)
     global_m = fit_transition_matrix(trs, pc.departments)
     summed = np.zeros_like(np.asarray(global_m.counts))
@@ -262,18 +257,18 @@ def test_cluster_counts_conserved():
 
 
 def test_cluster_handles_more_clusters_than_distinct_points():
-    trs = [traj(str(i), ["A"]) for i in range(5)]
+    trs = trajectories_of([["A"] for i in range(5)])
     pc = cluster(trs, 3, seed=6)
     assert sum(c.member_count for c in pc.clusters) == 5
 
 
 def test_cluster_too_few():
     with pytest.raises(TooFewTrajectories):
-        cluster([traj("1", ["A"])], 2, seed=0)
+        cluster(trajectories_of([["A"]]), 2, seed=0)
 
 
 def test_cluster_small_clusters_use_fallback():
-    trs = [traj(f"a{i}", ["A"]) for i in range(40)] + [traj("b", ["A", "B"])]
+    trs = trajectories_of([["A"] for i in range(40)] + [["A", "B"]])
     pc = cluster(trs, 2, seed=7)
     sizes = sorted(c.member_count for c in pc.clusters)
     assert sizes == [1, 40]
@@ -288,14 +283,13 @@ def test_cluster_recovers_latent_classes(default_generator):
         {**default_generator.to_dict(), "horizon": 104.0, "seed": 314}
     )
     result = generate(config)
-    trs = extract_trajectories(result.entries)
+    trs = extract_trajectories(result.log, result.profiles)
     assert len(trs) >= 1000
-    by_id = {p.patient_id: p for p in result.profiles}
-    profiles = [by_id[t.patient_id] for t in trs]
+    profiles = [result.profiles[i] for i in trs.patient]
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[t.patient_id] for t in trs])
+    truth = np.asarray([result.truth.latent_class[p.patient_id] for p in profiles])
     agreement = float(np.mean(labels == truth))
     assert max(agreement, 1.0 - agreement) >= 0.9
 
@@ -303,22 +297,22 @@ def test_cluster_recovers_latent_classes(default_generator):
 # --- assignment --------------------------------------------------------------------
 
 def test_assign_k1_always_zero():
-    trs = [traj(str(i), ["A"]) for i in range(10)]
+    trs = trajectories_of([["A"] for i in range(10)])
     profiles = [profile(str(i)) for i in range(10)]
     pc = cluster(trs, 1, seed=0, profiles=profiles)
     assert assign(profile("x"), pc) == 0
 
 
 def test_assign_requires_attribute_centroids():
-    pc = cluster([traj("1", ["A"]), traj("2", ["A"])], 1, seed=0)
+    pc = cluster(trajectories_of([["A"], ["A"]]), 1, seed=0)
     with pytest.raises(MissingAttributeCentroids):
         assign(profile("x"), pc)
 
 
 def test_assign_exact_centroid_match():
-    trs = [traj(f"a{i}", ["A"]) for i in range(25)] + [
-        traj(f"b{i}", ["A", "B"]) for i in range(25)
-    ]
+    trs = trajectories_of([["A"] for i in range(25)] + [
+        ["A", "B"] for i in range(25)
+    ])
     profiles = [profile(f"a{i}", age=30, com=0) for i in range(25)] + [
         profile(f"b{i}", age=80, com=9) for i in range(25)
     ]
@@ -338,13 +332,12 @@ def test_assign_accuracy_against_latent_class(default_generator):
         {**default_generator.to_dict(), "horizon": 104.0, "seed": 314}
     )
     result = generate(config)
-    trs = extract_trajectories(result.entries)
-    by_id = {p.patient_id: p for p in result.profiles}
-    profiles = [by_id[t.patient_id] for t in trs]
+    trs = extract_trajectories(result.log, result.profiles)
+    profiles = [result.profiles[i] for i in trs.patient]
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[t.patient_id] for t in trs])
+    truth = np.asarray([result.truth.latent_class[p.patient_id] for p in profiles])
     mapping = (0, 1) if np.mean(labels == truth) >= 0.5 else (1, 0)
     assigned = np.asarray([mapping[assign(p, pc)] for p in profiles])
     assert float(np.mean(assigned == truth)) > 0.75
@@ -353,14 +346,14 @@ def test_assign_accuracy_against_latent_class(default_generator):
 # --- walking ------------------------------------------------------------------------
 
 def test_next_department_absorbing():
-    m = fit_transition_matrix([traj("1", ["A"])])
+    m = fit_transition_matrix(trajectories_of([["A"]]))
     rng = stream(1)
     assert next_department(DISCHARGE, m, rng) == DISCHARGE
     assert next_department("A", m, rng) == DISCHARGE
 
 
 def test_next_department_frequency():
-    m = fit_transition_matrix([traj("1", ["A", "B"]), traj("2", ["A"])])
+    m = fit_transition_matrix(trajectories_of([["A", "B"], ["A"]]))
     rng = stream(2)
     draws = [next_department("A", m, rng) for _ in range(10_000)]
     share_b = draws.count("B") / len(draws)
@@ -369,7 +362,7 @@ def test_next_department_frequency():
 
 def test_next_department_seeded_walk():
     m = fit_transition_matrix(
-        [traj("1", ["A", "B"]), traj("2", ["A"]), traj("3", ["A", "A", "B"])]
+        trajectories_of([["A", "B"], ["A"], ["A", "A", "B"]])
     )
 
     def walk(seed):
@@ -386,14 +379,14 @@ def test_next_department_seeded_walk():
 
 
 def test_next_department_unobserved_row():
-    m = fit_transition_matrix([traj("1", ["A"])], departments=["A", "B"])
+    m = fit_transition_matrix(trajectories_of([["A"]]), departments=["A", "B"])
     with pytest.raises(UnobservedRow):
         next_department("B", m, stream(0), strict=True)
     assert next_department("B", m, stream(0)) == DISCHARGE
 
 
 def test_walks_terminate_within_cap(default_oracle, default_generator):
-    trs = extract_trajectories(default_oracle.entries[:40_000])
+    trs = extract_trajectories(default_oracle.log.rows(slice(40_000)), default_oracle.profiles)
     m = fit_transition_matrix(trs, sorted(default_generator.departments))
     rng = stream(9)
     capped = 0
@@ -418,9 +411,9 @@ def test_mean_silhouette_two_tight_groups():
 
 
 def test_sweep_k_picks_two_for_two_pure_groups():
-    trs = [traj(f"a{i}", ["A"]) for i in range(40)] + [
-        traj(f"b{i}", ["A", "B", "B"]) for i in range(40)
-    ]
+    trs = trajectories_of([["A"] for i in range(40)] + [
+        ["A", "B", "B"] for i in range(40)
+    ])
     profiles = [profile(f"a{i}", age=30) for i in range(40)] + [
         profile(f"b{i}", age=80) for i in range(40)
     ]
@@ -431,16 +424,16 @@ def test_sweep_k_picks_two_for_two_pure_groups():
 # --- diagnostics and serialization ------------------------------------------------------
 
 def test_row_average_tv_identical_and_disjoint():
-    m = fit_transition_matrix([traj("1", ["A", "B"]), traj("2", ["A"])])
+    m = fit_transition_matrix(trajectories_of([["A", "B"], ["A"]]))
     assert row_average_tv(m, m) == 0.0
-    other = fit_transition_matrix([traj("1", ["B"]), traj("2", ["B", "A"])])
+    other = fit_transition_matrix(trajectories_of([["B"], ["B", "A"]]))
     assert row_average_tv(m, other) > 0.3
 
 
 def test_pathway_json_round_trips():
-    trs = [traj(f"a{i}", ["A"]) for i in range(25)] + [
-        traj(f"b{i}", ["A", "B"]) for i in range(25)
-    ]
+    trs = trajectories_of([["A"] for i in range(25)] + [
+        ["A", "B"] for i in range(25)
+    ])
     profiles = [profile(f"p{i}", age=30 + i) for i in range(50)]
     m = fit_transition_matrix(trs)
     assert codec.decode(codec.encode(m)) == m

@@ -1,7 +1,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow.seeding import cumulative, draw_cumulative, draw_index, stream
+from patientflow.seeding import cumulative, draw_cumulative, stream
+
+
+def draw_index(probs, rng):
+    """The reference inverse-CDF draw: sum ``probs`` in order and return the
+    first index whose running sum exceeds one ``rng.random()``; a uniform at
+    or above the total (rounding can leave it short of 1) takes the last
+    index."""
+    u = rng.random()
+    acc = 0.0
+    for j, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return j
+    return len(probs) - 1
 
 # rows of non-negative weights with zeros among them, some summing to 1,
 # some short of it (the fall-through to the last index) and some over it

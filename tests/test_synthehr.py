@@ -1,5 +1,6 @@
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import chi2
 
 from patientflow.domain import serialize_event_log
 from patientflow.errors import ConfigError, OutOfHorizon
-from patientflow.seeding import draw_index, stream
+from patientflow.seeding import stream
 from patientflow.synthehr import (
     GeneratorConfig,
     generate,
@@ -18,6 +19,9 @@ from patientflow.synthehr import (
 )
 
 from conftest import flat_generator_dict
+from test_seeding import draw_index
+
+Stay = namedtuple("Stay", "enter_time exit_time")
 
 
 def make_config(**overrides):
@@ -181,9 +185,7 @@ def test_profile_always_valid(default_generator):
 def test_generate_single_department_single_stay():
     config = make_config(single_department=True, horizon=200.0)
     result = generate(config)
-    lengths = {}
-    for e in result.entries:
-        lengths[e.patient_id] = lengths.get(e.patient_id, 0) + 1
+    lengths = dict(enumerate(np.bincount(result.log.patient).tolist()))
     assert set(lengths.values()) == {1}
     assert result.truth.truncated_walks == 0
 
@@ -192,8 +194,8 @@ def test_generate_deterministic_los():
     config = make_config(single_department=True, horizon=200.0,
                          sigma_ln=0.0, beta0=math.log(48.0))
     result = generate(config)
-    for e in result.entries:
-        assert e.los_hours == pytest.approx(48.0, rel=1e-12)
+    for los in result.log.los:
+        assert los == pytest.approx(48.0, rel=1e-12)
 
 
 def test_generate_ln_los_moments():
@@ -201,8 +203,8 @@ def test_generate_ln_los_moments():
     config = make_config(single_department=True, horizon=1000.0, base_rate=10.0,
                          beta0=3.0, sigma_ln=0.4)
     result = generate(config)
-    assert len(result.entries) > 9000
-    ln_los = np.log([e.los_hours for e in result.entries])
+    assert len(result.log) > 9000
+    ln_los = np.log(result.log.los)
     assert abs(ln_los.mean() - 3.0) / 3.0 < 0.02
     assert abs(ln_los.var() - 0.16) / 0.16 < 0.02
 
@@ -213,8 +215,8 @@ def test_generate_bit_identical(default_generator):
     )
     a = generate(config)
     b = generate(config)
-    assert serialize_event_log(a.entries, a.profiles) == serialize_event_log(
-        b.entries, b.profiles
+    assert serialize_event_log(a.log, a.profiles) == serialize_event_log(
+        b.log, b.profiles
     )
     assert a.truth.to_json() == b.truth.to_json()
 
@@ -223,7 +225,7 @@ def test_generate_positive_skew_when_noisy():
     for seed, sigma in ((5, 0.2), (6, 0.5)):
         config = make_config(seed=seed, horizon=400.0, sigma_ln=sigma)
         result = generate(config)
-        los = np.array([e.los_hours for e in result.entries])
+        los = result.log.los
         skew = float(((los - los.mean()) ** 3).mean() / los.std() ** 3)
         assert skew > 0.0
 
@@ -243,7 +245,7 @@ def test_generate_bimodal_ln_los_two_groups():
     d["cot_coeffs"]["drg_offsets"] = {"LOW": 0.0, "HIGH": 0.0}
     config = GeneratorConfig.from_dict(d)
     result = generate(config)
-    ln_los = np.log([e.los_hours for e in result.entries])
+    ln_los = np.log(result.log.los)
     mu_low, mu_high = 2.5, 4.1
     mass_low = np.mean((ln_los > mu_low - 0.5) & (ln_los < mu_low + 0.5))
     mass_high = np.mean((ln_los > mu_high - 0.5) & (ln_los < mu_high + 0.5))
@@ -254,9 +256,10 @@ def test_generate_bimodal_ln_los_two_groups():
 
 
 def test_generate_contiguous_trajectories(default_oracle):
+    log = default_oracle.log
     by_patient = {}
-    for e in default_oracle.entries:
-        by_patient.setdefault(e.patient_id, []).append(e)
+    for i, enter, exit_ in zip(log.patient.tolist(), log.enter.tolist(), log.exit.tolist()):
+        by_patient.setdefault(i, []).append(Stay(enter, exit_))
     for stays in list(by_patient.values())[:2000]:
         stays.sort(key=lambda s: s.enter_time)
         for a, b in zip(stays, stays[1:]):
