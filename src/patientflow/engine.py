@@ -1,11 +1,15 @@
 """Discrete-event simulation of multi-department patient flow.
 
-The kernel is a priority queue keyed by (time, seq) with a monotone
-64-bit seq, so ties resolve in scheduling order and a fixed (config,
-seed) pair replays bit-identically. Three event kinds exist: Arrival
-(sample a profile, pick a pathway, request the first bed), Seize
-(occupy a bed or join the FIFO wait queue) and StayEnd (release the
-bed, hand it to the queue head, route onward or discharge).
+Three event kinds exist: Arrival (sample a profile, pick a pathway,
+request the first bed), Seize (occupy a bed or join the FIFO wait
+queue) and StayEnd (release the bed, hand it to the queue head, route
+onward or discharge). Arrival times are all drawn up front and sorted;
+seizes and stay ends go through a priority queue keyed by (time, seq)
+with a monotone seq, so ties resolve in scheduling order and a fixed
+(config, seed) pair replays bit-identically. The loop merges the two:
+it takes the next arrival whenever its time is at or before the
+queue's earliest. That is the order one queue holding every event
+would give if the arrivals took the lowest seqs, in arrival order.
 
 Conventions:
 
@@ -30,11 +34,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import count, repeat
 from pathlib import Path
 from typing import Union
 
@@ -43,9 +49,9 @@ from numpy.random import Generator
 
 from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, PatientProfile, profile_key
 from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
-from .estimators import PROFILE_MODELS, location, profile_attributes, sampler
-from .pathways import PathwayClusters, TransitionMatrix, assign, cumulative_rows
-from .seeding import cumulative, draw_cumulative, stream
+from .estimators import PROFILE_MODELS, draw_z, locations, profile_attributes, sampler
+from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
+from .seeding import blocks, cumulative, stream
 from .synthehr import WALK_CAP, AgeMixture, LinearRate, check_attribute_probs, draw_attributes
 
 _ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
@@ -67,6 +73,8 @@ class PoissonBaseline:
 
     def __post_init__(self):
         _check_bucket_width(self.bucket_width)
+        if self.lam < 0.0:
+            raise ConfigError(f"PoissonBaseline lam must be >= 0, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +93,20 @@ ArrivalDriver = Union[PoissonBaseline, ForecastDriven]
 
 
 def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> list[float]:
-    """Materialize arrival times on [0, horizon)."""
+    """Materialize arrival times on [0, horizon), sorted.
+
+    Poisson gaps are ``rng.exponential(1 / rate)`` draws, taken in blocks
+    of standard exponentials and scaled as numpy scales them.
+    """
     if isinstance(driver, PoissonBaseline):
         rate = driver.lam / driver.bucket_width  # per hour
         times: list[float] = []
         if rate <= 0.0:
             return times
+        scale = 1.0 / rate
         t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate)
+        for e in blocks(rng.standard_exponential):
+            t += scale * e
             if t >= horizon:
                 return times
             times.append(t)
@@ -367,15 +380,23 @@ class PatientsView(Sequence):
 #
 # ``run`` works against tables built once per SimConfig and process, not
 # against the models. Department d of the config is index d throughout.
-# Each model becomes a ``draw(rng, loc)`` function (``estimators.sampler``).
 # What depends on the patient is computed once per distinct attribute
-# tuple (``domain.profile_key``) with the same calls that a per-event
-# prediction makes: the ln-space location of every profile-dependent
-# stay and cost model (``estimators.location``: the per-row dot product,
-# or the tree leaf) and the cluster from ``pathways.assign``. Transition
-# matrices become rows of running sums over department indices, drawn by
-# bisection (``seeding.draw_cumulative``). Every value and every draw is
-# the one the models give directly, so results keep their bits.
+# tuple (``domain.profile_key``), for all tuples met at once, to the
+# numbers a per-event prediction gives: the ln-space location of every
+# profile-dependent stay and cost model (``estimators.locations``: one
+# dot product per encoded row, or the tree leaf) and the cluster from
+# ``pathways.assign_all``. An empirical sampler's whole pool is compiled
+# on first use. Transition matrices become rows of running sums over
+# department indices, drawn by bisection.
+#
+# Each stream is compiled once into a source of what its draws consume:
+# uniforms for routing and standard normals for stay or cost models that
+# are all normal-based (``estimators.draw_z``), both in blocks
+# (``seeding.blocks``), and an empirical sampler's pool indices, one
+# block per replication. A stream whose models mix draw kinds yields its
+# generator instead, for the models' scalar draws (``estimators.sampler``).
+# Every value and every draw is the one the models give directly, so
+# results keep their bits.
 
 _DISCHARGE = -1  # routing target of the DISCHARGE column
 
@@ -383,7 +404,11 @@ _DISCHARGE = -1  # routing target of the DISCHARGE column
 class _Routing:
     """A transition matrix as rows of running sums: row 0 is ENTRY, row
     1 + d department d. A draw gives a department index, an index past
-    the config's departments for a department it lacks, or _DISCHARGE."""
+    the config's departments for a department it lacks, or _DISCHARGE.
+
+    A draw bisects a row as ``seeding.draw_cumulative`` does. Its rule
+    that a uniform at or above the total takes the last index is the
+    extra last entry of ``targets``, which repeats DISCHARGE."""
 
     __slots__ = ("rows", "targets")
 
@@ -394,13 +419,13 @@ class _Routing:
         # a department outside the matrix is never entered with it
         self.rows = [cum[0]] + [cum[own[name]] if name in own else None for name in names]
         self.targets = [targets.setdefault(name, len(targets)) for name in matrix.departments]
-        self.targets.append(_DISCHARGE)
+        self.targets += (_DISCHARGE, _DISCHARGE)
 
-    def next(self, state: int, rng: Generator) -> int:
+    def next(self, state: int, uniforms: Iterator[float]) -> int:
         row = self.rows[state]
-        if row is None:  # unobserved row: discharge
+        if row is None:  # unobserved row: discharge, drawing nothing
             return _DISCHARGE
-        return self.targets[draw_cumulative(row, rng)]
+        return self.targets[bisect_right(row, next(uniforms))]
 
 
 class _Profile:
@@ -417,6 +442,16 @@ class _Profile:
         self.routing = routing
 
 
+def _value_stream(models: list) -> tuple[list[Callable], Callable[[Generator], Iterator]]:
+    """The draws ``draw(loc, x)`` of the models that share one stream, and
+    the source of their x: standard normals in blocks when every model is
+    normal-based, else the generator itself for scalar draws."""
+    normal = [draw_z(m) for m in models]
+    if None not in normal:
+        return normal, lambda rng: blocks(rng.standard_normal)
+    return [sampler(m) for m in models], repeat
+
+
 class _Tables:
     """A SimConfig compiled for the event loop (see above)."""
 
@@ -425,7 +460,8 @@ class _Tables:
         self.capacity = [d.bed_capacity for d in config.departments]
         models = [config.los_models[name] for name in names]
         models.append(config.cot_model)
-        self.draw = [sampler(m) for m in models]
+        self.stay_draw, self.stay_source = _value_stream(models[:-1])
+        (self.cost_draw,), self.cost_source = _value_stream(models[-1:])
         self.profile_models = [(slot, m) for slot, m in enumerate(models)
                                if isinstance(m, PROFILE_MODELS)]
         read = set().union(*(profile_attributes(m) for _, m in self.profile_models))
@@ -441,24 +477,43 @@ class _Tables:
                     if self.clusters is not None else [pathway])
         self.routings = [_Routing(m, names, targets) for m in matrices]
         self.target_names = list(targets)
+        self.slots = len(models)
         self.profiles: dict[tuple, _Profile] = {}
+        self.profile_sampler = config.profile_sampler
+        self.pool: list[_Profile] | None = None  # an empirical sampler's, by index
 
-    def profile(self, profile: PatientProfile) -> _Profile:
-        key = profile_key(profile)
-        entry = self.profiles.get(key)
-        if entry is None:
-            entry = self.profiles[key] = self._predict(profile)
-        return entry
+    def arrival_profiles(self, rng: Generator, n: int) -> list[_Profile]:
+        """The profile entries of n arrivals, in arrival order. An empirical
+        sampler draws all n pool indices as one block; an attribute
+        sampler draws its profiles one by one."""
+        if n == 0:
+            return []
+        sampler = self.profile_sampler
+        if isinstance(sampler, EmpiricalSampler):
+            if self.pool is None:
+                self.pool = self.entries(sampler.profiles)
+            return [self.pool[i] for i in rng.integers(len(self.pool), size=n).tolist()]
+        return self.entries([sampler.sample(rng) for _ in range(n)])
 
-    def _predict(self, profile: PatientProfile) -> _Profile:
-        slots = len(self.draw)
-        loc, unseen = [0.0] * slots, [0] * slots
-        for slot, model in self.profile_models:
-            loc[slot], unseen[slot] = location(model, profile)
-        if self.clusters is None:
-            return _Profile(loc, unseen, -1, self.routings[0])
-        index = assign(profile, self.clusters)
-        return _Profile(loc, unseen, index, self.routings[index])
+    def entries(self, profiles: Sequence[PatientProfile]) -> list[_Profile]:
+        """The entry of each profile. The attribute tuples not met before
+        are predicted together (``estimators.locations``,
+        ``pathways.assign_all``), each to the numbers it gets alone."""
+        keys = list(map(profile_key, profiles))
+        new = {key: p for key, p in zip(keys, profiles) if key not in self.profiles}
+        if new:
+            fresh = list(new.values())
+            none = ([0.0] * len(fresh), [0] * len(fresh))
+            slots = [none] * self.slots
+            for slot, model in self.profile_models:
+                slots[slot] = locations(model, fresh)
+            clusters = ([-1] * len(fresh) if self.clusters is None
+                        else assign_all(fresh, self.clusters))
+            for i, (key, k) in enumerate(zip(new, clusters)):
+                self.profiles[key] = _Profile(
+                    [loc[i] for loc, _ in slots], [unseen[i] for _, unseen in slots], k,
+                    self.routings[0] if k < 0 else self.routings[k])
+        return [self.profiles[key] for key in keys]
 
 
 class _Patient:
@@ -542,21 +597,21 @@ def bucket_census(times: Sequence[float], values: Sequence[float], width: float,
 def run(config: SimConfig, replication: int = 0) -> SimResult:
     """Execute one replication of the event loop."""
     tables = config.tables
-    arr_rng = stream(config.seed, replication, 0)
-    prof_rng = stream(config.seed, replication, 1)
-    route_rng = stream(config.seed, replication, 2)
-    los_rng = stream(config.seed, replication, 3)
-    cost_rng = stream(config.seed, replication, 4)
-
-    arrivals = inject_arrivals(config.arrival_driver, config.horizon, arr_rng)
-    heap: list[tuple] = [(t, i, _ARRIVAL, None, 0) for i, t in enumerate(arrivals)]
-    heapq.heapify(heap)
-    seq = len(arrivals)
+    arrivals = inject_arrivals(config.arrival_driver, config.horizon,
+                               stream(config.seed, replication, 0))
+    profiles = iter(tables.arrival_profiles(stream(config.seed, replication, 1),
+                                            len(arrivals)))
+    uniforms = blocks(stream(config.seed, replication, 2).random)
+    stays = tables.stay_source(stream(config.seed, replication, 3))
+    costs = tables.cost_source(stream(config.seed, replication, 4))
+    stay_draw, cost_draw = tables.stay_draw, tables.cost_draw
+    # scheduled seizes and stay ends; arrivals come from their sorted list
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    seq = count()
 
     depts = [_Dept(i, cap) for i, cap in enumerate(tables.capacity)]
     n_depts = len(depts)
-    draw = tables.draw
-    draw_cost = draw[-1]
     # per patient, in arrival order
     admission: list[float] = []
     discharge: list[float] = []
@@ -572,11 +627,6 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     unseen = 0
     last_time = 0.0
 
-    def schedule(time: float, kind: int, patient, dept: int):
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, patient, dept))
-        seq += 1
-
     def start_stay(patient: _Patient, dept: _Dept, now: float):
         nonlocal unseen
         dept.occupied += 1
@@ -584,7 +634,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         dept.occupancy.append(dept.occupied)
         d = dept.index
         entry = patient.entry
-        los = draw[d](los_rng, entry.loc[d])
+        los = stay_draw[d](entry.loc[d], next(stays))
         unseen += entry.unseen[d]
         patient.n_stays += 1
         stay_patient.append(patient.index)
@@ -592,13 +642,13 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         stay_request.append(patient.request_time)
         stay_start.append(now)
         stay_end.append(now + los)
-        schedule(now + los, _STAY_END, patient, d)
+        push(heap, (now + los, next(seq), _STAY_END, patient, d))
 
     def discharge_at(patient: _Patient, now: float):
         nonlocal unseen
         entry = patient.entry
         discharge[patient.index] = now
-        cost[patient.index] = draw_cost(cost_rng, entry.loc[-1])
+        cost[patient.index] = cost_draw(entry.loc[-1], next(costs))
         unseen += entry.unseen[-1]
 
     def request_bed(patient: _Patient, dept: int, now: float):
@@ -606,10 +656,17 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             raise ModelIncompatible(
                 f"pathway routes to unknown department {tables.target_names[dept]!r}")
         patient.request_time = now
-        schedule(now, _SEIZE, patient, dept)
+        push(heap, (now, next(seq), _SEIZE, patient, dept))
 
-    while heap:
-        time, _, kind, patient, d = heapq.heappop(heap)
+    # at equal times an arrival goes before every scheduled event
+    pending = iter(arrivals)
+    arrival = next(pending, math.inf)
+    while heap or arrival < math.inf:
+        if heap and heap[0][0] < arrival:
+            time, _, kind, patient, d = pop(heap)
+        else:
+            time, kind = arrival, _ARRIVAL
+            arrival = next(pending, math.inf)
         if time >= config.horizon:
             break
         if time < last_time:
@@ -617,13 +674,13 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         last_time = time
 
         if kind == _ARRIVAL:
-            entry = tables.profile(config.profile_sampler.sample(prof_rng))
+            entry = next(profiles)
             patient = _Patient(len(admission), entry, time)
             admission.append(time)
             discharge.append(math.nan)
             cost.append(math.nan)
             cluster.append(entry.cluster)
-            first = entry.routing.next(0, route_rng)
+            first = entry.routing.next(0, uniforms)
             if first == _DISCHARGE:
                 discharge_at(patient, time)
             else:
@@ -641,7 +698,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             dept.occupied -= 1
             dept.times.append(time)
             dept.occupancy.append(dept.occupied)
-            nxt = patient.entry.routing.next(1 + d, route_rng)
+            nxt = patient.entry.routing.next(1 + d, uniforms)
             if nxt != _DISCHARGE and patient.n_stays >= WALK_CAP:
                 truncated += 1
                 nxt = _DISCHARGE

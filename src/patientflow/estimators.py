@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.random import Generator
 
-from .domain import PatientProfile
+from .domain import PatientProfile, profile_key
 from .errors import (
     ConfigError,
     EmptySample,
@@ -334,7 +334,7 @@ class FeatureSpec:
     are one-hot with the first (reference) level dropped; a leading
     intercept column is always present. An unseen level at prediction
     time encodes as all zeros (the reference) and is counted by
-    ``encode_counting``, unless strict mode is requested. Extra
+    ``encode_all``, unless strict mode is requested. Extra
     numeric columns (e.g. future lab results) can be added by listing
     more attribute names.
     """
@@ -347,31 +347,38 @@ class FeatureSpec:
         return 1 + len(self.numeric) + sum(len(c.levels) - 1 for c in self.categorical)
 
     def encode(self, profile: PatientProfile, strict: bool = False) -> np.ndarray:
-        return self.encode_counting(profile, strict)[0]
+        return self.encode_all([profile], strict)[0][0]
 
-    def encode_counting(self, profile: PatientProfile,
-                        strict: bool = False) -> tuple[np.ndarray, int]:
-        """The encoded row and the number of unseen levels in it."""
-        row = np.zeros(self.width)
-        row[0] = 1.0
+    def encode_all(self, profiles: Sequence[PatientProfile],
+                   strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """One encoded row per profile, and the unseen levels in each.
+
+        Each entry is the float a profile gets on its own: a numeric
+        attribute is ``(float(value) - mean) / sd``, a level 1.0 or 0.0.
+        Strict mode raises for the first categorical, in spec order, with
+        a level the spec has not seen.
+        """
+        X = np.zeros((len(profiles), self.width))
+        X[:, 0] = 1.0
+        unseen = np.zeros(len(profiles), dtype=np.int64)
         i = 1
-        unseen = 0
         for f in self.numeric:
-            row[i] = (float(getattr(profile, f.name)) - f.mean) / f.sd
+            values = np.array([float(getattr(p, f.name)) for p in profiles])
+            X[:, i] = (values - f.mean) / f.sd
             i += 1
         for c in self.categorical:
-            value = getattr(profile, c.name)
-            if value not in c.levels:
-                if strict:
-                    raise UnencodableProfile(f"unseen {c.name} level {value!r}")
-                unseen += 1
-                i += len(c.levels) - 1
-                continue
-            j = c.levels.index(value)
-            if j > 0:
-                row[i + j - 1] = 1.0
+            level = {value: c.levels.index(value) for value in c.levels}
+            values = [getattr(p, c.name) for p in profiles]
+            j = np.array([level.get(value, -1) for value in values], dtype=np.int64)
+            missing = j < 0
+            if strict and missing.any():
+                value = values[int(np.argmax(missing))]
+                raise UnencodableProfile(f"unseen {c.name} level {value!r}")
+            unseen += missing
+            hit = np.flatnonzero(j > 0)
+            X[hit, i + j[hit] - 1] = 1.0
             i += len(c.levels) - 1
-        return row, unseen
+        return X, unseen
 
 
 DEFAULT_NUMERIC = ("age", "comorbidity_count")
@@ -440,7 +447,11 @@ def fit_conditional(
         spec = build_feature_spec(profiles)
     if len(t) <= spec.width:
         raise InsufficientData(f"need more than {spec.width} rows, got {len(t)}")
-    X = np.vstack([spec.encode(p) for p in profiles])
+    # encode each distinct attribute tuple once; X keeps the same floats
+    keys = list(map(profile_key, profiles))
+    distinct = dict(zip(keys, profiles))
+    row = {key: i for i, key in enumerate(distinct)}
+    X = spec.encode_all(list(distinct.values()))[0][[row[key] for key in keys]]
     gram = X.T @ X + RIDGE_DAMPING * np.eye(spec.width)
     coef = np.linalg.solve(gram, X.T @ y)
     residuals = y - X @ coef
@@ -476,10 +487,19 @@ def location(model: ConditionalModel | RegressionTree, profile: PatientProfile,
     For a conditional model this is the linear predictor, for a tree the
     leaf's mean ln target (exact leaf statistic, no exponentiation).
     """
+    loc, unseen = locations(model, [profile], strict)
+    return loc[0], unseen[0]
+
+
+def locations(model: ConditionalModel | RegressionTree, profiles: Sequence[PatientProfile],
+              strict: bool = False) -> tuple[list[float], list[int]]:
+    """``location`` of each profile, encoded together; every number is the
+    one a profile gets on its own (one ``np.dot`` per encoded row)."""
     if isinstance(model, ConditionalModel):
-        row, unseen = model.feature_spec.encode_counting(profile, strict)
-        return float(np.dot(model.coef, row)), unseen
-    return _leaf(model.root, profile).mean_ln, 0
+        rows, unseen = model.feature_spec.encode_all(profiles, strict)
+        coef = np.asarray(model.coef)
+        return [float(np.dot(coef, row)) for row in rows], unseen.tolist()
+    return [_leaf(model.root, p).mean_ln for p in profiles], [0] * len(profiles)
 
 
 def profile_attributes(model) -> set[str]:
@@ -497,35 +517,60 @@ def profile_attributes(model) -> set[str]:
     return names
 
 
-def sampler(model) -> Callable[[Generator, float], float]:
-    """Compile a fitted model into ``draw(rng, loc) -> float``.
+def _exp(x: float) -> float:
+    """``math.exp``, but infinite where the result overflows, as numpy's
+    exp gives it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def draw_z(model) -> Callable[[float, float], float] | None:
+    """Compile a normal-based model into ``draw(loc, z) -> float`` of one
+    standard normal ``z``, or None for a model that draws otherwise.
+
+    The arithmetic repeats numpy's operation for operation:
+    ``rng.normal(0, s)`` is ``0.0 + s * z`` and ``rng.lognormal(mu, s)``
+    is ``exp(mu + s * z)``, so a draw equals the model's scalar draw from
+    the generator that gave ``z``. Each draw takes the exp of one number;
+    numpy's vectorised exp can differ from it in the last bits.
+    """
+    if isinstance(model, ConditionalModel):
+        sigma = model.residual_sigma
+        if model.target_kind == TARGET_COT:
+            return lambda loc, z: max(0.0, _exp(loc + (0.0 + sigma * z)) - 1.0)
+        return lambda loc, z: _exp(loc + (0.0 + sigma * z))
+    if isinstance(model, RegressionTree):
+        sigma = model.residual_sigma
+        return lambda loc, z: _exp(loc + (0.0 + sigma * z))
+    if isinstance(model, LognormalFit):
+        mu, sigma = model.mu, model.sigma
+        return lambda loc, z: _exp(mu + sigma * z)
+    return None
+
+
+def sampler(model) -> Callable[[float, Generator], float]:
+    """Compile a fitted model into ``draw(loc, rng) -> float``.
 
     ``loc`` is the profile's ``location`` for the models in
     ``PROFILE_MODELS`` and is ignored by the others. Each draw consumes
     the generator exactly as ``sample`` does.
     """
-    if isinstance(model, ConditionalModel):
-        sigma = model.residual_sigma
-        if model.target_kind == TARGET_COT:
-            return lambda rng, loc: max(0.0, math.exp(loc + rng.normal(0.0, sigma)) - 1.0)
-        return lambda rng, loc: math.exp(loc + rng.normal(0.0, sigma))
-    if isinstance(model, RegressionTree):
-        sigma = model.residual_sigma
-        return lambda rng, loc: math.exp(loc + rng.normal(0.0, sigma))
-    if isinstance(model, LognormalFit):
-        mu, sigma = model.mu, model.sigma
-        return lambda rng, loc: float(rng.lognormal(mu, sigma))
+    normal = draw_z(model)
+    if normal is not None:
+        return lambda loc, rng: normal(loc, rng.standard_normal())
     if isinstance(model, GammaFit):
         shape, scale = model.shape, model.scale
-        return lambda rng, loc: float(rng.gamma(shape, scale))
+        return lambda loc, rng: float(rng.gamma(shape, scale))
     if isinstance(model, WeibullFit):
         shape, scale = model.shape, model.scale
-        return lambda rng, loc: scale * float(rng.weibull(shape))
+        return lambda loc, rng: scale * float(rng.weibull(shape))
     if isinstance(model, MixtureFit):
         cum = cumulative(c.weight for c in model.components)
         params = [(c.mu, c.sigma) for c in model.components]
 
-        def draw_mixture(rng: Generator, loc: float) -> float:
+        def draw_mixture(loc: float, rng: Generator) -> float:
             mu, sigma = params[draw_cumulative(cum, rng)]
             return float(rng.lognormal(mu, sigma))
 
@@ -546,11 +591,11 @@ def sample(
     """
     draw = sampler(model)
     if not isinstance(model, PROFILE_MODELS):
-        return draw(rng, 0.0)
+        return draw(0.0, rng)
     if profile is None:
         kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
         raise ConfigError(f"{kind} models require a profile to sample")
-    return draw(rng, location(model, profile, strict)[0])
+    return draw(location(model, profile, strict)[0], rng)
 
 
 # --- CART regression tree ------------------------------------------------------

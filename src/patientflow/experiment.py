@@ -449,15 +449,15 @@ def run_experiment(
     clusters_b = stack_b.pathway
     tv_by_class = [pathways.row_average_tv(stack_a.pathway, m) for m in class_matrices]
     tv_by_pair = {}
-    cluster_by_key = {}
+    held_out = sorted((profiles[i] for i in test_idx.tolist()), key=by_pid)
+    distinct = dict(zip(map(profile_key, held_out), held_out))
+    cluster_by_key = dict(zip(distinct, pathways.assign_all(list(distinct.values()),
+                                                            clusters_b)))
     tv_a = []
     tv_b = []
-    for profile in sorted((profiles[i] for i in test_idx.tolist()), key=by_pid):
+    for profile in held_out:
         cls = truth.latent_class[profile.patient_id]
-        key = profile_key(profile)
-        if key not in cluster_by_key:
-            cluster_by_key[key] = pathways.assign(profile, clusters_b)
-        pair = (cls, cluster_by_key[key])
+        pair = (cls, cluster_by_key[profile_key(profile)])
         if pair not in tv_by_pair:
             tv_by_pair[pair] = pathways.row_average_tv(
                 clusters_b.routing_matrix(pair[1]), class_matrices[cls])

@@ -52,6 +52,10 @@ class HomogeneousPoisson:
     lam: float
     degenerate: bool = False  # set when fitted on an all-zero series
 
+    def __post_init__(self):
+        if self.lam < 0.0:
+            raise ConfigError(f"HomogeneousPoisson lam must be >= 0, got {self.lam!r}")
+
 
 @dataclass(frozen=True)
 class SeasonalNaive:

@@ -182,9 +182,12 @@ class ProfileEncoder:
     def _scale(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.means), np.asarray(self.sds)
 
-    def encode(self, profile: PatientProfile) -> np.ndarray:
+    def encode_all(self, profiles: Sequence[PatientProfile]) -> np.ndarray:
+        """One row per profile: (raw row - means) / sds, each row's floats
+        the same as when it is encoded alone."""
         means, sds = self._scale
-        return (np.asarray(_raw_row(profile, self.drg_levels)) - means) / sds
+        raw = np.array([_raw_row(p, self.drg_levels) for p in profiles], dtype=float)
+        return (raw.reshape(len(profiles), len(means)) - means) / sds
 
 
 def _raw_row(profile: PatientProfile, drg_levels: tuple[str, ...]) -> list[float]:
@@ -382,6 +385,12 @@ def cluster(
 
 def assign(profile: PatientProfile, clusters: PathwayClusters) -> int:
     """Nearest attribute centroid in standardized profile space."""
+    return assign_all([profile], clusters)[0]
+
+
+def assign_all(profiles: Sequence[PatientProfile], clusters: PathwayClusters) -> list[int]:
+    """``assign`` of each profile, encoded together; each distance is
+    summed over one profile's row as ``assign`` sums it alone."""
     if clusters.profile_encoder is None or any(
         c.attribute_centroid is None for c in clusters.clusters
     ):
@@ -389,11 +398,14 @@ def assign(profile: PatientProfile, clusters: PathwayClusters) -> int:
             "clusters were fitted without profiles; cannot assign by attributes"
         )
     if clusters.k == 1:
-        return 0
-    v = clusters.profile_encoder.encode(profile)
-    # ndarray.sum is np.sum's reduction without its dispatch: the same bits
-    dists = [float(((v - c._attribute_array) ** 2).sum()) for c in clusters.clusters]
-    return int(np.argmin(dists))  # argmin takes the lowest index on ties
+        return [0] * len(profiles)
+    centroids = [c._attribute_array for c in clusters.clusters]
+    nearest = []
+    for v in clusters.profile_encoder.encode_all(profiles):
+        # ndarray.sum is np.sum's reduction without its dispatch: the same bits
+        dists = [float(((v - a) ** 2).sum()) for a in centroids]
+        nearest.append(int(np.argmin(dists)))  # argmin takes the lowest index on ties
+    return nearest
 
 
 def next_department(

@@ -11,9 +11,10 @@ results.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import ConfigError
@@ -41,3 +42,22 @@ def draw_cumulative(cum: Sequence[float], rng: Generator) -> int:
     """
     j = bisect_right(cum, rng.random())
     return j if j < len(cum) else len(cum) - 1
+
+
+BLOCK = 1024  # draws per block of a block source
+
+
+def blocks(fill: Callable[[int], np.ndarray], size: int = BLOCK) -> Iterator:
+    """An endless iterator over the Python numbers of ``fill(size)``,
+    ``fill(size)``, ...: one generator call per block instead of one per
+    draw.
+
+    ``fill`` is a block form of a scalar draw, such as ``rng.random`` or
+    ``rng.standard_normal``. A PCG64 generator gives the same numbers in
+    blocks as in scalar calls, so the iterator yields what successive
+    scalar draws would. What is left of the last block when the caller
+    stops is discarded, which leaves the generator further on than the
+    scalar calls would: a block source must be the only user of its
+    generator.
+    """
+    return chain.from_iterable(iter(lambda: fill(size).tolist(), None))

@@ -495,6 +495,39 @@ def test_negative_scale_exits_2(tmp_path, capsys, model, field):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "forecast"])
+def test_negative_poisson_lam_exits_2(tmp_path, capsys, command):
+    def argv_for(lam, name):
+        if command == "forecast":
+            doc = {"kind": "poisson", "lam": lam, "degenerate": False}
+            return ["forecast", "--model", write_json(tmp_path / f"{name}.json", doc),
+                    "--h", "2"]
+        sim_config = {**attribute_sim_config(),
+                      "arrival_driver": {"kind": "poisson", "lam": lam}}
+        return ["simulate", "--config", write_json(tmp_path / f"{name}.json", sim_config),
+                "--out", str(tmp_path / name)]
+
+    assert main(argv_for(0.0, "zero")) == 0  # no arrivals, as a zero scale allows
+    capsys.readouterr()
+    assert main(argv_for(-3.0, "bad")) == 2
+    captured = capsys.readouterr()
+    assert "lam must be >= 0, got -3.0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("model", ["lognormal", "conditional"])
+def test_overflowing_stay_draw_runs(tmp_path, model):
+    """A stay whose ln duration overflows lasts forever, as numpy's
+    lognormal gives it, rather than stopping the run."""
+    doc = {**SCALE_MODELS[model], "coef": [800.0], "mu": 800.0}
+    sim_config = {**attribute_sim_config(), "los_models": {"ER": doc}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_json(tmp_path / "sim.json", sim_config),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "patients.csv").read_text().splitlines()[1:]]
+    assert rows and all(row[3] == "inf" and row[2] == "" for row in rows)
+
+
 def capped_two_department_config():
     """Two departments with few beds, transfers both ways, discharges at
     entry and patients still waiting or in a bed at the horizon."""
@@ -545,6 +578,63 @@ def test_simulate_golden_bytes(tmp_path, jobs):
     assert main(["simulate", "--config", config_path, "--out", str(out),
                  "--jobs", jobs]) == 0
     for name, digest in SIMULATE_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def scalar_streams_config():
+    """A capped two-department config whose every model mixes draw kinds on
+    its stream, so the engine keeps scalar draws for all but routing:
+    mixture and gamma stays, a Weibull cost, forecast-driven arrivals and
+    an attribute sampler. Stays wait for beds."""
+    return {
+        "seed": 23,
+        "horizon": 336.0,
+        "warm_up": 24.0,
+        "replications": 3,
+        "departments": [{"name": "ER", "bed_capacity": 5},
+                        {"name": "WARD", "bed_capacity": 9}],
+        "arrival_driver": {"kind": "forecast", "forecast": [20.0, 14.0, 18.0] * 5,
+                           "bucket_width": 24.0},
+        "los_models": {
+            "ER": {"kind": "lognormal_mixture", "n": 10, "loglik": 0.0, "trace": [0.0],
+                   "components": [{"weight": 0.7, "mu": 1.2, "sigma": 0.4},
+                                  {"weight": 0.3, "mu": 2.3, "sigma": 0.6}]},
+            "WARD": {"kind": "gamma", "shape": 2.5, "scale": 9.0, "n": 10, "loglik": 0.0},
+        },
+        "cot_model": {"kind": "weibull", "shape": 1.4, "scale": 900.0, "n": 10,
+                      "loglik": 0.0},
+        "pathway": {
+            "kind": "transition_matrix",
+            "departments": ["ER", "WARD"],
+            "probs": [[0.85, 0.0, 0.15], [0.0, 0.45, 0.55], [0.25, 0.05, 0.7]],
+            "counts": [[17, 0, 3], [0, 9, 11], [5, 1, 14]],
+            "row_observed": [True, True, True],
+        },
+        "profile_sampler": {"kind": "attributes",
+                            "age_mix": {"weight": 0.4, "mean1": 30.0, "sd1": 9.0,
+                                        "mean2": 68.0, "sd2": 10.0},
+                            "gender_p": 0.45,
+                            "comorbidity": {"c0": 0.5, "c1": 0.03},
+                            "drg_probs": {"GEN": 0.6, "CARD": 0.25, "RESP": 0.15}},
+    }
+
+
+# SHA-256 of simulate's outputs for scalar_streams_config, recorded while
+# every engine stream was still drawn one scalar call at a time
+SCALAR_STREAMS_GOLDEN = {
+    "census.csv": "b2f7518ab4bf556bb7368cc3ce021981e4abfbc49d6ccb43f93bd6cf0a551e3e",
+    "patients.csv": "244b522d47a88f73ae8b529d17d8d00815d7a0bb3170d2804f58f161166fd266",
+    "summary.json": "75236d376712f182539b9beab7c53838c7e35affec8933b589f8d2b0c79e7f5a",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_scalar_streams_golden_bytes(tmp_path, jobs):
+    config_path = write_json(tmp_path / "sim.json", scalar_streams_config())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config_path, "--out", str(out),
+                 "--jobs", jobs]) == 0
+    for name, digest in SCALAR_STREAMS_GOLDEN.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -26,14 +26,16 @@ from patientflow.estimators import (
     CategoricalFeature,
     ConditionalModel,
     FeatureSpec,
+    GammaFit,
     LognormalFit,
+    WeibullFit,
     fit_conditional,
     fit_tree,
     ks_statistic,
     sample,
 )
 from patientflow.pathways import TransitionMatrix, cluster
-from patientflow.seeding import stream
+from patientflow.seeding import blocks, cumulative, draw_cumulative, stream
 from patientflow.synthehr import AgeMixture, GeneratorConfig, LinearRate, generate, sample_profile
 
 from conftest import time_limit
@@ -126,6 +128,44 @@ def test_inject_poisson_rate_moment():
     assert abs(len(times) - 10_000) <= 3 * math.sqrt(10_000)
 
 
+def scalar_poisson_arrivals(driver, horizon, rng):
+    """Poisson arrivals drawn one ``rng.exponential`` gap at a time."""
+    rate = driver.lam / driver.bucket_width
+    times, t = [], 0.0
+    while rate > 0.0:
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        times.append(t)
+    return times
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.5, 60.0), st.floats(1.0, 48.0), st.integers(0, 2**32 - 1))
+def test_poisson_arrivals_from_blocks_equal_the_scalar_draws(lam, width, seed):
+    driver = PoissonBaseline(lam=lam, bucket_width=width)
+    assert inject_arrivals(driver, 3000.0, stream(seed)) == scalar_poisson_arrivals(
+        driver, 3000.0, stream(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), min_size=3,
+                max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+def test_routing_draws_as_draw_cumulative(probs, observed, seed):
+    """Routing from block uniforms (blocks of 7) picks what draw_cumulative
+    picks from scalar ones, also past a row total short of 1 (the last
+    column, DISCHARGE); an unobserved row discharges and takes none."""
+    matrix = TransitionMatrix(departments=("W", "X"), probs=tuple(map(tuple, probs)),
+                              counts=((0, 0, 0),) * 3, row_observed=tuple(observed))
+    routing = engine._Routing(matrix, ("W", "X"), {"W": 0, "X": 1})
+    uniforms = blocks(stream(seed).random, 7)
+    rng = stream(seed)
+    for state in [0, 1, 2] * 5:
+        j = draw_cumulative(cumulative(probs[state]), rng) if observed[state] else 2
+        assert routing.next(state, uniforms) == (j if j < 2 else engine._DISCHARGE)
+
+
 # --- single runs -----------------------------------------------------------------
 
 def test_run_no_arrivals_conserves_trivially():
@@ -167,6 +207,26 @@ def test_dd1_queue_waits_exact():
     assert len(patients) == 10
     for i, p in enumerate(patients):
         assert p.total_wait == pytest.approx(24.0 * i, abs=1e-9)
+
+
+def test_arrival_goes_before_a_stay_end_at_the_same_time():
+    """An arrival precedes every event scheduled for the same time, so it
+    asks for the bed before the patient whose stay ends then asks again."""
+    stay = math.log(12.0)
+    assert math.exp(stay) == 12.0  # the stay ends exactly at the next arrival
+    config = base_config(
+        departments=(DepartmentSpec("W", 1),),
+        horizon=40.0,
+        arrival_driver=ForecastDriven(forecast=(1.0, 1.0, 0.0, 0.0), bucket_width=12.0,
+                                      deterministic=True),
+        los_models={"W": LognormalFit(mu=stay, sigma=0.0, n=10, loglik=0.0)},
+        pathway=TransitionMatrix(departments=("W",), probs=((1.0, 0.0), (1.0, 0.0)),
+                                 counts=((1, 0), (1, 0)), row_observed=(True, True)),
+    )
+    first, second = run(config).patients
+    assert second.admission_time == 12.0
+    assert (second.stays[0].request_time, second.stays[0].start_time) == (12.0, 12.0)
+    assert (first.stays[1].request_time, first.stays[1].start_time) == (12.0, 24.0)
 
 
 def test_conservation_exact_with_inflight():
@@ -580,19 +640,19 @@ def learned_config(default_generator):
 
 
 def test_per_profile_work_is_done_once_per_attribute_tuple(learned_config, monkeypatch):
-    calls = {"encode": 0, "assign": 0}
-    encode, assign = FeatureSpec.encode_counting, engine.assign
+    calls = {"encode": 0, "assign": 0}  # profiles encoded and assigned
+    encode, assign = FeatureSpec.encode_all, engine.assign_all
 
-    def counted_encode(self, *args, **kwargs):
-        calls["encode"] += 1
-        return encode(self, *args, **kwargs)
+    def counted_encode(self, profiles, *args, **kwargs):
+        calls["encode"] += len(profiles)
+        return encode(self, profiles, *args, **kwargs)
 
-    def counted_assign(*args, **kwargs):
-        calls["assign"] += 1
-        return assign(*args, **kwargs)
+    def counted_assign(profiles, *args, **kwargs):
+        calls["assign"] += len(profiles)
+        return assign(profiles, *args, **kwargs)
 
-    monkeypatch.setattr(FeatureSpec, "encode_counting", counted_encode)
-    monkeypatch.setattr(engine, "assign", counted_assign)
+    monkeypatch.setattr(FeatureSpec, "encode_all", counted_encode)
+    monkeypatch.setattr(engine, "assign_all", counted_assign)
     config = replace(learned_config)  # a copy compiles afresh
     results, _ = replicate(config)
     tuples = len({(p.age, p.gender, p.comorbidity_count, p.drg)
@@ -610,6 +670,37 @@ def test_learned_models_replicate_identically_across_jobs(learned_config):
     assert serial_summary == parallel_summary
     assert any(np.any(r.stay_start > r.stay_request) for r in serial)
     assert set(np.concatenate([r.cluster for r in serial]).tolist()) == {0, 1}
+
+
+# ways to give one stream draws that mix kinds, which it then takes as
+# scalar calls; every other engine stream stays block-drawn
+SCALAR_STREAMS = {
+    "stays": lambda c: replace(c, los_models={**c.los_models,
+                                              "ICU": GammaFit(2.0, 20.0, 10, 0.0)}),
+    "cost": lambda c: replace(c, cot_model=WeibullFit(1.3, 900.0, 10, 0.0)),
+    "profiles": lambda c: replace(c, profile_sampler=attr_sampler()),
+    "arrivals": lambda c: replace(c, arrival_driver=ForecastDriven((30.0,) * 10, 24.0)),
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sets(st.sampled_from(sorted(SCALAR_STREAMS)), min_size=1, max_size=2),
+       st.integers(0, 2**32 - 1), st.tuples(st.integers(5, 30), st.integers(1, 6),
+                                            st.integers(2, 12)),
+       st.floats(48.0, 240.0), st.integers(2, 3))
+def test_replicate_is_invariant_under_jobs(learned_config, scalar, seed, beds, horizon,
+                                           replications):
+    """Clustered pathways and conditional stays, block-drawn routing and
+    at least one scalar stream: jobs=1 and jobs=2 give equal results."""
+    config = replace(learned_config, seed=seed, horizon=horizon, replications=replications,
+                     departments=tuple(DepartmentSpec(d.name, b) for d, b in
+                                       zip(learned_config.departments, beds)))
+    for name in sorted(scalar):
+        config = SCALAR_STREAMS[name](config)
+    serial, serial_summary = replicate(config, jobs=1)
+    parallel, parallel_summary = replicate(config, jobs=2)
+    assert serial == parallel
+    assert serial_summary == parallel_summary
 
 
 def test_model_reading_other_than_profile_attributes_rejected():

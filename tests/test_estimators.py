@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patientflow import codec, estimators
 from patientflow.domain import PatientProfile
@@ -17,6 +19,12 @@ from patientflow.errors import (
 from patientflow.estimators import (
     TARGET_COT,
     TARGET_LOS,
+    ConditionalModel,
+    FeatureSpec,
+    LognormalFit,
+    RegressionTree,
+    TreeLeaf,
+    draw_z,
     fit_conditional,
     fit_gamma_mom,
     fit_lognormal,
@@ -28,8 +36,9 @@ from patientflow.estimators import (
     predict_mean,
     predict_tree,
     sample,
+    sampler,
 )
-from patientflow.seeding import stream
+from patientflow.seeding import blocks, stream
 
 from conftest import split_stays
 
@@ -488,3 +497,40 @@ def test_estimator_json_round_trips():
             assert predict_tree(model, profiles[0]) == predict_tree(clone, profiles[0])
         else:
             assert sample(model, rng_a) == sample(clone, rng_b)
+
+
+# each normal-based model kind, and its draw as the scalar numpy calls give it
+NORMAL_KINDS = {
+    "conditional_los": (
+        lambda s: ConditionalModel(FeatureSpec((), ()), (0.0,), s, TARGET_LOS, 5),
+        lambda rng, loc, s: math.exp(loc + rng.normal(0.0, s))),
+    "conditional_cot": (
+        lambda s: ConditionalModel(FeatureSpec((), ()), (0.0,), s, TARGET_COT, 5),
+        lambda rng, loc, s: max(0.0, math.exp(loc + rng.normal(0.0, s)) - 1.0)),
+    "tree": (
+        lambda s: RegressionTree(TreeLeaf(0.0, 5), 1, 1, (), (), s),
+        lambda rng, loc, s: math.exp(loc + rng.normal(0.0, s))),
+    "lognormal": (
+        lambda s: LognormalFit(mu=1.3, sigma=s, n=5, loglik=0.0),
+        lambda rng, loc, s: float(rng.lognormal(1.3, s))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(NORMAL_KINDS)), st.floats(0.0, 2.0),
+       st.one_of(st.just(-4.0), st.floats(-6.0, 8.0)), st.integers(0, 2**32 - 1),
+       st.integers(0, 30))
+def test_draw_z_over_block_normals_gives_the_scalar_draws(kind, sigma, loc, seed, draws):
+    """A normal-based model's draw from block normals (blocks of 7) equals
+    its scalar numpy draw, bit for bit, and so does ``sampler``'s; at
+    loc -4 a cost draw is mostly clamped at 0."""
+    make, scalar = NORMAL_KINDS[kind]
+    model = make(sigma)
+    draw, scalar_draw = draw_z(model), sampler(model)
+    normals = blocks(stream(seed).standard_normal, 7)
+    rng, rng_scalar = stream(seed), stream(seed)
+    for _ in range(draws):
+        expected = scalar(rng, loc, sigma)
+        assert draw(loc, next(normals)) == expected
+        assert scalar_draw(loc, rng_scalar) == expected
+

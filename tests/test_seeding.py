@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow.seeding import cumulative, draw_cumulative, stream
+from patientflow.seeding import blocks, cumulative, draw_cumulative, stream
 
 
 def draw_index(probs, rng):
@@ -49,3 +49,30 @@ def test_cumulative_draw_skips_zero_weights_and_falls_through():
     u = stream(3).random()
     assert draw_cumulative(cumulative([0.0, 0.5, 0.0, 0.5]), rng) == (1 if u < 0.5 else 3)
     assert draw_cumulative(cumulative([0.0, 0.0]), stream(3)) == 1
+
+
+# block forms of the engine's scalar draws: (block fill, scalar draw)
+BLOCK_DRAWS = {
+    "random": (lambda rng: rng.random, lambda rng: rng.random()),
+    "integers": (lambda rng: lambda n: rng.integers(13, size=n),
+                 lambda rng: int(rng.integers(13))),
+    "exponential": (lambda rng: rng.standard_exponential,
+                    lambda rng: rng.exponential(1.0 / 0.7)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BLOCK_DRAWS)), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_blocks_yield_the_scalar_draws(kind, seed, draws):
+    """Across block boundaries (blocks of 7), a block source yields what
+    one scalar call per draw gives; exponentials are scaled as numpy
+    scales them."""
+    fill, scalar = BLOCK_DRAWS[kind]
+    source = blocks(fill(stream(seed)), 7)
+    rng = stream(seed)
+    for _ in range(draws):
+        value = next(source)
+        if kind == "exponential":
+            value = (1.0 / 0.7) * value
+        expected = scalar(rng)
+        assert value == expected and type(value) is type(expected)
