@@ -13,16 +13,26 @@ invariant error, 4 numeric failure in strict mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import hashlib
 import json
+import os
 import sys
 from pathlib import Path
-
-import dataclasses
 
 import numpy as np
 
 from . import __version__, codec, estimators, inflow, pathways
-from .domain import DepartmentSpec, bucketize, extract_trajectories, parse_event_log
+from .domain import (
+    LOG_ARRAYS_TAG,
+    DepartmentSpec,
+    bucketize,
+    extract_trajectories,
+    log_arrays,
+    log_from_arrays,
+    parse_event_log,
+)
 from .engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -44,17 +54,35 @@ LOS_KINDS = ("lognormal_los", "gamma_los", "weibull_los", "mixture_los",
 COT_KINDS = ("lognormal_cot", "conditional_cot")
 PATHWAY_KINDS = ("transition", "clusters")
 FIT_KINDS = INFLOW_KINDS + LOS_KINDS + COT_KINDS + PATHWAY_KINDS
+# the fits that read a log's columns but not its profiles
+COLUMN_KINDS = INFLOW_KINDS + ("lognormal_los", "gamma_los", "weibull_los", "mixture_los")
 
 
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read_json(path: str) -> dict:
+def _read_bytes(path: str) -> bytes:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _decode(path: str, data: bytes, error: type[PatientFlowError]) -> str:
+    """UTF-8 text with universal newlines, as ``Path.read_text`` gives it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_json(path: str) -> dict:
+    try:
+        return json.loads(_decode(path, _read_bytes(path), ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
@@ -63,12 +91,54 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_log(path: str):
+def _load_log(path: str, profiles: bool = True):
+    """An event log CSV's ``EventLog`` and its profiles, or None in place
+    of the profiles unless ``profiles`` (building them is most of the cost
+    of a read from the copy).
+
+    A parse that passes writes its output beside the CSV, to
+    ``<path>.columns.npz``, keyed by the SHA-256 of ``LOG_ARRAYS_TAG`` and
+    the CSV's bytes. A later load of the same bytes reads that copy
+    instead of parsing again; a copy that is missing, stale or unreadable
+    is ignored.
+    """
+    data = _read_bytes(path)
+    key = hashlib.sha256(LOG_ARRAYS_TAG + data).digest()
+    copy = Path(path + ".columns.npz")
+    loaded = _read_log_copy(copy, key, profiles)
+    if loaded is None:
+        log, parsed = parse_event_log(_decode(path, data, DataError))
+        _write_log_copy(copy, key, log, parsed)
+        loaded = (log, parsed if profiles else None)
+    return loaded
+
+
+def _read_log_copy(copy: Path, key: bytes, profiles: bool):
+    """The log (and profiles) stored in ``copy`` under ``key``, or None."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    return parse_event_log(text)
+        with np.load(copy, allow_pickle=False) as arrays:
+            if arrays["key"].tobytes() != key:
+                return None
+            return log_from_arrays(arrays, profiles)
+    except Exception:  # a damaged zip raises a dozen kinds of error: parse instead
+        return None
+
+
+def _write_log_copy(copy: Path, key: bytes, log, profiles) -> None:
+    """Write the columnar copy through a temporary file and an atomic
+    rename; a log that cannot be stored exactly, or a failed write, leaves
+    no copy."""
+    arrays = log_arrays(log, profiles)
+    if arrays is None:
+        return
+    tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as file:
+            np.savez(file, key=np.frombuffer(key, dtype=np.uint8), **arrays)
+        os.replace(tmp, copy)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _cmd_synth(args) -> int:
@@ -102,14 +172,15 @@ def _targets(kind, log, profiles, department):
         order = sorted(range(len(profiles)), key=lambda i: profiles[i].patient_id)
         return [profiles[i] for i in order], totals[order].tolist()
     rows = log.in_department(department) if department is not None else slice(None)
-    return [profiles[i] for i in log.patient[rows].tolist()], log.los[rows].tolist()
+    profs = None if profiles is None else [profiles[i] for i in log.patient[rows].tolist()]
+    return profs, log.los[rows].tolist()
 
 
 def _cmd_fit(args) -> int:
-    log, profiles = _load_log(args.log)
+    kind = args.model
+    log, profiles = _load_log(args.log, profiles=kind not in COLUMN_KINDS)
     if not len(log):
         raise DataError("event log is empty")
-    kind = args.model
 
     if kind in INFLOW_KINDS:
         width = args.bucket_width

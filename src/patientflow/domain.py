@@ -239,6 +239,16 @@ def serialize_event_log(log: EventLog, profiles: Sequence[PatientProfile]) -> st
     return "\n".join(lines) + "\n"
 
 
+def _records(text: str):
+    """The CSV records of ``text``; a record the csv module rejects (such
+    as a field over its size limit) is a ``RowParseError``."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RowParseError(reader.line_num, str(exc)) from None
+
+
 def parse_event_log(
     text: str,
     departments: Sequence[str] | None = None,
@@ -253,7 +263,7 @@ def parse_event_log(
     number; the same patient_id appearing with different attributes is a
     ``ConflictingProfile``.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _records(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -300,6 +310,62 @@ def parse_event_log(
         stays.append((index, code, enter, exit_, cost))
     columns = np.array(stays, dtype=float).reshape(-1, 5).T
     return event_log(tuple(department_index), *columns), tuple(profiles)
+
+
+# A log and its profiles as named one-dimensional arrays ("U": fixed-width
+# unicode), the form ``log_arrays`` gives and ``log_from_arrays`` reads.
+# A stored copy of them is keyed with LOG_ARRAYS_TAG, so a change to this
+# layout must change the tag.
+LOG_ARRAYS_TAG = b"patientflow event-log arrays 1\n"
+LOG_ARRAYS = {"departments": "U", "patient": np.int64, "department": np.int64,
+              "enter": np.float64, "exit": np.float64, "cost": np.float64,
+              "patient_id": "U", "age": np.int64, "gender": "U",
+              "comorbidity_count": np.int64, "drg": "U"}
+_PROFILE_FIELDS = ("patient_id", *PROFILE_ATTRIBUTES)
+
+
+def log_arrays(log: EventLog,
+               profiles: Sequence[PatientProfile]) -> dict[str, np.ndarray] | None:
+    """A log and its profiles as the arrays of ``LOG_ARRAYS``, or None when
+    a string would not come back the same (numpy drops trailing NULs)."""
+    values = {"departments": list(log.departments)}
+    values.update((name, [getattr(p, name) for p in profiles]) for name in _PROFILE_FIELDS)
+    arrays = {name: getattr(log, name) for name in _COLUMNS}
+    for name, column in values.items():
+        dtype = LOG_ARRAYS[name]
+        arrays[name] = np.array(column, dtype=str if dtype == "U" else dtype)
+        if dtype == "U" and arrays[name].tolist() != column:
+            return None
+    return arrays
+
+
+def log_from_arrays(arrays, profiles: bool = True
+                    ) -> tuple[EventLog, tuple[PatientProfile, ...] | None]:
+    """Rebuild what ``log_arrays`` took apart from a mapping of its arrays;
+    the profiles only if ``profiles``, else None.
+
+    Raises ``KeyError`` for a missing array, ``ValueError`` for one of
+    another dtype or length or a patient or department code out of range,
+    and ``InvariantViolation`` for an invalid profile.
+    """
+    columns = {name: arrays[name] for name in LOG_ARRAYS}
+    for name, dtype in LOG_ARRAYS.items():
+        column = columns[name]
+        if column.ndim != 1 or not (column.dtype.kind == "U" if dtype == "U"
+                                    else column.dtype == dtype):
+            raise ValueError(f"array {name!r} is not a 1-d {dtype} array")
+    n_stays, n_profiles = len(columns["patient"]), len(columns["patient_id"])
+    if (any(len(columns[name]) != n_stays for name in _COLUMNS)
+            or any(len(columns[name]) != n_profiles for name in _PROFILE_FIELDS)):
+        raise ValueError("columns of unequal length")
+    for name, size in (("patient", n_profiles), ("department", len(columns["departments"]))):
+        if n_stays and not (0 <= columns[name].min() and columns[name].max() < size):
+            raise ValueError(f"{name} code out of range")
+    log = EventLog(tuple(columns["departments"].tolist()),
+                   *(columns[name] for name in _COLUMNS))
+    if not profiles:
+        return log, None
+    return log, tuple(map(PatientProfile, *(columns[name].tolist() for name in _PROFILE_FIELDS)))
 
 
 def admission_times(log: EventLog) -> np.ndarray:

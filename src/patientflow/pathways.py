@@ -58,6 +58,10 @@ class TransitionMatrix:
             raise ConfigError(f"transition matrix row_observed must have {rows} entries")
         if any(p < 0.0 for row in self.probs for p in row):
             raise ConfigError("transition matrix probs must be non-negative")
+        for state, row, seen in zip((ENTRY, *self.departments), self.probs, self.row_observed):
+            if seen and abs(sum(row) - 1.0) > 1e-9:
+                raise ConfigError(f"transition matrix row {state!r} sums to {sum(row)!r}, "
+                                  "not 1")
 
     def row_index(self, state: str) -> int:
         if state == ENTRY:

@@ -6,21 +6,29 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import codec
+from patientflow import cli, codec
 from patientflow.cli import _read_sim_config, main
-from patientflow.domain import CSV_FIELDS, PatientProfile, parse_event_log
+from patientflow.domain import (
+    CSV_FIELDS,
+    PatientProfile,
+    event_log,
+    parse_event_log,
+    serialize_event_log,
+)
 from patientflow.estimators import TARGET_COT, fit_conditional, fit_mixture_em
 from patientflow.errors import PatientFlowError
 from patientflow.experiment import ScenarioConfig
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
-from conftest import SCENARIOS, flat_generator_dict, time_limit
+from conftest import SCENARIOS, flat_generator_dict, make_log, time_limit
 
 
 def write_json(path: Path, obj) -> str:
@@ -949,3 +957,260 @@ def test_fuzzed_log_fits_or_exits_3_naming_its_line(data):
     if code == 3:
         assert len(err.strip().splitlines()) == 1
         assert re.search(rf"\bline {i + 1}\b", err), err
+
+
+@pytest.mark.parametrize("probs, state", [
+    ([[1.0, 1.0], [0.0, 1.0]], "ENTRY"),
+    ([[1.0, 0.0], [0.0, 0.5]], "ER"),
+])
+def test_non_stochastic_transition_row_exits_2(tmp_path, capsys, probs, state):
+    doc = attribute_sim_config()
+    doc["pathway"]["probs"] = probs
+    config = write_json(tmp_path / "sim.json", doc)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"row {state!r} sums to" in err
+    assert not (tmp_path / "out").exists()
+
+
+# --- unreadable inputs ---------------------------------------------------------
+
+UNREADABLE = {  # command line, with {path} for the unreadable input
+    "log": ["fit", "--log", "{path}", "--model", "poisson", "--out", "m.json"],
+    "config": ["synth", "--config", "{path}", "--out", "out"],
+    "model": ["forecast", "--model", "{path}", "--h", "2"],
+    "scenario": ["compare", "--scenario", "{path}", "--out", "out"],
+    "simulate": ["simulate", "--config", "{path}", "--out", "out"],
+}
+
+
+def unreadable_argv(tmp_path, flag, path):
+    return [str(tmp_path / arg) if arg in ("m.json", "out") else arg.format(path=path)
+            for arg in UNREADABLE[flag]]
+
+
+@pytest.mark.parametrize("flag", sorted(UNREADABLE))
+def test_input_that_is_a_directory_exits_2(tmp_path, capsys, flag):
+    folder = tmp_path / "folder.in"
+    folder.mkdir()
+    assert main(unreadable_argv(tmp_path, flag, folder)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == f"error: cannot read {folder}: Is a directory"
+
+
+def test_log_that_is_not_utf8_exits_3(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_bytes((",".join(CSV_FIELDS) + "\nP\xe91,ER,0.0,1.0,0.0,50,F,1,GEN\n")
+                    .encode("latin-1"))
+    assert main(unreadable_argv(tmp_path, "log", log)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{log}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("flag", ["config", "model", "scenario", "simulate"])
+def test_json_document_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes('{"kind": "poisson", "note": "caf\xe9"}'.encode("latin-1"))
+    assert main(unreadable_argv(tmp_path, flag, doc)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().startswith(f"error: {doc}: not UTF-8")
+
+
+# --- the columnar copy of an event log ----------------------------------------
+
+def copy_of(log: Path) -> Path:
+    return log.with_name(log.name + ".columns.npz")
+
+
+@contextlib.contextmanager
+def counting_parses():
+    """Count the parses ``_load_log`` makes while the block runs."""
+    calls = []
+
+    def parse(text):
+        calls.append(text)
+        return parse_event_log(text)
+
+    with mock.patch.object(cli, "parse_event_log", parse):
+        yield calls
+
+
+def loaded_twice(log: Path):
+    """Load ``log`` twice; the second load must not parse. Returns both."""
+    first = cli._load_log(str(log))
+    with counting_parses() as calls:
+        second = cli._load_log(str(log))
+    assert not calls
+    return first, second
+
+
+# a NUL ends no name: numpy's strings drop it, and such a log keeps no copy
+NAMES = st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'),
+                min_size=1, max_size=6).filter(lambda s: not s.endswith("\0"))
+
+
+@st.composite
+def valid_logs(draw):
+    """A valid event log document written by ``serialize_event_log``."""
+    ids = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+    profiles = [PatientProfile(pid, draw(st.integers(0, 120)), draw(st.sampled_from("FM")),
+                               draw(st.integers(0, 30)), draw(NAMES)) for pid in ids]
+    departments = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 12))
+    rows = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(departments) - 1),
+                     st.integers(0, 10**9), st.integers(1, 10**6), st.integers(0, 10**9))
+    stays = draw(st.lists(rows, min_size=n, max_size=n))
+    log = event_log(departments, [s[0] for s in stays], [s[1] for s in stays],
+                    [s[2] / 1000 for s in stays], [(s[2] + s[3]) / 1000 for s in stays],
+                    [s[4] / 1000 for s in stays])
+    return serialize_event_log(log, profiles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_logs())
+def test_log_loaded_from_its_copy_equals_the_parse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text(text, encoding="utf-8")
+        expected = parse_event_log(text)
+        first, second = loaded_twice(log)
+        assert copy_of(log).exists()
+        log_only = cli._load_log(str(log), profiles=False)
+    assert first == expected
+    assert second[0] == expected[0]
+    assert second[1] == expected[1]
+    assert [type(p.age) for p in second[1]] == [int] * len(second[1])
+    assert log_only[0] == expected[0] and log_only[1] is None
+
+
+def test_edited_log_ignores_its_stale_copy(tmp_path, log_path):
+    log = Path(log_path)
+    loaded_twice(log)
+    header, first, rest = log.read_text().split("\n", 2)
+    text = f"{header}\nX{first}\n{rest}"  # the first patient_id changes
+    log.write_text(text)
+    with counting_parses() as calls:
+        assert cli._load_log(log_path) == parse_event_log(text)
+    assert len(calls) == 1
+    assert loaded_twice(log)[1] == parse_event_log(text)
+
+
+def rewritten(copy: Path, drop: str = "", **changes) -> None:
+    """Write ``copy`` again with some of its arrays replaced or dropped."""
+    with np.load(copy) as stored:
+        arrays = {name: stored[name] for name in stored.files if name != drop}
+    arrays.update(changes)
+    with open(copy, "wb") as file:
+        np.savez(file, **arrays)
+
+
+CORRUPTIONS = {
+    "truncated": lambda c: c.write_bytes(c.read_bytes()[: c.stat().st_size // 2]),
+    "garbage": lambda c: c.write_bytes(b"not an npz file\n" * 8),
+    "empty": lambda c: c.write_bytes(b""),
+    "wrong-key": lambda c: rewritten(c, key=np.zeros(32, dtype=np.uint8)),
+    "short-column": lambda c: rewritten(c, enter=np.load(c)["enter"][:-1]),
+    "missing-column": lambda c: rewritten(c, drop="drg"),
+    "float-codes": lambda c: rewritten(c, patient=np.load(c)["patient"].astype(float)),
+    "code-out-of-range": lambda c: rewritten(
+        c, department=np.load(c)["department"] + len(np.load(c)["departments"])),
+    "invalid-profile": lambda c: rewritten(c, age=np.load(c)["age"] + 200),
+    "pickled-objects": lambda c: rewritten(
+        c, departments=np.load(c)["departments"].astype(object)),
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+def test_damaged_copy_falls_back_to_the_parse(tmp_path, log_path, corrupt):
+    log = Path(log_path)
+    expected = cli._load_log(log_path)
+    CORRUPTIONS[corrupt](copy_of(log))
+    with counting_parses() as calls:
+        assert cli._load_log(log_path) == expected
+    assert len(calls) == 1
+    assert loaded_twice(log)[1] == expected  # the parse wrote a good copy again
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_copy_with_flipped_or_cut_bytes_loads_as_the_parse(data):
+    text = serialize_event_log(*make_log(
+        [(f"P{i % 7}", "ER" if i % 3 else "WARD", 10.0 * i, 10.0 * i + 5.0, float(i))
+         for i in range(40)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text(text)
+        expected = cli._load_log(str(log))
+        raw = bytearray(copy_of(log).read_bytes())
+        if data.draw(st.booleans(), label="cut"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            raw[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        copy_of(log).write_bytes(bytes(raw))
+        assert cli._load_log(str(log)) == expected
+
+
+def test_log_with_a_trailing_nul_loads_without_a_copy(tmp_path):
+    """numpy's fixed-width strings drop a trailing NUL, so no copy is kept."""
+    text = ",".join(CSV_FIELDS) + "\nP1\0,ER,0.0,1.0,0.0,50,F,1,GEN\n"
+    log = tmp_path / "log.csv"
+    log.write_text(text)
+    for _ in range(2):
+        assert cli._load_log(str(log)) == parse_event_log(text)
+    assert cli._load_log(str(log))[1][0].patient_id == "P1\0"
+    assert not copy_of(log).exists()
+
+
+def test_unwritable_copy_path_still_loads(tmp_path, log_path, capsys):
+    log = Path(log_path)
+    copy_of(log).mkdir()
+    expected = parse_event_log(log.read_text())
+    for _ in range(2):
+        assert cli._load_log(log_path) == expected
+    assert main(["fit", "--log", log_path, "--model", "poisson",
+                 "--out", str(tmp_path / "p.json")]) == 0
+    assert sorted(p.name for p in log.parent.iterdir()) == [
+        "ground_truth.json", "log.csv", "log.csv.columns.npz"]
+
+
+def test_invalid_log_exits_3_on_every_read_and_leaves_no_copy(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(map(",".join, [CSV_FIELDS, *FUZZ_LOG])) + "\n"
+                   + "P4,ER,3.0,2.0,1.0,40,M,0,GEN\n")
+    errors = []
+    for _ in range(2):
+        assert main(["fit", "--log", str(log), "--model", "lognormal_los",
+                     "--out", str(tmp_path / "los.json")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert len(errors[0].strip().splitlines()) == 1
+    assert errors[0].startswith("data error: line 6: exit_time")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
+
+
+def test_fits_and_the_sampler_read_the_copy_the_first_fit_wrote(tmp_path, log_path):
+    """One parse for the first fit; later fits and the empirical sampler
+    read the copy, and every fitted document keeps its bytes."""
+    log = Path(log_path)
+    fits = [["--model", "poisson"], ["--model", "lognormal_los", "--department", "ER"],
+            ["--model", "conditional_cot"], ["--model", "transition"]]
+    with counting_parses() as calls:
+        for i, fit in enumerate(fits):
+            assert main(["fit", "--log", log_path, *fit,
+                         "--out", str(tmp_path / f"copy{i}.json")]) == 0
+        sampler = cli._parse_sampler({"kind": "empirical", "log": log.name}, log.parent)
+    assert len(calls) == 1
+    assert sampler.profiles == parse_event_log(log.read_text())[1]
+    for i, fit in enumerate(fits):
+        copy_of(log).unlink()
+        assert main(["fit", "--log", log_path, *fit,
+                     "--out", str(tmp_path / f"parse{i}.json")]) == 0
+        assert (tmp_path / f"parse{i}.json").read_bytes() == (
+            tmp_path / f"copy{i}.json").read_bytes()

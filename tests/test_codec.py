@@ -152,6 +152,30 @@ def test_malformed_documents_raise_config_error(doc, kinds):
         codec.decode(doc, *kinds)
 
 
+@pytest.mark.parametrize("row, state, probs", [
+    (0, "ENTRY", [1.0, 1.0, 1.0]),
+    (2, "WARD", [0.0, 0.25, 0.25]),
+    (1, "ER", [0.5, 0.5, 1e-8]),
+])
+def test_observed_transition_row_must_sum_to_one(row, state, probs):
+    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
+    doc["probs"][row] = probs
+    with pytest.raises(ConfigError, match=rf"row '{state}' sums to"):
+        codec.decode(doc)
+    clusters = {"kind": "pathway_clusters", "k": 1, "departments": ["ER", "WARD"],
+                "clusters": [], "fallback": doc, "profile_encoder": None, "labels": []}
+    with pytest.raises(ConfigError, match=rf"row '{state}' sums to"):
+        codec.decode(clusters)
+
+
+def test_unobserved_transition_row_may_be_zero_and_a_near_one_sum_passes():
+    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
+    doc["probs"][1] = [0.0, 1.0 - 5e-10, 0.0]
+    doc["probs"][2] = [0.0, 0.0, 0.0]
+    doc["row_observed"][2] = False
+    assert codec.decode(doc).probs[2] == (0.0, 0.0, 0.0)
+
+
 def test_defaults_may_be_absent_and_errors_name_the_path():
     assert codec.decode(LOGNORMAL) == estimators.LognormalFit(1.0, 0.5, 3, 0.0)
     doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["A"]])))

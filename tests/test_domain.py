@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patientflow.cli import _load_log
 from patientflow.domain import (
     CSV_HEADER,
     ArrivalSeries,
@@ -87,6 +88,24 @@ def test_parse_accepts_crlf():
     crlf = TWO_ROWS.replace("\n", "\r\n")
     log, profiles = parse_event_log(crlf)
     assert (log, profiles) == parse_event_log(TWO_ROWS)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_cli_reads_a_log_with_universal_newlines(tmp_path, end):
+    """CRLF and lone-CR line ends load as LF ones, also from the log's
+    columnar copy on the second read."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(TWO_ROWS.replace("\n", end).encode("utf-8"))
+    for _ in range(2):
+        assert _load_log(str(path)) == parse_event_log(TWO_ROWS)
+
+
+def test_parse_names_the_line_of_a_record_the_csv_reader_rejects():
+    text = TWO_ROWS + "P2,ER,0.0,1.0,0.0,30,M,0," + "A" * 200_000 + "\n"
+    with pytest.raises(RowParseError) as exc:
+        parse_event_log(text)
+    assert exc.value.line == 4
+    assert "field larger than field limit" in str(exc.value)
 
 
 def test_round_trip_generated_log_bit_identical():

@@ -154,8 +154,10 @@ def test_poisson_arrivals_from_blocks_equal_the_scalar_draws(lam, width, seed):
        st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
 def test_routing_draws_as_draw_cumulative(probs, observed, seed):
     """Routing from block uniforms (blocks of 7) picks what draw_cumulative
-    picks from scalar ones, also past a row total short of 1 (the last
-    column, DISCHARGE); an unobserved row discharges and takes none."""
+    picks from scalar ones; an unobserved row discharges and takes none.
+    Each row is scaled to sum to 1, as a transition matrix must."""
+    probs = [[p / sum(row) for p in row] if sum(row) > 0 else [0.0, 0.0, 1.0]
+             for row in probs]
     matrix = TransitionMatrix(departments=("W", "X"), probs=tuple(map(tuple, probs)),
                               counts=((0, 0, 0),) * 3, row_observed=tuple(observed))
     routing = engine._Routing(matrix, ("W", "X"), {"W": 0, "X": 1})
