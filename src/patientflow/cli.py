@@ -48,7 +48,7 @@ from .errors import ConfigError, DataError, NumericError, PatientFlowError
 from .experiment import ScenarioConfig, run_experiment
 from .synthehr import GeneratorConfig, generate, write_outputs
 
-INFLOW_KINDS = ("poisson", "seasonal_naive", "holt_winters", "lag_regression")
+INFLOW_KINDS = codec.INFLOW_KINDS
 LOS_KINDS = ("lognormal_los", "gamma_los", "weibull_los", "mixture_los",
              "conditional_los", "tree_los")
 COT_KINDS = ("lognormal_cot", "conditional_cot")
@@ -85,10 +85,6 @@ def _read_json(path: str) -> dict:
         return json.loads(_decode(path, _read_bytes(path), ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-
-
-def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_log(path: str, profiles: bool = True):
@@ -212,7 +208,7 @@ def _cmd_fit(args) -> int:
         elif kind == "tree_los":
             model = estimators.fit_tree(profs, targets, args.max_depth, args.min_leaf)
         elif kind == "lognormal_cot":
-            model = estimators.fit_lognormal([max(t, 0.01) for t in targets])
+            model = estimators.fit_lognormal([max(t, estimators.COST_FLOOR) for t in targets])
         else:  # conditional_cot
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
 
@@ -226,7 +222,7 @@ def _cmd_fit(args) -> int:
             traj_profiles = [profiles[i] for i in trajectories.patient.tolist()]
             model = pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
 
-    _write_json(codec.encode(model), Path(args.out))
+    codec.write(model, args.out)
     _info(f"fitted {kind}, wrote {args.out}")
     return 0
 
@@ -303,7 +299,7 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_census_csv(results[0], out / "census.csv")
     write_patients_csv(results[0], out / "patients.csv")
-    write_summary_json(results, summary, out / "summary.json")
+    write_summary_json(summary, out / "summary.json")
     _info(f"simulated {config.replications} replication(s), wrote {out}/summary.json")
     return 0
 

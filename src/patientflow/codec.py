@@ -1,8 +1,9 @@
-"""The JSON document: one format for every learned sub-model and config.
+"""The JSON document: one format for every learned sub-model, config and output.
 
 ``fit`` writes model documents and ``forecast``, ``simulate`` and the
 experiment's fingerprints read them; the generator, scenario and
-simulation configs are documents of the same form. A document holds a
+simulation configs are documents of the same form, and ``write`` puts
+every JSON file the CLI writes in that form. A document holds a
 dataclass's fields by name: tuples become lists, nested dataclasses and
 ``dict[str, T]`` values nest. Every class in ``KINDS`` carries its
 ``"kind"`` (nested transition matrices keep theirs) and tree nodes carry
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import sys
 import types
 import typing
+from pathlib import Path
 
 from . import estimators, inflow, pathways
 from .errors import ConfigError
@@ -74,7 +77,19 @@ def document(obj) -> dict:
     return _encode(obj)
 
 
+def write(obj, path: str | Path) -> None:
+    """Write the document of ``obj`` as indented JSON with sorted keys and
+    a final newline: the form of every JSON file the CLI writes."""
+    text = json.dumps(document(obj), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+_SCALARS = frozenset((str, int, float, type(None)))  # returned as they are, checked first
+
+
 def _encode(value):
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if isinstance(value, dict):

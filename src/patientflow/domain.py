@@ -249,19 +249,13 @@ def _records(text: str):
         raise RowParseError(reader.line_num, str(exc)) from None
 
 
-def parse_event_log(
-    text: str,
-    departments: Sequence[str] | None = None,
-    drg_alphabet: Sequence[str] | None = None,
-) -> tuple[EventLog, tuple[PatientProfile, ...]]:
+def parse_event_log(text: str) -> tuple[EventLog, tuple[PatientProfile, ...]]:
     """Parse an event-log CSV document.
 
     Returns the rows as an ``EventLog`` and the profiles deduplicated by
-    patient_id (order of first appearance). Optional ``departments`` /
-    ``drg_alphabet`` restrict the categorical columns to a known set.
-    Rows that violate a type invariant are rejected with their line
-    number; the same patient_id appearing with different attributes is a
-    ``ConflictingProfile``.
+    patient_id (order of first appearance). Rows that violate a type
+    invariant are rejected with their line number; the same patient_id
+    appearing with different attributes is a ``ConflictingProfile``.
     """
     reader = _records(text)
     try:
@@ -288,10 +282,6 @@ def parse_event_log(
             age, com = int(age_s), int(com_s)
         except ValueError as exc:
             raise RowParseError(lineno, str(exc)) from None
-        if departments is not None and dept not in departments:
-            raise InvariantViolation("department", f"{dept!r} unknown", line=lineno)
-        if drg_alphabet is not None and drg not in drg_alphabet:
-            raise InvariantViolation("drg", f"{drg!r} unknown", line=lineno)
         attributes = (age, gender, com, drg)
         index = patient_index.get(pid)
         try:
@@ -299,7 +289,7 @@ def parse_event_log(
             if index is None or attributes != profile_key(profiles[index]):
                 profile = PatientProfile(pid, *attributes)
         except InvariantViolation as exc:
-            raise InvariantViolation(exc.field, str(exc), line=lineno) from None
+            raise InvariantViolation(exc.field, exc.message, line=lineno) from None
         if index is None:
             index = patient_index[pid] = len(profiles)
             profiles.append(profile)

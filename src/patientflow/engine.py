@@ -32,7 +32,6 @@ Conventions:
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from bisect import bisect_right
 from collections import deque
@@ -47,6 +46,7 @@ from typing import Union
 import numpy as np
 from numpy.random import Generator
 
+from . import codec
 from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, PatientProfile, profile_key
 from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
 from .estimators import PROFILE_MODELS, draw_z, locations, profile_attributes, sampler
@@ -240,10 +240,6 @@ class PatientRecord:
     stays: tuple[StayRecord, ...]
     discharge_time: float | None
     total_cost: float | None
-
-    @property
-    def total_los(self) -> float:
-        return sum(s.los for s in self.stays)
 
     @property
     def total_wait(self) -> float:
@@ -764,12 +760,28 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
 
 
 @dataclass(frozen=True)
+class ReplicationTotals:
+    """One replication's aggregates, as ``SimResult`` holds them."""
+
+    replication: int
+    admissions: int
+    discharges: int
+    in_system: int
+    truncated_walks: int
+    avg_census: dict
+    utilization: dict
+
+
+@dataclass(frozen=True)
 class ReplicationSummary:
-    bucket_width: float
+    """What ``summary.json`` holds: its document, field by field."""
+
+    census_bucket_width: float
     horizon: float
     replications: int
-    mean_census: dict  # department -> tuple of per-bucket means across replications
-    sd_census: dict    # department -> tuple of per-bucket sds (population)
+    per_replication: tuple[ReplicationTotals, ...]
+    mean_census_per_bucket: dict  # department -> tuple of means across replications
+    sd_census_per_bucket: dict    # department -> tuple of sds (population)
     mean_avg_census: dict
     mean_utilization: dict
 
@@ -817,13 +829,18 @@ def replicate(
              for res in results]
         )
     summary = ReplicationSummary(
-        bucket_width=census_bucket,
+        census_bucket_width=census_bucket,
         horizon=config.horizon,
         replications=config.replications,
-        mean_census={k: tuple(float(v) for v in rows.mean(axis=0))
-                     for k, rows in per_dept.items()},
-        sd_census={k: tuple(float(v) for v in rows.std(axis=0))
-                   for k, rows in per_dept.items()},
+        per_replication=tuple(
+            ReplicationTotals(res.replication, res.admissions, res.discharges,
+                              res.in_system, res.truncated_walks, res.avg_census,
+                              res.utilization)
+            for res in results),
+        mean_census_per_bucket={k: tuple(float(v) for v in rows.mean(axis=0))
+                                for k, rows in per_dept.items()},
+        sd_census_per_bucket={k: tuple(float(v) for v in rows.std(axis=0))
+                              for k, rows in per_dept.items()},
         mean_avg_census={
             d.name: float(np.mean([res.avg_census[d.name] for res in results]))
             for d in config.departments
@@ -870,33 +887,5 @@ def write_patients_csv(result: SimResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def summary_jsonable(results: list[SimResult], summary: ReplicationSummary) -> dict:
-    return {
-        "replications": summary.replications,
-        "horizon": summary.horizon,
-        "census_bucket_width": summary.bucket_width,
-        "per_replication": [
-            {
-                "replication": r.replication,
-                "admissions": r.admissions,
-                "discharges": r.discharges,
-                "in_system": r.in_system,
-                "truncated_walks": r.truncated_walks,
-                "avg_census": r.avg_census,
-                "utilization": r.utilization,
-            }
-            for r in results
-        ],
-        "mean_census_per_bucket": {k: list(v) for k, v in summary.mean_census.items()},
-        "sd_census_per_bucket": {k: list(v) for k, v in summary.sd_census.items()},
-        "mean_avg_census": summary.mean_avg_census,
-        "mean_utilization": summary.mean_utilization,
-    }
-
-
-def write_summary_json(results: list[SimResult], summary: ReplicationSummary,
-                       path: Path) -> None:
-    path.write_text(
-        json.dumps(summary_jsonable(results, summary), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+def write_summary_json(summary: ReplicationSummary, path: Path) -> None:
+    codec.write(summary, path)

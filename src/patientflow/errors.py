@@ -40,6 +40,7 @@ class InvariantViolation(DataError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{field}: {message}")
         self.field = field
+        self.message = message
         self.line = line
 
 
@@ -112,10 +113,6 @@ class NewtonDivergence(NumericError):
     pass
 
 
-class UnencodableProfile(DataError):
-    pass
-
-
 # --- pathways --------------------------------------------------------------
 
 class UnknownDepartment(DataError):
@@ -123,10 +120,6 @@ class UnknownDepartment(DataError):
 
 
 class TooFewTrajectories(DataError):
-    pass
-
-
-class UnobservedRow(DataError):
     pass
 
 

@@ -32,7 +32,6 @@ from .errors import (
     InsufficientData,
     NewtonDivergence,
     NonPositiveSample,
-    UnencodableProfile,
     ZeroVariance,
 )
 from .seeding import cumulative, draw_cumulative, stream
@@ -41,6 +40,7 @@ RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
 EM_TOL = 1e-8               # EM stops once an E step gains less log-likelihood
 DEGENERATE_SIGMA = 1e-12
+COST_FLOOR = 0.01           # lognormal cost fits need strictly positive totals
 
 TARGET_LOS = "los"
 TARGET_COT = "cot"
@@ -334,9 +334,8 @@ class FeatureSpec:
     are one-hot with the first (reference) level dropped; a leading
     intercept column is always present. An unseen level at prediction
     time encodes as all zeros (the reference) and is counted by
-    ``encode_all``, unless strict mode is requested. Extra
-    numeric columns (e.g. future lab results) can be added by listing
-    more attribute names.
+    ``encode_all``. Extra numeric columns (e.g. future lab results) can
+    be added by listing more attribute names.
     """
 
     numeric: tuple[NumericFeature, ...]
@@ -346,17 +345,14 @@ class FeatureSpec:
     def width(self) -> int:
         return 1 + len(self.numeric) + sum(len(c.levels) - 1 for c in self.categorical)
 
-    def encode(self, profile: PatientProfile, strict: bool = False) -> np.ndarray:
-        return self.encode_all([profile], strict)[0][0]
+    def encode(self, profile: PatientProfile) -> np.ndarray:
+        return self.encode_all([profile])[0][0]
 
-    def encode_all(self, profiles: Sequence[PatientProfile],
-                   strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def encode_all(self, profiles: Sequence[PatientProfile]) -> tuple[np.ndarray, np.ndarray]:
         """One encoded row per profile, and the unseen levels in each.
 
         Each entry is the float a profile gets on its own: a numeric
         attribute is ``(float(value) - mean) / sd``, a level 1.0 or 0.0.
-        Strict mode raises for the first categorical, in spec order, with
-        a level the spec has not seen.
         """
         X = np.zeros((len(profiles), self.width))
         X[:, 0] = 1.0
@@ -368,13 +364,8 @@ class FeatureSpec:
             i += 1
         for c in self.categorical:
             level = {value: c.levels.index(value) for value in c.levels}
-            values = [getattr(p, c.name) for p in profiles]
-            j = np.array([level.get(value, -1) for value in values], dtype=np.int64)
-            missing = j < 0
-            if strict and missing.any():
-                value = values[int(np.argmax(missing))]
-                raise UnencodableProfile(f"unseen {c.name} level {value!r}")
-            unseen += missing
+            j = np.array([level.get(getattr(p, c.name), -1) for p in profiles], dtype=np.int64)
+            unseen += j < 0
             hit = np.flatnonzero(j > 0)
             X[hit, i + j[hit] - 1] = 1.0
             i += len(c.levels) - 1
@@ -385,21 +376,17 @@ DEFAULT_NUMERIC = ("age", "comorbidity_count")
 DEFAULT_CATEGORICAL = ("gender", "drg")
 
 
-def build_feature_spec(
-    profiles: Sequence[PatientProfile],
-    numeric: Sequence[str] = DEFAULT_NUMERIC,
-    categorical: Sequence[str] = DEFAULT_CATEGORICAL,
-) -> FeatureSpec:
+def build_feature_spec(profiles: Sequence[PatientProfile]) -> FeatureSpec:
     if not profiles:
         raise InsufficientData("no profiles")
     nums = []
-    for name in numeric:
+    for name in DEFAULT_NUMERIC:
         values = np.asarray([float(getattr(p, name)) for p in profiles])
         sd = float(np.std(values))
         nums.append(NumericFeature(name=name, mean=float(values.mean()),
                                    sd=sd if sd > 1e-12 else 1.0))
     cats = []
-    for name in categorical:
+    for name in DEFAULT_CATEGORICAL:
         levels = tuple(sorted({str(getattr(p, name)) for p in profiles}))
         cats.append(CategoricalFeature(name=name, levels=levels))
     return FeatureSpec(numeric=tuple(nums), categorical=tuple(cats))
@@ -436,15 +423,13 @@ def fit_conditional(
     profiles: Sequence[PatientProfile],
     targets: Sequence[float],
     target_kind: str = TARGET_LOS,
-    spec: FeatureSpec | None = None,
 ) -> ConditionalModel:
     """Ridge-damped least squares of the ln target on encoded attributes."""
     t = np.asarray(targets, dtype=float)
     if len(profiles) != len(t):
         raise InsufficientData("profiles and targets must align")
     y = _ln_target(t, target_kind)
-    if spec is None:
-        spec = build_feature_spec(profiles)
+    spec = build_feature_spec(profiles)
     if len(t) <= spec.width:
         raise InsufficientData(f"need more than {spec.width} rows, got {len(t)}")
     # encode each distinct attribute tuple once; X keeps the same floats
@@ -466,37 +451,36 @@ def fit_conditional(
     )
 
 
-def predict_mean(model: ConditionalModel, profile: PatientProfile,
-                 strict: bool = False) -> float:
+def predict_mean(model: ConditionalModel, profile: PatientProfile) -> float:
     """Mean target: exp(linear predictor + residual_sigma^2 / 2).
 
     The half-variance term is the lognormal mean correction. Cost models
     additionally undo the +1 shift and clamp at zero.
     """
-    lp = location(model, profile, strict)[0]
+    lp = location(model, profile)[0]
     mean_ln_scale = math.exp(lp + 0.5 * model.residual_sigma**2)
     if model.target_kind == TARGET_COT:
         return max(0.0, mean_ln_scale - 1.0)
     return mean_ln_scale
 
 
-def location(model: ConditionalModel | RegressionTree, profile: PatientProfile,
-             strict: bool = False) -> tuple[float, int]:
+def location(model: ConditionalModel | RegressionTree,
+             profile: PatientProfile) -> tuple[float, int]:
     """ln-space location of a profile's draws, and the unseen levels met.
 
     For a conditional model this is the linear predictor, for a tree the
     leaf's mean ln target (exact leaf statistic, no exponentiation).
     """
-    loc, unseen = locations(model, [profile], strict)
+    loc, unseen = locations(model, [profile])
     return loc[0], unseen[0]
 
 
-def locations(model: ConditionalModel | RegressionTree, profiles: Sequence[PatientProfile],
-              strict: bool = False) -> tuple[list[float], list[int]]:
+def locations(model: ConditionalModel | RegressionTree,
+              profiles: Sequence[PatientProfile]) -> tuple[list[float], list[int]]:
     """``location`` of each profile, encoded together; every number is the
     one a profile gets on its own (one ``np.dot`` per encoded row)."""
     if isinstance(model, ConditionalModel):
-        rows, unseen = model.feature_spec.encode_all(profiles, strict)
+        rows, unseen = model.feature_spec.encode_all(profiles)
         coef = np.asarray(model.coef)
         return [float(np.dot(coef, row)) for row in rows], unseen.tolist()
     return [_leaf(model.root, p).mean_ln for p in profiles], [0] * len(profiles)
@@ -582,7 +566,6 @@ def sample(
     model: ConditionalModel | UnivariateFit | MixtureFit | RegressionTree,
     rng: Generator,
     profile: PatientProfile | None = None,
-    strict: bool = False,
 ) -> float:
     """Draw one target value from a fitted model.
 
@@ -595,7 +578,7 @@ def sample(
     if profile is None:
         kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
         raise ConfigError(f"{kind} models require a profile to sample")
-    return draw(location(model, profile, strict)[0], rng)
+    return draw(location(model, profile)[0], rng)
 
 
 # --- CART regression tree ------------------------------------------------------
@@ -715,8 +698,6 @@ def fit_tree(
     targets: Sequence[float],
     max_depth: int = 6,
     min_leaf: int = 20,
-    numeric: Sequence[str] = DEFAULT_NUMERIC,
-    categorical: Sequence[str] = DEFAULT_CATEGORICAL,
 ) -> RegressionTree:
     """Greedy variance-reduction CART on the ln target.
 
@@ -732,12 +713,14 @@ def fit_tree(
     if np.any(t <= 0.0):
         raise NonPositiveSample("targets must be > 0")
     y = np.log(t)
-    num_cols = {n: np.asarray([float(getattr(p, n)) for p in profiles]) for n in numeric}
-    cat_cols = {n: np.asarray([str(getattr(p, n)) for p in profiles]) for n in categorical}
+    num_cols = {n: np.asarray([float(getattr(p, n)) for p in profiles])
+                for n in DEFAULT_NUMERIC}
+    cat_cols = {n: np.asarray([str(getattr(p, n)) for p in profiles])
+                for n in DEFAULT_CATEGORICAL}
     root = _grow(num_cols, cat_cols, y, np.arange(len(t)), 0, max_depth, min_leaf)
     residuals = y - np.asarray([_leaf(root, p).mean_ln for p in profiles])
     return RegressionTree(root=root, max_depth=max_depth, min_leaf=min_leaf,
-                          numeric=tuple(numeric), categorical=tuple(categorical),
+                          numeric=DEFAULT_NUMERIC, categorical=DEFAULT_CATEGORICAL,
                           residual_sigma=float(np.sqrt(np.mean(residuals**2))))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
@@ -57,8 +57,6 @@ from .errors import ConfigError, DataError, WindowMismatch
 from .inflow import ForecasterSpec, MetricReport, default_calendar
 from .synthehr import GeneratorConfig, GenerateResult, generate
 from .pathways import TransitionMatrix
-
-COST_FLOOR = 0.01  # lognormal cost fits need strictly positive totals
 
 STACK_A = "stack_a"
 STACK_B = "stack_b"
@@ -123,6 +121,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """What ``report.json`` holds, field by field."""
+
     split_time: float
     horizon: float
     n_train_patients: int
@@ -135,25 +135,6 @@ class ComparisonReport:
     pathway_tv: dict           # stack -> mean TV(used matrix, latent-class matrix)
     verdicts: dict             # metric -> True when stack B <= stack A
     fingerprints: dict         # stack -> {component: md5 of serialized model}
-
-    def to_jsonable(self) -> dict:
-        return {
-            "split_time": self.split_time,
-            "horizon": self.horizon,
-            "n_train_patients": self.n_train_patients,
-            "n_test_patients": self.n_test_patients,
-            "inflow_metrics": {k: asdict(v) for k, v in self.inflow_metrics.items()},
-            "census_mae": self.census_mae,
-            "census_mae_mean": self.census_mae_mean,
-            "los_ks": self.los_ks,
-            "cot_rel_err": self.cot_rel_err,
-            "pathway_tv": self.pathway_tv,
-            "verdicts": self.verdicts,
-            "fingerprints": self.fingerprints,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
 def model_fingerprint(jsonable: dict) -> str:
@@ -201,10 +182,10 @@ def census_error(
     Both curves are bucketed at the summary's bucket width; buckets that
     start before ``warm_up`` (relative time) are excluded.
     """
-    width = summary.bucket_width
+    width = summary.census_bucket_width
     out = {}
     for dept, steps in truth_steps.items():
-        sim = np.asarray(summary.mean_census[dept])
+        sim = np.asarray(summary.mean_census_per_bucket[dept])
         truth = bucket_census(*zip(*steps), width, summary.horizon)
         if len(sim) != len(truth):
             raise WindowMismatch(
@@ -241,7 +222,7 @@ def _fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments):
     for dept in departments:
         targets = stay_rows.get(dept, (None, []))[1]
         los_models[dept] = estimators.fit_lognormal(targets if len(targets) >= 2 else all_los)
-    costs = [max(c, COST_FLOOR) for c in cost_rows[1]]
+    costs = [max(c, estimators.COST_FLOOR) for c in cost_rows[1]]
     cot_model = estimators.fit_lognormal(costs)
     pathway = pathways.fit_transition_matrix(trajectories, departments)
     return _Stack(STACK_A, inflow_model, los_models, cot_model, pathway)
@@ -502,7 +483,7 @@ def run_experiment(
 def _write_outputs(out, report, scenario, test_series, forecasts, sims,
                    truth_steps, t_split, truth_los, sim_los_by_stack):
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    codec.write(report, out / "report.json")
 
     w = scenario.bucket_width
     lines = ["bucket_start_hour,actual,stack_a,stack_b"]
@@ -518,8 +499,8 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     lines = ["bucket_start_hour,department,truth,stack_a,stack_b"]
     for dept, steps in truth_steps.items():
         truth_curve = bucket_census(*zip(*steps), cw, h_test)
-        a_curve = sims[STACK_A][1].mean_census[dept]
-        b_curve = sims[STACK_B][1].mean_census[dept]
+        a_curve = sims[STACK_A][1].mean_census_per_bucket[dept]
+        b_curve = sims[STACK_B][1].mean_census_per_bucket[dept]
         for i, tv in enumerate(truth_curve):
             lines.append(
                 f"{t_split + i * cw:.6f},{dept},{tv:.6f},"

@@ -26,7 +26,6 @@ from .errors import (
     MissingAttributeCentroids,
     TooFewTrajectories,
     UnknownDepartment,
-    UnobservedRow,
 )
 from .seeding import cumulative, draw_cumulative, stream
 
@@ -34,6 +33,8 @@ MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
+SWEEP_K = (1, 2, 3, 4, 5)  # the cluster counts sweep_k tries
+SILHOUETTE_CAP = 2000     # sweep_k scores at most this many trajectories
 
 
 @dataclass(frozen=True)
@@ -412,21 +413,16 @@ def assign_all(profiles: Sequence[PatientProfile], clusters: PathwayClusters) ->
     return nearest
 
 
-def next_department(
-    state: str, matrix: TransitionMatrix, rng: Generator, strict: bool = False
-) -> str:
+def next_department(state: str, matrix: TransitionMatrix, rng: Generator) -> str:
     """Draw the next state from the matrix row of ``state``.
 
-    An unobserved row raises in strict mode and otherwise discharges,
-    the conservative fallback (such rows are unreachable under matrices
-    fitted on complete logs).
+    An unobserved row discharges, the conservative fallback (such rows
+    are unreachable under matrices fitted on complete logs).
     """
     if state == DISCHARGE:
         return DISCHARGE
     i = matrix.row_index(state)
     if not matrix.row_observed[i]:
-        if strict:
-            raise UnobservedRow(f"no observed transitions out of {state!r}")
         return DISCHARGE
     return matrix.column_state(draw_cumulative(cumulative(matrix.probs[i]), rng))
 
@@ -484,26 +480,24 @@ def sweep_k(
     trajectories: Trajectories,
     seed: int,
     profiles: Sequence[PatientProfile] | None = None,
-    k_range: Sequence[int] = (1, 2, 3, 4, 5),
-    silhouette_cap: int = 2000,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
-    """Fit every k in ``k_range`` and keep the best mean silhouette.
+    """Fit every k in ``SWEEP_K`` and keep the best mean silhouette.
 
     Silhouette needs pairwise distances, so points are subsampled
-    (deterministically) beyond ``silhouette_cap``. k = 1 scores 0, so it
+    (deterministically) beyond ``SILHOUETTE_CAP``. k = 1 scores 0, so it
     wins exactly when every proper clustering has a negative silhouette.
     Ties go to the smaller k.
     """
     departments = _alphabet(trajectories, departments)
     X = encode_all(trajectories, departments)
-    if len(X) > silhouette_cap:
-        pick = stream(seed, 999).choice(len(X), size=silhouette_cap, replace=False)
+    if len(X) > SILHOUETTE_CAP:
+        pick = stream(seed, 999).choice(len(X), size=SILHOUETTE_CAP, replace=False)
         pick.sort()
     else:
         pick = np.arange(len(X))
     best = None
-    for k in k_range:
+    for k in SWEEP_K:
         if len(trajectories) < k:
             continue
         result = cluster(trajectories, k, seed, profiles, departments)

@@ -22,7 +22,6 @@ stay mixes), not any real hospital's numbers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,19 +226,7 @@ class GroundTruth:
     latent_class: dict[str, int]
     truncated_walks: int
     n_patients: int
-    config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "latent_class": self.latent_class,
-                "truncated_walks": self.truncated_walks,
-                "n_patients": self.n_patients,
-                "config": self.config,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    config: GeneratorConfig
 
 
 @dataclass(frozen=True)
@@ -397,7 +384,7 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         latent_class=latent,
         truncated_walks=truncated,
         n_patients=len(arrivals),
-        config=config.to_dict(),
+        config=config,
     )
     log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
     return GenerateResult(log, tuple(profiles), truth)
@@ -410,5 +397,5 @@ def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Pa
     log_path = out / "log.csv"
     truth_path = out / "ground_truth.json"
     log_path.write_text(serialize_event_log(result.log, result.profiles), encoding="utf-8")
-    truth_path.write_text(result.truth.to_json() + "\n", encoding="utf-8")
+    codec.write(result.truth, truth_path)
     return log_path, truth_path

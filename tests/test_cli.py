@@ -91,6 +91,21 @@ def test_synth_byte_reproducible(tmp_path, gen_config_path):
     ).read_bytes()
 
 
+# SHA-256 of synth's outputs for gen_config_path, recorded while
+# ground_truth.json still had its own hand-written mapper
+SYNTH_GOLDEN = {
+    "log.csv": "edf6b579c5ae3871b61bcaf439723dcc830f13b7a9a1f8311715426548bc739e",
+    "ground_truth.json": "2efe04c236e6e5176b8a6394660dd6dc07b36bf9109451f8f31cc7e46b4a5524",
+}
+
+
+def test_synth_golden_bytes(tmp_path, gen_config_path):
+    out = tmp_path / "data"
+    assert main(["synth", "--config", gen_config_path, "--out", str(out)]) == 0
+    for name, digest in SYNTH_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_synth_seed_override_changes_output(tmp_path, gen_config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["synth", "--config", gen_config_path, "--out", str(out_a)])
@@ -1178,6 +1193,19 @@ def test_unwritable_copy_path_still_loads(tmp_path, log_path, capsys):
                  "--out", str(tmp_path / "p.json")]) == 0
     assert sorted(p.name for p in log.parent.iterdir()) == [
         "ground_truth.json", "log.csv", "log.csv.columns.npz"]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("P2,ER,3.0,2.0,1.0,40,M,0,GEN", "exit_time: 2.0 not after enter_time 3.0"),
+    ("P2,ER,3.0,4.0,1.0,140,M,0,GEN", "age: 140 outside [0, 120]"),
+])
+def test_invalid_log_row_names_its_field_once(tmp_path, capsys, row, message):
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join([",".join(CSV_FIELDS), "P1,ER,0.0,1.0,1.0,40,F,0,GEN", row])
+                   + "\n")
+    assert main(["fit", "--log", str(log), "--model", "lognormal_los",
+                 "--out", str(tmp_path / "los.json")]) == 3
+    assert capsys.readouterr().err == f"data error: line 3: {message}\n"
 
 
 def test_invalid_log_exits_3_on_every_read_and_leaves_no_copy(tmp_path, capsys):

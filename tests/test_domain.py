@@ -72,13 +72,6 @@ def test_parse_rejects_conflicting_profile():
         parse_event_log(text)
 
 
-def test_parse_validates_alphabets():
-    with pytest.raises(InvariantViolation):
-        parse_event_log(TWO_ROWS, departments=["ER"])
-    with pytest.raises(InvariantViolation):
-        parse_event_log(TWO_ROWS, drg_alphabet=["HF"])
-
-
 def test_serialize_parse_round_trip_small():
     log, profiles = parse_event_log(TWO_ROWS)
     assert serialize_event_log(log, profiles) == TWO_ROWS

@@ -379,8 +379,8 @@ def test_replicate_single_matches_run():
     assert results[0] == run(config, 0)
     expected = bucket_census(results[0].census_times["W"], results[0].census_occupied["W"],
                              24.0, config.horizon)
-    assert summary.mean_census["W"] == pytest.approx(tuple(expected))
-    assert all(v == 0.0 for v in summary.sd_census["W"])
+    assert summary.mean_census_per_bucket["W"] == pytest.approx(tuple(expected))
+    assert all(v == 0.0 for v in summary.sd_census_per_bucket["W"])
 
 
 def test_replicate_same_seed_identical():

@@ -13,7 +13,6 @@ from patientflow.errors import (
     EmptySample,
     InsufficientData,
     NonPositiveSample,
-    UnencodableProfile,
     ZeroVariance,
 )
 from patientflow.estimators import (
@@ -303,7 +302,7 @@ def test_cot_model_admits_zero_costs():
     assert predict_mean(model, profiles[0]) >= 0.0
 
 
-def test_unseen_level_counts_and_strict_mode():
+def test_unseen_level_counts():
     profiles = [profile(f"P{i}", drg="ACS") for i in range(20)] + [
         profile(f"Q{i}", drg="HF") for i in range(20)
     ]
@@ -311,8 +310,6 @@ def test_unseen_level_counts_and_strict_mode():
     model = fit_conditional(profiles, targets, TARGET_LOS)
     predict_mean(model, profile("X", drg="NEW"))
     assert location(model, profile("X", drg="NEW"))[1] == 1
-    with pytest.raises(UnencodableProfile):
-        predict_mean(model, profile("X", drg="NEW"), strict=True)
 
 
 # --- sampling ---------------------------------------------------------------------------

@@ -101,11 +101,12 @@ def test_truth_census_rejects_empty_window():
 
 def summary_for(curves, width, horizon):
     return ReplicationSummary(
-        bucket_width=width,
+        census_bucket_width=width,
         horizon=horizon,
         replications=1,
-        mean_census=curves,
-        sd_census={k: tuple(0.0 for _ in v) for k, v in curves.items()},
+        per_replication=(),
+        mean_census_per_bucket=curves,
+        sd_census_per_bucket={k: tuple(0.0 for _ in v) for k, v in curves.items()},
         mean_avg_census={k: float(np.mean(v)) for k, v in curves.items()},
         mean_utilization={k: 0.0 for k in curves},
     )
@@ -171,7 +172,7 @@ def test_experiment_splits_patients_completely(small_report_pair, default_scenar
 
 def test_experiment_metrics_finite(small_report_pair):
     _, report = small_report_pair
-    d = report.to_jsonable()
+    d = codec.document(report)
     for stack in (STACK_A, STACK_B):
         for metric in ("census_mae_mean", "los_ks", "cot_rel_err", "pathway_tv"):
             assert np.isfinite(d[metric][stack])
@@ -208,7 +209,7 @@ def test_experiment_report_byte_reproducible(small_report_pair, default_scenario
     scenario, report = small_report_pair
     again = run_experiment(ScenarioConfig.from_dict(
         small_scenario_dict(default_scenario_dict)))
-    assert again.to_json() == report.to_json()
+    assert codec.document(again) == codec.document(report)
 
 
 def test_experiment_writes_outputs(tmp_path, default_scenario_dict):
@@ -216,7 +217,7 @@ def test_experiment_writes_outputs(tmp_path, default_scenario_dict):
     report = run_experiment(scenario, out_dir=tmp_path)
     assert (tmp_path / "report.json").exists()
     written = json.loads((tmp_path / "report.json").read_text())
-    assert written == report.to_jsonable()
+    assert written == codec.document(report)
     for name in ("inflow_forecasts.csv", "census_compare.csv", "los_hist.csv"):
         text = (tmp_path / name).read_text()
         assert len(text.splitlines()) > 2

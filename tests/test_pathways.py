@@ -9,7 +9,6 @@ from patientflow.errors import (
     MissingAttributeCentroids,
     TooFewTrajectories,
     UnknownDepartment,
-    UnobservedRow,
 )
 from patientflow.pathways import (
     assign,
@@ -380,8 +379,6 @@ def test_next_department_seeded_walk():
 
 def test_next_department_unobserved_row():
     m = fit_transition_matrix(trajectories_of([["A"]]), departments=["A", "B"])
-    with pytest.raises(UnobservedRow):
-        next_department("B", m, stream(0), strict=True)
     assert next_department("B", m, stream(0)) == DISCHARGE
 
 
