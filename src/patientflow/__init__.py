@@ -13,7 +13,7 @@ from .domain import (  # noqa: F401
     ArrivalSeries,
     DepartmentSpec,
     EventLog,
-    PatientProfile,
+    Profiles,
     Trajectories,
     bucketize,
     extract_trajectories,

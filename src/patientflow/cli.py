@@ -54,8 +54,6 @@ LOS_KINDS = ("lognormal_los", "gamma_los", "weibull_los", "mixture_los",
 COT_KINDS = ("lognormal_cot", "conditional_cot")
 PATHWAY_KINDS = ("transition", "clusters")
 FIT_KINDS = INFLOW_KINDS + LOS_KINDS + COT_KINDS + PATHWAY_KINDS
-# the fits that read a log's columns but not its profiles
-COLUMN_KINDS = INFLOW_KINDS + ("lognormal_los", "gamma_los", "weibull_los", "mixture_los")
 
 
 def _info(msg: str) -> None:
@@ -87,10 +85,8 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _load_log(path: str, profiles: bool = True):
-    """An event log CSV's ``EventLog`` and its profiles, or None in place
-    of the profiles unless ``profiles`` (building them is most of the cost
-    of a read from the copy).
+def _load_log(path: str):
+    """An event log CSV's ``EventLog`` and its ``Profiles``.
 
     A parse that passes writes its output beside the CSV, to
     ``<path>.columns.npz``, keyed by the SHA-256 of ``LOG_ARRAYS_TAG`` and
@@ -101,21 +97,20 @@ def _load_log(path: str, profiles: bool = True):
     data = _read_bytes(path)
     key = hashlib.sha256(LOG_ARRAYS_TAG + data).digest()
     copy = Path(path + ".columns.npz")
-    loaded = _read_log_copy(copy, key, profiles)
+    loaded = _read_log_copy(copy, key)
     if loaded is None:
-        log, parsed = parse_event_log(_decode(path, data, DataError))
-        _write_log_copy(copy, key, log, parsed)
-        loaded = (log, parsed if profiles else None)
+        loaded = parse_event_log(_decode(path, data, DataError))
+        _write_log_copy(copy, key, *loaded)
     return loaded
 
 
-def _read_log_copy(copy: Path, key: bytes, profiles: bool):
-    """The log (and profiles) stored in ``copy`` under ``key``, or None."""
+def _read_log_copy(copy: Path, key: bytes):
+    """The log and profiles stored in ``copy`` under ``key``, or None."""
     try:
         with np.load(copy, allow_pickle=False) as arrays:
             if arrays["key"].tobytes() != key:
                 return None
-            return log_from_arrays(arrays, profiles)
+            return log_from_arrays(arrays)
     except Exception:  # a damaged zip raises a dozen kinds of error: parse instead
         return None
 
@@ -165,16 +160,15 @@ def _targets(kind, log, profiles, department):
     model (stays in log order, of one department if given) is fitted on."""
     if kind in COT_KINDS:
         totals = np.bincount(log.patient, weights=log.cost, minlength=len(profiles))
-        order = sorted(range(len(profiles)), key=lambda i: profiles[i].patient_id)
-        return [profiles[i] for i in order], totals[order].tolist()
+        order = np.argsort(profiles.patient_id)
+        return profiles.take(order), totals[order].tolist()
     rows = log.in_department(department) if department is not None else slice(None)
-    profs = None if profiles is None else [profiles[i] for i in log.patient[rows].tolist()]
-    return profs, log.los[rows].tolist()
+    return profiles.take(log.patient[rows]), log.los[rows].tolist()
 
 
 def _cmd_fit(args) -> int:
     kind = args.model
-    log, profiles = _load_log(args.log, profiles=kind not in COLUMN_KINDS)
+    log, profiles = _load_log(args.log)
     if not len(log):
         raise DataError("event log is empty")
 
@@ -219,8 +213,8 @@ def _cmd_fit(args) -> int:
         else:
             if args.k is None or args.seed is None:
                 raise ConfigError("clusters requires --k and --seed")
-            traj_profiles = [profiles[i] for i in trajectories.patient.tolist()]
-            model = pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
+            model = pathways.cluster(trajectories, args.k, args.seed,
+                                     profiles.take(trajectories.patient))
 
     codec.write(model, args.out)
     _info(f"fitted {kind}, wrote {args.out}")
@@ -246,7 +240,7 @@ def _parse_sampler(d, base: Path):
         _, profiles = _load_log(str((base / d["log"]).resolve()))
         if not profiles:
             raise DataError("empirical sampler log has no profiles")
-        return EmpiricalSampler(tuple(profiles))
+        return EmpiricalSampler(profiles)
     if kind == "attributes":
         return codec.read(AttributeSampler, d, "profile_sampler")
     raise ConfigError(f"unknown profile sampler kind {kind!r}")
@@ -269,16 +263,14 @@ def _read_sim_config(d, base: Path) -> tuple[SimConfig, float]:
         raise ConfigError(f"simulation config: expected an object, got {d!r:.60}")
     try:
         config = SimConfig(
-            departments=tuple(
-                DepartmentSpec(name=dep["name"], bed_capacity=dep.get("bed_capacity"))
-                for dep in d["departments"]
-            ),
+            departments=codec.read(tuple[DepartmentSpec, ...], d["departments"],
+                                   "departments"),
             horizon=codec.read(float, d["horizon"], "horizon"),
             warm_up=codec.read(float, d.get("warm_up", 0.0), "warm_up"),
             arrival_driver=_parse_driver(d["arrival_driver"]),
             los_models={
                 name: codec.decode(m, *codec.ESTIMATOR_KINDS)
-                for name, m in d["los_models"].items()
+                for name, m in codec.read(dict, d["los_models"], "los_models").items()
             },
             cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
             pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),

@@ -10,9 +10,10 @@ dataclass's fields by name: tuples become lists, nested dataclasses and
 ``"leaf"``, which is how ``decode`` tells alternatives apart.
 
 ``read`` converts each field to its annotated type. A field with a
-default may be absent; unknown keys are ignored. Anything else that does
-not fit, including a NaN or infinite float, raises ``ConfigError`` naming
-the value's path in the document.
+default may be absent; unknown keys are ignored. A field annotated
+``object`` is passed as it is, for its class to check. Anything else
+that does not fit, including a NaN or infinite float, raises
+``ConfigError`` naming the value's path in the document.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _decode(value, hint, path: str):
         if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
             return float(value)
         raise ConfigError(f"{path}: expected a finite number, got {value!r:.60}")
-    if type(value) is hint:
+    if hint is object or type(value) is hint:
         return value
     expected = {float: "a number", int: "a number (an integer)"}.get(hint, hint.__name__)
     raise ConfigError(f"{path}: expected {expected}, got {value!r:.60}")

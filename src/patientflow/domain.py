@@ -14,7 +14,6 @@ import io
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -53,32 +52,76 @@ AGE_MAX = 120
 COMORBIDITY_MAX = 30
 
 
-@dataclass(frozen=True)
-class PatientProfile:
-    """Attributes that drive heterogeneity in stay, cost, and pathway."""
+# The attributes models read, in the order a row's key lists them, and
+# the columns of a ``Profiles`` table.
+PROFILE_ATTRIBUTES = ("age", "gender", "comorbidity_count", "drg")
+PROFILE_FIELDS = ("patient_id", *PROFILE_ATTRIBUTES)
+_PROFILE_DTYPES = (object, np.int64, object, np.int64, object)
 
-    patient_id: str
-    age: int
-    gender: str
-    comorbidity_count: int
-    drg: str
+
+def check_profile(age: int, gender: str, comorbidity_count: int) -> None:
+    """Reject an age outside [0, 120], a gender not in ``GENDERS`` or a
+    comorbidity count outside [0, 30]."""
+    if not (0 <= age <= AGE_MAX):
+        raise InvariantViolation("age", f"{age} outside [0, {AGE_MAX}]")
+    if gender not in GENDERS:
+        raise InvariantViolation("gender", f"{gender!r} not in {GENDERS}")
+    if not (0 <= comorbidity_count <= COMORBIDITY_MAX):
+        raise InvariantViolation(
+            "comorbidity_count", f"{comorbidity_count} outside [0, {COMORBIDITY_MAX}]")
+
+
+@dataclass(frozen=True, eq=False)
+class Profiles:
+    """Patient attributes as columns, one row per patient: the attributes
+    that drive heterogeneity in stay, cost and pathway.
+
+    The string columns hold Python strings (object arrays), the counts
+    int64. The constructor takes any sequences of equal length, and
+    rejects the first invalid row as ``check_profile`` does.
+    """
+
+    patient_id: np.ndarray
+    age: np.ndarray
+    gender: np.ndarray
+    comorbidity_count: np.ndarray
+    drg: np.ndarray
 
     def __post_init__(self):
-        if not (0 <= self.age <= AGE_MAX):
-            raise InvariantViolation("age", f"{self.age} outside [0, {AGE_MAX}]")
-        if self.gender not in GENDERS:
-            raise InvariantViolation("gender", f"{self.gender!r} not in {GENDERS}")
-        if not (0 <= self.comorbidity_count <= COMORBIDITY_MAX):
-            raise InvariantViolation(
-                "comorbidity_count",
-                f"{self.comorbidity_count} outside [0, {COMORBIDITY_MAX}]",
-            )
+        for name, dtype in zip(PROFILE_FIELDS, _PROFILE_DTYPES):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in PROFILE_FIELDS}) != 1:
+            raise ValueError("profile columns of unequal length")
+        age, com = self.age, self.comorbidity_count
+        bad = ((age < 0) | (age > AGE_MAX) | (com < 0) | (com > COMORBIDITY_MAX)
+               | ~np.isin(self.gender, GENDERS))
+        if bad.any():
+            i = int(np.argmax(bad))
+            check_profile(age[i].item(), self.gender[i], com[i].item())
 
+    @classmethod
+    def from_rows(cls, patient_id: Sequence[str], rows: Sequence[tuple]) -> "Profiles":
+        """The table of the given ids and their (age, gender,
+        comorbidity_count, drg) rows."""
+        return cls(patient_id, *np.array(rows, dtype=object).reshape(-1, 4).T)
 
-# Every attribute of a profile except its id: the attributes models read,
-# and the key under which the engine caches one profile's predictions.
-PROFILE_ATTRIBUTES = ("age", "gender", "comorbidity_count", "drg")
-profile_key = attrgetter(*PROFILE_ATTRIBUTES)
+    def __len__(self) -> int:
+        return len(self.patient_id)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Profiles):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in PROFILE_FIELDS)
+
+    def take(self, index) -> "Profiles":
+        """The rows a boolean mask or an index array picks, in that order."""
+        return Profiles(*(getattr(self, name)[index] for name in PROFILE_FIELDS))
+
+    def keys(self) -> list[tuple]:
+        """Each row's attributes without its id, the tuple under which what
+        the models predict for the row can be cached."""
+        return list(zip(*(getattr(self, name).tolist() for name in PROFILE_ATTRIBUTES)))
 
 
 def check_stay(enter: float, exit_: float, cost: float) -> None:
@@ -103,8 +146,8 @@ _COLUMNS = ("patient", "department", "enter", "exit", "cost")
 class EventLog:
     """An event log's stays as columns, one row per stay in log order.
 
-    ``patient`` indexes the profile tuple that comes with the log. Both
-    producers give every profile at least one stay, and a subset
+    ``patient`` indexes the rows of the ``Profiles`` that come with the
+    log. Both producers give every profile at least one stay, and a subset
     (``rows``) keeps the indexing. ``department`` indexes
     ``departments``, which names exactly the departments that occur, in
     order of first appearance. ``enter`` and ``exit`` are hours, ``cost``
@@ -209,11 +252,9 @@ class DepartmentSpec:
     """A department and its bed capacity (None = unbounded)."""
 
     name: str
-    bed_capacity: int | None = None
+    bed_capacity: object = None  # an integer >= 1 or None, checked here
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ConfigError(f"department name must be a string, got {self.name!r:.60}")
         cap = self.bed_capacity
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral)
                                 or cap < 1):
@@ -221,15 +262,15 @@ class DepartmentSpec:
                               f"integer >= 1 or null, got {cap!r:.60}")
 
 
-def serialize_event_log(log: EventLog, profiles: Sequence[PatientProfile]) -> str:
+def serialize_event_log(log: EventLog, profiles: Profiles) -> str:
     """Render a log and its profiles to the canonical CSV document.
 
     Canonical form: fixed field order, reals as 6-decimal fixed point,
     LF line endings. ``parse_event_log`` of the output reproduces the
     inputs, and re-serializing reproduces the document byte for byte.
     """
-    ids = [p.patient_id for p in profiles]
-    attributes = [f"{p.age},{p.gender},{p.comorbidity_count},{p.drg}" for p in profiles]
+    ids = profiles.patient_id.tolist()
+    attributes = [",".join(map(str, key)) for key in profiles.keys()]
     lines = [CSV_HEADER]
     lines.extend(
         f"{ids[i]},{log.departments[d]},{enter:.6f},{exit_:.6f},{cost:.6f},{attributes[i]}"
@@ -249,7 +290,7 @@ def _records(text: str):
         raise RowParseError(reader.line_num, str(exc)) from None
 
 
-def parse_event_log(text: str) -> tuple[EventLog, tuple[PatientProfile, ...]]:
+def parse_event_log(text: str) -> tuple[EventLog, Profiles]:
     """Parse an event-log CSV document.
 
     Returns the rows as an ``EventLog`` and the profiles deduplicated by
@@ -268,7 +309,7 @@ def parse_event_log(text: str) -> tuple[EventLog, tuple[PatientProfile, ...]]:
 
     patient_index: dict[str, int] = {}
     department_index: dict[str, int] = {}
-    profiles: list[PatientProfile] = []
+    profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
     first_line: list[int] = []
     stays: list[tuple] = []  # (patient, department, enter, exit, cost)
     for lineno, row in enumerate(reader, start=2):
@@ -286,20 +327,21 @@ def parse_event_log(text: str) -> tuple[EventLog, tuple[PatientProfile, ...]]:
         index = patient_index.get(pid)
         try:
             check_stay(enter, exit_, cost)
-            if index is None or attributes != profile_key(profiles[index]):
-                profile = PatientProfile(pid, *attributes)
+            if index is None or attributes != profiles[index]:
+                check_profile(age, gender, com)
         except InvariantViolation as exc:
             raise InvariantViolation(exc.field, exc.message, line=lineno) from None
         if index is None:
             index = patient_index[pid] = len(profiles)
-            profiles.append(profile)
+            profiles.append(attributes)
             first_line.append(lineno)
-        elif attributes != profile_key(profiles[index]):
+        elif attributes != profiles[index]:
             raise ConflictingProfile(pid, lineno, first_line[index])
         code = department_index.setdefault(dept, len(department_index))
         stays.append((index, code, enter, exit_, cost))
     columns = np.array(stays, dtype=float).reshape(-1, 5).T
-    return event_log(tuple(department_index), *columns), tuple(profiles)
+    return event_log(tuple(department_index), *columns), Profiles.from_rows(
+        list(patient_index), profiles)
 
 
 # A log and its profiles as named one-dimensional arrays ("U": fixed-width
@@ -311,28 +353,25 @@ LOG_ARRAYS = {"departments": "U", "patient": np.int64, "department": np.int64,
               "enter": np.float64, "exit": np.float64, "cost": np.float64,
               "patient_id": "U", "age": np.int64, "gender": "U",
               "comorbidity_count": np.int64, "drg": "U"}
-_PROFILE_FIELDS = ("patient_id", *PROFILE_ATTRIBUTES)
 
 
-def log_arrays(log: EventLog,
-               profiles: Sequence[PatientProfile]) -> dict[str, np.ndarray] | None:
+def log_arrays(log: EventLog, profiles: Profiles) -> dict[str, np.ndarray] | None:
     """A log and its profiles as the arrays of ``LOG_ARRAYS``, or None when
     a string would not come back the same (numpy drops trailing NULs)."""
-    values = {"departments": list(log.departments)}
-    values.update((name, [getattr(p, name) for p in profiles]) for name in _PROFILE_FIELDS)
     arrays = {name: getattr(log, name) for name in _COLUMNS}
-    for name, column in values.items():
-        dtype = LOG_ARRAYS[name]
-        arrays[name] = np.array(column, dtype=str if dtype == "U" else dtype)
-        if dtype == "U" and arrays[name].tolist() != column:
-            return None
+    arrays.update((name, getattr(profiles, name)) for name in PROFILE_FIELDS)
+    arrays["departments"] = log.departments
+    for name, dtype in LOG_ARRAYS.items():
+        if dtype == "U":
+            strings = list(arrays[name])
+            arrays[name] = np.array(strings, dtype=str)
+            if arrays[name].tolist() != strings:
+                return None
     return arrays
 
 
-def log_from_arrays(arrays, profiles: bool = True
-                    ) -> tuple[EventLog, tuple[PatientProfile, ...] | None]:
-    """Rebuild what ``log_arrays`` took apart from a mapping of its arrays;
-    the profiles only if ``profiles``, else None.
+def log_from_arrays(arrays) -> tuple[EventLog, Profiles]:
+    """Rebuild what ``log_arrays`` took apart from a mapping of its arrays.
 
     Raises ``KeyError`` for a missing array, ``ValueError`` for one of
     another dtype or length or a patient or department code out of range,
@@ -344,18 +383,16 @@ def log_from_arrays(arrays, profiles: bool = True
         if column.ndim != 1 or not (column.dtype.kind == "U" if dtype == "U"
                                     else column.dtype == dtype):
             raise ValueError(f"array {name!r} is not a 1-d {dtype} array")
-    n_stays, n_profiles = len(columns["patient"]), len(columns["patient_id"])
-    if (any(len(columns[name]) != n_stays for name in _COLUMNS)
-            or any(len(columns[name]) != n_profiles for name in _PROFILE_FIELDS)):
+    profiles = Profiles(*(columns[name] for name in PROFILE_FIELDS))
+    n_stays = len(columns["patient"])
+    if any(len(columns[name]) != n_stays for name in _COLUMNS):
         raise ValueError("columns of unequal length")
-    for name, size in (("patient", n_profiles), ("department", len(columns["departments"]))):
+    for name, size in (("patient", len(profiles)),
+                       ("department", len(columns["departments"]))):
         if n_stays and not (0 <= columns[name].min() and columns[name].max() < size):
             raise ValueError(f"{name} code out of range")
-    log = EventLog(tuple(columns["departments"].tolist()),
-                   *(columns[name] for name in _COLUMNS))
-    if not profiles:
-        return log, None
-    return log, tuple(map(PatientProfile, *(columns[name].tolist() for name in _PROFILE_FIELDS)))
+    return EventLog(tuple(columns["departments"].tolist()),
+                    *(columns[name] for name in _COLUMNS)), profiles
 
 
 def admission_times(log: EventLog) -> np.ndarray:
@@ -393,7 +430,7 @@ def bucketize(
     return ArrivalSeries(float(bucket_width), float(start_time), tuple(counts.tolist()))
 
 
-def extract_trajectories(log: EventLog, profiles: Sequence[PatientProfile]) -> Trajectories:
+def extract_trajectories(log: EventLog, profiles: Profiles) -> Trajectories:
     """Group a log's stays into one time-sorted trajectory per patient.
 
     Every stay appears in exactly one trajectory. Trajectories are
@@ -403,14 +440,14 @@ def extract_trajectories(log: EventLog, profiles: Sequence[PatientProfile]) -> T
     appearance, with a stay that starts before the previous one ends.
     """
     rank = np.empty(len(profiles), dtype=np.int64)
-    rank[np.argsort([p.patient_id for p in profiles])] = np.arange(len(profiles))
+    rank[np.argsort(profiles.patient_id)] = np.arange(len(profiles))
     order = np.lexsort((log.enter, rank[log.patient], admission_times(log)[log.patient]))
     stays = log.rows(order)
     p = stays.patient
     same = p[1:] == p[:-1]
     overlap = same & (stays.enter[1:] < stays.exit[:-1])
     if overlap.any():
-        raise OverlappingStays(profiles[int(p[1:][overlap].min())].patient_id)
+        raise OverlappingStays(profiles.patient_id[p[1:][overlap].min()])
     # a trajectory starts at row 0 and wherever the patient changes
     offset = np.flatnonzero(np.concatenate([[True], ~same, [True]]))
     return Trajectories(stays, offset if len(p) else offset[:1])

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import count, repeat
 from pathlib import Path
@@ -47,7 +47,7 @@ import numpy as np
 from numpy.random import Generator
 
 from . import codec
-from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, PatientProfile, profile_key
+from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, Profiles
 from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
 from .estimators import PROFILE_MODELS, draw_z, locations, profile_attributes, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
@@ -134,10 +134,6 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
 
 
 # --- profile samplers -----------------------------------------------------------
-#
-# ``sample(rng, patient_id=None)`` draws one arrival's profile. The engine
-# passes no id: it identifies patients by arrival index, so the profile's
-# own id is irrelevant there.
 
 @dataclass(frozen=True)
 class AttributeSampler:
@@ -156,21 +152,17 @@ class AttributeSampler:
     def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
         return tuple(self.drg_probs), cumulative(self.drg_probs.values())
 
-    def sample(self, rng: Generator, patient_id: str | None = None) -> PatientProfile:
+    def sample(self, rng: Generator) -> tuple:
+        """One arrival's (age, gender, comorbidity_count, drg)."""
         return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
-                               self.drg_table, patient_id or "")
+                               self.drg_table)
 
 
 @dataclass(frozen=True)
 class EmpiricalSampler:
     """Resample observed profiles uniformly with replacement."""
 
-    profiles: tuple[PatientProfile, ...]
-
-    def sample(self, rng: Generator, patient_id: str | None = None) -> PatientProfile:
-        """The pooled profile itself, relabelled only when an id is given."""
-        base = self.profiles[int(rng.integers(len(self.profiles)))]
-        return base if patient_id is None else replace(base, patient_id=patient_id)
+    profiles: Profiles
 
 
 ProfileSampler = Union[AttributeSampler, EmpiricalSampler]
@@ -377,7 +369,7 @@ class PatientsView(Sequence):
 # ``run`` works against tables built once per SimConfig and process, not
 # against the models. Department d of the config is index d throughout.
 # What depends on the patient is computed once per distinct attribute
-# tuple (``domain.profile_key``), for all tuples met at once, to the
+# tuple (``Profiles.keys``), for all tuples met at once, to the
 # numbers a per-event prediction gives: the ln-space location of every
 # profile-dependent stay and cost model (``estimators.locations``: one
 # dot product per encoded row, or the tree leaf) and the cluster from
@@ -489,16 +481,17 @@ class _Tables:
             if self.pool is None:
                 self.pool = self.entries(sampler.profiles)
             return [self.pool[i] for i in rng.integers(len(self.pool), size=n).tolist()]
-        return self.entries([sampler.sample(rng) for _ in range(n)])
+        rows = [sampler.sample(rng) for _ in range(n)]
+        return self.entries(Profiles.from_rows([""] * n, rows))
 
-    def entries(self, profiles: Sequence[PatientProfile]) -> list[_Profile]:
+    def entries(self, profiles: Profiles) -> list[_Profile]:
         """The entry of each profile. The attribute tuples not met before
         are predicted together (``estimators.locations``,
         ``pathways.assign_all``), each to the numbers it gets alone."""
-        keys = list(map(profile_key, profiles))
-        new = {key: p for key, p in zip(keys, profiles) if key not in self.profiles}
+        keys = profiles.keys()
+        new = {key: i for i, key in enumerate(keys) if key not in self.profiles}
         if new:
-            fresh = list(new.values())
+            fresh = profiles.take(list(new.values()))
             none = ([0.0] * len(fresh), [0] * len(fresh))
             slots = [none] * self.slots
             for slot, model in self.profile_models:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.random import Generator
 
-from .domain import PatientProfile, profile_key
+from .domain import Profiles
 from .errors import (
     ConfigError,
     EmptySample,
@@ -345,26 +345,23 @@ class FeatureSpec:
     def width(self) -> int:
         return 1 + len(self.numeric) + sum(len(c.levels) - 1 for c in self.categorical)
 
-    def encode(self, profile: PatientProfile) -> np.ndarray:
-        return self.encode_all([profile])[0][0]
-
-    def encode_all(self, profiles: Sequence[PatientProfile]) -> tuple[np.ndarray, np.ndarray]:
+    def encode_all(self, profiles: Profiles) -> tuple[np.ndarray, np.ndarray]:
         """One encoded row per profile, and the unseen levels in each.
 
-        Each entry is the float a profile gets on its own: a numeric
-        attribute is ``(float(value) - mean) / sd``, a level 1.0 or 0.0.
+        A numeric attribute is ``(float(value) - mean) / sd`` per row, a
+        level 1.0 or 0.0.
         """
         X = np.zeros((len(profiles), self.width))
         X[:, 0] = 1.0
         unseen = np.zeros(len(profiles), dtype=np.int64)
         i = 1
         for f in self.numeric:
-            values = np.array([float(getattr(p, f.name)) for p in profiles])
-            X[:, i] = (values - f.mean) / f.sd
+            X[:, i] = (getattr(profiles, f.name).astype(float) - f.mean) / f.sd
             i += 1
         for c in self.categorical:
             level = {value: c.levels.index(value) for value in c.levels}
-            j = np.array([level.get(getattr(p, c.name), -1) for p in profiles], dtype=np.int64)
+            j = np.array([level.get(value, -1) for value in getattr(profiles, c.name).tolist()],
+                         dtype=np.int64)
             unseen += j < 0
             hit = np.flatnonzero(j > 0)
             X[hit, i + j[hit] - 1] = 1.0
@@ -376,18 +373,18 @@ DEFAULT_NUMERIC = ("age", "comorbidity_count")
 DEFAULT_CATEGORICAL = ("gender", "drg")
 
 
-def build_feature_spec(profiles: Sequence[PatientProfile]) -> FeatureSpec:
-    if not profiles:
+def build_feature_spec(profiles: Profiles) -> FeatureSpec:
+    if not len(profiles):
         raise InsufficientData("no profiles")
     nums = []
     for name in DEFAULT_NUMERIC:
-        values = np.asarray([float(getattr(p, name)) for p in profiles])
+        values = getattr(profiles, name).astype(float)
         sd = float(np.std(values))
         nums.append(NumericFeature(name=name, mean=float(values.mean()),
                                    sd=sd if sd > 1e-12 else 1.0))
     cats = []
     for name in DEFAULT_CATEGORICAL:
-        levels = tuple(sorted({str(getattr(p, name)) for p in profiles}))
+        levels = tuple(sorted(set(getattr(profiles, name).tolist())))
         cats.append(CategoricalFeature(name=name, levels=levels))
     return FeatureSpec(numeric=tuple(nums), categorical=tuple(cats))
 
@@ -420,7 +417,7 @@ def _ln_target(targets: np.ndarray, target_kind: str) -> np.ndarray:
 
 
 def fit_conditional(
-    profiles: Sequence[PatientProfile],
+    profiles: Profiles,
     targets: Sequence[float],
     target_kind: str = TARGET_LOS,
 ) -> ConditionalModel:
@@ -432,11 +429,7 @@ def fit_conditional(
     spec = build_feature_spec(profiles)
     if len(t) <= spec.width:
         raise InsufficientData(f"need more than {spec.width} rows, got {len(t)}")
-    # encode each distinct attribute tuple once; X keeps the same floats
-    keys = list(map(profile_key, profiles))
-    distinct = dict(zip(keys, profiles))
-    row = {key: i for i, key in enumerate(distinct)}
-    X = spec.encode_all(list(distinct.values()))[0][[row[key] for key in keys]]
+    X = spec.encode_all(profiles)[0]
     gram = X.T @ X + RIDGE_DAMPING * np.eye(spec.width)
     coef = np.linalg.solve(gram, X.T @ y)
     residuals = y - X @ coef
@@ -451,39 +444,20 @@ def fit_conditional(
     )
 
 
-def predict_mean(model: ConditionalModel, profile: PatientProfile) -> float:
-    """Mean target: exp(linear predictor + residual_sigma^2 / 2).
-
-    The half-variance term is the lognormal mean correction. Cost models
-    additionally undo the +1 shift and clamp at zero.
-    """
-    lp = location(model, profile)[0]
-    mean_ln_scale = math.exp(lp + 0.5 * model.residual_sigma**2)
-    if model.target_kind == TARGET_COT:
-        return max(0.0, mean_ln_scale - 1.0)
-    return mean_ln_scale
-
-
-def location(model: ConditionalModel | RegressionTree,
-             profile: PatientProfile) -> tuple[float, int]:
-    """ln-space location of a profile's draws, and the unseen levels met.
-
-    For a conditional model this is the linear predictor, for a tree the
-    leaf's mean ln target (exact leaf statistic, no exponentiation).
-    """
-    loc, unseen = locations(model, [profile])
-    return loc[0], unseen[0]
-
-
 def locations(model: ConditionalModel | RegressionTree,
-              profiles: Sequence[PatientProfile]) -> tuple[list[float], list[int]]:
-    """``location`` of each profile, encoded together; every number is the
-    one a profile gets on its own (one ``np.dot`` per encoded row)."""
+              profiles: Profiles) -> tuple[list[float], list[int]]:
+    """The ln-space location of each profile's draws, and the unseen levels
+    met in each.
+
+    For a conditional model this is the linear predictor, one ``np.dot``
+    per encoded row; for a tree the leaf's mean ln target (exact leaf
+    statistic, no exponentiation).
+    """
     if isinstance(model, ConditionalModel):
         rows, unseen = model.feature_spec.encode_all(profiles)
         coef = np.asarray(model.coef)
         return [float(np.dot(coef, row)) for row in rows], unseen.tolist()
-    return [_leaf(model.root, p).mean_ln for p in profiles], [0] * len(profiles)
+    return _leaf_means(model.root, profiles).tolist(), [0] * len(profiles)
 
 
 def profile_attributes(model) -> set[str]:
@@ -537,7 +511,7 @@ def draw_z(model) -> Callable[[float, float], float] | None:
 def sampler(model) -> Callable[[float, Generator], float]:
     """Compile a fitted model into ``draw(loc, rng) -> float``.
 
-    ``loc`` is the profile's ``location`` for the models in
+    ``loc`` is the profile's entry of ``locations`` for the models in
     ``PROFILE_MODELS`` and is ignored by the others. Each draw consumes
     the generator exactly as ``sample`` does.
     """
@@ -565,12 +539,13 @@ def sampler(model) -> Callable[[float, Generator], float]:
 def sample(
     model: ConditionalModel | UnivariateFit | MixtureFit | RegressionTree,
     rng: Generator,
-    profile: PatientProfile | None = None,
+    profile: Profiles | None = None,
 ) -> float:
     """Draw one target value from a fitted model.
 
-    Conditional models need a profile; the others ignore it. Duration
-    draws are strictly positive, cost draws non-negative.
+    Conditional models need ``profile``, a table of the one profile to
+    draw for; the others ignore it. Duration draws are strictly
+    positive, cost draws non-negative.
     """
     draw = sampler(model)
     if not isinstance(model, PROFILE_MODELS):
@@ -578,7 +553,7 @@ def sample(
     if profile is None:
         kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
         raise ConfigError(f"{kind} models require a profile to sample")
-    return draw(location(model, profile)[0], rng)
+    return draw(locations(model, profile)[0][0], rng)
 
 
 # --- CART regression tree ------------------------------------------------------
@@ -694,7 +669,7 @@ def _grow(
 
 
 def fit_tree(
-    profiles: Sequence[PatientProfile],
+    profiles: Profiles,
     targets: Sequence[float],
     max_depth: int = 6,
     min_leaf: int = 20,
@@ -713,30 +688,33 @@ def fit_tree(
     if np.any(t <= 0.0):
         raise NonPositiveSample("targets must be > 0")
     y = np.log(t)
-    num_cols = {n: np.asarray([float(getattr(p, n)) for p in profiles])
-                for n in DEFAULT_NUMERIC}
-    cat_cols = {n: np.asarray([str(getattr(p, n)) for p in profiles])
-                for n in DEFAULT_CATEGORICAL}
+    num_cols = {n: getattr(profiles, n).astype(float) for n in DEFAULT_NUMERIC}
+    cat_cols = {n: getattr(profiles, n) for n in DEFAULT_CATEGORICAL}
     root = _grow(num_cols, cat_cols, y, np.arange(len(t)), 0, max_depth, min_leaf)
-    residuals = y - np.asarray([_leaf(root, p).mean_ln for p in profiles])
+    residuals = y - _leaf_means(root, profiles)
     return RegressionTree(root=root, max_depth=max_depth, min_leaf=min_leaf,
                           numeric=DEFAULT_NUMERIC, categorical=DEFAULT_CATEGORICAL,
                           residual_sigma=float(np.sqrt(np.mean(residuals**2))))
 
 
-def predict_tree(tree: RegressionTree, profile: PatientProfile) -> float:
-    """Exponentiated mean ln target of the leaf the profile reaches."""
-    return math.exp(location(tree, profile)[0])
-
-
-def _leaf(node: TreeNode, profile: PatientProfile) -> TreeLeaf:
-    while isinstance(node, TreeSplit):
+def _leaf_means(root: TreeNode, profiles: Profiles) -> np.ndarray:
+    """The mean ln target of the leaf each profile reaches: a split sends
+    left the rows whose numeric value is <= its threshold, or whose
+    categorical value equals its level."""
+    means = np.empty(len(profiles))
+    stack = [(root, np.arange(len(profiles)))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, TreeLeaf):
+            means[rows] = node.mean_ln
+            continue
+        values = getattr(profiles, node.feature)[rows]
         if node.kind == "numeric":
-            go_left = float(getattr(profile, node.feature)) <= node.threshold
+            left = values.astype(float) <= node.threshold
         else:
-            go_left = str(getattr(profile, node.feature)) == node.level
-        node = node.left if go_left else node.right
-    return node
+            left = values == node.level
+        stack += ((node.left, rows[left]), (node.right, rows[~left]))
+    return means
 
 
 # --- distribution distance -----------------------------------------------------

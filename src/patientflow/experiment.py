@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -41,7 +40,6 @@ from .domain import (
     admission_times,
     bucketize,
     extract_trajectories,
-    profile_key,
 )
 from .engine import (
     EmpiricalSampler,
@@ -229,19 +227,21 @@ def _fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments):
 
 
 def _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,
-                 traj_profiles, departments):
+                 profiles, departments):
     inflow_model = scenario.forecaster.fit(train_series)
-    all_profiles = [p for profs, _ in stay_rows.values() for p in profs]
+    all_patients = np.concatenate([patients for patients, _ in stay_rows.values()])
     all_targets = [t for _, targets in stay_rows.values() for t in targets]
     fit = estimators.fit_tree if scenario.los_estimator == "tree" else estimators.fit_conditional
     los_models = {}
     for dept in departments:
-        profs, targets = stay_rows.get(dept, ([], []))
+        patients, targets = stay_rows.get(dept, (all_patients[:0], []))
         try:
-            los_models[dept] = fit(profs, targets)
+            los_models[dept] = fit(profiles.take(patients), targets)
         except DataError:  # departments with too little data fall back to a pooled fit
-            los_models[dept] = fit(all_profiles, all_targets)
-    cot_model = estimators.fit_conditional(*cost_rows, estimators.TARGET_COT)
+            los_models[dept] = fit(profiles.take(all_patients), all_targets)
+    cot_model = estimators.fit_conditional(profiles.take(cost_rows[0]), cost_rows[1],
+                                           estimators.TARGET_COT)
+    traj_profiles = profiles.take(trajectories.patient)
     if scenario.pathway_k == "sweep":
         pathway = pathways.sweep_k(
             trajectories, scenario.generator.seed, traj_profiles,
@@ -306,28 +306,25 @@ def run_experiment(
     test_log = log.rows(test[log.patient])
     train_idx = np.flatnonzero(train)
     test_idx = np.flatnonzero(test)
+    by_id = np.argsort(profiles.patient_id)  # every patient, in patient_id order
     departments = tuple(sorted(gen_config.departments))
 
     train_series = bucketize(train_log, scenario.bucket_width, 0.0, t_split)
-    # per department in first-appearance order: profiles and stay hours in log order
+    # per department in first-appearance order: patients and stay hours in log order
     los = train_log.los
     stay_rows = {}
     for code, dept in enumerate(train_log.departments):
         rows = train_log.department == code
-        stay_rows[dept] = ([profiles[i] for i in train_log.patient[rows].tolist()],
-                           los[rows].tolist())
+        stay_rows[dept] = (train_log.patient[rows], los[rows].tolist())
     cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
                               minlength=len(profiles))
-    cost_rows = ([profiles[i] for i in train_idx.tolist()], cost_totals[train_idx].tolist())
+    cost_rows = (train_idx, cost_totals[train_idx].tolist())
     trajectories = extract_trajectories(train_log, profiles)
-    traj_profiles = [profiles[i] for i in trajectories.patient.tolist()]
-    by_pid = attrgetter("patient_id")
-    train_profiles = sorted((profiles[i] for i in train_idx.tolist()), key=by_pid)
 
     stack_a = _fit_stack_a(train_series, stay_rows, cost_rows, trajectories,
                            departments)
     stack_b = _fit_stack_b(scenario, train_series, stay_rows, cost_rows,
-                           trajectories, traj_profiles, departments)
+                           trajectories, profiles, departments)
 
     # held-out admissions per bucket
     n_test_buckets = int(round(h_test / scenario.bucket_width))
@@ -345,7 +342,7 @@ def run_experiment(
     dept_specs = tuple(
         DepartmentSpec(name=d, bed_capacity=capacities.get(d)) for d in departments
     )
-    sampler = EmpiricalSampler(tuple(train_profiles))
+    sampler = EmpiricalSampler(profiles.take(by_id[train[by_id]]))
     sims: dict[str, tuple[list[SimResult], ReplicationSummary]] = {}
     for stack, driver in (
         (stack_a, PoissonBaseline(lam=stack_a.inflow_model.lam,
@@ -430,15 +427,12 @@ def run_experiment(
     clusters_b = stack_b.pathway
     tv_by_class = [pathways.row_average_tv(stack_a.pathway, m) for m in class_matrices]
     tv_by_pair = {}
-    held_out = sorted((profiles[i] for i in test_idx.tolist()), key=by_pid)
-    distinct = dict(zip(map(profile_key, held_out), held_out))
-    cluster_by_key = dict(zip(distinct, pathways.assign_all(list(distinct.values()),
-                                                            clusters_b)))
+    held_out = profiles.take(by_id[test[by_id]])
     tv_a = []
     tv_b = []
-    for profile in held_out:
-        cls = truth.latent_class[profile.patient_id]
-        pair = (cls, cluster_by_key[profile_key(profile)])
+    for pid, k in zip(held_out.patient_id.tolist(), pathways.assign_all(held_out, clusters_b)):
+        cls = truth.latent_class[pid]
+        pair = (cls, k)
         if pair not in tv_by_pair:
             tv_by_pair[pair] = pathways.row_average_tv(
                 clusters_b.routing_matrix(pair[1]), class_matrices[cls])

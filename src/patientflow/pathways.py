@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator
 
-from .domain import DISCHARGE, ENTRY, PatientProfile, Trajectories
+from .domain import DISCHARGE, ENTRY, Profiles, Trajectories
 from .errors import (
     ConfigError,
     MissingAttributeCentroids,
@@ -187,27 +187,23 @@ class ProfileEncoder:
     def _scale(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.means), np.asarray(self.sds)
 
-    def encode_all(self, profiles: Sequence[PatientProfile]) -> np.ndarray:
-        """One row per profile: (raw row - means) / sds, each row's floats
-        the same as when it is encoded alone."""
+    def encode_all(self, profiles: Profiles) -> np.ndarray:
+        """One row per profile: (raw row - means) / sds."""
         means, sds = self._scale
-        raw = np.array([_raw_row(p, self.drg_levels) for p in profiles], dtype=float)
-        return (raw.reshape(len(profiles), len(means)) - means) / sds
+        return (_raw_rows(profiles, self.drg_levels) - means) / sds
 
 
-def _raw_row(profile: PatientProfile, drg_levels: tuple[str, ...]) -> list[float]:
-    """Age, comorbidity count, female indicator, then one-hot DRG."""
-    return ([float(profile.age), float(profile.comorbidity_count),
-             1.0 if profile.gender == "F" else 0.0]
-            + [1.0 if profile.drg == lvl else 0.0 for lvl in drg_levels])
+def _raw_rows(profiles: Profiles, drg_levels: tuple[str, ...]) -> np.ndarray:
+    """Per profile: age, comorbidity count, female indicator, then one-hot DRG."""
+    is_level = profiles.drg[:, None] == np.array(drg_levels, dtype=object)
+    return np.column_stack([profiles.age, profiles.comorbidity_count, profiles.gender == "F",
+                            is_level]).astype(float)
 
 
-def _build_profile_encoder(
-    profiles: Sequence[PatientProfile],
-) -> tuple[ProfileEncoder, np.ndarray]:
+def _build_profile_encoder(profiles: Profiles) -> tuple[ProfileEncoder, np.ndarray]:
     """The encoder and the raw rows of ``profiles`` it was fitted on."""
-    levels = tuple(sorted({p.drg for p in profiles}))
-    raw = np.asarray([_raw_row(p, levels) for p in profiles])
+    levels = tuple(sorted(set(profiles.drg.tolist())))
+    raw = _raw_rows(profiles, levels)
     means = raw.mean(axis=0)
     sds = raw.std(axis=0)
     sds[sds < 1e-12] = 1.0
@@ -306,13 +302,13 @@ def cluster(
     trajectories: Trajectories,
     k: int,
     seed: int,
-    profiles: Sequence[PatientProfile] | None = None,
+    profiles: Profiles | None = None,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
     """Cluster trajectory encodings and fit one transition matrix each.
 
     ``profiles`` (aligned with ``trajectories``) enables attribute
-    centroids, which ``assign`` needs. Clusters below
+    centroids, which ``assign_all`` needs. Clusters below
     ``MIN_CLUSTER_MEMBERS`` members are flagged to route with the global
     fallback matrix.
     """
@@ -388,14 +384,9 @@ def cluster(
     )
 
 
-def assign(profile: PatientProfile, clusters: PathwayClusters) -> int:
-    """Nearest attribute centroid in standardized profile space."""
-    return assign_all([profile], clusters)[0]
-
-
-def assign_all(profiles: Sequence[PatientProfile], clusters: PathwayClusters) -> list[int]:
-    """``assign`` of each profile, encoded together; each distance is
-    summed over one profile's row as ``assign`` sums it alone."""
+def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
+    """Each profile's cluster: the nearest attribute centroid in
+    standardized profile space, summing each distance over one row."""
     if clusters.profile_encoder is None or any(
         c.attribute_centroid is None for c in clusters.clusters
     ):
@@ -479,7 +470,7 @@ def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
 def sweep_k(
     trajectories: Trajectories,
     seed: int,
-    profiles: Sequence[PatientProfile] | None = None,
+    profiles: Profiles | None = None,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
     """Fit every k in ``SWEEP_K`` and keep the best mean silhouette.

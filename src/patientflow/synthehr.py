@@ -35,7 +35,7 @@ from .domain import (
     AGE_MAX,
     COMORBIDITY_MAX,
     EventLog,
-    PatientProfile,
+    Profiles,
     check_stay,
     event_log,
     serialize_event_log,
@@ -232,7 +232,7 @@ class GroundTruth:
 @dataclass(frozen=True)
 class GenerateResult:
     log: EventLog
-    profiles: tuple[PatientProfile, ...]
+    profiles: Profiles
     truth: GroundTruth
 
 
@@ -286,9 +286,8 @@ def sample_profile(
     config: GeneratorConfig,
     rng: Generator,
     severity: int | None = None,
-    patient_id: str = "P000000",
-) -> PatientProfile:
-    """Draw one patient's attributes.
+) -> tuple:
+    """Draw one patient's (age, gender, comorbidity_count, drg).
 
     ``severity`` selects the comorbidity link for that class; when None
     and two classes are configured, the class is drawn internally from
@@ -298,7 +297,7 @@ def sample_profile(
     if severity is None:
         severity = _draw_severity(config, rng)
     return draw_attributes(rng, config.age_mix, config.gender_p,
-                           config.comorbidity_rate(severity), config.drg_table, patient_id)
+                           config.comorbidity_rate(severity), config.drg_table)
 
 
 def draw_attributes(
@@ -307,8 +306,7 @@ def draw_attributes(
     gender_p: float,
     comorbidity: LinearRate,
     drgs: tuple[tuple[str, ...], list[float]],
-    patient_id: str,
-) -> PatientProfile:
+) -> tuple:
     """Draw age (rejection from the mixture truncated to [0, 120]),
     gender, a Poisson comorbidity count capped at 30 and a DRG from
     ``drgs``, the levels and running sums of ``drg_table``."""
@@ -323,7 +321,7 @@ def draw_attributes(
     gender = "F" if rng.random() < gender_p else "M"
     com = min(int(rng.poisson(comorbidity.at(age))), COMORBIDITY_MAX)
     levels, cum = drgs
-    return PatientProfile(patient_id, age, gender, com, levels[draw_cumulative(cum, rng)])
+    return age, gender, com, levels[draw_cumulative(cum, rng)]
 
 
 def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
@@ -343,22 +341,23 @@ def generate(config: GeneratorConfig) -> GenerateResult:
     walk_rows = [[cumulative(row) for row in matrix] for matrix in config.transition_matrices]
 
     stays: list[tuple] = []  # (patient, department, enter, exit, cost)
-    profiles: list[PatientProfile] = []
+    profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
     latent: dict[str, int] = {}
     truncated = 0
 
     for i, t0 in enumerate(arrivals):
         pid = f"P{i + 1:06d}"
         severity = _draw_severity(config, rng)
-        profile = sample_profile(config, rng, severity=severity, patient_id=pid)
+        profiles.append(sample_profile(config, rng, severity=severity))
+        age, _, com, drg = profiles[-1]
         rows = walk_rows[severity]
         mu_fixed = (
             los.beta0
-            + los.beta_age * profile.age / 100.0
-            + los.beta_com * profile.comorbidity_count
-            + los.drg_offsets[profile.drg]
+            + los.beta_age * age / 100.0
+            + los.beta_com * com
+            + los.drg_offsets[drg]
         )
-        cost_fixed = cot.gamma0 + cot.drg_offsets[profile.drg]
+        cost_fixed = cot.gamma0 + cot.drg_offsets[drg]
 
         state = entry_idx
         t = t0
@@ -377,7 +376,6 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         else:
             truncated += 1
 
-        profiles.append(profile)
         latent[pid] = severity
 
     truth = GroundTruth(
@@ -387,7 +385,7 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         config=config,
     )
     log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
-    return GenerateResult(log, tuple(profiles), truth)
+    return GenerateResult(log, Profiles.from_rows(list(latent), profiles), truth)
 
 
 def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Path]:

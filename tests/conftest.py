@@ -1,11 +1,18 @@
 import json
 import signal
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from patientflow.domain import PatientProfile, admission_times, event_log, extract_trajectories
+from patientflow.domain import (
+    PROFILE_FIELDS,
+    Profiles,
+    admission_times,
+    event_log,
+    extract_trajectories,
+)
 from patientflow.synthehr import GeneratorConfig, generate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,12 +53,22 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# One patient's profile as a test writes it; ``table`` makes ``Profiles``
+# of a sequence of them.
+Row = namedtuple("Row", PROFILE_FIELDS)
+
+
+def table(rows) -> Profiles:
+    """The ``Profiles`` of a sequence of ``Row``s, in that order."""
+    return Profiles.from_rows([r.patient_id for r in rows], [r[1:] for r in rows])
+
+
 def make_log(rows, profiles=None):
     """An EventLog of (patient_id, department, enter, exit, cost) rows, and
-    its profiles: ``profiles`` if given, else one profile per patient id in
-    order of first appearance."""
+    its ``Profiles``: of the ``Row``s ``profiles`` if given, else one
+    profile per patient id in order of first appearance."""
     if profiles is None:
-        profiles = [PatientProfile(pid, 40, "F", 1, "ACS")
+        profiles = [Row(pid, 40, "F", 1, "ACS")
                     for pid in dict.fromkeys(row[0] for row in rows)]
     index = {p.patient_id: i for i, p in enumerate(profiles)}
     departments = list(dict.fromkeys(row[1] for row in rows))
@@ -59,7 +76,7 @@ def make_log(rows, profiles=None):
                     [departments.index(row[1]) for row in rows],
                     [row[2] for row in rows], [row[3] for row in rows],
                     [row[4] for row in rows])
-    return log, tuple(profiles)
+    return log, table(profiles)
 
 
 def trajectory_paths(trajectories):
@@ -79,13 +96,12 @@ def trajectories_of(paths):
 
 
 def split_stays(oracle, split_time):
-    """(profile, stay hours) of every stay in log order, split by whether
+    """(profiles, stay hours) of every stay in log order, split by whether
     the patient was admitted before ``split_time``."""
     log, profiles = oracle.log, oracle.profiles
-    stays = [(profiles[i], los) for i, los in zip(log.patient.tolist(), log.los.tolist())]
-    admitted = admission_times(log)[log.patient]
-    return ([s for s, t in zip(stays, admitted) if t < split_time],
-            [s for s, t in zip(stays, admitted) if t >= split_time])
+    before = admission_times(log)[log.patient] < split_time
+    return tuple((profiles.take(log.patient[rows]), log.los[rows].tolist())
+                 for rows in (before, ~before))
 
 
 def flat_generator_dict(

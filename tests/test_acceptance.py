@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from patientflow import estimators, inflow, pathways
-from patientflow.domain import DepartmentSpec, bucketize, extract_trajectories
+from patientflow.domain import DepartmentSpec, Profiles, bucketize, extract_trajectories
 from patientflow.engine import ForecastDriven, PoissonBaseline, SimConfig, replicate, run
 from patientflow.estimators import (
     TARGET_LOS,
@@ -95,13 +95,12 @@ def test_ac2_heterogeneity_thesis(default_oracle, default_generator):
     EM recovers a planted two-group mixture, and stay durations are
     right-skewed."""
     t0 = time.perf_counter()
-    train, test = split_stays(default_oracle, 3360.0)
-    train_y = [y for _, y in train]
-    ln_test = np.log([y for _, y in test])
+    (train, train_y), (test, test_y) = split_stays(default_oracle, 3360.0)
+    ln_test = np.log(test_y)
 
     # (a) conditional regression vs the best single univariate fit
-    model = fit_conditional([p for p, _ in train], train_y, TARGET_LOS)
-    X = np.vstack([model.feature_spec.encode(p) for p, _ in test])
+    model = fit_conditional(train, train_y, TARGET_LOS)
+    X = model.feature_spec.encode_all(test)[0]
     rmse_cond = float(np.sqrt(np.mean((ln_test - X @ np.asarray(model.coef)) ** 2)))
     ln_fit = fit_lognormal(train_y)
     gamma_fit = fit_gamma_mom(train_y)
@@ -157,12 +156,12 @@ def test_ac3_pathway_thesis(default_generator):
         )
         oracle = generate(config)
         trajectories = extract_trajectories(oracle.log, oracle.profiles)
-        profiles = [oracle.profiles[i] for i in trajectories.patient]
+        profiles = oracle.profiles.take(trajectories.patient)
         pc = cluster(trajectories, 2, seed=314, profiles=profiles,
                      departments=sorted(config.departments))
         labels = np.asarray(pc.labels)
-        truth = np.asarray([oracle.truth.latent_class[p.patient_id]
-                            for p in profiles])
+        truth = np.asarray([oracle.truth.latent_class[pid]
+                            for pid in profiles.patient_id])
         agree = float(np.mean(labels == truth))
         purities[label] = max(agree, 1.0 - agree)
         mapping = (0, 1) if agree >= 0.5 else (1, 0)
@@ -235,8 +234,9 @@ def test_ac5_statistical_fidelity():
     """Unbounded-capacity simulation reproduces the fitted duration model
     (two-sample KS below 0.05 at n >= 2000)."""
     rng = stream(99)
-    profiles = tuple(GEN_SAMPLER.sample(rng, f"T{i}") for i in range(3000))
-    targets = [float(np.exp(rng.normal(3.0 + 0.01 * p.age, 0.4))) for p in profiles]
+    profiles = Profiles.from_rows([f"T{i}" for i in range(3000)],
+                                  [GEN_SAMPLER.sample(rng) for _ in range(3000)])
+    targets = [float(np.exp(rng.normal(3.0 + 0.01 * age, 0.4))) for age in profiles.age]
     model = fit_conditional(profiles, targets, TARGET_LOS)
     sampler = EmpiricalSampler(profiles)
     config = SimConfig(
@@ -249,7 +249,7 @@ def test_ac5_statistical_fidelity():
     result = run(config)
     sim_los = [s.los for p in result.patients for s in p.stays]
     drng = stream(55)
-    direct = [sample(model, drng, profile=sampler.sample(drng, "D"))
+    direct = [sample(model, drng, profile=profiles.take([drng.integers(len(profiles))]))
               for _ in range(20_000)]
     ks = ks_statistic(sim_los, direct)
     ok = len(sim_los) >= 2000 and ks < 0.05

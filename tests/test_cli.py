@@ -17,7 +17,7 @@ from patientflow import cli, codec
 from patientflow.cli import _read_sim_config, main
 from patientflow.domain import (
     CSV_FIELDS,
-    PatientProfile,
+    PROFILE_FIELDS,
     event_log,
     parse_event_log,
     serialize_event_log,
@@ -28,7 +28,7 @@ from patientflow.experiment import ScenarioConfig
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
-from conftest import SCENARIOS, flat_generator_dict, make_log, time_limit
+from conftest import SCENARIOS, Row, flat_generator_dict, make_log, table, time_limit
 
 
 def write_json(path: Path, obj) -> str:
@@ -159,7 +159,7 @@ def test_fit_takes_cost_rows_in_patient_id_order(tmp_path):
     for k in range(60):
         pid = f"P{(37 * k) % 60:02d}"
         age, com, drg = int(rng.integers(20, 90)), int(rng.integers(0, 6)), ("A", "B")[k % 2]
-        profiles[pid] = PatientProfile(pid, age, "F" if k % 3 else "M", com, drg)
+        profiles[pid] = Row(pid, age, "F" if k % 3 else "M", com, drg)
         t = float(k)
         for _ in range(int(rng.integers(1, 5))):
             cost = round(float(rng.uniform(0.0, 5000.0)), 6)
@@ -172,8 +172,8 @@ def test_fit_takes_cost_rows_in_patient_id_order(tmp_path):
     out = tmp_path / "cot.json"
     assert main(["fit", "--log", str(log), "--model", "conditional_cot", "--out", str(out)]) == 0
     pids = sorted(totals)
-    expected = fit_conditional([profiles[pid] for pid in pids], [totals[pid] for pid in pids],
-                               TARGET_COT)
+    expected = fit_conditional(table([profiles[pid] for pid in pids]),
+                               [totals[pid] for pid in pids], TARGET_COT)
     assert json.loads(out.read_text()) == json.loads(json.dumps(codec.encode(expected)))
 
 
@@ -791,6 +791,9 @@ CONFIG_HOLES = [
     ("compare", ("bucket_width",), 0.0, 2),
     ("simulate", ("seed",), -1, 2),
     ("simulate", ("arrival_driver", "bucket_width"), 0.0, 2),
+    ("simulate", ("departments",), ["ER"], 2),
+    ("simulate", ("departments",), 5, 2),
+    ("simulate", ("los_models",), [1], 2),
 ]
 
 
@@ -1074,8 +1077,8 @@ NAMES = st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'),
 def valid_logs(draw):
     """A valid event log document written by ``serialize_event_log``."""
     ids = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
-    profiles = [PatientProfile(pid, draw(st.integers(0, 120)), draw(st.sampled_from("FM")),
-                               draw(st.integers(0, 30)), draw(NAMES)) for pid in ids]
+    profiles = table([Row(pid, draw(st.integers(0, 120)), draw(st.sampled_from("FM")),
+                          draw(st.integers(0, 30)), draw(NAMES)) for pid in ids])
     departments = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 12))
     rows = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(departments) - 1),
@@ -1096,12 +1099,11 @@ def test_log_loaded_from_its_copy_equals_the_parse(text):
         expected = parse_event_log(text)
         first, second = loaded_twice(log)
         assert copy_of(log).exists()
-        log_only = cli._load_log(str(log), profiles=False)
     assert first == expected
     assert second[0] == expected[0]
     assert second[1] == expected[1]
-    assert [type(p.age) for p in second[1]] == [int] * len(second[1])
-    assert log_only[0] == expected[0] and log_only[1] is None
+    assert ([getattr(second[1], name).dtype for name in PROFILE_FIELDS]
+            == [getattr(expected[1], name).dtype for name in PROFILE_FIELDS])
 
 
 def test_edited_log_ignores_its_stale_copy(tmp_path, log_path):
@@ -1136,6 +1138,9 @@ CORRUPTIONS = {
     "code-out-of-range": lambda c: rewritten(
         c, department=np.load(c)["department"] + len(np.load(c)["departments"])),
     "invalid-profile": lambda c: rewritten(c, age=np.load(c)["age"] + 200),
+    "bad-gender": lambda c: rewritten(c, gender=np.full_like(np.load(c)["gender"], "X")),
+    "comorbidity-out-of-range": lambda c: rewritten(
+        c, comorbidity_count=np.load(c)["comorbidity_count"] + 31),
     "pickled-objects": lambda c: rewritten(
         c, departments=np.load(c)["departments"].astype(object)),
 }
@@ -1179,7 +1184,7 @@ def test_log_with_a_trailing_nul_loads_without_a_copy(tmp_path):
     log.write_text(text)
     for _ in range(2):
         assert cli._load_log(str(log)) == parse_event_log(text)
-    assert cli._load_log(str(log))[1][0].patient_id == "P1\0"
+    assert cli._load_log(str(log))[1].patient_id[0] == "P1\0"
     assert not copy_of(log).exists()
 
 

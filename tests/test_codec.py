@@ -4,18 +4,16 @@ import math
 import pytest
 
 from patientflow import codec, estimators, inflow, pathways
-from patientflow.domain import ArrivalSeries, PatientProfile
+from patientflow.domain import ArrivalSeries, Profiles
 from patientflow.errors import ConfigError
 from patientflow.seeding import stream
 
 from conftest import trajectories_of
 
 X = [1.0, 2.0, 4.0, 8.0, 3.0]
-PROFILES = [
-    PatientProfile(f"P{i}", 30 + 5 * i, "F" if i % 2 else "M", i % 3,
-                   "ACS" if i < 4 else "GEN")
-    for i in range(8)
-]
+PROFILES = Profiles.from_rows(
+    [f"P{i}" for i in range(8)],
+    [(30 + 5 * i, "F" if i % 2 else "M", i % 3, "ACS" if i < 4 else "GEN") for i in range(8)])
 TARGETS = [2.0, 3.0, 2.5, 4.0, 20.0, 18.0, 30.0, 25.0]
 SERIES = ArrivalSeries(1.0, 0.0, (3, 5, 4, 6, 2, 7, 5, 4, 6, 3, 8, 5, 4, 6))
 

@@ -7,7 +7,7 @@ from patientflow.cli import _load_log
 from patientflow.domain import (
     CSV_HEADER,
     ArrivalSeries,
-    PatientProfile,
+    Profiles,
     admission_times,
     bucketize,
     extract_trajectories,
@@ -37,7 +37,7 @@ def test_parse_two_rows_dedups_profiles():
     log, profiles = parse_event_log(TWO_ROWS)
     assert len(log) == 2
     assert len(profiles) == 1
-    assert profiles[0] == PatientProfile("P1", 40, "F", 1, "ACS")
+    assert profiles == Profiles.from_rows(["P1"], [(40, "F", 1, "ACS")])
     assert log.departments[log.department[0]] == "ER"
     assert log.los[1] == pytest.approx(14.5)
 
@@ -113,11 +113,25 @@ def test_round_trip_generated_log_bit_identical():
 
 def test_profile_invariants():
     with pytest.raises(InvariantViolation):
-        PatientProfile("P", 130, "F", 0, "X")
+        Profiles.from_rows(["P"], [(130, "F", 0, "X")])
     with pytest.raises(InvariantViolation):
-        PatientProfile("P", 40, "Q", 0, "X")
+        Profiles.from_rows(["P"], [(40, "Q", 0, "X")])
     with pytest.raises(InvariantViolation):
-        PatientProfile("P", 40, "F", 31, "X")
+        Profiles.from_rows(["P"], [(40, "F", 31, "X")])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(40, "F", 1, "X"), (-1, "Q", 31, "X")], "age: -1 outside [0, 120]"),
+    ([(40, "F", 1, "X"), (40, "Q", 31, "X"), (130, "F", 0, "X")],
+     "gender: 'Q' not in ('F', 'M')"),
+    ([(40, "F", 31, "X"), (130, "F", 0, "X")], "comorbidity_count: 31 outside [0, 30]"),
+])
+def test_profiles_reject_the_first_invalid_row_field_by_field(rows, message):
+    """A table names the first invalid row's first invalid field, with
+    the message the parser gives for that row."""
+    with pytest.raises(InvariantViolation) as exc:
+        Profiles.from_rows([f"P{i}" for i in range(len(rows))], rows)
+    assert str(exc.value) == message
 
 
 def _log(*stays):
@@ -207,7 +221,7 @@ def test_extract_orders_by_admission_then_patient_id():
     log, profiles = _log(("P2", "B", 0.0, 1.0), ("P10", "A", 5.0, 6.0), ("P2", "C", 1.0, 1.5),
                          ("P1", "A", 0.0, 2.0), ("P10", "B", 3.0, 5.0))
     trajectories = extract_trajectories(log, profiles)
-    assert [profiles[i].patient_id for i in trajectories.patient] == ["P1", "P2", "P10"]
+    assert profiles.patient_id[trajectories.patient].tolist() == ["P1", "P2", "P10"]
     assert trajectory_paths(trajectories) == [("A",), ("B", "C"), ("B", "A")]
 
 
@@ -226,12 +240,12 @@ def test_columns_match_the_per_patient_dict_walks(default_oracle):
     admissions, totals, by_patient = {}, {}, {}
     for i, d, enter, cost in zip(log.patient.tolist(), log.department.tolist(),
                                  log.enter.tolist(), log.cost.tolist()):
-        pid = profiles[i].patient_id
+        pid = profiles.patient_id[i]
         if pid not in admissions or enter < admissions[pid]:
             admissions[pid] = enter
         totals[pid] = totals.get(pid, 0.0) + cost
         by_patient.setdefault(pid, []).append((enter, log.departments[d]))
-    ids = [p.patient_id for p in profiles]
+    ids = profiles.patient_id.tolist()
     assert admission_times(log).tolist() == [admissions[pid] for pid in ids]
     costs = np.bincount(log.patient, weights=log.cost)
     assert costs.tolist() == [totals[pid] for pid in ids]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patientflow import engine
-from patientflow.domain import DepartmentSpec, PatientProfile, extract_trajectories
+from patientflow.domain import DepartmentSpec, Profiles, extract_trajectories
 from patientflow.engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -344,8 +344,9 @@ def test_simulated_stays_reproduce_fitted_model():
     # unbounded beds: simulated stay durations match direct model draws
     rng = stream(99)
     sampler = attr_sampler()
-    profiles = tuple(sampler.sample(rng, f"T{i}") for i in range(3000))
-    targets = [float(np.exp(rng.normal(3.0 + 0.01 * p.age, 0.4))) for p in profiles]
+    profiles = Profiles.from_rows([f"T{i}" for i in range(3000)],
+                                  [sampler.sample(rng) for _ in range(3000)])
+    targets = [float(np.exp(rng.normal(3.0 + 0.01 * age, 0.4))) for age in profiles.age]
     model = fit_conditional(profiles, targets, TARGET_LOS)
     emp = EmpiricalSampler(profiles)
     config = base_config(
@@ -358,7 +359,8 @@ def test_simulated_stays_reproduce_fitted_model():
     sim_los = [s.los for p in result.patients for s in p.stays]
     assert len(sim_los) >= 2000
     drng = stream(55)
-    direct = [sample(model, drng, profile=emp.sample(drng, "D")) for _ in range(20_000)]
+    direct = [sample(model, drng, profile=profiles.take([drng.integers(len(profiles))]))
+              for _ in range(20_000)]
     assert ks_statistic(sim_los, direct) < 0.05
 
 
@@ -427,9 +429,8 @@ def test_attribute_sampler_matches_generator_profiles(default_generator):
     sampler = AttributeSampler(config.age_mix, config.gender_p,
                                config.comorbidity_rate(1), config.drg_probs)
     rng_a, rng_b = stream(41), stream(41)
-    for i in range(300):
-        pid = f"P{i:03d}"
-        assert sampler.sample(rng_a, pid) == sample_profile(config, rng_b, 1, pid)
+    for _ in range(300):
+        assert sampler.sample(rng_a) == sample_profile(config, rng_b, 1)
 
 
 # --- columnar results -------------------------------------------------------------
@@ -595,9 +596,10 @@ def new_drg_sampler():
 
 def test_unseen_levels_counted_per_replication():
     rng = stream(53)
-    profiles = [PatientProfile(f"P{i}", int(rng.integers(20, 90)), ("F", "M")[i % 2],
-                               int(rng.integers(0, 5)), ("GEN", "CARD")[i % 3 == 0])
-                for i in range(80)]
+    profiles = Profiles.from_rows(
+        [f"P{i}" for i in range(80)],
+        [(int(rng.integers(20, 90)), ("F", "M")[i % 2], int(rng.integers(0, 5)),
+          ("GEN", "CARD")[i % 3 == 0]) for i in range(80)])
     los = fit_conditional(profiles, rng.uniform(2.0, 30.0, len(profiles)), TARGET_LOS)
     cot = fit_conditional(profiles, rng.uniform(100.0, 900.0, len(profiles)), TARGET_COT)
     config = capped_config(seed=54, los_models={"W": los, "X": los}, cot_model=cot,
@@ -621,7 +623,7 @@ def learned_config(default_generator):
     stays = {}
     for d in log.departments:
         rows = log.in_department(d)
-        stays[d] = ([profiles[i] for i in log.patient[rows]], log.los[rows].tolist())
+        stays[d] = (profiles.take(log.patient[rows]), log.los[rows].tolist())
     costs = np.bincount(log.patient, weights=log.cost, minlength=len(profiles))
     trajectories = extract_trajectories(log, profiles)
     return SimConfig(
@@ -633,9 +635,9 @@ def learned_config(default_generator):
         los_models={"ER": fit_conditional(*stays["ER"], TARGET_LOS),
                     "ICU": fit_conditional(*stays["ICU"], TARGET_LOS),
                     "WARD": fit_tree(*stays["WARD"], max_depth=3)},
-        cot_model=fit_conditional(list(profiles), costs.tolist(), TARGET_COT),
-        pathway=cluster(trajectories, 2, 5, [profiles[i] for i in trajectories.patient]),
-        profile_sampler=EmpiricalSampler(tuple(oracle.profiles[:60])),
+        cot_model=fit_conditional(profiles, costs.tolist(), TARGET_COT),
+        pathway=cluster(trajectories, 2, 5, profiles.take(trajectories.patient)),
+        profile_sampler=EmpiricalSampler(profiles.take(np.arange(60))),
         seed=55,
         replications=4,
     )
@@ -657,8 +659,7 @@ def test_per_profile_work_is_done_once_per_attribute_tuple(learned_config, monke
     monkeypatch.setattr(engine, "assign_all", counted_assign)
     config = replace(learned_config)  # a copy compiles afresh
     results, _ = replicate(config)
-    tuples = len({(p.age, p.gender, p.comorbidity_count, p.drg)
-                  for p in config.profile_sampler.profiles})
+    tuples = len(set(config.profile_sampler.profiles.keys()))
     draws = sum(len(r.stay_start) + len(r.admission) for r in results)
     assert draws > 10 * tuples  # the bound below is far from the per-draw count
     assert calls["encode"] <= 3 * tuples  # three conditional models

@@ -4,11 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patientflow import codec, estimators
-from patientflow.domain import PatientProfile
+from patientflow import codec, estimators, pathways
 from patientflow.errors import (
     EmptySample,
     InsufficientData,
@@ -16,13 +15,19 @@ from patientflow.errors import (
     ZeroVariance,
 )
 from patientflow.estimators import (
+    DEFAULT_CATEGORICAL,
+    DEFAULT_NUMERIC,
     TARGET_COT,
     TARGET_LOS,
+    CategoricalFeature,
     ConditionalModel,
     FeatureSpec,
     LognormalFit,
+    NumericFeature,
     RegressionTree,
     TreeLeaf,
+    TreeSplit,
+    build_feature_spec,
     draw_z,
     fit_conditional,
     fit_gamma_mom,
@@ -31,19 +36,31 @@ from patientflow.estimators import (
     fit_tree,
     fit_weibull,
     ks_statistic,
-    location,
-    predict_mean,
-    predict_tree,
+    locations,
     sample,
     sampler,
 )
 from patientflow.seeding import blocks, stream
 
-from conftest import split_stays
+from conftest import Row, split_stays, table
 
 
 def profile(pid="P", age=50, gender="F", com=1, drg="ACS"):
-    return PatientProfile(pid, age, gender, com, drg)
+    return Row(pid, age, gender, com, drg)
+
+
+def predict_mean(model: ConditionalModel, profile) -> float:
+    """Mean target of a one-row ``Profiles``: exp(linear predictor +
+    residual_sigma^2 / 2).
+
+    The half-variance term is the lognormal mean correction. Cost models
+    additionally undo the +1 shift and clamp at zero.
+    """
+    lp = locations(model, profile)[0][0]
+    mean_ln_scale = math.exp(lp + 0.5 * model.residual_sigma**2)
+    if model.target_kind == TARGET_COT:
+        return max(0.0, mean_ln_scale - 1.0)
+    return mean_ln_scale
 
 
 # --- lognormal -----------------------------------------------------------------
@@ -223,18 +240,18 @@ def age_sweep_profiles(n=400, seed=9):
 def test_conditional_recovers_exact_log_linear_target():
     profiles = age_sweep_profiles()
     targets = [math.exp(3.0 + 2.0 * p.age / 100.0) for p in profiles]
-    model = fit_conditional(profiles, targets, TARGET_LOS)
+    model = fit_conditional(table(profiles), targets, TARGET_LOS)
     assert model.residual_sigma == pytest.approx(0.0, abs=1e-9)
     held_out = age_sweep_profiles(n=100, seed=10)
     for p in held_out:
         expected_ln = 3.0 + 2.0 * p.age / 100.0
-        got = predict_mean(model, p)
+        got = predict_mean(model, table([p]))
         assert abs(math.log(got) - expected_ln) <= 1e-6
 
 
 def test_conditional_constant_target():
     profiles = age_sweep_profiles(n=100)
-    model = fit_conditional(profiles, [48.0] * 100, TARGET_LOS)
+    model = fit_conditional(table(profiles), [48.0] * 100, TARGET_LOS)
     assert model.constant_target
     assert model.coef[0] == pytest.approx(math.log(48.0), abs=1e-6)
     assert max(abs(c) for c in model.coef[1:]) <= 1e-6
@@ -246,11 +263,11 @@ def test_conditional_out_of_sample_rmse_near_noise_floor(default_oracle,
     # the generator is log-linear in the encoded attributes, so the fitted
     # model's held-out ln-RMSE approaches sigma_ln
     sigma_ln = default_generator.los_coeffs.sigma_ln
-    train, test = split_stays(default_oracle, 3360.0)
-    model = fit_conditional([p for p, _ in train], [y for _, y in train], TARGET_LOS)
+    (train, train_y), (test, test_y) = split_stays(default_oracle, 3360.0)
+    model = fit_conditional(train, train_y, TARGET_LOS)
     spec = model.feature_spec
-    X = np.vstack([spec.encode(p) for p, _ in test])
-    resid = np.log([y for _, y in test]) - X @ np.asarray(model.coef)
+    X = spec.encode_all(test)[0]
+    resid = np.log(test_y) - X @ np.asarray(model.coef)
     rmse = float(np.sqrt(np.mean(resid**2)))
     assert rmse <= 1.05 * sigma_ln
 
@@ -265,8 +282,8 @@ def test_conditional_normal_equation_stationarity():
         for i in range(500)
     ]
     targets = [math.exp(rng.normal(3.0 + 0.01 * p.age, 0.5)) for p in profiles]
-    model = fit_conditional(profiles, targets, TARGET_LOS)
-    X = np.vstack([model.feature_spec.encode(p) for p in profiles])
+    model = fit_conditional(table(profiles), targets, TARGET_LOS)
+    X = model.feature_spec.encode_all(table(profiles))[0]
     y = np.log(targets)
     resid = y - X @ np.asarray(model.coef)
     assert np.max(np.abs(X.T @ resid)) <= 1e-6 * np.max(np.abs(y))
@@ -274,8 +291,8 @@ def test_conditional_normal_equation_stationarity():
 
 def test_predict_mean_intercept_only():
     profiles = age_sweep_profiles(n=100)
-    model = fit_conditional(profiles, [48.0] * 100, TARGET_LOS)
-    assert predict_mean(model, profiles[0]) == pytest.approx(48.0, rel=1e-6)
+    model = fit_conditional(table(profiles), [48.0] * 100, TARGET_LOS)
+    assert predict_mean(model, table(profiles[:1])) == pytest.approx(48.0, rel=1e-6)
 
 
 def test_predict_mean_matches_monte_carlo():
@@ -283,8 +300,8 @@ def test_predict_mean_matches_monte_carlo():
     rng = stream(11)
     targets = [math.exp(2.0 + 1.5 * p.age / 100.0 + rng.normal(0.0, 0.4))
                for p in profiles]
-    model = fit_conditional(profiles, targets, TARGET_LOS)
-    target_profile = profiles[0]
+    model = fit_conditional(table(profiles), targets, TARGET_LOS)
+    target_profile = table(profiles[:1])
     srng = stream(12)
     draws = [sample(model, srng, profile=target_profile) for _ in range(100_000)]
     assert np.mean(draws) == pytest.approx(predict_mean(model, target_profile),
@@ -296,10 +313,10 @@ def test_cot_model_admits_zero_costs():
     rng = stream(13)
     targets = [max(0.0, rng.normal(30.0, 20.0)) for _ in profiles]
     assert min(targets) == 0.0
-    model = fit_conditional(profiles, targets, TARGET_COT)
-    draws = [sample(model, stream(14), profile=profiles[0]) for _ in range(10)]
+    model = fit_conditional(table(profiles), targets, TARGET_COT)
+    draws = [sample(model, stream(14), profile=table(profiles[:1])) for _ in range(10)]
     assert all(v >= 0.0 for v in draws)
-    assert predict_mean(model, profiles[0]) >= 0.0
+    assert predict_mean(model, table(profiles[:1])) >= 0.0
 
 
 def test_unseen_level_counts():
@@ -307,9 +324,9 @@ def test_unseen_level_counts():
         profile(f"Q{i}", drg="HF") for i in range(20)
     ]
     targets = [10.0] * 40
-    model = fit_conditional(profiles, targets, TARGET_LOS)
-    predict_mean(model, profile("X", drg="NEW"))
-    assert location(model, profile("X", drg="NEW"))[1] == 1
+    model = fit_conditional(table(profiles), targets, TARGET_LOS)
+    predict_mean(model, table([profile("X", drg="NEW")]))
+    assert locations(model, table([profile("X", drg="NEW")]))[1] == [1]
 
 
 # --- sampling ---------------------------------------------------------------------------
@@ -318,10 +335,10 @@ def test_sample_deterministic_when_residual_zero():
     import dataclasses
 
     profiles = age_sweep_profiles(n=100)
-    fitted = fit_conditional(profiles, [48.0] * 100, TARGET_LOS)
+    fitted = fit_conditional(table(profiles), [48.0] * 100, TARGET_LOS)
     model = dataclasses.replace(fitted, residual_sigma=0.0)
     rng = stream(15)
-    draws = {sample(model, rng, profile=profiles[0]) for _ in range(5)}
+    draws = {sample(model, rng, profile=table(profiles[:1])) for _ in range(5)}
     assert len(draws) == 1
     assert draws.pop() == pytest.approx(48.0, rel=1e-9)
 
@@ -365,28 +382,29 @@ def test_mixture_sampling_matches_weights():
 
 def test_tree_constant_target_single_leaf():
     profiles = age_sweep_profiles(n=60)
-    tree = fit_tree(profiles, [12.0] * 60, max_depth=4, min_leaf=5)
+    tree = fit_tree(table(profiles), [12.0] * 60, max_depth=4, min_leaf=5)
     assert isinstance(tree.root, estimators.TreeLeaf)
-    assert predict_tree(tree, profiles[0]) == pytest.approx(12.0, rel=1e-12)
+    assert math.exp(locations(tree, table(profiles[:1]))[0][0]) == pytest.approx(
+        12.0, rel=1e-12)
 
 
 def test_tree_single_categorical_split_is_exact():
     profiles = [profile(f"P{i}", drg="ACS" if i % 2 == 0 else "HF")
                 for i in range(40)]
     targets = [10.0 if p.drg == "ACS" else 80.0 for p in profiles]
-    tree = fit_tree(profiles, targets, max_depth=5, min_leaf=2)
+    tree = fit_tree(table(profiles), targets, max_depth=5, min_leaf=2)
     assert isinstance(tree.root, estimators.TreeSplit)
     assert isinstance(tree.root.left, estimators.TreeLeaf)
     assert isinstance(tree.root.right, estimators.TreeLeaf)
-    for p, t in zip(profiles, targets):
-        assert predict_tree(tree, p) == pytest.approx(t, rel=1e-12)
+    for loc, t in zip(locations(tree, table(profiles))[0], targets):
+        assert math.exp(loc) == pytest.approx(t, rel=1e-12)
 
 
 def test_tree_respects_min_leaf():
     rng = stream(24)
     profiles = age_sweep_profiles(n=300, seed=25)
     targets = [math.exp(rng.normal(2.0 + p.age / 100.0, 0.3)) for p in profiles]
-    tree = fit_tree(profiles, targets, max_depth=6, min_leaf=25)
+    tree = fit_tree(table(profiles), targets, max_depth=6, min_leaf=25)
 
     def check(node):
         if isinstance(node, estimators.TreeLeaf):
@@ -399,13 +417,13 @@ def test_tree_respects_min_leaf():
 
 
 def test_tree_beats_univariate_on_heterogeneous_data(default_oracle):
-    train, test = split_stays(default_oracle, 3360.0)
-    tree = fit_tree([p for p, _ in train[:20000]], [y for _, y in train[:20000]])
-    ln_fit = fit_lognormal([y for _, y in train])
-    ln_test = np.log([y for _, y in test[:8000]])
+    (train, train_y), (test, test_y) = split_stays(default_oracle, 3360.0)
+    tree = fit_tree(train.take(np.arange(20000)), train_y[:20000])
+    ln_fit = fit_lognormal(train_y)
+    ln_test = np.log(test_y[:8000])
     rmse_tree = float(np.sqrt(np.mean(
-        [(math.log(predict_tree(tree, p)) - lt) ** 2
-         for (p, _), lt in zip(test[:8000], ln_test)]
+        [(loc - lt) ** 2
+         for loc, lt in zip(locations(tree, test.take(np.arange(8000)))[0], ln_test)]
     )))
     rmse_uni = float(np.sqrt(np.mean((ln_test - ln_fit.mu) ** 2)))
     assert rmse_tree <= rmse_uni
@@ -413,7 +431,7 @@ def test_tree_beats_univariate_on_heterogeneous_data(default_oracle):
 
 def test_tree_too_little_data():
     with pytest.raises(InsufficientData):
-        fit_tree(age_sweep_profiles(n=10), [1.0] * 10, min_leaf=20)
+        fit_tree(table(age_sweep_profiles(n=10)), [1.0] * 10, min_leaf=20)
 
 
 def test_tree_leaves_partition_training_points():
@@ -422,7 +440,7 @@ def test_tree_leaves_partition_training_points():
     rng = stream(32)
     profiles = age_sweep_profiles(n=240, seed=33)
     targets = [math.exp(rng.normal(2.0 + p.age / 50.0, 0.4)) for p in profiles]
-    tree = fit_tree(profiles, targets, max_depth=4, min_leaf=15)
+    tree = fit_tree(table(profiles), targets, max_depth=4, min_leaf=15)
 
     def leaf_of(p):
         node = tree.root
@@ -440,11 +458,123 @@ def test_tree_leaves_partition_training_points():
     for leaf, values in groups.values():
         assert leaf.count == len(values)
         assert leaf.mean_ln == pytest.approx(float(np.mean(values)), abs=1e-12)
-        assert predict_tree(tree, profiles[0]) == pytest.approx(
+        assert math.exp(locations(tree, table(profiles[:1]))[0][0]) == pytest.approx(
             math.exp(leaf_of(profiles[0]).mean_ln), rel=1e-15
         )
         total += len(values)
     assert total == len(profiles)
+
+
+# --- columns against the per-profile references ----------------------------------------
+#
+# The per-profile code the column code replaced, each profile read with
+# getattr, kept as the reference the columns must match bit for bit.
+
+def reference_feature_spec(profiles) -> FeatureSpec:
+    nums = []
+    for name in DEFAULT_NUMERIC:
+        values = np.asarray([float(getattr(p, name)) for p in profiles])
+        sd = float(np.std(values))
+        nums.append(NumericFeature(name=name, mean=float(values.mean()),
+                                   sd=sd if sd > 1e-12 else 1.0))
+    cats = []
+    for name in DEFAULT_CATEGORICAL:
+        levels = tuple(sorted({str(getattr(p, name)) for p in profiles}))
+        cats.append(CategoricalFeature(name=name, levels=levels))
+    return FeatureSpec(numeric=tuple(nums), categorical=tuple(cats))
+
+
+def reference_encode_all(spec: FeatureSpec, profiles) -> tuple[np.ndarray, np.ndarray]:
+    X = np.zeros((len(profiles), spec.width))
+    X[:, 0] = 1.0
+    unseen = np.zeros(len(profiles), dtype=np.int64)
+    i = 1
+    for f in spec.numeric:
+        values = np.array([float(getattr(p, f.name)) for p in profiles])
+        X[:, i] = (values - f.mean) / f.sd
+        i += 1
+    for c in spec.categorical:
+        level = {value: c.levels.index(value) for value in c.levels}
+        j = np.array([level.get(getattr(p, c.name), -1) for p in profiles], dtype=np.int64)
+        unseen += j < 0
+        hit = np.flatnonzero(j > 0)
+        X[hit, i + j[hit] - 1] = 1.0
+        i += len(c.levels) - 1
+    return X, unseen
+
+
+def reference_leaf(node, profile) -> TreeLeaf:
+    while isinstance(node, TreeSplit):
+        if node.kind == "numeric":
+            go_left = float(getattr(profile, node.feature)) <= node.threshold
+        else:
+            go_left = str(getattr(profile, node.feature)) == node.level
+        node = node.left if go_left else node.right
+    return node
+
+
+def reference_raw_row(profile, drg_levels) -> list[float]:
+    return ([float(profile.age), float(profile.comorbidity_count),
+             1.0 if profile.gender == "F" else 0.0]
+            + [1.0 if profile.drg == lvl else 0.0 for lvl in drg_levels])
+
+
+# narrow ranges, so that values repeat, columns come out constant and
+# ages and counts land exactly on tree thresholds; DRGs are drawn in no
+# particular order, and queries may carry levels the training rows lack
+AGES, COUNTS = st.integers(40, 44), st.integers(0, 3)
+DRGS = ("HF", "ACS", "ARR", "GEN")
+PROFILE_ROWS = st.builds(Row, st.just("P"), AGES, st.sampled_from("FM"), COUNTS,
+                         st.sampled_from(DRGS[:3]))
+QUERY_ROWS = st.builds(Row, st.just("Q"), AGES, st.sampled_from("FM"), COUNTS,
+                       st.sampled_from(DRGS))
+TREES = st.recursive(
+    st.builds(TreeLeaf, st.floats(-5.0, 5.0), st.integers(1, 9)),
+    lambda nodes: st.one_of(
+        st.builds(lambda f, t, left, right: TreeSplit(f, "numeric", t, None, left, right),
+                  st.sampled_from(DEFAULT_NUMERIC),
+                  st.one_of(st.integers(-1, 45).map(float), st.floats(-1.0, 45.0)),
+                  nodes, nodes),
+        st.builds(lambda f, level, left, right: TreeSplit(f, "categorical", None, level,
+                                                          left, right),
+                  st.sampled_from(DEFAULT_CATEGORICAL), st.sampled_from(("F", "M") + DRGS),
+                  nodes, nodes)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PROFILE_ROWS, min_size=1, max_size=12),
+       st.lists(QUERY_ROWS, min_size=1, max_size=12), TREES)
+@example([Row("P", 42, "F", 1, "HF")], [Row("Q", 42, "M", 2, "GEN")],
+         TreeSplit("age", "numeric", 42.0, None, TreeLeaf(1.0, 1), TreeLeaf(2.0, 1)))
+def test_profile_columns_keep_the_bits_of_the_per_profile_code(rows, queries, tree):
+    """Feature specs, encoded rows, unseen levels, tree leaves and the
+    pathway encoder read from columns equal the per-profile code's, bit
+    for bit: one-row and constant tables (sd 1), unseen levels, and
+    values exactly on a threshold included."""
+    profiles, query_table = table(rows), table(queries)
+    spec = build_feature_spec(profiles)
+    assert spec == reference_feature_spec(rows)
+    for sample_rows, sample_table in ((rows, profiles), (queries, query_table)):
+        X, unseen = spec.encode_all(sample_table)
+        X_ref, unseen_ref = reference_encode_all(spec, sample_rows)
+        assert X.tobytes() == X_ref.tobytes()
+        assert unseen.tolist() == unseen_ref.tolist()
+
+    model = RegressionTree(tree, 3, 1, DEFAULT_NUMERIC, DEFAULT_CATEGORICAL)
+    assert locations(model, query_table)[0] == [
+        reference_leaf(tree, q).mean_ln for q in queries]
+
+    encoder, raw = pathways._build_profile_encoder(profiles)
+    assert encoder.drg_levels == tuple(sorted({p.drg for p in rows}))
+    raw_ref = np.asarray([reference_raw_row(p, encoder.drg_levels) for p in rows])
+    assert raw.tobytes() == raw_ref.tobytes()
+    means, sds = raw_ref.mean(axis=0), raw_ref.std(axis=0)
+    sds[sds < 1e-12] = 1.0
+    assert (encoder.means, encoder.sds) == (tuple(means.tolist()), tuple(sds.tolist()))
+    encoded_ref = (np.array([reference_raw_row(q, encoder.drg_levels) for q in queries])
+                   - means) / sds
+    assert encoder.encode_all(query_table).tobytes() == encoded_ref.tobytes()
 
 
 # --- KS statistic -----------------------------------------------------------------------
@@ -480,18 +610,19 @@ def test_estimator_json_round_trips():
         fit_gamma_mom(x),
         fit_weibull(x),
         fit_mixture_em(x, 2, seed=3),
-        fit_conditional(profiles, targets, TARGET_LOS),
-        fit_tree(profiles, targets, max_depth=3, min_leaf=10),
+        fit_conditional(table(profiles), targets, TARGET_LOS),
+        fit_tree(table(profiles), targets, max_depth=3, min_leaf=10),
     ]
+    first = table(profiles[:1])
     for model in models:
         clone = codec.decode(codec.encode(model))
         rng_a, rng_b = stream(30), stream(30)
         if isinstance(model, (estimators.ConditionalModel,)):
-            assert sample(model, rng_a, profile=profiles[0]) == sample(
-                clone, rng_b, profile=profiles[0]
+            assert sample(model, rng_a, profile=first) == sample(
+                clone, rng_b, profile=first
             )
         elif isinstance(model, estimators.RegressionTree):
-            assert predict_tree(model, profiles[0]) == predict_tree(clone, profiles[0])
+            assert locations(model, first) == locations(clone, first)
         else:
             assert sample(model, rng_a) == sample(clone, rng_b)
 

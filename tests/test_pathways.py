@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patientflow import codec
-from patientflow.domain import DISCHARGE, ENTRY, PatientProfile, extract_trajectories
+from patientflow.domain import DISCHARGE, ENTRY, extract_trajectories
 from patientflow.errors import (
     MissingAttributeCentroids,
     TooFewTrajectories,
     UnknownDepartment,
 )
 from patientflow.pathways import (
-    assign,
+    assign_all,
     STAY_COUNT_SCALE,
     cluster,
     encode_all,
@@ -24,7 +24,7 @@ from patientflow.pathways import (
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig, generate
 
-from conftest import flat_generator_dict, trajectories_of, trajectory_paths
+from conftest import Row, flat_generator_dict, table, trajectories_of, trajectory_paths
 
 
 def encode(path, departments):
@@ -33,7 +33,7 @@ def encode(path, departments):
 
 
 def profile(pid, age=50, gender="F", com=1, drg="ACS"):
-    return PatientProfile(pid, age, gender, com, drg)
+    return Row(pid, age, gender, com, drg)
 
 
 # --- transition matrix fitting -------------------------------------------------
@@ -284,11 +284,11 @@ def test_cluster_recovers_latent_classes(default_generator):
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
     assert len(trs) >= 1000
-    profiles = [result.profiles[i] for i in trs.patient]
+    profiles = result.profiles.take(trs.patient)
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[p.patient_id] for p in profiles])
+    truth = np.asarray([result.truth.latent_class[pid] for pid in profiles.patient_id])
     agreement = float(np.mean(labels == truth))
     assert max(agreement, 1.0 - agreement) >= 0.9
 
@@ -298,14 +298,14 @@ def test_cluster_recovers_latent_classes(default_generator):
 def test_assign_k1_always_zero():
     trs = trajectories_of([["A"] for i in range(10)])
     profiles = [profile(str(i)) for i in range(10)]
-    pc = cluster(trs, 1, seed=0, profiles=profiles)
-    assert assign(profile("x"), pc) == 0
+    pc = cluster(trs, 1, seed=0, profiles=table(profiles))
+    assert assign_all(table([profile("x")]), pc) == [0]
 
 
 def test_assign_requires_attribute_centroids():
     pc = cluster(trajectories_of([["A"], ["A"]]), 1, seed=0)
     with pytest.raises(MissingAttributeCentroids):
-        assign(profile("x"), pc)
+        assign_all(table([profile("x")]), pc)
 
 
 def test_assign_exact_centroid_match():
@@ -315,9 +315,9 @@ def test_assign_exact_centroid_match():
     profiles = [profile(f"a{i}", age=30, com=0) for i in range(25)] + [
         profile(f"b{i}", age=80, com=9) for i in range(25)
     ]
-    pc = cluster(trs, 2, seed=8, profiles=profiles)
-    young = assign(profile("x", age=30, com=0), pc)
-    old = assign(profile("y", age=80, com=9), pc)
+    pc = cluster(trs, 2, seed=8, profiles=table(profiles))
+    young, old = assign_all(table([profile("x", age=30, com=0), profile("y", age=80, com=9)]),
+                            pc)
     assert young != old
     young_cluster = pc.clusters[young]
     assert {30} == {
@@ -332,13 +332,13 @@ def test_assign_accuracy_against_latent_class(default_generator):
     )
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
-    profiles = [result.profiles[i] for i in trs.patient]
+    profiles = result.profiles.take(trs.patient)
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[p.patient_id] for p in profiles])
+    truth = np.asarray([result.truth.latent_class[pid] for pid in profiles.patient_id])
     mapping = (0, 1) if np.mean(labels == truth) >= 0.5 else (1, 0)
-    assigned = np.asarray([mapping[assign(p, pc)] for p in profiles])
+    assigned = np.asarray([mapping[k] for k in assign_all(profiles, pc)])
     assert float(np.mean(assigned == truth)) > 0.75
 
 
@@ -414,7 +414,7 @@ def test_sweep_k_picks_two_for_two_pure_groups():
     profiles = [profile(f"a{i}", age=30) for i in range(40)] + [
         profile(f"b{i}", age=80) for i in range(40)
     ]
-    pc = sweep_k(trs, seed=10, profiles=profiles)
+    pc = sweep_k(trs, seed=10, profiles=table(profiles))
     assert pc.k == 2
 
 
@@ -434,7 +434,8 @@ def test_pathway_json_round_trips():
     profiles = [profile(f"p{i}", age=30 + i) for i in range(50)]
     m = fit_transition_matrix(trs)
     assert codec.decode(codec.encode(m)) == m
-    pc = cluster(trs, 2, seed=11, profiles=profiles)
+    pc = cluster(trs, 2, seed=11, profiles=table(profiles))
     clone = codec.decode(codec.encode(pc))
     assert clone == pc
-    assert assign(profile("q", age=42), clone) == assign(profile("q", age=42), pc)
+    q = table([profile("q", age=42)])
+    assert assign_all(q, clone) == assign_all(q, pc)
