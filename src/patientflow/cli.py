@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,6 +151,12 @@ def _parse_lags(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad --lags {text!r}, expected e.g. 1,24,168") from None
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value}")
+    return value
+
+
 def _auto_horizon(log, width: float) -> float:
     latest = float(log.enter.max())
     return (int(latest // width) + 1) * width
@@ -173,9 +180,12 @@ def _cmd_fit(args) -> int:
         raise DataError("event log is empty")
 
     if kind in INFLOW_KINDS:
-        width = args.bucket_width
-        horizon = args.horizon if args.horizon is not None else _auto_horizon(log, width)
-        series = bucketize(log, width, args.start, horizon)
+        width = _finite(args.bucket_width, "--bucket-width")
+        if width <= 0.0:
+            raise ConfigError(f"--bucket-width must be positive, got {width}")
+        horizon = (_finite(args.horizon, "--horizon") if args.horizon is not None
+                   else _auto_horizon(log, width))
+        series = bucketize(log, width, _finite(args.start, "--start"), horizon)
         calendar = () if args.calendar == "none" else inflow.default_calendar(width)
         spec = inflow.ForecasterSpec(kind, args.m, args.alpha, args.beta, args.gamma,
                                      _parse_lags(args.lags or ""), calendar)
@@ -358,14 +368,19 @@ def _format_summary(d: dict) -> str:
 
 def _cmd_report(args) -> int:
     folder = Path(args.indir)
-    report = folder / "report.json"
-    summary = folder / "summary.json"
-    if report.exists():
-        sys.stdout.write(_format_report(_read_json(str(report))) + "\n")
-        return 0
-    if summary.exists():
-        sys.stdout.write(_format_summary(_read_json(str(summary))) + "\n")
-        return 0
+    for name, format_document in (("report.json", _format_report),
+                                  ("summary.json", _format_summary)):
+        path = folder / name
+        if path.exists():
+            # read as plain JSON: a report can hold a NaN, which codec.read refuses
+            doc = _read_json(str(path))
+            try:
+                text = format_document(doc)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"{path}: not a {name} document "
+                                  f"({type(exc).__name__}: {exc})") from None
+            sys.stdout.write(text + "\n")
+            return 0
     raise ConfigError(f"{folder} contains neither report.json nor summary.json")
 
 

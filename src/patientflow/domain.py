@@ -21,9 +21,8 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConflictingProfile,
-    EmptyWindow,
+    DataError,
     InvariantViolation,
-    MalformedHeader,
     OverlappingStays,
     RowParseError,
 )
@@ -302,10 +301,10 @@ def parse_event_log(text: str) -> tuple[EventLog, Profiles]:
     try:
         header = next(reader)
     except StopIteration:
-        raise MalformedHeader("empty document") from None
+        raise DataError("empty document") from None
     if tuple(header) != CSV_FIELDS:
-        raise MalformedHeader(f"line 1: expected header {CSV_HEADER!r}, "
-                              f"got {','.join(header)!r}")
+        raise DataError(f"line 1: expected header {CSV_HEADER!r}, "
+                        f"got {','.join(header)!r}")
 
     patient_index: dict[str, int] = {}
     department_index: dict[str, int] = {}
@@ -419,7 +418,7 @@ def bucketize(
     """
     n_buckets = int(round(horizon / bucket_width))
     if n_buckets < 1 or abs(n_buckets * bucket_width - horizon) > 1e-6:
-        raise EmptyWindow(
+        raise DataError(
             f"horizon {horizon} does not span a positive whole number of "
             f"{bucket_width}h buckets"
         )

@@ -47,9 +47,9 @@ import numpy as np
 from numpy.random import Generator
 
 from . import codec
-from .domain import PROFILE_ATTRIBUTES, DepartmentSpec, Profiles
-from .errors import ConfigError, ForecastTooShort, InvariantViolation, ModelIncompatible
-from .estimators import PROFILE_MODELS, draw_z, locations, profile_attributes, sampler
+from .domain import DepartmentSpec, Profiles
+from .errors import ConfigError, DataError, InvariantViolation
+from .estimators import PROFILE_MODELS, draw_z, locations, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
 from .seeding import blocks, cumulative, stream
 from .synthehr import WALK_CAP, AgeMixture, LinearRate, check_attribute_probs, draw_attributes
@@ -114,7 +114,7 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
         w = driver.bucket_width
         n_buckets = int(math.ceil(horizon / w - 1e-9))
         if len(driver.forecast) < n_buckets:
-            raise ForecastTooShort(
+            raise DataError(
                 f"forecast covers {len(driver.forecast)} buckets, horizon needs {n_buckets}"
             )
         times = []
@@ -152,7 +152,7 @@ class AttributeSampler:
     def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
         return tuple(self.drg_probs), cumulative(self.drg_probs.values())
 
-    def sample(self, rng: Generator) -> tuple:
+    def draw(self, rng: Generator) -> tuple:
         """One arrival's (age, gender, comorbidity_count, drg)."""
         return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
                                self.drg_table)
@@ -193,7 +193,7 @@ class SimConfig:
             raise ConfigError("duplicate department names")
         for name in names:
             if name not in self.los_models:
-                raise ModelIncompatible(f"department {name!r} has no stay-duration model")
+                raise ConfigError(f"department {name!r} has no stay-duration model")
 
     @cached_property
     def tables(self) -> "_Tables":
@@ -232,10 +232,6 @@ class PatientRecord:
     stays: tuple[StayRecord, ...]
     discharge_time: float | None
     total_cost: float | None
-
-    @property
-    def total_wait(self) -> float:
-        return sum(s.wait for s in self.stays)
 
 
 def _patient_id(index: int) -> str:
@@ -452,10 +448,6 @@ class _Tables:
         (self.cost_draw,), self.cost_source = _value_stream(models[-1:])
         self.profile_models = [(slot, m) for slot, m in enumerate(models)
                                if isinstance(m, PROFILE_MODELS)]
-        read = set().union(*(profile_attributes(m) for _, m in self.profile_models))
-        if not read <= set(PROFILE_ATTRIBUTES):
-            raise ModelIncompatible(f"models read {sorted(read - set(PROFILE_ATTRIBUTES))}, "
-                                    f"which are not profile attributes")
         # routing target of each name: departments first, then names only
         # the pathway knows, which are rejected when drawn
         targets = {name: i for i, name in enumerate(names)}
@@ -481,7 +473,7 @@ class _Tables:
             if self.pool is None:
                 self.pool = self.entries(sampler.profiles)
             return [self.pool[i] for i in rng.integers(len(self.pool), size=n).tolist()]
-        rows = [sampler.sample(rng) for _ in range(n)]
+        rows = [sampler.draw(rng) for _ in range(n)]
         return self.entries(Profiles.from_rows([""] * n, rows))
 
     def entries(self, profiles: Profiles) -> list[_Profile]:
@@ -642,7 +634,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
 
     def request_bed(patient: _Patient, dept: int, now: float):
         if dept >= n_depts:
-            raise ModelIncompatible(
+            raise ConfigError(
                 f"pathway routes to unknown department {tables.target_names[dept]!r}")
         patient.request_time = now
         push(heap, (now, next(seq), _SEIZE, patient, dept))

@@ -3,7 +3,12 @@
 Three branches matter to callers: ``ConfigError`` (bad configuration or
 usage, CLI exit 2), ``DataError`` (inputs violating a contract, exit 3)
 and ``NumericError`` (an algorithm failed to converge in strict mode,
-exit 4).
+exit 4). ``PatientFlowError`` is the base of all three.
+
+The other four classes are ``DataError`` leaves that format their message
+from fields: ``RowParseError`` and ``ConflictingProfile`` (an event-log
+line), ``InvariantViolation`` (a field, optionally on a line) and
+``OverlappingStays`` (a patient).
 """
 
 
@@ -24,10 +29,6 @@ class NumericError(PatientFlowError):
 
 
 # --- event-log ingestion ---------------------------------------------------
-
-class MalformedHeader(DataError):
-    pass
-
 
 class RowParseError(DataError):
     def __init__(self, line: int, message: str):
@@ -56,86 +57,3 @@ class OverlappingStays(DataError):
     def __init__(self, patient_id: str):
         super().__init__(f"patient {patient_id!r} has overlapping stays")
         self.patient_id = patient_id
-
-
-class EmptyWindow(DataError):
-    pass
-
-
-# --- synthetic generator ---------------------------------------------------
-
-class OutOfHorizon(DataError):
-    pass
-
-
-# --- inflow models ---------------------------------------------------------
-
-class SeriesTooShort(DataError):
-    pass
-
-
-class InsufficientData(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class AllActualsZero(DataError):
-    pass
-
-
-class ModelFitError(DataError):
-    """A backtest fit failed; carries the model name for context."""
-
-    def __init__(self, model_name: str, cause: Exception):
-        super().__init__(f"{model_name}: {cause}")
-        self.model_name = model_name
-        self.cause = cause
-
-
-# --- estimators ------------------------------------------------------------
-
-class NonPositiveSample(DataError):
-    pass
-
-
-class ZeroVariance(DataError):
-    pass
-
-
-class EmptySample(DataError):
-    pass
-
-
-class NewtonDivergence(NumericError):
-    pass
-
-
-# --- pathways --------------------------------------------------------------
-
-class UnknownDepartment(DataError):
-    pass
-
-
-class TooFewTrajectories(DataError):
-    pass
-
-
-class MissingAttributeCentroids(DataError):
-    pass
-
-
-# --- engine / harness ------------------------------------------------------
-
-class ModelIncompatible(ConfigError):
-    pass
-
-
-class ForecastTooShort(DataError):
-    pass
-
-
-class WindowMismatch(DataError):
-    pass

@@ -26,15 +26,8 @@ import numpy as np
 from numpy.random import Generator
 
 from .domain import Profiles
-from .errors import (
-    ConfigError,
-    EmptySample,
-    InsufficientData,
-    NewtonDivergence,
-    NonPositiveSample,
-    ZeroVariance,
-)
-from .seeding import cumulative, draw_cumulative, stream
+from .errors import ConfigError, DataError, NumericError
+from .seeding import cumulative, draw_cumulative, kmeanspp, stream
 
 RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
@@ -94,15 +87,12 @@ class WeibullFit:
         _check_non_negative(self, "shape", "scale")
 
 
-UnivariateFit = Union[LognormalFit, GammaFit, WeibullFit]
-
-
 def _positive_array(x: Sequence[float], minimum: int = 2) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or len(arr) < minimum:
-        raise InsufficientData(f"need at least {minimum} observations, got {arr.size}")
+        raise DataError(f"need at least {minimum} observations, got {arr.size}")
     if np.any(arr <= 0.0):
-        raise NonPositiveSample("all observations must be > 0")
+        raise DataError("all observations must be > 0")
     return arr
 
 
@@ -128,7 +118,7 @@ def fit_gamma_mom(x: Sequence[float]) -> GammaFit:
     mean = float(np.mean(arr))
     var = float(np.mean((arr - mean) ** 2))
     if var <= 0.0:
-        raise ZeroVariance("sample variance must be positive")
+        raise DataError("sample variance must be positive")
     k = mean * mean / var
     theta = var / mean
     ll = float(
@@ -144,13 +134,13 @@ def fit_weibull(x: Sequence[float], strict: bool = False) -> WeibullFit:
 
     Starting from k = 1.2 with a 200-iteration cap; the scale then
     follows as lambda = (mean of x^k)^(1/k). On divergence the best
-    iterate is returned with ``converged`` unset (or NewtonDivergence is
+    iterate is returned with ``converged`` unset (or NumericError is
     raised in strict mode).
     """
     arr = _positive_array(x)
     mean = float(np.mean(arr))
     if float(np.mean((arr - mean) ** 2)) <= 0.0:
-        raise ZeroVariance("sample variance must be positive")
+        raise DataError("sample variance must be positive")
     z = arr / mean  # the shape equation is scale invariant
     lnz = np.log(z)
     mean_lnz = float(np.mean(lnz))
@@ -188,7 +178,7 @@ def fit_weibull(x: Sequence[float], strict: bool = False) -> WeibullFit:
         k = k_new
     if not converged:
         if strict:
-            raise NewtonDivergence(f"shape equation residual {best_abs_g:.3e}")
+            raise NumericError(f"shape equation residual {best_abs_g:.3e}")
         k = best_k
     lam = mean * float(np.mean(z**k)) ** (1.0 / k)
     ll = float(
@@ -224,22 +214,6 @@ class MixtureFit:
         return len(self.trace) >= 2 and self.trace[-1] - self.trace[-2] < EM_TOL
 
 
-def _kmeanspp_means(lnx: np.ndarray, k: int, rng: Generator) -> np.ndarray:
-    """k-means++ style seeding of component means on the ln values."""
-    n = len(lnx)
-    means = [float(lnx[rng.integers(n)])]
-    for _ in range(k - 1):
-        d2 = np.min((lnx[:, None] - np.asarray(means)[None, :]) ** 2, axis=1)
-        total = float(d2.sum())
-        if total <= 0.0:
-            means.append(float(lnx[rng.integers(n)]))
-            continue
-        u = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), u))
-        means.append(float(lnx[min(idx, n - 1)]))
-    return np.asarray(means)
-
-
 def fit_mixture_em(
     x: Sequence[float],
     k: int,
@@ -272,8 +246,7 @@ def fit_mixture_em(
             raise ConfigError("init parameter lengths must equal k")
         w = w / w.sum()
     else:
-        rng = stream(seed)
-        mu = _kmeanspp_means(lnx, k, rng)
+        mu = kmeanspp(lnx[:, None], k, stream(seed))[:, 0]
         sigma = np.full(k, max(float(np.std(lnx)), SIGMA_FLOOR))
         w = np.full(k, 1.0 / k)
 
@@ -313,17 +286,42 @@ def fit_mixture_em(
 
 # --- attribute encoding and conditional regression ----------------------------
 
+DEFAULT_NUMERIC = ("age", "comorbidity_count")
+DEFAULT_CATEGORICAL = ("gender", "drg")
+
+
+def _check_attribute(owner: str, name: str, kind: str) -> None:
+    """Reject a feature that is not a profile attribute of its kind, so
+    that a model document that decodes can also predict."""
+    names = {"numeric": DEFAULT_NUMERIC, "categorical": DEFAULT_CATEGORICAL}.get(kind)
+    if names is None:
+        raise ConfigError(f"{owner} kind must be 'numeric' or 'categorical', got {kind!r}")
+    if name not in names:
+        raise ConfigError(f"{owner} {name!r} is not a {kind} profile attribute "
+                          f"({' or '.join(names)})")
+
+
 @dataclass(frozen=True)
 class NumericFeature:
     name: str
     mean: float
     sd: float  # a constant column gets sd 1 so it standardizes to 0
 
+    def __post_init__(self):
+        _check_attribute("NumericFeature", self.name, "numeric")
+        if not self.sd > 0.0:
+            raise ConfigError(f"NumericFeature sd must be > 0, got {self.sd!r}")
+
 
 @dataclass(frozen=True)
 class CategoricalFeature:
     name: str
     levels: tuple[str, ...]  # first level is the dropped reference
+
+    def __post_init__(self):
+        _check_attribute("CategoricalFeature", self.name, "categorical")
+        if not self.levels:
+            raise ConfigError(f"CategoricalFeature {self.name!r} needs at least one level")
 
 
 @dataclass(frozen=True)
@@ -334,8 +332,7 @@ class FeatureSpec:
     are one-hot with the first (reference) level dropped; a leading
     intercept column is always present. An unseen level at prediction
     time encodes as all zeros (the reference) and is counted by
-    ``encode_all``. Extra numeric columns (e.g. future lab results) can
-    be added by listing more attribute names.
+    ``encode_all``.
     """
 
     numeric: tuple[NumericFeature, ...]
@@ -369,13 +366,9 @@ class FeatureSpec:
         return X, unseen
 
 
-DEFAULT_NUMERIC = ("age", "comorbidity_count")
-DEFAULT_CATEGORICAL = ("gender", "drg")
-
-
 def build_feature_spec(profiles: Profiles) -> FeatureSpec:
     if not len(profiles):
-        raise InsufficientData("no profiles")
+        raise DataError("no profiles")
     nums = []
     for name in DEFAULT_NUMERIC:
         values = getattr(profiles, name).astype(float)
@@ -402,16 +395,19 @@ class ConditionalModel:
 
     def __post_init__(self):
         _check_non_negative(self, "residual_sigma")
+        if len(self.coef) != self.feature_spec.width:
+            raise ConfigError(f"coef has {len(self.coef)} entries, the feature spec "
+                              f"implies {self.feature_spec.width}")
 
 
 def _ln_target(targets: np.ndarray, target_kind: str) -> np.ndarray:
     if target_kind == TARGET_LOS:
         if np.any(targets <= 0.0):
-            raise NonPositiveSample("stay durations must be > 0")
+            raise DataError("stay durations must be > 0")
         return np.log(targets)
     if target_kind == TARGET_COT:
         if np.any(targets < 0.0):
-            raise NonPositiveSample("costs must be >= 0")
+            raise DataError("costs must be >= 0")
         return np.log(targets + 1.0)  # admits zero costs
     raise ConfigError(f"unknown target kind {target_kind!r}")
 
@@ -424,11 +420,11 @@ def fit_conditional(
     """Ridge-damped least squares of the ln target on encoded attributes."""
     t = np.asarray(targets, dtype=float)
     if len(profiles) != len(t):
-        raise InsufficientData("profiles and targets must align")
+        raise DataError("profiles and targets must align")
     y = _ln_target(t, target_kind)
     spec = build_feature_spec(profiles)
     if len(t) <= spec.width:
-        raise InsufficientData(f"need more than {spec.width} rows, got {len(t)}")
+        raise DataError(f"need more than {spec.width} rows, got {len(t)}")
     X = spec.encode_all(profiles)[0]
     gram = X.T @ X + RIDGE_DAMPING * np.eye(spec.width)
     coef = np.linalg.solve(gram, X.T @ y)
@@ -458,21 +454,6 @@ def locations(model: ConditionalModel | RegressionTree,
         coef = np.asarray(model.coef)
         return [float(np.dot(coef, row)) for row in rows], unseen.tolist()
     return _leaf_means(model.root, profiles).tolist(), [0] * len(profiles)
-
-
-def profile_attributes(model) -> set[str]:
-    """Names of the profile attributes a model reads when it predicts."""
-    if isinstance(model, ConditionalModel):
-        spec = model.feature_spec
-        return {f.name for f in spec.numeric} | {c.name for c in spec.categorical}
-    names: set[str] = set()
-    stack = [model.root] if isinstance(model, RegressionTree) else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TreeSplit):
-            names.add(node.feature)
-            stack += (node.left, node.right)
-    return names
 
 
 def _exp(x: float) -> float:
@@ -512,8 +493,7 @@ def sampler(model) -> Callable[[float, Generator], float]:
     """Compile a fitted model into ``draw(loc, rng) -> float``.
 
     ``loc`` is the profile's entry of ``locations`` for the models in
-    ``PROFILE_MODELS`` and is ignored by the others. Each draw consumes
-    the generator exactly as ``sample`` does.
+    ``PROFILE_MODELS`` and is ignored by the others.
     """
     normal = draw_z(model)
     if normal is not None:
@@ -536,26 +516,6 @@ def sampler(model) -> Callable[[float, Generator], float]:
     raise ConfigError(f"cannot sample from {type(model).__name__}")
 
 
-def sample(
-    model: ConditionalModel | UnivariateFit | MixtureFit | RegressionTree,
-    rng: Generator,
-    profile: Profiles | None = None,
-) -> float:
-    """Draw one target value from a fitted model.
-
-    Conditional models need ``profile``, a table of the one profile to
-    draw for; the others ignore it. Duration draws are strictly
-    positive, cost draws non-negative.
-    """
-    draw = sampler(model)
-    if not isinstance(model, PROFILE_MODELS):
-        return draw(0.0, rng)
-    if profile is None:
-        kind = "conditional" if isinstance(model, ConditionalModel) else "tree"
-        raise ConfigError(f"{kind} models require a profile to sample")
-    return draw(locations(model, profile)[0][0], rng)
-
-
 # --- CART regression tree ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -572,6 +532,14 @@ class TreeSplit:
     level: str | None          # categorical: left if value == level
     left: "TreeNode"
     right: "TreeNode"
+
+    def __post_init__(self):
+        _check_attribute("TreeSplit", self.feature, self.kind)
+        if self.kind == "numeric" and self.threshold is None:
+            raise ConfigError(f"numeric TreeSplit on {self.feature!r} needs a threshold")
+        if self.kind == "categorical" and not isinstance(self.level, str):
+            raise ConfigError(f"categorical TreeSplit on {self.feature!r} needs a string "
+                              f"level, got {self.level!r}")
 
 
 TreeNode = Union[TreeLeaf, TreeSplit]
@@ -680,13 +648,17 @@ def fit_tree(
     categorical splits are single level vs rest. Growth stops at
     max_depth, min_leaf, or when no split reduces the SSE.
     """
+    if min_leaf < 1:
+        raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
+    if max_depth < 0:
+        raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     t = np.asarray(targets, dtype=float)
     if len(profiles) != len(t):
-        raise InsufficientData("profiles and targets must align")
+        raise DataError("profiles and targets must align")
     if len(t) < 2 * min_leaf:
-        raise InsufficientData(f"need at least {2 * min_leaf} rows, got {len(t)}")
+        raise DataError(f"need at least {2 * min_leaf} rows, got {len(t)}")
     if np.any(t <= 0.0):
-        raise NonPositiveSample("targets must be > 0")
+        raise DataError("targets must be > 0")
     y = np.log(t)
     num_cols = {n: getattr(profiles, n).astype(float) for n in DEFAULT_NUMERIC}
     cat_cols = {n: getattr(profiles, n) for n in DEFAULT_CATEGORICAL}
@@ -724,7 +696,7 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     a = np.sort(np.asarray(sample_a, dtype=float))
     b = np.sort(np.asarray(sample_b, dtype=float))
     if len(a) == 0 or len(b) == 0:
-        raise EmptySample("both samples must be non-empty")
+        raise DataError("both samples must be non-empty")
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)

@@ -51,7 +51,7 @@ from .engine import (
     bucket_census,
     replicate,
 )
-from .errors import ConfigError, DataError, WindowMismatch
+from .errors import ConfigError, DataError
 from .inflow import ForecasterSpec, MetricReport, default_calendar
 from .synthehr import GeneratorConfig, GenerateResult, generate
 from .pathways import TransitionMatrix
@@ -156,7 +156,7 @@ def truth_census_steps(
     so far minus exits so far; at equal times exits come first.
     """
     if window_end <= window_start:
-        raise WindowMismatch("empty census window")
+        raise DataError("empty census window")
     rows = log.in_department(department)
     lo = np.maximum(log.enter[rows], window_start)
     hi = np.minimum(log.exit[rows], window_end)
@@ -186,7 +186,7 @@ def census_error(
         sim = np.asarray(summary.mean_census_per_bucket[dept])
         truth = bucket_census(*zip(*steps), width, summary.horizon)
         if len(sim) != len(truth):
-            raise WindowMismatch(
+            raise DataError(
                 f"{dept}: {len(sim)} sim buckets vs {len(truth)} truth buckets"
             )
         keep = np.arange(len(sim)) * width >= warm_up

@@ -32,14 +32,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .domain import ArrivalSeries
-from .errors import (
-    AllActualsZero,
-    ConfigError,
-    InsufficientData,
-    LengthMismatch,
-    ModelFitError,
-    SeriesTooShort,
-)
+from .errors import ConfigError, DataError
 
 RIDGE_DAMPING = 1e-8
 HW_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -177,7 +170,7 @@ def fit_poisson(series: ArrivalSeries) -> HomogeneousPoisson:
 
 def fit_seasonal_naive(series: ArrivalSeries, m: int) -> SeasonalNaive:
     if len(series) < m:
-        raise SeriesTooShort(f"need at least m={m} buckets, got {len(series)}")
+        raise DataError(f"need at least m={m} buckets, got {len(series)}")
     return SeasonalNaive(m=m, tail=tuple(float(c) for c in series.counts[-m:]))
 
 
@@ -221,9 +214,11 @@ def fit_holt_winters(
     RMSE: the recursion runs for all 729 triples at once and the fit
     keeps the final state of the best one.
     """
+    if m < 2:  # HoltWinters' own check, made before the recursion divides by m
+        raise ConfigError("seasonal period m must be >= 2")
     y = np.asarray(series.counts, dtype=float)
     if len(y) < 2 * m:
-        raise SeriesTooShort(f"need at least 2m={2 * m} buckets, got {len(y)}")
+        raise DataError(f"need at least 2m={2 * m} buckets, got {len(y)}")
     if alpha is None or beta is None or gamma is None:
         combos = np.array(list(itertools.product(HW_GRID, HW_GRID, HW_GRID)))
     else:
@@ -287,7 +282,7 @@ def fit_lag_regression(
     max_lag = max(lags)
     width = _design_width(lags, calendar)
     if n - max_lag <= width:
-        raise InsufficientData(
+        raise DataError(
             f"need more than max_lag + {width} = {max_lag + width} buckets, got {n}"
         )
     rows = [
@@ -341,9 +336,9 @@ def forecast(model: InflowModel, h: int) -> list[float]:
 def evaluate(predicted: Sequence[float], actual: Sequence[float]) -> MetricReport:
     """MAE, RMSE, MAPE (zero actuals skipped) and Pearson correlation."""
     if len(predicted) != len(actual):
-        raise LengthMismatch(f"{len(predicted)} predictions vs {len(actual)} actuals")
+        raise DataError(f"{len(predicted)} predictions vs {len(actual)} actuals")
     if len(actual) < 2:
-        raise LengthMismatch("need at least 2 points")
+        raise DataError("need at least 2 points")
     p = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
     err = p - a
@@ -352,7 +347,7 @@ def evaluate(predicted: Sequence[float], actual: Sequence[float]) -> MetricRepor
     nonzero = a > 0
     n_skipped = int(np.sum(~nonzero))
     if n_skipped == len(a):
-        raise AllActualsZero("MAPE undefined: every actual is zero")
+        raise DataError("MAPE undefined: every actual is zero")
     mape = float(100.0 * np.mean(np.abs(err[nonzero]) / a[nonzero]))
     sp, sa = float(np.std(p)), float(np.std(a))
     degenerate = sp <= 1e-12 * (1.0 + abs(float(np.mean(p)))) or sa <= 1e-12 * (
@@ -376,7 +371,7 @@ def evaluate(predicted: Sequence[float], actual: Sequence[float]) -> MetricRepor
 
 @dataclass(frozen=True)
 class ForecasterSpec:
-    """Declarative choice of inflow model, used by backtests and the CLI."""
+    """Declarative choice of inflow model, used by the experiment and the CLI."""
 
     kind: str  # poisson | seasonal_naive | holt_winters | lag_regression
     m: int | None = None
@@ -402,28 +397,3 @@ class ForecasterSpec:
                 raise ConfigError("lag_regression requires lags")
             return fit_lag_regression(series, self.lags, self.calendar)
         raise ConfigError(f"unknown forecaster kind {self.kind!r}")
-
-
-def backtest(
-    series: ArrivalSeries,
-    split_fraction: float,
-    models: dict[str, ForecasterSpec],
-) -> dict[str, MetricReport]:
-    """Fit each model on the head of the series, score it on the tail."""
-    if not (0.0 < split_fraction < 1.0):
-        raise ConfigError("split_fraction must be in (0, 1)")
-    n = len(series)
-    n_head = int(n * split_fraction)
-    if n_head < 1 or n_head >= n:
-        raise InsufficientData(f"split {split_fraction} leaves an empty segment")
-    head = ArrivalSeries(series.bucket_width, series.start_time, series.counts[:n_head])
-    tail = series.counts[n_head:]
-    reports = {}
-    for name, spec in models.items():
-        try:
-            model = spec.fit(head)
-            predicted = forecast(model, len(tail))
-        except Exception as exc:  # annotate with the model name
-            raise ModelFitError(name, exc) from exc
-        reports[name] = evaluate(predicted, tail)
-    return reports

@@ -20,14 +20,9 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator
 
-from .domain import DISCHARGE, ENTRY, Profiles, Trajectories
-from .errors import (
-    ConfigError,
-    MissingAttributeCentroids,
-    TooFewTrajectories,
-    UnknownDepartment,
-)
-from .seeding import cumulative, draw_cumulative, stream
+from .domain import ENTRY, Profiles, Trajectories
+from .errors import ConfigError, DataError
+from .seeding import cumulative, kmeanspp, stream
 
 MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
@@ -64,23 +59,6 @@ class TransitionMatrix:
                 raise ConfigError(f"transition matrix row {state!r} sums to {sum(row)!r}, "
                                   "not 1")
 
-    def row_index(self, state: str) -> int:
-        if state == ENTRY:
-            return 0
-        try:
-            return 1 + self.departments.index(state)
-        except ValueError:
-            raise UnknownDepartment(f"{state!r} not in alphabet") from None
-
-    def column_state(self, j: int) -> str:
-        return self.departments[j] if j < len(self.departments) else DISCHARGE
-
-    def row(self, state: str) -> tuple[float, ...]:
-        return self.probs[self.row_index(state)]
-
-    def observed(self, state: str) -> bool:
-        return self.row_observed[self.row_index(state)]
-
 
 def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) -> np.ndarray:
     """Each trajectory's moves as an (ENTRY + departments) x (departments +
@@ -96,7 +74,7 @@ def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) 
                      dtype=np.int64)[stays.department]
     if np.any(codes < 0):
         unknown = stays.departments[stays.department[np.argmax(codes < 0)]]
-        raise UnknownDepartment(f"department {unknown!r} not in alphabet")
+        raise DataError(f"department {unknown!r} not in alphabet")
     lengths = np.diff(trajectories.offset)
     ends = trajectories.offset[1:]
     rows = np.empty_like(codes)  # the state each stay is entered from
@@ -134,7 +112,7 @@ def fit_transition_matrix(
     rather than invented.
     """
     if not len(trajectories):
-        raise TooFewTrajectories("need at least one trajectory")
+        raise DataError("need at least one trajectory")
     departments = _alphabet(trajectories, departments)
     return _matrix(transition_counts(trajectories, departments).sum(axis=0), departments)
 
@@ -248,21 +226,7 @@ KMEANS_RESTARTS = 10
 
 
 def _kmeans_once(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    n = len(X)
-    # k-means++ seeding
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            centroids[j] = X[rng.integers(n)]
-        else:
-            u = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), u))
-            centroids[j] = X[min(idx, n - 1)]
-        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
-
+    centroids = kmeanspp(X, k, rng)
     for _ in range(KMEANS_MAX_ITER):
         labels = _nearest(X, centroids)
         new_centroids = np.vstack([X[labels == j].mean(axis=0) for j in range(k)])
@@ -315,7 +279,7 @@ def cluster(
     if k < 1:
         raise ConfigError("k must be >= 1")
     if len(trajectories) < k:
-        raise TooFewTrajectories(f"{len(trajectories)} trajectories for k={k}")
+        raise DataError(f"{len(trajectories)} trajectories for k={k}")
     if profiles is not None and len(profiles) != len(trajectories):
         raise ConfigError("profiles must align with trajectories")
     departments = _alphabet(trajectories, departments)
@@ -390,7 +354,7 @@ def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
     if clusters.profile_encoder is None or any(
         c.attribute_centroid is None for c in clusters.clusters
     ):
-        raise MissingAttributeCentroids(
+        raise DataError(
             "clusters were fitted without profiles; cannot assign by attributes"
         )
     if clusters.k == 1:
@@ -402,20 +366,6 @@ def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
         dists = [float(((v - a) ** 2).sum()) for a in centroids]
         nearest.append(int(np.argmin(dists)))  # argmin takes the lowest index on ties
     return nearest
-
-
-def next_department(state: str, matrix: TransitionMatrix, rng: Generator) -> str:
-    """Draw the next state from the matrix row of ``state``.
-
-    An unobserved row discharges, the conservative fallback (such rows
-    are unreachable under matrices fitted on complete logs).
-    """
-    if state == DISCHARGE:
-        return DISCHARGE
-    i = matrix.row_index(state)
-    if not matrix.row_observed[i]:
-        return DISCHARGE
-    return matrix.column_state(draw_cumulative(cumulative(matrix.probs[i]), rng))
 
 
 def cumulative_rows(matrix: TransitionMatrix) -> tuple[list[float] | None, ...]:
@@ -496,5 +446,5 @@ def sweep_k(
         if best is None or score > best[0] + 1e-12:
             best = (score, result)
     if best is None:
-        raise TooFewTrajectories("no feasible k in range")
+        raise DataError("no feasible k in range")
     return best[1]

@@ -5,7 +5,8 @@ backed by PCG64, keyed by ``(seed, *purpose)`` through ``SeedSequence``
 spawn keys. The same key yields the same stream on every platform, and
 distinct keys are statistically independent, so replications and
 sub-models can be sampled in any order (or in parallel) without changing
-results.
+results. The draws that more than one module takes from a stream live
+here too: inverse-CDF index draws, block sources and k-means++ seeding.
 """
 
 from __future__ import annotations
@@ -61,3 +62,29 @@ def blocks(fill: Callable[[int], np.ndarray], size: int = BLOCK) -> Iterator:
     generator.
     """
     return chain.from_iterable(iter(lambda: fill(size).tolist(), None))
+
+
+def kmeanspp(X: np.ndarray, k: int, rng: Generator) -> np.ndarray:
+    """k-means++ seeding: k rows of ``X`` (points by coordinates) as the
+    starting centroids, one per row of the result.
+
+    The first is a uniformly drawn point. Each next one is drawn with
+    probability proportional to its squared distance from the nearest
+    centroid so far, by one ``rng.random()`` against the running sums of
+    those distances; when every point sits on a centroid, it is drawn
+    uniformly again.
+    """
+    n = len(X)
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centroids[j] = X[rng.integers(n)]
+        else:
+            u = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), u))
+            centroids[j] = X[min(idx, n - 1)]
+        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
+    return centroids

@@ -40,7 +40,7 @@ from .domain import (
     event_log,
     serialize_event_log,
 )
-from .errors import ConfigError, OutOfHorizon
+from .errors import ConfigError, DataError
 from .seeding import cumulative, draw_cumulative, stream
 
 WALK_CAP = 50       # max stays per patient before forced discharge
@@ -211,9 +211,6 @@ class GeneratorConfig:
         rates = self.comorbidity_rate_by_age
         return rates[min(severity, len(rates) - 1)]
 
-    def to_dict(self) -> dict:
-        return codec.document(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         return codec.read(cls, d, "generator")
@@ -239,7 +236,7 @@ class GenerateResult:
 def rate_at(t: float, config: GeneratorConfig) -> float:
     """Instantaneous admission rate (per hour) at time t."""
     if not (0.0 <= t < config.horizon):
-        raise OutOfHorizon(f"t={t} outside [0, {config.horizon})")
+        raise DataError(f"t={t} outside [0, {config.horizon})")
     hour = int(math.floor(t)) % 24
     day = int(math.floor(t / 24.0)) % 7
     month = int(math.floor(t / 720.0)) % 12

@@ -12,8 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from patientflow import estimators, inflow, pathways
-from patientflow.domain import DepartmentSpec, Profiles, bucketize, extract_trajectories
+from patientflow import codec, estimators, inflow, pathways
+from patientflow.domain import (
+    ArrivalSeries,
+    DepartmentSpec,
+    Profiles,
+    bucketize,
+    extract_trajectories,
+)
 from patientflow.engine import ForecastDriven, PoissonBaseline, SimConfig, replicate, run
 from patientflow.estimators import (
     TARGET_LOS,
@@ -24,7 +30,8 @@ from patientflow.estimators import (
     fit_mixture_em,
     fit_weibull,
     ks_statistic,
-    sample,
+    locations,
+    sampler,
 )
 from patientflow.experiment import (
     STACK_A,
@@ -68,7 +75,10 @@ def test_ac1_inflow_thesis(default_scenario_dict):
     oracle = generate(scenario.generator)
     series = bucketize(oracle.log, 1.0, 0.0, scenario.generator.horizon)
     f = scenario.forecaster
-    reports = inflow.backtest(series, 20.0 / 24.0, {
+    n_head = int(len(series) * (20.0 / 24.0))
+    head = ArrivalSeries(series.bucket_width, series.start_time, series.counts[:n_head])
+    tail = series.counts[n_head:]
+    specs = {
         "poisson": inflow.ForecasterSpec(kind="poisson"),
         "holt_winters": inflow.ForecasterSpec(
             kind="holt_winters", m=168, alpha=f.alpha, beta=f.beta, gamma=f.gamma
@@ -77,7 +87,9 @@ def test_ac1_inflow_thesis(default_scenario_dict):
             kind="lag_regression", lags=(1, 24, 168),
             calendar=inflow.default_calendar(1.0),
         ),
-    })
+    }
+    reports = {name: inflow.evaluate(inflow.forecast(spec.fit(head), len(tail)), tail)
+               for name, spec in specs.items()}
     elapsed = time.perf_counter() - t0
     base = reports["poisson"].mape_percent
     hw_ratio = reports["holt_winters"].mape_percent / base
@@ -152,7 +164,7 @@ def test_ac3_pathway_thesis(default_generator):
     tv_max = {}
     for horizon, label in ((104.0, "1e3"), (1000.0, "1e4")):
         config = GeneratorConfig.from_dict(
-            {**default_generator.to_dict(), "horizon": horizon, "seed": 314}
+            {**codec.document(default_generator), "horizon": horizon, "seed": 314}
         )
         oracle = generate(config)
         trajectories = extract_trajectories(oracle.log, oracle.profiles)
@@ -204,8 +216,8 @@ def test_ac4_des_correctness():
         cot_model=CONST_COST, pathway=chain_matrix(),
         profile_sampler=GEN_SAMPLER, seed=1, replications=1,
     )
-    waits = [p.total_wait for p in sorted(run(dd1).patients,
-                                          key=lambda p: p.admission_time)]
+    waits = [sum(s.wait for s in p.stays)
+             for p in sorted(run(dd1).patients, key=lambda p: p.admission_time)]
     # exact up to one float rounding in exp(log(48))
     dd1_err = max(abs(w - 24.0 * i) for i, w in enumerate(waits))
 
@@ -235,21 +247,21 @@ def test_ac5_statistical_fidelity():
     (two-sample KS below 0.05 at n >= 2000)."""
     rng = stream(99)
     profiles = Profiles.from_rows([f"T{i}" for i in range(3000)],
-                                  [GEN_SAMPLER.sample(rng) for _ in range(3000)])
+                                  [GEN_SAMPLER.draw(rng) for _ in range(3000)])
     targets = [float(np.exp(rng.normal(3.0 + 0.01 * age, 0.4))) for age in profiles.age]
     model = fit_conditional(profiles, targets, TARGET_LOS)
-    sampler = EmpiricalSampler(profiles)
     config = SimConfig(
         departments=(DepartmentSpec("W", None),),
         horizon=720.0, warm_up=0.0,
         arrival_driver=PoissonBaseline(lam=120.0, bucket_width=24.0),
         los_models={"W": model}, cot_model=CONST_COST,
-        pathway=chain_matrix(), profile_sampler=sampler, seed=2, replications=1,
+        pathway=chain_matrix(), profile_sampler=EmpiricalSampler(profiles), seed=2,
+        replications=1,
     )
     result = run(config)
     sim_los = [s.los for p in result.patients for s in p.stays]
-    drng = stream(55)
-    direct = [sample(model, drng, profile=profiles.take([drng.integers(len(profiles))]))
+    drng, draw = stream(55), sampler(model)
+    direct = [draw(locations(model, profiles.take([drng.integers(len(profiles))]))[0][0], drng)
               for _ in range(20_000)]
     ks = ks_statistic(sim_los, direct)
     ok = len(sim_los) >= 2000 and ks < 0.05

@@ -213,6 +213,24 @@ def test_fit_clusters(tmp_path, log_path):
     assert payload["k"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["poisson", "--bucket-width", "0"], ["poisson", "--bucket-width", "-24"],
+    ["poisson", "--bucket-width", "nan"], ["poisson", "--bucket-width", "inf"],
+    ["poisson", "--horizon", "nan"], ["poisson", "--horizon", "inf"],
+    ["poisson", "--start", "nan"], ["poisson", "--start", "inf"],
+    ["tree_los", "--min-leaf", "0"], ["tree_los", "--min-leaf", "-1"],
+    ["tree_los", "--max-depth", "-1"], ["holt_winters", "--m", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_out_of_range_fit_option_exits_2(tmp_path, capsys, log_path, argv):
+    model, *options = argv
+    assert main(["fit", "--log", log_path, "--model", model,
+                 "--out", str(tmp_path / "model.json"), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_fit_department_filter_failure_is_data_error(tmp_path, log_path):
     out = tmp_path / "m.json"
     code = main(["fit", "--log", log_path, "--model", "lognormal_los",
@@ -371,6 +389,29 @@ def test_report_command_missing_artifacts(tmp_path):
     assert main(["report", "--in", str(tmp_path)]) == 2
 
 
+def report_with(compare_out, stack, key, value):
+    report = json.loads((compare_out / "report.json").read_text())
+    report[stack][key] = value
+    return report
+
+
+@pytest.mark.parametrize("name, document", [
+    ("report.json", lambda out: {}),
+    ("summary.json", lambda out: [1]),
+    ("report.json", lambda out: report_with(out, "los_ks", "stack_a", "x")),
+    ("report.json", lambda out: report_with(out, "census_mae", "stack_a", [])),
+], ids=["empty-report", "summary-list", "ks-not-a-number", "census-mae-not-an-object"])
+def test_report_of_malformed_document_exits_2(tmp_path, capsys, compare_out, name,
+                                              document):
+    write_json(tmp_path / name, document(compare_out))
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {tmp_path / name}: ")
+    assert captured.err.count("\n") == 1
+
+
 HOLT_WINTERS = {"kind": "holt_winters", "alpha": 0.5, "beta": 0.1, "gamma": 0.2, "m": 2,
                 "level": 5.0, "trend": 0.0, "seasonal": [1.0, -1.0], "phase": 0}
 
@@ -412,26 +453,62 @@ LAG_REGRESSION = {"kind": "lag_regression", "lags": [1, 2],
                   "history": [4.0, 5.0]}
 
 
-@pytest.mark.parametrize("command, base, change", [
-    ("forecast", HOLT_WINTERS, {"seasonal": [1.0]}),
-    ("forecast", HOLT_WINTERS, {"phase": 2}),
-    ("forecast", HOLT_WINTERS, {"phase": -1}),
-    ("forecast", LAG_REGRESSION, {"coef": [0.5, 0.2, 0.1]}),
-    ("forecast", LAG_REGRESSION, {"history": [5.0]}),
-    ("forecast", LAG_REGRESSION, {"lags": []}),
-    ("simulate", attribute_sim_config()["pathway"], {"probs": [[1.0], [0.0, 1.0]]}),
-    ("simulate", attribute_sim_config()["pathway"], {"counts": [[1, 0]]}),
-    ("simulate", attribute_sim_config()["pathway"], {"row_observed": [True]}),
+TREE_SPLIT = {"leaf": False, "feature": "age", "kind": "numeric", "threshold": 50.0,
+              "level": None, "left": {"leaf": True, "mean_ln": 3.0, "count": 5},
+              "right": {"leaf": True, "mean_ln": 3.5, "count": 5}}
+TREE = {"kind": "tree", "root": TREE_SPLIT, "max_depth": 1, "min_leaf": 5,
+        "numeric": ["age", "comorbidity_count"], "categorical": ["gender", "drg"],
+        "residual_sigma": 0.3}
+AGE = {"name": "age", "mean": 50.0, "sd": 10.0}
+GENDER = {"name": "gender", "levels": ["F", "M"]}
+CONDITIONAL = {"kind": "conditional", "coef": [3.0, 0.1, 0.2], "residual_sigma": 0.3,
+               "target_kind": "los", "n": 10,
+               "feature_spec": {"numeric": [AGE], "categorical": [GENDER]}}
+
+
+def features(numeric, categorical):
+    return {"feature_spec": {"numeric": [numeric], "categorical": [categorical]}}
+
+
+@pytest.mark.parametrize("slot, base, change", [
+    (None, HOLT_WINTERS, {"seasonal": [1.0]}),
+    (None, HOLT_WINTERS, {"phase": 2}),
+    (None, HOLT_WINTERS, {"phase": -1}),
+    (None, LAG_REGRESSION, {"coef": [0.5, 0.2, 0.1]}),
+    (None, LAG_REGRESSION, {"history": [5.0]}),
+    (None, LAG_REGRESSION, {"lags": []}),
+    ("pathway", attribute_sim_config()["pathway"], {"probs": [[1.0], [0.0, 1.0]]}),
+    ("pathway", attribute_sim_config()["pathway"], {"counts": [[1, 0]]}),
+    ("pathway", attribute_sim_config()["pathway"], {"row_observed": [True]}),
+    ("los_models", TREE, {"root": {**TREE_SPLIT, "feature": "gender"}}),
+    ("los_models", TREE, {"root": {**TREE_SPLIT, "threshold": None}}),
+    ("los_models", TREE,
+     {"root": {**TREE_SPLIT, "kind": "categorical", "feature": "age", "threshold": None,
+               "level": "50"}}),
+    ("los_models", TREE, {"root": {**TREE_SPLIT, "kind": "ordinal"}}),
+    ("los_models", CONDITIONAL, features({**AGE, "name": "gender"}, GENDER)),
+    ("los_models", CONDITIONAL, features(AGE, {**GENDER, "name": "age"})),
+    ("los_models", CONDITIONAL, features({**AGE, "sd": 0}, GENDER)),
+    ("los_models", CONDITIONAL, features(AGE, {**GENDER, "levels": []})),
+    ("los_models", CONDITIONAL, {"coef": [3.0, 0.1]}),
 ], ids=["seasonal-shorter-than-m", "phase-equals-m", "phase-negative", "coef-too-short",
         "history-too-short", "no-lags", "ragged-probs-row", "counts-missing-row",
-        "row-observed-too-short"])
-def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, command, base, change):
+        "row-observed-too-short", "numeric-split-on-gender", "numeric-split-no-threshold",
+        "categorical-split-on-age", "ordinal-split", "numeric-feature-gender",
+        "categorical-feature-age", "numeric-feature-sd-0", "categorical-feature-no-levels",
+        "conditional-coef-too-short"])
+def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, slot, base, change):
+    """A forecast model document (slot None), or a simulation config with
+    the document in its pathway or ER stay-model slot."""
     def argv_for(model, name):
-        if command == "forecast":
+        if slot is None:
             return ["forecast", "--model", write_json(tmp_path / f"{name}.json", model),
                     "--h", "3"]
         sim_config = attribute_sim_config()
-        sim_config["pathway"] = model
+        if slot == "los_models":
+            sim_config["los_models"]["ER"] = model
+        else:
+            sim_config["pathway"] = model
         return ["simulate", "--config", write_json(tmp_path / f"{name}.json", sim_config),
                 "--out", str(tmp_path / name)]
 
@@ -854,6 +931,9 @@ FUZZ_READERS = {
     "generator": (FUZZ_SCENARIO["generator"], GeneratorConfig.from_dict),
     "scenario": (FUZZ_SCENARIO, ScenarioConfig.from_dict),
     "simulate": (attribute_sim_config(), lambda doc: _read_sim_config(doc, Path("."))),
+    "simulate-learned": ({**attribute_sim_config(), "los_models": {"ER": TREE},
+                          "cot_model": {**CONDITIONAL, "target_kind": "cot"}},
+                         lambda doc: _read_sim_config(doc, Path("."))),
 }
 FUZZ_LEAVES = [(name, path) for name, (doc, _) in FUZZ_READERS.items()
                for path in leaf_paths(doc)]

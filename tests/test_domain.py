@@ -16,9 +16,8 @@ from patientflow.domain import (
 )
 from patientflow.errors import (
     ConflictingProfile,
-    EmptyWindow,
+    DataError,
     InvariantViolation,
-    MalformedHeader,
     OverlappingStays,
     RowParseError,
 )
@@ -43,7 +42,7 @@ def test_parse_two_rows_dedups_profiles():
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="line 1: expected header"):
         parse_event_log("a,b,c\n1,2,3\n")
 
 
@@ -155,9 +154,9 @@ def test_bucketize_counts_first_stay_only():
 
 
 def test_bucketize_rejects_empty_window():
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(DataError, match="does not span a positive whole number"):
         bucketize(EMPTY, 24.0, 0.0, 0.0)
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(DataError, match="does not span a positive whole number"):
         bucketize(EMPTY, 24.0, 0.0, 36.0)  # not a whole number of buckets
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import engine
+from patientflow import codec, engine, estimators
 from patientflow.domain import DepartmentSpec, Profiles, extract_trajectories
 from patientflow.engine import (
     AttributeSampler,
@@ -19,12 +19,11 @@ from patientflow.engine import (
     replicate,
     run,
 )
-from patientflow.errors import ConfigError, ForecastTooShort, ModelIncompatible
+from patientflow.errors import ConfigError, DataError
 from patientflow.estimators import (
     TARGET_COT,
     TARGET_LOS,
     CategoricalFeature,
-    ConditionalModel,
     FeatureSpec,
     GammaFit,
     LognormalFit,
@@ -32,7 +31,7 @@ from patientflow.estimators import (
     fit_conditional,
     fit_tree,
     ks_statistic,
-    sample,
+    locations,
 )
 from patientflow.pathways import TransitionMatrix, cluster
 from patientflow.seeding import blocks, cumulative, draw_cumulative, stream
@@ -109,7 +108,7 @@ def test_inject_deterministic_same_seed():
 
 def test_inject_forecast_too_short():
     driver = ForecastDriven(forecast=(1.0, 1.0), bucket_width=24.0)
-    with pytest.raises(ForecastTooShort):
+    with pytest.raises(DataError, match="forecast covers 2 buckets, horizon needs 4"):
         inject_arrivals(driver, 96.0, stream(0))
 
 
@@ -177,7 +176,7 @@ def test_run_no_arrivals_conserves_trivially():
 
 
 def test_run_requires_los_model_per_department():
-    with pytest.raises(ModelIncompatible):
+    with pytest.raises(ConfigError, match="department 'X' has no stay-duration model"):
         base_config(departments=(DepartmentSpec("W", None), DepartmentSpec("X", None)))
 
 
@@ -208,7 +207,7 @@ def test_dd1_queue_waits_exact():
     patients = sorted(result.patients, key=lambda p: p.admission_time)
     assert len(patients) == 10
     for i, p in enumerate(patients):
-        assert p.total_wait == pytest.approx(24.0 * i, abs=1e-9)
+        assert sum(s.wait for s in p.stays) == pytest.approx(24.0 * i, abs=1e-9)
 
 
 def test_arrival_goes_before_a_stay_end_at_the_same_time():
@@ -255,7 +254,7 @@ def test_capacity_never_exceeded():
     )
     result = run(config)
     assert max(occ for _, occ in result.census["W"]) <= 5
-    assert all(p.total_wait >= 0.0 for p in result.patients)
+    assert all(sum(s.wait for s in p.stays) >= 0.0 for p in result.patients)
 
 
 def test_census_times_nondecreasing():
@@ -295,7 +294,7 @@ def test_pathway_routing_to_unknown_department_rejected():
         counts=((0, 1, 0), (0, 0, 1), (0, 0, 1)),
         row_observed=(True, True, True),
     )
-    with pytest.raises(ModelIncompatible):
+    with pytest.raises(ConfigError, match="pathway routes to unknown department 'GHOST'"):
         run(base_config(pathway=matrix, seed=22, horizon=120.0))
 
 
@@ -345,7 +344,7 @@ def test_simulated_stays_reproduce_fitted_model():
     rng = stream(99)
     sampler = attr_sampler()
     profiles = Profiles.from_rows([f"T{i}" for i in range(3000)],
-                                  [sampler.sample(rng) for _ in range(3000)])
+                                  [sampler.draw(rng) for _ in range(3000)])
     targets = [float(np.exp(rng.normal(3.0 + 0.01 * age, 0.4))) for age in profiles.age]
     model = fit_conditional(profiles, targets, TARGET_LOS)
     emp = EmpiricalSampler(profiles)
@@ -358,8 +357,8 @@ def test_simulated_stays_reproduce_fitted_model():
     result = run(config)
     sim_los = [s.los for p in result.patients for s in p.stays]
     assert len(sim_los) >= 2000
-    drng = stream(55)
-    direct = [sample(model, drng, profile=profiles.take([drng.integers(len(profiles))]))
+    drng, draw = stream(55), estimators.sampler(model)
+    direct = [draw(locations(model, profiles.take([drng.integers(len(profiles))]))[0][0], drng)
               for _ in range(20_000)]
     assert ks_statistic(sim_los, direct) < 0.05
 
@@ -430,7 +429,7 @@ def test_attribute_sampler_matches_generator_profiles(default_generator):
                                config.comorbidity_rate(1), config.drg_probs)
     rng_a, rng_b = stream(41), stream(41)
     for _ in range(300):
-        assert sampler.sample(rng_a) == sample_profile(config, rng_b, 1)
+        assert sampler.draw(rng_a) == sample_profile(config, rng_b, 1)
 
 
 # --- columnar results -------------------------------------------------------------
@@ -617,7 +616,7 @@ def test_unseen_levels_counted_per_replication():
 def learned_config(default_generator):
     """Three capped departments with conditional and tree stay models, a
     conditional cost model, clustered pathways and an empirical pool."""
-    oracle = generate(GeneratorConfig.from_dict({**default_generator.to_dict(),
+    oracle = generate(GeneratorConfig.from_dict({**codec.document(default_generator),
                                                  "horizon": 240.0}))
     log, profiles = oracle.log, oracle.profiles
     stays = {}
@@ -707,8 +706,5 @@ def test_replicate_is_invariant_under_jobs(learned_config, scalar, seed, beds, h
 
 
 def test_model_reading_other_than_profile_attributes_rejected():
-    spec = FeatureSpec(numeric=(), categorical=(CategoricalFeature("patient_id", ("a", "b")),))
-    los = ConditionalModel(feature_spec=spec, coef=(2.0, 0.0), residual_sigma=0.1,
-                           target_kind=TARGET_LOS, n=5)
-    with pytest.raises(ModelIncompatible):
-        run(base_config(los_models={"W": los}))
+    with pytest.raises(ConfigError, match="'patient_id' is not a categorical profile"):
+        CategoricalFeature("patient_id", ("a", "b"))

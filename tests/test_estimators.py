@@ -8,12 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patientflow import codec, estimators, pathways
-from patientflow.errors import (
-    EmptySample,
-    InsufficientData,
-    NonPositiveSample,
-    ZeroVariance,
-)
+from patientflow.errors import DataError
 from patientflow.estimators import (
     DEFAULT_CATEGORICAL,
     DEFAULT_NUMERIC,
@@ -37,7 +32,6 @@ from patientflow.estimators import (
     fit_weibull,
     ks_statistic,
     locations,
-    sample,
     sampler,
 )
 from patientflow.seeding import blocks, stream
@@ -96,9 +90,9 @@ def test_lognormal_scale_equivariance():
 
 
 def test_lognormal_rejects_bad_input():
-    with pytest.raises(NonPositiveSample):
+    with pytest.raises(DataError, match="all observations must be > 0"):
         fit_lognormal([1.0, -2.0])
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="need at least 2 observations, got 1"):
         fit_lognormal([1.0])
 
 
@@ -118,7 +112,7 @@ def test_gamma_mom_recovery():
 
 
 def test_gamma_zero_variance():
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DataError, match="sample variance must be positive"):
         fit_gamma_mom([2.0, 2.0, 2.0])
 
 
@@ -223,7 +217,7 @@ def test_em_golden_bits(case):
 
 
 def test_em_requires_enough_data():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="need at least 10 observations, got 3"):
         fit_mixture_em([1.0, 2.0, 3.0], 2, seed=0)
 
 
@@ -303,7 +297,8 @@ def test_predict_mean_matches_monte_carlo():
     model = fit_conditional(table(profiles), targets, TARGET_LOS)
     target_profile = table(profiles[:1])
     srng = stream(12)
-    draws = [sample(model, srng, profile=target_profile) for _ in range(100_000)]
+    draw, loc = sampler(model), locations(model, target_profile)[0][0]
+    draws = [draw(loc, srng) for _ in range(100_000)]
     assert np.mean(draws) == pytest.approx(predict_mean(model, target_profile),
                                            rel=0.02)
 
@@ -314,7 +309,8 @@ def test_cot_model_admits_zero_costs():
     targets = [max(0.0, rng.normal(30.0, 20.0)) for _ in profiles]
     assert min(targets) == 0.0
     model = fit_conditional(table(profiles), targets, TARGET_COT)
-    draws = [sample(model, stream(14), profile=table(profiles[:1])) for _ in range(10)]
+    draw, loc = sampler(model), locations(model, table(profiles[:1]))[0][0]
+    draws = [draw(loc, stream(14)) for _ in range(10)]
     assert all(v >= 0.0 for v in draws)
     assert predict_mean(model, table(profiles[:1])) >= 0.0
 
@@ -338,22 +334,24 @@ def test_sample_deterministic_when_residual_zero():
     fitted = fit_conditional(table(profiles), [48.0] * 100, TARGET_LOS)
     model = dataclasses.replace(fitted, residual_sigma=0.0)
     rng = stream(15)
-    draws = {sample(model, rng, profile=table(profiles[:1])) for _ in range(5)}
+    draw, loc = sampler(model), locations(model, table(profiles[:1]))[0][0]
+    draws = {draw(loc, rng) for _ in range(5)}
     assert len(draws) == 1
     assert draws.pop() == pytest.approx(48.0, rel=1e-9)
 
 
 def test_sample_lognormal_median():
     fit = fit_lognormal(np.exp(stream(16).normal(0.0, 1.0, size=50_000)))
-    rng = stream(17)
-    draws = [sample(fit, rng) for _ in range(100_000)]
+    rng, draw = stream(17), sampler(fit)
+    draws = [draw(0.0, rng) for _ in range(100_000)]
     assert 0.97 <= float(np.median(draws)) <= 1.03
 
 
 def test_sample_fixed_seed_reproducible():
     fit = fit_lognormal([1.0, 2.0, 3.0])
-    a = [sample(fit, stream(18)) for _ in range(5)]
-    b = [sample(fit, stream(18)) for _ in range(5)]
+    draw = sampler(fit)
+    a = [draw(0.0, stream(18)) for _ in range(5)]
+    b = [draw(0.0, stream(18)) for _ in range(5)]
     assert a == b
 
 
@@ -363,7 +361,8 @@ def test_samplers_positive():
               fit_mixture_em(x, 2, seed=1)]
     rng = stream(20)
     for model in models:
-        assert all(sample(model, rng) > 0.0 for _ in range(200))
+        draw = sampler(model)
+        assert all(draw(0.0, rng) > 0.0 for _ in range(200))
 
 
 def test_mixture_sampling_matches_weights():
@@ -372,8 +371,8 @@ def test_mixture_sampling_matches_weights():
                         np.exp(stream(22).normal(3.0, 0.2, 3000))]),
         2, seed=2,
     )
-    rng = stream(23)
-    draws = np.array([sample(fit, rng) for _ in range(20_000)])
+    rng, draw = stream(23), sampler(fit)
+    draws = np.array([draw(0.0, rng) for _ in range(20_000)])
     share_high = float(np.mean(np.log(draws) > 1.5))
     assert share_high == pytest.approx(0.75, abs=0.02)
 
@@ -430,7 +429,7 @@ def test_tree_beats_univariate_on_heterogeneous_data(default_oracle):
 
 
 def test_tree_too_little_data():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataError, match="need at least 40 rows, got 10"):
         fit_tree(table(age_sweep_profiles(n=10)), [1.0] * 10, min_leaf=20)
 
 
@@ -595,7 +594,7 @@ def test_ks_null_distribution_scale():
 
 
 def test_ks_empty_sample():
-    with pytest.raises(EmptySample):
+    with pytest.raises(DataError, match="both samples must be non-empty"):
         ks_statistic([], [1.0])
 
 
@@ -618,13 +617,12 @@ def test_estimator_json_round_trips():
         clone = codec.decode(codec.encode(model))
         rng_a, rng_b = stream(30), stream(30)
         if isinstance(model, (estimators.ConditionalModel,)):
-            assert sample(model, rng_a, profile=first) == sample(
-                clone, rng_b, profile=first
-            )
+            assert sampler(model)(locations(model, first)[0][0], rng_a) == sampler(
+                clone)(locations(clone, first)[0][0], rng_b)
         elif isinstance(model, estimators.RegressionTree):
             assert locations(model, first) == locations(clone, first)
         else:
-            assert sample(model, rng_a) == sample(clone, rng_b)
+            assert sampler(model)(0.0, rng_a) == sampler(clone)(0.0, rng_b)
 
 
 # each normal-based model kind, and its draw as the scalar numpy calls give it

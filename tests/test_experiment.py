@@ -7,7 +7,7 @@ import pytest
 from patientflow import codec, inflow
 from patientflow.domain import admission_times, bucketize
 from patientflow.engine import ReplicationSummary, bucket_census
-from patientflow.errors import ConfigError, WindowMismatch
+from patientflow.errors import ConfigError, DataError
 from patientflow.experiment import (
     STACK_A,
     STACK_B,
@@ -95,7 +95,7 @@ def test_truth_census_exits_come_first_at_equal_times():
 
 
 def test_truth_census_rejects_empty_window():
-    with pytest.raises(WindowMismatch):
+    with pytest.raises(DataError, match="empty census window"):
         truth_census_steps(log_of([]), "W", 10.0, 10.0)
 
 
@@ -144,12 +144,12 @@ def test_census_error_constant_offset():
 def test_generator_class_matrix_layout(default_generator):
     m = generator_class_matrix(default_generator, 1)
     assert m.departments == tuple(sorted(default_generator.departments))
-    entry_row = m.row("ENTRY")
+    entry_row = m.probs[0]  # the ENTRY row
     idx = m.departments.index(default_generator.entry_department)
     assert entry_row[idx] == 1.0
     assert sum(entry_row) == pytest.approx(1.0)
     # severe class sends ER patients to ICU with probability 0.92
-    er_row = m.row("ER")
+    er_row = m.probs[1 + m.departments.index("ER")]
     assert er_row[m.departments.index("ICU")] == pytest.approx(0.92)
 
 

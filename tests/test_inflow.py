@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from patientflow import codec
 from patientflow.domain import ArrivalSeries, bucketize
-from patientflow.errors import (
-    AllActualsZero,
-    LengthMismatch,
-    ModelFitError,
-    SeriesTooShort,
-)
+from patientflow.errors import DataError
 from patientflow.inflow import (
     CalendarTerm,
     ForecasterSpec,
     HoltWinters,
-    backtest,
     evaluate,
     fit_holt_winters,
     fit_lag_regression,
@@ -33,6 +27,14 @@ from conftest import flat_generator_dict
 
 def series_of(counts, width=1.0):
     return ArrivalSeries(width, 0.0, tuple(counts))
+
+
+def held_out(series, n_head, specs):
+    """Each spec fitted on the first n_head buckets and scored on the rest."""
+    head = ArrivalSeries(series.bucket_width, series.start_time, series.counts[:n_head])
+    tail = series.counts[n_head:]
+    return {name: evaluate(forecast(spec.fit(head), len(tail)), tail)
+            for name, spec in specs.items()}
 
 
 # --- Poisson baseline --------------------------------------------------------
@@ -158,7 +160,7 @@ def test_hw_one_step_errors_vanish_on_noiseless_series():
 
 
 def test_hw_too_short():
-    with pytest.raises(SeriesTooShort):
+    with pytest.raises(DataError, match="need at least 2m=12 buckets, got 11"):
         fit_holt_winters(series_of([1] * 11), 6)
 
 
@@ -216,7 +218,7 @@ def test_lag_regression_beats_poisson_on_seasonal_series():
     d["weekly_profile"] = [1.3, 1.25, 1.2, 1.1, 1.0, 0.6, 0.55]
     result = generate(GeneratorConfig.from_dict(d))
     series = bucketize(result.log, 24.0, 0.0, 1680.0)
-    reports = backtest(series, 0.8, {
+    reports = held_out(series, 56, {
         "poisson": ForecasterSpec(kind="poisson"),
         "lagreg": ForecasterSpec(kind="lag_regression", lags=(1, 7),
                                  calendar=(CalendarTerm(7, 1),)),
@@ -289,11 +291,11 @@ def test_evaluate_skips_zero_actuals():
 
 
 def test_evaluate_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="1 predictions vs 2 actuals"):
         evaluate([1.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="need at least 2 points"):
         evaluate([1.0], [1.0])
-    with pytest.raises(AllActualsZero):
+    with pytest.raises(DataError, match="every actual is zero"):
         evaluate([1.0, 2.0], [0.0, 0.0])
 
 
@@ -327,7 +329,7 @@ def test_evaluate_translation_covariance(actual, shift):
         assert moved.r == pytest.approx(base.r, abs=1e-9)
 
 
-# --- backtest ----------------------------------------------------------------------
+# --- held-out scoring -----------------------------------------------------------------
 
 def all_specs():
     return {
@@ -341,26 +343,9 @@ def all_specs():
 
 def test_backtest_constant_series():
     series = series_of([6] * 60)
-    reports = backtest(series, 0.8, all_specs())
+    reports = held_out(series, 48, all_specs())
     for name, report in reports.items():
         assert report.mae <= 1e-6, name
-
-
-def test_backtest_single_model_matches_direct_composition():
-    y = [int(v) for v in stream(8).poisson(11.0, size=90)]
-    series = series_of(y)
-    spec = ForecasterSpec(kind="poisson")
-    via_backtest = backtest(series, 0.8, {"poisson": spec})["poisson"]
-    head = series_of(y[:72])
-    direct = evaluate(forecast(spec.fit(head), 18), y[72:])
-    assert via_backtest == direct
-
-
-def test_backtest_annotates_fit_errors():
-    series = series_of([3] * 20)
-    with pytest.raises(ModelFitError) as exc:
-        backtest(series, 0.5, {"hw": ForecasterSpec(kind="holt_winters", m=24)})
-    assert exc.value.model_name == "hw"
 
 
 # --- serialization -------------------------------------------------------------------

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import codec
+from patientflow import codec, engine
 from patientflow.domain import DISCHARGE, ENTRY, extract_trajectories
-from patientflow.errors import (
-    MissingAttributeCentroids,
-    TooFewTrajectories,
-    UnknownDepartment,
-)
+from patientflow.errors import DataError
 from patientflow.pathways import (
     assign_all,
     STAY_COUNT_SCALE,
@@ -17,11 +13,10 @@ from patientflow.pathways import (
     encode_all,
     fit_transition_matrix,
     mean_silhouette,
-    next_department,
     row_average_tv,
     sweep_k,
 )
-from patientflow.seeding import stream
+from patientflow.seeding import blocks, stream
 from patientflow.synthehr import GeneratorConfig, generate
 
 from conftest import Row, flat_generator_dict, table, trajectories_of, trajectory_paths
@@ -36,29 +31,50 @@ def profile(pid, age=50, gender="F", com=1, drg="ACS"):
     return Row(pid, age, gender, com, drg)
 
 
+def state_index(m, state):
+    """The matrix row of a state: ENTRY first, then the departments."""
+    return (ENTRY, *m.departments).index(state)
+
+
+def matrix_row(m, state):
+    return m.probs[state_index(m, state)]
+
+
+def stepper(m):
+    """``step(state, uniforms)``: the next state after ``state`` (ENTRY or a
+    department), a department or DISCHARGE, drawn by the engine's router."""
+    routing = engine._Routing(m, m.departments, {})
+
+    def step(state, uniforms):
+        j = routing.next(state_index(m, state), uniforms)
+        return DISCHARGE if j == engine._DISCHARGE else m.departments[j]
+
+    return step
+
+
 # --- transition matrix fitting -------------------------------------------------
 
 def test_fit_matrix_counting_example():
     m = fit_transition_matrix(trajectories_of([["A", "B"], ["A"]]))
-    assert m.row(ENTRY) == pytest.approx((1.0, 0.0, 0.0))  # columns A, B, DISCHARGE
-    assert m.row("A") == pytest.approx((0.0, 0.5, 0.5))
-    assert m.row("B") == pytest.approx((0.0, 0.0, 1.0))
+    assert matrix_row(m, ENTRY) == pytest.approx((1.0, 0.0, 0.0))  # columns A, B, DISCHARGE
+    assert matrix_row(m, "A") == pytest.approx((0.0, 0.5, 0.5))
+    assert matrix_row(m, "B") == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_fit_matrix_single_trajectory():
     m = fit_transition_matrix(trajectories_of([["A"]]))
-    assert m.row(ENTRY) == pytest.approx((1.0, 0.0))
-    assert m.row("A") == pytest.approx((0.0, 1.0))
+    assert matrix_row(m, ENTRY) == pytest.approx((1.0, 0.0))
+    assert matrix_row(m, "A") == pytest.approx((0.0, 1.0))
 
 
 def test_fit_matrix_flags_unobserved_rows():
     m = fit_transition_matrix(trajectories_of([["A"]]), departments=["A", "B"])
-    assert m.observed("A")
-    assert not m.observed("B")
+    assert m.row_observed[state_index(m, "A")]
+    assert not m.row_observed[state_index(m, "B")]
 
 
 def test_fit_matrix_unknown_department():
-    with pytest.raises(UnknownDepartment):
+    with pytest.raises(DataError, match="not in alphabet"):
         fit_transition_matrix(trajectories_of([["A"]]), departments=["B"])
 
 
@@ -77,7 +93,7 @@ def test_fit_matrix_recovers_generator_chain():
         "WARD": (0.0, 0.0, 1.0),
     }
     for state, row in expected.items():
-        got = m.row(state)
+        got = matrix_row(m, state)
         assert max(abs(a - b) for a, b in zip(got, row)) <= 0.03
 
 
@@ -127,7 +143,7 @@ def test_encode_alphabet_permutation_preserves_distances():
 
 
 def test_encode_unknown_department():
-    with pytest.raises(UnknownDepartment):
+    with pytest.raises(DataError, match="not in alphabet"):
         encode(["C"], ["A", "B"])
 
 
@@ -143,7 +159,7 @@ def loop_transition_counts(paths, departments):
         try:
             path = [idx[d] for d in names]
         except KeyError as exc:
-            raise UnknownDepartment(f"department {exc} not in alphabet") from None
+            raise DataError(f"department {exc} not in alphabet") from None
         counts[0, path[0]] += 1
         for a, b in zip(path, path[1:]):
             counts[1 + a, b] += 1
@@ -184,9 +200,9 @@ def test_batch_encoder_rejects_an_unknown_department(paths, data):
     j = data.draw(st.integers(0, len(paths[i]) - 1))
     paths[i][j] = "X"
     trs = trajectories_of(paths)
-    with pytest.raises(UnknownDepartment):
+    with pytest.raises(DataError, match="'X' not in alphabet"):
         encode_all(trs, DEPARTMENTS)
-    with pytest.raises(UnknownDepartment):
+    with pytest.raises(DataError, match="'X' not in alphabet"):
         fit_transition_matrix(trs, DEPARTMENTS)
 
 
@@ -262,7 +278,7 @@ def test_cluster_handles_more_clusters_than_distinct_points():
 
 
 def test_cluster_too_few():
-    with pytest.raises(TooFewTrajectories):
+    with pytest.raises(DataError, match="1 trajectories for k=2"):
         cluster(trajectories_of([["A"]]), 2, seed=0)
 
 
@@ -279,7 +295,7 @@ def test_cluster_small_clusters_use_fallback():
 
 def test_cluster_recovers_latent_classes(default_generator):
     config = GeneratorConfig.from_dict(
-        {**default_generator.to_dict(), "horizon": 104.0, "seed": 314}
+        {**codec.document(default_generator), "horizon": 104.0, "seed": 314}
     )
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
@@ -304,7 +320,7 @@ def test_assign_k1_always_zero():
 
 def test_assign_requires_attribute_centroids():
     pc = cluster(trajectories_of([["A"], ["A"]]), 1, seed=0)
-    with pytest.raises(MissingAttributeCentroids):
+    with pytest.raises(DataError, match="fitted without profiles"):
         assign_all(table([profile("x")]), pc)
 
 
@@ -328,7 +344,7 @@ def test_assign_exact_centroid_match():
 
 def test_assign_accuracy_against_latent_class(default_generator):
     config = GeneratorConfig.from_dict(
-        {**default_generator.to_dict(), "horizon": 104.0, "seed": 314}
+        {**codec.document(default_generator), "horizon": 104.0, "seed": 314}
     )
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
@@ -344,17 +360,10 @@ def test_assign_accuracy_against_latent_class(default_generator):
 
 # --- walking ------------------------------------------------------------------------
 
-def test_next_department_absorbing():
-    m = fit_transition_matrix(trajectories_of([["A"]]))
-    rng = stream(1)
-    assert next_department(DISCHARGE, m, rng) == DISCHARGE
-    assert next_department("A", m, rng) == DISCHARGE
-
-
 def test_next_department_frequency():
     m = fit_transition_matrix(trajectories_of([["A", "B"], ["A"]]))
-    rng = stream(2)
-    draws = [next_department("A", m, rng) for _ in range(10_000)]
+    step, uniforms = stepper(m), blocks(stream(2).random)
+    draws = [step("A", uniforms) for _ in range(10_000)]
     share_b = draws.count("B") / len(draws)
     assert 0.48 <= share_b <= 0.52
 
@@ -364,11 +373,13 @@ def test_next_department_seeded_walk():
         trajectories_of([["A", "B"], ["A"], ["A", "A", "B"]])
     )
 
+    step = stepper(m)
+
     def walk(seed):
-        rng = stream(seed)
+        uniforms = blocks(stream(seed).random)
         state, path = ENTRY, []
         for _ in range(50):
-            state = next_department(state, m, rng)
+            state = step(state, uniforms)
             if state == DISCHARGE:
                 break
             path.append(state)
@@ -379,18 +390,18 @@ def test_next_department_seeded_walk():
 
 def test_next_department_unobserved_row():
     m = fit_transition_matrix(trajectories_of([["A"]]), departments=["A", "B"])
-    assert next_department("B", m, stream(0)) == DISCHARGE
+    assert stepper(m)("B", blocks(stream(0).random)) == DISCHARGE
 
 
 def test_walks_terminate_within_cap(default_oracle, default_generator):
     trs = extract_trajectories(default_oracle.log.rows(slice(40_000)), default_oracle.profiles)
     m = fit_transition_matrix(trs, sorted(default_generator.departments))
-    rng = stream(9)
+    step, uniforms = stepper(m), blocks(stream(9).random)
     capped = 0
     for _ in range(10_000):
         state = ENTRY
         for _ in range(50):
-            state = next_department(state, m, rng)
+            state = step(state, uniforms)
             if state == DISCHARGE:
                 break
         else:

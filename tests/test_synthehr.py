@@ -8,7 +8,7 @@ from scipy.stats import chi2
 
 from patientflow import codec
 from patientflow.domain import serialize_event_log
-from patientflow.errors import ConfigError, OutOfHorizon
+from patientflow.errors import ConfigError, DataError
 from patientflow.seeding import stream
 from patientflow.synthehr import (
     GeneratorConfig,
@@ -36,10 +36,10 @@ def make_config(**overrides):
 
 def test_generator_config_round_trips(default_generator):
     for config in (default_generator, make_config()):
-        doc = config.to_dict()
+        doc = codec.document(config)
         assert GeneratorConfig.from_dict(doc) == config
         assert GeneratorConfig.from_dict(json.loads(json.dumps(doc))) == config
-    assert list(default_generator.to_dict()["drg_probs"]) == ["ACS", "HF", "ARR"]
+    assert list(codec.document(default_generator)["drg_probs"]) == ["ACS", "HF", "ARR"]
 
 
 def test_rate_at_flat():
@@ -63,9 +63,9 @@ def test_rate_at_profiles_lookup():
 
 def test_rate_at_out_of_horizon():
     config = make_config()
-    with pytest.raises(OutOfHorizon):
+    with pytest.raises(DataError, match=r"outside \[0, "):
         rate_at(-1.0, config)
-    with pytest.raises(OutOfHorizon):
+    with pytest.raises(DataError, match=r"outside \[0, "):
         rate_at(config.horizon, config)
 
 
@@ -109,7 +109,7 @@ def test_arrivals_deterministic():
 def test_arrival_count_matches_rate_quadrature(default_generator):
     # midpoint-rule quadrature of rate_at vs the realized admission count
     config = GeneratorConfig.from_dict(
-        {**default_generator.to_dict(), "horizon": 960.0, "seed": 2718}
+        {**codec.document(default_generator), "horizon": 960.0, "seed": 2718}
     )
     grid = np.arange(0.125, 960.0, 0.25)
     integral = 0.25 * sum(rate_at(float(t), config) for t in grid)
@@ -122,7 +122,7 @@ def test_thinning_hourly_counts_pass_chi_squared(default_generator):
     # goodness of fit of hourly bucket counts against the exact per-hour
     # integral of the rate, alpha = 0.01, ~10^4 admissions
     config = GeneratorConfig.from_dict(
-        {**default_generator.to_dict(), "horizon": 960.0, "seed": 2718}
+        {**codec.document(default_generator), "horizon": 960.0, "seed": 2718}
     )
     times = sample_arrivals(config, stream(config.seed, 0))
     counts = np.bincount([int(t) for t in times], minlength=960)
@@ -212,7 +212,7 @@ def test_generate_ln_los_moments():
 
 def test_generate_bit_identical(default_generator):
     config = GeneratorConfig.from_dict(
-        {**default_generator.to_dict(), "horizon": 300.0}
+        {**codec.document(default_generator), "horizon": 300.0}
     )
     a = generate(config)
     b = generate(config)
