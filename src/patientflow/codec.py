@@ -66,13 +66,6 @@ def _fields(cls) -> tuple[tuple[dataclasses.Field, object], ...]:
     return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def encode(model) -> dict:
-    """The JSON-ready document of a model of one of the ``KINDS``."""
-    if type(model) not in KINDS.values():
-        raise ConfigError(f"no model document for {type(model).__name__}")
-    return _encode(model)
-
-
 def document(obj) -> dict:
     """The JSON-ready document of any dataclass instance."""
     return _encode(obj)

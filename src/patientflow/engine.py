@@ -87,6 +87,9 @@ class ForecastDriven:
 
     def __post_init__(self):
         _check_bucket_width(self.bucket_width)
+        if any(mean < 0.0 for mean in self.forecast):
+            raise ConfigError(f"ForecastDriven forecast must be >= 0, "
+                              f"got {min(self.forecast)!r}")
 
 
 ArrivalDriver = Union[PoissonBaseline, ForecastDriven]
@@ -625,19 +628,24 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         stay_end.append(now + los)
         push(heap, (now + los, next(seq), _STAY_END, patient, d))
 
-    def discharge_at(patient: _Patient, now: float):
-        nonlocal unseen
+    def route(patient: _Patient, state: int, now: float):
+        # the move out of state 0 (an arrival) or 1 + d (a stay in d ends)
+        nonlocal truncated, unseen
         entry = patient.entry
-        discharge[patient.index] = now
-        cost[patient.index] = cost_draw(entry.loc[-1], next(costs))
-        unseen += entry.unseen[-1]
-
-    def request_bed(patient: _Patient, dept: int, now: float):
-        if dept >= n_depts:
+        nxt = entry.routing.next(state, uniforms)
+        if nxt != _DISCHARGE and patient.n_stays >= WALK_CAP:
+            truncated += 1
+            nxt = _DISCHARGE
+        if nxt == _DISCHARGE:
+            discharge[patient.index] = now
+            cost[patient.index] = cost_draw(entry.loc[-1], next(costs))
+            unseen += entry.unseen[-1]
+        elif nxt >= n_depts:
             raise ConfigError(
-                f"pathway routes to unknown department {tables.target_names[dept]!r}")
-        patient.request_time = now
-        push(heap, (now, next(seq), _SEIZE, patient, dept))
+                f"pathway routes to unknown department {tables.target_names[nxt]!r}")
+        else:
+            patient.request_time = now
+            push(heap, (now, next(seq), _SEIZE, patient, nxt))
 
     # at equal times an arrival goes before every scheduled event
     pending = iter(arrivals)
@@ -661,11 +669,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             discharge.append(math.nan)
             cost.append(math.nan)
             cluster.append(entry.cluster)
-            first = entry.routing.next(0, uniforms)
-            if first == _DISCHARGE:
-                discharge_at(patient, time)
-            else:
-                request_bed(patient, first, time)
+            route(patient, 0, time)
 
         elif kind == _SEIZE:
             dept = depts[d]
@@ -679,14 +683,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             dept.occupied -= 1
             dept.times.append(time)
             dept.occupancy.append(dept.occupied)
-            nxt = patient.entry.routing.next(1 + d, uniforms)
-            if nxt != _DISCHARGE and patient.n_stays >= WALK_CAP:
-                truncated += 1
-                nxt = _DISCHARGE
-            if nxt == _DISCHARGE:
-                discharge_at(patient, time)
-            else:
-                request_bed(patient, nxt, time)
+            route(patient, 1 + d, time)
             if dept.queue and (dept.capacity is None or dept.occupied < dept.capacity):
                 start_stay(dept.queue.popleft(), dept, time)
 

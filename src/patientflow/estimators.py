@@ -50,6 +50,12 @@ def _check_non_negative(model, *names: str) -> None:
             raise ConfigError(f"{type(model).__name__} {name} must be >= 0, got {value!r}")
 
 
+def ridge_solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``y`` on the columns of ``X`` by the
+    normal equations, with ``RIDGE_DAMPING`` on the diagonal."""
+    return np.linalg.solve(X.T @ X + RIDGE_DAMPING * np.eye(X.shape[1]), X.T @ y)
+
+
 # --- univariate fits ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -207,6 +213,12 @@ class MixtureFit:
     n: int
     loglik: float
     trace: tuple[float, ...]  # log-likelihood after each E step
+
+    def __post_init__(self):
+        total = sum(c.weight for c in self.components)
+        if not self.components or abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"mixture needs at least one component and weights that "
+                              f"sum to 1, got {len(self.components)} summing to {total!r}")
 
     def converged(self) -> bool:
         """Whether EM stopped on a log-likelihood gain below the default
@@ -395,6 +407,9 @@ class ConditionalModel:
 
     def __post_init__(self):
         _check_non_negative(self, "residual_sigma")
+        if self.target_kind not in (TARGET_LOS, TARGET_COT):
+            raise ConfigError(f"conditional target_kind must be {TARGET_LOS!r} or "
+                              f"{TARGET_COT!r}, got {self.target_kind!r}")
         if len(self.coef) != self.feature_spec.width:
             raise ConfigError(f"coef has {len(self.coef)} entries, the feature spec "
                               f"implies {self.feature_spec.width}")
@@ -426,8 +441,7 @@ def fit_conditional(
     if len(t) <= spec.width:
         raise DataError(f"need more than {spec.width} rows, got {len(t)}")
     X = spec.encode_all(profiles)[0]
-    gram = X.T @ X + RIDGE_DAMPING * np.eye(spec.width)
-    coef = np.linalg.solve(gram, X.T @ y)
+    coef = ridge_solve(X, y)
     residuals = y - X @ coef
     residual_sigma = float(np.sqrt(np.mean(residuals**2)))
     return ConditionalModel(

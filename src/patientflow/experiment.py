@@ -148,8 +148,10 @@ def truth_census_steps(
     department: str,
     window_start: float,
     window_end: float,
-) -> list[tuple[float, int]]:
-    """Sweep-line census step series for one department.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep-line census step series for one department: the step times
+    and the occupied beds from each on, as ``SimResult.census_times`` and
+    ``census_occupied`` hold them.
 
     Times in the result are relative to ``window_start``; stays are
     clipped to the window. At every boundary the census equals entries
@@ -164,27 +166,26 @@ def truth_census_steps(
     times = np.concatenate([lo[inside], hi[inside]]) - window_start
     deltas = np.repeat(np.array([1, -1]), np.count_nonzero(inside))
     order = np.lexsort((deltas, times))
-    occupied = np.cumsum(deltas[order])
-    return [(0.0, 0), *zip(times[order].tolist(), occupied.tolist()),
-            (window_end - window_start, int(occupied[-1]) if len(occupied) else 0)]
+    occupied = np.cumsum(np.concatenate([[0], deltas[order]]))
+    return (np.concatenate([[0.0], times[order], [window_end - window_start]]),
+            np.append(occupied, occupied[-1]))
 
 
 def census_error(
     summary: ReplicationSummary,
-    truth_steps: Mapping[str, list[tuple[float, int]]],
+    truth_curves: Mapping[str, np.ndarray],
     warm_up: float = 0.0,
 ) -> dict[str, float]:
     """Per-department MAE between replication-mean and true census curves.
 
-    ``truth_steps`` maps each department to its ``truth_census_steps``.
-    Both curves are bucketed at the summary's bucket width; buckets that
-    start before ``warm_up`` (relative time) are excluded.
+    ``truth_curves`` maps each department to its true census, bucketed
+    at the summary's bucket width over its horizon; buckets that start
+    before ``warm_up`` (relative time) are excluded.
     """
     width = summary.census_bucket_width
     out = {}
-    for dept, steps in truth_steps.items():
+    for dept, truth in truth_curves.items():
         sim = np.asarray(summary.mean_census_per_bucket[dept])
-        truth = bucket_census(*zip(*steps), width, summary.horizon)
         if len(sim) != len(truth):
             raise DataError(
                 f"{dept}: {len(sim)} sim buckets vs {len(truth)} truth buckets"
@@ -210,7 +211,7 @@ class _Stack:
         models = {"inflow": self.inflow_model, "cot": self.cot_model,
                   "pathway": self.pathway}
         models.update((f"los:{dept}", m) for dept, m in self.los_models.items())
-        return {name: model_fingerprint(codec.encode(m)) for name, m in models.items()}
+        return {name: model_fingerprint(codec.document(m)) for name, m in models.items()}
 
 
 def _fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments):
@@ -365,10 +366,11 @@ def run_experiment(
         sims[stack.name] = replicate(config, jobs=scenario.jobs,
                                      census_bucket=scenario.census_bucket)
 
-    truth_steps = {dept: truth_census_steps(test_log, dept, t_split, horizon)
-                   for dept in departments}
+    truth_curves = {dept: bucket_census(*truth_census_steps(test_log, dept, t_split, horizon),
+                                        scenario.census_bucket, h_test)
+                    for dept in departments}
     census_mae = {
-        name: census_error(summary, truth_steps, scenario.warm_up)
+        name: census_error(summary, truth_curves, scenario.warm_up)
         for name, (_, summary) in sims.items()
     }
     census_mae_mean = {
@@ -467,7 +469,7 @@ def run_experiment(
     if out_dir is not None:
         _write_outputs(
             Path(out_dir), report, scenario, test_series, forecasts, sims,
-            truth_steps, t_split, truth_los, sim_los_by_stack,
+            truth_curves, t_split, truth_los, sim_los_by_stack,
         )
     return report
 
@@ -475,7 +477,7 @@ def run_experiment(
 # --- plot-ready exports ---------------------------------------------------------
 
 def _write_outputs(out, report, scenario, test_series, forecasts, sims,
-                   truth_steps, t_split, truth_los, sim_los_by_stack):
+                   truth_curves, t_split, truth_los, sim_los_by_stack):
     out.mkdir(parents=True, exist_ok=True)
     codec.write(report, out / "report.json")
 
@@ -489,10 +491,8 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     (out / "inflow_forecasts.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     cw = scenario.census_bucket
-    h_test = report.horizon - t_split
     lines = ["bucket_start_hour,department,truth,stack_a,stack_b"]
-    for dept, steps in truth_steps.items():
-        truth_curve = bucket_census(*zip(*steps), cw, h_test)
+    for dept, truth_curve in truth_curves.items():
         a_curve = sims[STACK_A][1].mean_census_per_bucket[dept]
         b_curve = sims[STACK_B][1].mean_census_per_bucket[dept]
         for i, tv in enumerate(truth_curve):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .domain import ArrivalSeries
 from .errors import ConfigError, DataError
+from .estimators import ridge_solve
 
-RIDGE_DAMPING = 1e-8
 HW_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -111,8 +111,7 @@ class LagRegression:
 
     Regressors per bucket t: intercept, y[t - lag] for each lag,
     one-hot(phase) with first phase dropped per calendar term, and
-    t / n_train. Fitted by normal equations with ridge damping
-    ``RIDGE_DAMPING`` on the diagonal.
+    t / n_train. Fitted by ``estimators.ridge_solve``.
     """
 
     lags: tuple[int, ...]
@@ -290,9 +289,7 @@ def fit_lag_regression(
         for t in range(max_lag, n)
     ]
     X = np.asarray(rows)
-    target = y[max_lag:]
-    gram = X.T @ X + RIDGE_DAMPING * np.eye(width)
-    coef = np.linalg.solve(gram, X.T @ target)
+    coef = ridge_solve(X, y[max_lag:])
     return LagRegression(
         lags=lags,
         calendar=calendar,

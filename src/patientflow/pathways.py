@@ -22,7 +22,7 @@ from numpy.random import Generator
 
 from .domain import ENTRY, Profiles, Trajectories
 from .errors import ConfigError, DataError
-from .seeding import cumulative, kmeanspp, stream
+from .seeding import cumulative, kmeanspp, sq_distances, stream
 
 MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
@@ -161,6 +161,14 @@ class ProfileEncoder:
     sds: tuple[float, ...]
     drg_levels: tuple[str, ...]
 
+    def __post_init__(self):
+        width = 3 + len(self.drg_levels)
+        if not len(self.means) == len(self.sds) == width:
+            raise ConfigError(f"profile encoder means and sds must have {width} entries, "
+                              f"3 + one per DRG level")
+        if any(sd <= 0.0 for sd in self.sds):
+            raise ConfigError("profile encoder sds must be > 0")
+
     @cached_property
     def _scale(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.means), np.asarray(self.sds)
@@ -203,10 +211,6 @@ class PathwayCluster:
     attribute_centroid: tuple[float, ...] | None
     use_fallback: bool
 
-    @cached_property
-    def _attribute_array(self) -> np.ndarray:
-        return np.asarray(self.attribute_centroid)
-
 
 @dataclass(frozen=True)
 class PathwayClusters:
@@ -216,6 +220,21 @@ class PathwayClusters:
     fallback: TransitionMatrix
     profile_encoder: ProfileEncoder | None
     labels: tuple[int, ...]  # training assignment, aligned with the input order
+
+    def __post_init__(self):
+        if not self.k == len(self.clusters) >= 1:
+            raise ConfigError(f"pathway clusters k must be >= 1 and equal the "
+                              f"{len(self.clusters)} clusters, got {self.k}")
+        for m in (self.fallback, *(c.matrix for c in self.clusters)):
+            if m.departments != self.departments:
+                raise ConfigError(f"pathway cluster matrices must be over the departments "
+                                  f"{list(self.departments)}, got {list(m.departments)}")
+        if self.profile_encoder is not None:
+            width = len(self.profile_encoder.means)
+            if any(c.attribute_centroid is not None and len(c.attribute_centroid) != width
+                   for c in self.clusters):
+                raise ConfigError(f"pathway cluster attribute_centroid must have the "
+                                  f"profile encoder's {width} entries")
 
     def routing_matrix(self, index: int) -> TransitionMatrix:
         c = self.clusters[index]
@@ -240,7 +259,7 @@ def _kmeans_once(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.
 def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Label each point with its nearest centroid, then repair empty
     clusters by stealing the globally worst-fitting point."""
-    dists = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    dists = sq_distances(X, centroids)
     labels = np.argmin(dists, axis=1)
     assigned_d2 = dists[np.arange(len(X)), labels]
     for j in range(len(centroids)):
@@ -350,22 +369,16 @@ def cluster(
 
 def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
     """Each profile's cluster: the nearest attribute centroid in
-    standardized profile space, summing each distance over one row."""
+    standardized profile space, the lowest index on ties."""
     if clusters.profile_encoder is None or any(
         c.attribute_centroid is None for c in clusters.clusters
     ):
         raise DataError(
             "clusters were fitted without profiles; cannot assign by attributes"
         )
-    if clusters.k == 1:
-        return [0] * len(profiles)
-    centroids = [c._attribute_array for c in clusters.clusters]
-    nearest = []
-    for v in clusters.profile_encoder.encode_all(profiles):
-        # ndarray.sum is np.sum's reduction without its dispatch: the same bits
-        dists = [float(((v - a) ** 2).sum()) for a in centroids]
-        nearest.append(int(np.argmin(dists)))  # argmin takes the lowest index on ties
-    return nearest
+    centroids = np.array([c.attribute_centroid for c in clusters.clusters])
+    dists = sq_distances(clusters.profile_encoder.encode_all(profiles), centroids)
+    return np.argmin(dists, axis=1).tolist()
 
 
 def cumulative_rows(matrix: TransitionMatrix) -> tuple[list[float] | None, ...]:
@@ -398,7 +411,6 @@ def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
     if len(ks) < 2:
         return 0.0
     n = len(X)
-    dists = np.sqrt(np.maximum(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2), 0.0))
     scores = np.zeros(n)
     for i in range(n):
         same = labels == labels[i]
@@ -406,9 +418,10 @@ def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
         if n_same <= 1:
             scores[i] = 0.0
             continue
-        a = float(dists[i, same].sum()) / (n_same - 1)
+        dists = np.sqrt(np.maximum(sq_distances(X[i:i + 1], X)[0], 0.0))
+        a = float(dists[same].sum()) / (n_same - 1)
         b = min(
-            float(dists[i, labels == other].mean())
+            float(dists[labels == other].mean())
             for other in ks
             if other != labels[i]
         )

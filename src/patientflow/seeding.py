@@ -6,7 +6,8 @@ spawn keys. The same key yields the same stream on every platform, and
 distinct keys are statistically independent, so replications and
 sub-models can be sampled in any order (or in parallel) without changing
 results. The draws that more than one module takes from a stream live
-here too: inverse-CDF index draws, block sources and k-means++ seeding.
+here too: inverse-CDF index draws, block sources and k-means++ seeding,
+with ``sq_distances``, the one squared-distance kernel of the package.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def blocks(fill: Callable[[int], np.ndarray], size: int = BLOCK) -> Iterator:
     return chain.from_iterable(iter(lambda: fill(size).tolist(), None))
 
 
+def sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n x k) of the rows of ``X`` (n x d) to
+    the rows of ``C`` (k x d). Each sums one contiguous row of d squared
+    differences, so it has the same bits as a loop over single rows."""
+    return np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=2)
+
+
 def kmeanspp(X: np.ndarray, k: int, rng: Generator) -> np.ndarray:
     """k-means++ seeding: k rows of ``X`` (points by coordinates) as the
     starting centroids, one per row of the result.
@@ -77,7 +85,7 @@ def kmeanspp(X: np.ndarray, k: int, rng: Generator) -> np.ndarray:
     n = len(X)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    d2 = sq_distances(X, centroids[:1])[:, 0]
     for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -86,5 +94,5 @@ def kmeanspp(X: np.ndarray, k: int, rng: Generator) -> np.ndarray:
             u = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(d2), u))
             centroids[j] = X[min(idx, n - 1)]
-        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_distances(X, centroids[j:j + 1])[:, 0])
     return centroids

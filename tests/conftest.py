@@ -79,6 +79,34 @@ def make_log(rows, profiles=None):
     return log, table(profiles)
 
 
+def attribute_sim_config():
+    """A one-department simulation whose profiles come from an attribute sampler."""
+    return {
+        "seed": 6,
+        "horizon": 240.0,
+        "departments": [{"name": "ER", "bed_capacity": None}],
+        "arrival_driver": {"kind": "forecast", "forecast": [10.0] * 10,
+                           "bucket_width": 24.0},
+        "los_models": {"ER": {"kind": "lognormal", "mu": 3.0, "sigma": 0.3,
+                              "n": 10, "loglik": 0.0}},
+        "cot_model": {"kind": "lognormal", "mu": 6.0, "sigma": 0.5, "n": 10,
+                      "loglik": 0.0},
+        "pathway": {
+            "kind": "transition_matrix",
+            "departments": ["ER"],
+            "probs": [[1.0, 0.0], [0.0, 1.0]],
+            "counts": [[1, 0], [0, 1]],
+            "row_observed": [True, True],
+        },
+        "profile_sampler": {"kind": "attributes",
+                            "age_mix": {"weight": 1.0, "mean1": 50.0, "sd1": 10.0,
+                                        "mean2": 50.0, "sd2": 10.0},
+                            "gender_p": 0.5,
+                            "comorbidity": {"c0": 1.0, "c1": 0.0},
+                            "drg_probs": {"GEN": 1.0}},
+    }
+
+
 def trajectory_paths(trajectories):
     """Each trajectory's department names, in stay order."""
     stays = trajectories.stays

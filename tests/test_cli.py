@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import cli, codec
+from patientflow import cli, codec, pathways
 from patientflow.cli import _read_sim_config, main
 from patientflow.domain import (
     CSV_FIELDS,
@@ -28,7 +28,16 @@ from patientflow.experiment import ScenarioConfig
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
-from conftest import SCENARIOS, Row, flat_generator_dict, make_log, table, time_limit
+from conftest import (
+    SCENARIOS,
+    Row,
+    attribute_sim_config,
+    flat_generator_dict,
+    make_log,
+    table,
+    time_limit,
+    trajectories_of,
+)
 
 
 def write_json(path: Path, obj) -> str:
@@ -174,7 +183,7 @@ def test_fit_takes_cost_rows_in_patient_id_order(tmp_path):
     pids = sorted(totals)
     expected = fit_conditional(table([profiles[pid] for pid in pids]),
                                [totals[pid] for pid in pids], TARGET_COT)
-    assert json.loads(out.read_text()) == json.loads(json.dumps(codec.encode(expected)))
+    assert json.loads(out.read_text()) == json.loads(json.dumps(codec.document(expected)))
 
 
 def test_fit_mixture_requires_seed(tmp_path, log_path):
@@ -201,7 +210,7 @@ def test_mixture_that_stops_at_max_iter_says_so(tmp_path, log_path, capsys):
         targets = log.los.tolist()
         fit = fit_mixture_em(targets, int(k), 1)
         assert fit.converged() is not warns
-        assert out.read_text() == json.dumps(codec.encode(fit), indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == json.dumps(codec.document(fit), indent=2, sort_keys=True) + "\n"
 
 
 def test_fit_clusters(tmp_path, log_path):
@@ -280,34 +289,6 @@ def test_simulate_writes_outputs(tmp_path, log_path):
     patients_lines = (out / "patients.csv").read_text().splitlines()
     assert patients_lines[0] == "patient_id,admission,discharge,los,wait,cost,trajectory"
     assert len(patients_lines) > 100
-
-
-def attribute_sim_config():
-    """A one-department simulation whose profiles come from an attribute sampler."""
-    return {
-        "seed": 6,
-        "horizon": 240.0,
-        "departments": [{"name": "ER", "bed_capacity": None}],
-        "arrival_driver": {"kind": "forecast", "forecast": [10.0] * 10,
-                           "bucket_width": 24.0},
-        "los_models": {"ER": {"kind": "lognormal", "mu": 3.0, "sigma": 0.3,
-                              "n": 10, "loglik": 0.0}},
-        "cot_model": {"kind": "lognormal", "mu": 6.0, "sigma": 0.5, "n": 10,
-                      "loglik": 0.0},
-        "pathway": {
-            "kind": "transition_matrix",
-            "departments": ["ER"],
-            "probs": [[1.0, 0.0], [0.0, 1.0]],
-            "counts": [[1, 0], [0, 1]],
-            "row_observed": [True, True],
-        },
-        "profile_sampler": {"kind": "attributes",
-                            "age_mix": {"weight": 1.0, "mean1": 50.0, "sd1": 10.0,
-                                        "mean2": 50.0, "sd2": 10.0},
-                            "gender_p": 0.5,
-                            "comorbidity": {"c0": 1.0, "c1": 0.0},
-                            "drg_probs": {"GEN": 1.0}},
-    }
 
 
 def test_simulate_deterministic(tmp_path, log_path):
@@ -470,6 +451,26 @@ def features(numeric, categorical):
     return {"feature_spec": {"numeric": [numeric], "categorical": [categorical]}}
 
 
+MIXTURE = {"kind": "lognormal_mixture", "n": 10, "loglik": 0.0, "trace": [0.0],
+           "components": [{"weight": 0.7, "mu": 3.0, "sigma": 0.3},
+                          {"weight": 0.3, "mu": 3.5, "sigma": 0.3}]}
+
+
+def fitted_clusters():
+    """The document of a k = 2 clustering of ER trajectories of one and of
+    two stays, fitted with profiles that tell the two apart."""
+    paths = [["ER"] * (1 + k % 2) for k in range(40)]
+    profiles = table([Row(f"T{k:06d}", 30 + 40 * (k % 2), "F", k % 2, "GEN")
+                      for k in range(40)])
+    return codec.document(pathways.cluster(trajectories_of(paths), 2, seed=1,
+                                           profiles=profiles))
+
+
+CLUSTERS = fitted_clusters()
+ENCODER = CLUSTERS["profile_encoder"]
+FIRST, SECOND = CLUSTERS["clusters"]
+
+
 @pytest.mark.parametrize("slot, base, change", [
     (None, HOLT_WINTERS, {"seasonal": [1.0]}),
     (None, HOLT_WINTERS, {"phase": 2}),
@@ -491,15 +492,36 @@ def features(numeric, categorical):
     ("los_models", CONDITIONAL, features({**AGE, "sd": 0}, GENDER)),
     ("los_models", CONDITIONAL, features(AGE, {**GENDER, "levels": []})),
     ("los_models", CONDITIONAL, {"coef": [3.0, 0.1]}),
+    ("los_models", CONDITIONAL, {"target_kind": "banana"}),
+    ("los_models", MIXTURE, {"components": []}),
+    ("los_models", MIXTURE,
+     {"components": [{**c, "weight": 0.0} for c in MIXTURE["components"]]}),
+    ("arrival_driver", attribute_sim_config()["arrival_driver"], {"forecast": [-10.0] * 10}),
+    ("arrival_driver", attribute_sim_config()["arrival_driver"],
+     {"forecast": [-10.0] * 10, "deterministic": True}),
+    ("pathway", CLUSTERS, {"k": 3}),
+    ("pathway", CLUSTERS, {"k": -1}),
+    ("pathway", CLUSTERS, {"k": 0, "clusters": []}),
+    ("pathway", CLUSTERS, {"k": 1}),
+    ("pathway", CLUSTERS,
+     {"clusters": [{**FIRST, "attribute_centroid": FIRST["attribute_centroid"][:-1]},
+                   SECOND]}),
+    ("pathway", CLUSTERS, {"profile_encoder": {**ENCODER, "sds": ENCODER["sds"][:-1]}}),
+    ("pathway", CLUSTERS, {"profile_encoder": {**ENCODER, "sds": [0.0, *ENCODER["sds"][1:]]}}),
+    ("pathway", CLUSTERS, {"departments": ["ER", "ICU"]}),
 ], ids=["seasonal-shorter-than-m", "phase-equals-m", "phase-negative", "coef-too-short",
         "history-too-short", "no-lags", "ragged-probs-row", "counts-missing-row",
         "row-observed-too-short", "numeric-split-on-gender", "numeric-split-no-threshold",
         "categorical-split-on-age", "ordinal-split", "numeric-feature-gender",
         "categorical-feature-age", "numeric-feature-sd-0", "categorical-feature-no-levels",
-        "conditional-coef-too-short"])
+        "conditional-coef-too-short", "conditional-target-banana", "mixture-no-components",
+        "mixture-weights-sum-to-0", "forecast-negative", "forecast-negative-deterministic",
+        "clusters-k-above-count", "clusters-k-negative", "clusters-k-0-none",
+        "clusters-k-below-count", "clusters-centroid-short", "clusters-sds-short",
+        "clusters-sds-0", "clusters-departments-not-matrices"])
 def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, slot, base, change):
     """A forecast model document (slot None), or a simulation config with
-    the document in its pathway or ER stay-model slot."""
+    the document in its pathway, arrival-driver or ER stay-model slot."""
     def argv_for(model, name):
         if slot is None:
             return ["forecast", "--model", write_json(tmp_path / f"{name}.json", model),
@@ -508,7 +530,7 @@ def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, slot, base, cha
         if slot == "los_models":
             sim_config["los_models"]["ER"] = model
         else:
-            sim_config["pathway"] = model
+            sim_config[slot] = model
         return ["simulate", "--config", write_json(tmp_path / f"{name}.json", sim_config),
                 "--out", str(tmp_path / name)]
 

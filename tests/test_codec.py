@@ -50,7 +50,7 @@ def test_every_kind_round_trips_through_json():
     models = one_model_per_kind()
     assert {type(m) for m in models} == set(codec.KINDS.values())
     for model in models:
-        doc = json.loads(json.dumps(codec.encode(model)))
+        doc = json.loads(json.dumps(codec.document(model)))
         assert codec.KINDS[doc["kind"]] is type(model)
         assert codec.decode(doc) == model
 
@@ -120,7 +120,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("fit, expected", GOLDEN, ids=[g[1]["kind"] for g in GOLDEN])
 def test_golden_document(fit, expected):
-    doc = codec.encode(fit())
+    doc = codec.document(fit())
     assert doc == expected
     assert json.dumps(doc, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
@@ -156,7 +156,7 @@ def test_malformed_documents_raise_config_error(doc, kinds):
     (1, "ER", [0.5, 0.5, 1e-8]),
 ])
 def test_observed_transition_row_must_sum_to_one(row, state, probs):
-    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
+    doc = codec.document(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
     doc["probs"][row] = probs
     with pytest.raises(ConfigError, match=rf"row '{state}' sums to"):
         codec.decode(doc)
@@ -167,7 +167,7 @@ def test_observed_transition_row_must_sum_to_one(row, state, probs):
 
 
 def test_unobserved_transition_row_may_be_zero_and_a_near_one_sum_passes():
-    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
+    doc = codec.document(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
     doc["probs"][1] = [0.0, 1.0 - 5e-10, 0.0]
     doc["probs"][2] = [0.0, 0.0, 0.0]
     doc["row_observed"][2] = False
@@ -176,7 +176,7 @@ def test_unobserved_transition_row_may_be_zero_and_a_near_one_sum_passes():
 
 def test_defaults_may_be_absent_and_errors_name_the_path():
     assert codec.decode(LOGNORMAL) == estimators.LognormalFit(1.0, 0.5, 3, 0.0)
-    doc = codec.encode(pathways.fit_transition_matrix(trajectories_of([["A"]])))
+    doc = codec.document(pathways.fit_transition_matrix(trajectories_of([["A"]])))
     clusters = {"kind": "pathway_clusters", "k": 1, "departments": ["A"],
                 "clusters": [{"centroid": [0.0], "matrix": {**doc, "probs": [[1.0], "x"]},
                               "member_count": 1, "attribute_centroid": None,

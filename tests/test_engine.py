@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patientflow import codec, engine, estimators
+from patientflow.cli import _read_sim_config
 from patientflow.domain import DepartmentSpec, Profiles, extract_trajectories
 from patientflow.engine import (
     AttributeSampler,
@@ -35,9 +37,16 @@ from patientflow.estimators import (
 )
 from patientflow.pathways import TransitionMatrix, cluster
 from patientflow.seeding import blocks, cumulative, draw_cumulative, stream
-from patientflow.synthehr import AgeMixture, GeneratorConfig, LinearRate, generate, sample_profile
+from patientflow.synthehr import (
+    WALK_CAP,
+    AgeMixture,
+    GeneratorConfig,
+    LinearRate,
+    generate,
+    sample_profile,
+)
 
-from conftest import time_limit
+from conftest import attribute_sim_config, time_limit
 
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
@@ -296,6 +305,21 @@ def test_pathway_routing_to_unknown_department_rejected():
     )
     with pytest.raises(ConfigError, match="pathway routes to unknown department 'GHOST'"):
         run(base_config(pathway=matrix, seed=22, horizon=120.0))
+
+
+def test_walks_are_cut_at_the_walk_cap():
+    """ER loops back to ER with probability 1 and stays are short, so a
+    patient leaves only when the cap cuts the walk: after exactly WALK_CAP
+    stays, one truncated walk each."""
+    doc = attribute_sim_config()
+    doc["pathway"]["probs"] = [[1.0, 0.0], [1.0, 0.0]]
+    doc["los_models"]["ER"]["mu"] = -2.0
+    result = run(_read_sim_config(doc, Path("."))[0])
+    discharged = ~np.isnan(result.discharge)
+    assert len(result.admission) == 100
+    assert int(discharged.sum()) == 97
+    assert np.diff(result.stay_offset)[discharged].tolist() == [WALK_CAP] * 97
+    assert result.truncated_walks == 97
 
 
 def test_transfers_route_through_second_department():

@@ -47,13 +47,19 @@ def log_of(entries):
 
 # --- ground-truth census --------------------------------------------------------
 
+def step_pairs(census):
+    """The (time, occupied) pairs of a census step series."""
+    times, occupied = census
+    return list(zip(times.tolist(), occupied.tolist()))
+
+
 def test_truth_census_matches_brute_force():
     rng = stream(1)
     entries = []
     for i in range(300):
         start = float(rng.uniform(0.0, 400.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 80.0))))
-    steps = truth_census_steps(log_of(entries), "W", 50.0, 450.0)
+    steps = step_pairs(truth_census_steps(log_of(entries), "W", 50.0, 450.0))
 
     def census_at(t_abs):
         return sum(1 for e in entries
@@ -81,7 +87,7 @@ def test_truth_census_matches_brute_force():
 
 def test_truth_census_boundary_identity():
     entries = [entry("A", "W", 0.0, 10.0), entry("B", "W", 5.0, 15.0)]
-    steps = truth_census_steps(log_of(entries), "W", 0.0, 20.0)
+    steps = step_pairs(truth_census_steps(log_of(entries), "W", 0.0, 20.0))
     # at every boundary: entries so far minus exits so far
     assert (5.0, 2) in steps
     assert (10.0, 1) in steps
@@ -90,7 +96,7 @@ def test_truth_census_boundary_identity():
 
 def test_truth_census_exits_come_first_at_equal_times():
     entries = [entry("A", "W", 0.0, 10.0), entry("B", "W", 10.0, 20.0)]
-    steps = truth_census_steps(log_of(entries), "W", 0.0, 30.0)
+    steps = step_pairs(truth_census_steps(log_of(entries), "W", 0.0, 30.0))
     assert steps == [(0.0, 0), (0.0, 1), (10.0, 0), (10.0, 1), (20.0, 0), (30.0, 0)]
 
 
@@ -118,10 +124,10 @@ def test_census_error_zero_when_identical():
     for i in range(100):
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
-    steps = truth_census_steps(log_of(entries), "W", 100.0, 340.0)
-    truth_curve = tuple(bucket_census(*zip(*steps), 24.0, 240.0))
-    summary = summary_for({"W": truth_curve}, 24.0, 240.0)
-    errors = census_error(summary, {"W": steps})
+    truth_curve = bucket_census(*truth_census_steps(log_of(entries), "W", 100.0, 340.0),
+                                24.0, 240.0)
+    summary = summary_for({"W": tuple(truth_curve)}, 24.0, 240.0)
+    errors = census_error(summary, {"W": truth_curve})
     assert errors["W"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -131,11 +137,11 @@ def test_census_error_constant_offset():
     for i in range(100):
         start = float(rng.uniform(100.0, 300.0))
         entries.append(entry(f"P{i}", "W", start, start + float(rng.uniform(1.0, 50.0))))
-    steps = truth_census_steps(log_of(entries), "W", 100.0, 340.0)
-    truth_curve = bucket_census(*zip(*steps), 24.0, 240.0)
+    truth_curve = bucket_census(*truth_census_steps(log_of(entries), "W", 100.0, 340.0),
+                                24.0, 240.0)
     offset = tuple(v + 2.0 for v in truth_curve)
     summary = summary_for({"W": offset}, 24.0, 240.0)
-    errors = census_error(summary, {"W": steps})
+    errors = census_error(summary, {"W": truth_curve})
     assert errors["W"] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -201,7 +207,7 @@ def test_stack_a_fingerprint_is_shared_baseline_fitter(small_report_pair):
     train = admission_times(oracle.log) < t_split
     train_log = oracle.log.rows(train[oracle.log.patient])
     series = bucketize(train_log, scenario.bucket_width, 0.0, t_split)
-    expected = model_fingerprint(codec.encode(inflow.fit_poisson(series)))
+    expected = model_fingerprint(codec.document(inflow.fit_poisson(series)))
     assert report.fingerprints[STACK_A]["inflow"] == expected
 
 

@@ -360,5 +360,5 @@ def test_json_round_trip_preserves_forecasts():
         fit_lag_regression(series, (1, 6), calendar=(CalendarTerm(6, 1),)),
     ]
     for model in models:
-        clone = codec.decode(codec.encode(model))
+        clone = codec.decode(codec.document(model))
         assert forecast(clone, 12) == forecast(model, 12)

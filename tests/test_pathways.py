@@ -444,9 +444,9 @@ def test_pathway_json_round_trips():
     ])
     profiles = [profile(f"p{i}", age=30 + i) for i in range(50)]
     m = fit_transition_matrix(trs)
-    assert codec.decode(codec.encode(m)) == m
+    assert codec.decode(codec.document(m)) == m
     pc = cluster(trs, 2, seed=11, profiles=table(profiles))
-    clone = codec.decode(codec.encode(pc))
+    clone = codec.decode(codec.document(pc))
     assert clone == pc
     q = table([profile("q", age=42)])
     assert assign_all(q, clone) == assign_all(q, pc)

@@ -1,7 +1,8 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow.seeding import blocks, cumulative, draw_cumulative, stream
+from patientflow.seeding import blocks, cumulative, draw_cumulative, sq_distances, stream
 
 
 def draw_index(probs, rng):
@@ -76,3 +77,53 @@ def test_blocks_yield_the_scalar_draws(kind, seed, draws):
             value = (1.0 / 0.7) * value
         expected = scalar(rng)
         assert value == expected and type(value) is type(expected)
+
+
+# the squared-distance forms that sq_distances replaced: one pair at a time
+# (assign_all), one centroid at a time (kmeanspp) and every pair of points
+# as one (n, n, d) array (mean_silhouette)
+def per_pair(X, C):
+    return np.array([[float(((v - a) ** 2).sum()) for a in C] for v in X])
+
+
+def per_centroid(X, C):
+    return np.column_stack([np.sum((X - c) ** 2, axis=1) for c in C])
+
+
+def all_pairs(X):
+    return np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
+
+
+@st.composite
+def point_sets(draw):
+    """(X, C): 1-12 points and 1-5 centroids, at widths on both sides of
+    numpy's pairwise-sum blocks (8 and 128) and scales from 1e-8 to 1e6.
+    Some centroids repeat an earlier one and some points sit on a
+    centroid, so that distances tie."""
+    d = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128, 129]), st.integers(1, 300)))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.integers(-8, 6))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    X, C = rng.standard_normal((n, d)) * scale, rng.standard_normal((k, d)) * scale
+    for j in range(1, k):
+        if draw(st.booleans()):
+            C[j] = C[draw(st.integers(0, j - 1))]
+    for i in range(n):
+        if draw(st.booleans()):
+            X[i] = C[draw(st.integers(0, k - 1))]
+    return X, C
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_sq_distances_keeps_the_bits_of_the_forms_it_replaced(points):
+    X, C = points
+    d2, pairs = sq_distances(X, C), per_pair(X, C)
+    assert d2.tobytes() == pairs.tobytes()
+    assert d2.tobytes() == per_centroid(X, C).tobytes()
+    # argmin takes the lowest index on ties, as the first minimum of a row
+    assert np.argmin(d2, axis=1).tolist() == [row.index(min(row)) for row in pairs.tolist()]
+    square = all_pairs(X)
+    assert sq_distances(X, X).tobytes() == square.tobytes()
+    for i in range(len(X)):
+        assert sq_distances(X[i:i + 1], X)[0].tobytes() == square[i].tobytes()
