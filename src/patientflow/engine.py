@@ -1,15 +1,16 @@
 """Discrete-event simulation of multi-department patient flow.
 
-Three event kinds exist: Arrival (sample a profile, pick a pathway,
-request the first bed), Seize (occupy a bed or join the FIFO wait
-queue) and StayEnd (release the bed, hand it to the queue head, route
-onward or discharge). Arrival times are all drawn up front and sorted;
-seizes and stay ends go through a priority queue keyed by (time, seq)
-with a monotone seq, so ties resolve in scheduling order and a fixed
-(config, seed) pair replays bit-identically. The loop merges the two:
-it takes the next arrival whenever its time is at or before the
-queue's earliest. That is the order one queue holding every event
-would give if the arrivals took the lowest seqs, in arrival order.
+Two event kinds exist: Arrival (sample a profile, pick a pathway,
+request the first bed) and StayEnd (release the bed, hand it to the
+queue head, then route onward or discharge). A bed request is served
+inside the event that makes it: the patient takes a free bed or joins
+the back of the department's FIFO wait queue. Arrival times are all
+drawn up front and sorted; stay ends go through a priority queue keyed
+by (end time, seq) with a monotone seq, so stay ends at equal times run
+in the order their stays began and a fixed (config, seed) pair replays
+bit-identically. The loop merges the two: it takes the next arrival
+whenever its time is at or before the queue's earliest, so at equal
+times arrivals go before stay ends.
 
 Conventions:
 
@@ -51,10 +52,8 @@ from .domain import DepartmentSpec, Profiles
 from .errors import ConfigError, DataError, InvariantViolation
 from .estimators import PROFILE_MODELS, draw_z, locations, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
-from .seeding import blocks, cumulative, stream
-from .synthehr import WALK_CAP, AgeMixture, LinearRate, check_attribute_probs, draw_attributes
-
-_ARRIVAL, _SEIZE, _STAY_END = 0, 1, 2
+from .seeding import blocks, stream
+from .synthehr import WALK_CAP, AttributeSampler
 
 
 # --- arrival drivers ----------------------------------------------------------
@@ -137,29 +136,6 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
 
 
 # --- profile samplers -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class AttributeSampler:
-    """Parametric attribute generator (age mixture, gender, comorbidity
-    link, DRG categorical)."""
-
-    age_mix: AgeMixture
-    gender_p: float
-    comorbidity: LinearRate
-    drg_probs: dict[str, float]
-
-    def __post_init__(self):
-        check_attribute_probs(self.gender_p, self.drg_probs)
-
-    @cached_property
-    def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
-        return tuple(self.drg_probs), cumulative(self.drg_probs.values())
-
-    def draw(self, rng: Generator) -> tuple:
-        """One arrival's (age, gender, comorbidity_count, drg)."""
-        return draw_attributes(rng, self.age_mix, self.gender_p, self.comorbidity,
-                               self.drg_table)
-
 
 @dataclass(frozen=True)
 class EmpiricalSampler:
@@ -523,6 +499,7 @@ class _Dept:
 
 
 _SLIVER = 1e-12  # a census piece this short at the end of a step is dropped
+CENSUS_BUCKETS_MAX = 1_000_000  # a 0.004 h width over the paper's 4,032 h horizon
 
 
 def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -> float:
@@ -538,6 +515,16 @@ def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -
     return total / (b - a)
 
 
+def census_buckets(width: float, horizon: float) -> int:
+    """The number of census buckets of the given width on [0, horizon), at
+    least one; a width giving more than CENSUS_BUCKETS_MAX is rejected."""
+    n = horizon / width - 1e-9
+    if not n <= CENSUS_BUCKETS_MAX:
+        raise ConfigError(f"census_bucket {width!r} makes more than {CENSUS_BUCKETS_MAX} "
+                          f"buckets over {horizon!r} h")
+    return max(1, math.ceil(n))
+
+
 def bucket_census(times: Sequence[float], values: Sequence[float], width: float,
                   horizon: float) -> np.ndarray:
     """Per-bucket time-averaged census over [0, horizon) of the step series
@@ -548,7 +535,7 @@ def bucket_census(times: Sequence[float], values: Sequence[float], width: float,
     edge. A piece shorter than 1e-12 at the end of a step is dropped.
     ``np.bincount`` adds each bucket's pieces in time order, one by one.
     """
-    nb = max(1, int(math.ceil(horizon / width - 1e-9)))
+    nb = census_buckets(width, horizon)
     t = np.asarray(times, dtype=float)
     lo = np.maximum(t[:-1], 0.0)
     hi = np.minimum(t[1:], horizon)
@@ -589,7 +576,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     stays = tables.stay_source(stream(config.seed, replication, 3))
     costs = tables.cost_source(stream(config.seed, replication, 4))
     stay_draw, cost_draw = tables.stay_draw, tables.cost_draw
-    # scheduled seizes and stay ends; arrivals come from their sorted list
+    # stay ends as (end, seq, patient, d); arrivals come from their sorted list
     heap: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
     seq = count()
@@ -626,10 +613,11 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         stay_request.append(patient.request_time)
         stay_start.append(now)
         stay_end.append(now + los)
-        push(heap, (now + los, next(seq), _STAY_END, patient, d))
+        push(heap, (now + los, next(seq), patient, d))
 
     def route(patient: _Patient, state: int, now: float):
-        # the move out of state 0 (an arrival) or 1 + d (a stay in d ends)
+        # the move out of state 0 (an arrival) or 1 + d (a stay in d ends);
+        # a bed request takes a free bed or joins the back of the queue
         nonlocal truncated, unseen
         entry = patient.entry
         nxt = entry.routing.next(state, uniforms)
@@ -645,16 +633,20 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
                 f"pathway routes to unknown department {tables.target_names[nxt]!r}")
         else:
             patient.request_time = now
-            push(heap, (now, next(seq), _SEIZE, patient, nxt))
+            dept = depts[nxt]
+            if dept.capacity is None or dept.occupied < dept.capacity:
+                start_stay(patient, dept, now)
+            else:
+                dept.queue.append(patient)
 
-    # at equal times an arrival goes before every scheduled event
+    # at equal times an arrival goes before every stay end
     pending = iter(arrivals)
     arrival = next(pending, math.inf)
     while heap or arrival < math.inf:
         if heap and heap[0][0] < arrival:
-            time, _, kind, patient, d = pop(heap)
+            time, _, patient, d = pop(heap)
         else:
-            time, kind = arrival, _ARRIVAL
+            time, patient = arrival, None
             arrival = next(pending, math.inf)
         if time >= config.horizon:
             break
@@ -662,7 +654,7 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             raise InvariantViolation("event time", f"{time} precedes {last_time}")
         last_time = time
 
-        if kind == _ARRIVAL:
+        if patient is None:  # an arrival
             entry = next(profiles)
             patient = _Patient(len(admission), entry, time)
             admission.append(time)
@@ -670,22 +662,16 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             cost.append(math.nan)
             cluster.append(entry.cluster)
             route(patient, 0, time)
-
-        elif kind == _SEIZE:
-            dept = depts[d]
-            if dept.capacity is None or dept.occupied < dept.capacity:
-                start_stay(patient, dept, time)
-            else:
-                dept.queue.append(patient)
-
-        else:  # _STAY_END
+        else:  # a stay in d ends
             dept = depts[d]
             dept.occupied -= 1
             dept.times.append(time)
             dept.occupancy.append(dept.occupied)
-            route(patient, 1 + d, time)
-            if dept.queue and (dept.capacity is None or dept.occupied < dept.capacity):
+            # a queue is non-empty only while its department is full; its
+            # head takes the freed bed before this patient routes on
+            if dept.queue:
                 start_stay(dept.queue.popleft(), dept, time)
+            route(patient, 1 + d, time)
 
     names = tuple(spec.name for spec in config.departments)
     census_times = {}
@@ -791,6 +777,7 @@ def replicate(
     """
     if not census_bucket > 0.0:
         raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
+    census_buckets(census_bucket, config.horizon)
     indices = list(range(config.replications))
     if jobs > 1 and config.replications > 1:
         # Each worker gets the config once, as its initializer argument: a

@@ -92,6 +92,8 @@ class ScenarioConfig:
             if not isinstance(self.capacities, dict):
                 raise ConfigError("capacities must map departments to bed capacities")
             for name, capacity in self.capacities.items():
+                if name not in self.generator.departments:
+                    raise ConfigError(f"capacities name unknown department {name!r}")
                 DepartmentSpec(name=name, bed_capacity=capacity)  # checks the capacity
 
     @property

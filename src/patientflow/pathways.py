@@ -308,11 +308,7 @@ def cluster(
     # the per-cluster sums need the counts through k-means, whose distance
     # arrays set the peak memory: hold them in the smallest exact dtype
     counts = counts.astype(np.min_scalar_type(counts.max()))
-    if k == 1:
-        centroids = X.mean(axis=0, keepdims=True)
-        labels = np.zeros(len(X), dtype=np.int64)
-    else:
-        centroids, labels = _kmeans(X, k, stream(seed))
+    centroids, labels = _kmeans(X, k, stream(seed))
 
     encoder, raw = _build_profile_encoder(profiles) if profiles is not None else (None, None)
     attr_centroids: list[np.ndarray | None] = []

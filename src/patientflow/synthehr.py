@@ -47,9 +47,6 @@ WALK_CAP = 50       # max stays per patient before forced discharge
 LOS_FLOOR = 0.01    # hours; keeps stays positive after 6-decimal rounding
 AGE_MASS_MIN = 1e-3  # least probability of an age in [0, AGE_MAX] a mixture may give
 
-_STREAM_ARRIVALS = 0
-_STREAM_PATIENTS = 1
-
 
 @dataclass(frozen=True)
 class AgeMixture:
@@ -82,17 +79,6 @@ def _age_mass(mean: float, sd: float) -> float:
     return 0.5 * (math.erf((AGE_MAX - mean) / scale) - math.erf(-mean / scale))
 
 
-def check_attribute_probs(gender_p: float, drg_probs: dict[str, float]) -> None:
-    """What an attribute draw needs: ``gender_p`` in [0, 1] and ``drg_probs``
-    non-empty, non-negative and summing to 1."""
-    if not (0.0 <= gender_p <= 1.0):
-        raise ConfigError("gender_p outside [0, 1]")
-    if not drg_probs or min(drg_probs.values()) < 0:
-        raise ConfigError("drg_probs must be non-empty and non-negative")
-    if abs(sum(drg_probs.values()) - 1.0) > 1e-9:
-        raise ConfigError("drg_probs must sum to 1")
-
-
 @dataclass(frozen=True)
 class LinearRate:
     """Poisson comorbidity-count rate c0 + c1 * age, clipped at 0."""
@@ -102,6 +88,48 @@ class LinearRate:
 
     def at(self, age: int) -> float:
         return max(0.0, self.c0 + self.c1 * age)
+
+
+@dataclass(frozen=True)
+class AttributeSampler:
+    """Parametric attribute generator (age mixture, gender, comorbidity
+    link, DRG categorical)."""
+
+    age_mix: AgeMixture
+    gender_p: float
+    comorbidity: LinearRate
+    drg_probs: dict[str, float]
+
+    def __post_init__(self):
+        if not (0.0 <= self.gender_p <= 1.0):
+            raise ConfigError("gender_p outside [0, 1]")
+        if not self.drg_probs or min(self.drg_probs.values()) < 0:
+            raise ConfigError("drg_probs must be non-empty and non-negative")
+        if abs(sum(self.drg_probs.values()) - 1.0) > 1e-9:
+            raise ConfigError("drg_probs must sum to 1")
+
+    @cached_property
+    def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
+        """The DRG levels and their running probability sums."""
+        return tuple(self.drg_probs), cumulative(self.drg_probs.values())
+
+    def draw(self, rng: Generator) -> tuple:
+        """One patient's (age, gender, comorbidity_count, drg): age by
+        rejection from the mixture truncated to [0, 120], a Poisson
+        comorbidity count capped at 30."""
+        age_mix = self.age_mix
+        while True:
+            if rng.random() < age_mix.weight:
+                x = rng.normal(age_mix.mean1, age_mix.sd1)
+            else:
+                x = rng.normal(age_mix.mean2, age_mix.sd2)
+            if 0.0 <= x <= AGE_MAX:
+                break
+        age = int(round(x))
+        gender = "F" if rng.random() < self.gender_p else "M"
+        com = min(int(rng.poisson(self.comorbidity.at(age))), COMORBIDITY_MAX)
+        levels, cum = self.drg_table
+        return age, gender, com, levels[draw_cumulative(cum, rng)]
 
 
 @dataclass(frozen=True)
@@ -168,7 +196,7 @@ class GeneratorConfig:
         _check_profile("monthly_profile", self.monthly_profile, 12)
         if not (0.0 <= self.severity_split <= 1.0):
             raise ConfigError("severity_split outside [0, 1]")
-        check_attribute_probs(self.gender_p, self.drg_probs)
+        self.samplers  # checks gender_p and drg_probs
         for drg in self.drg_probs:
             if drg not in self.los_coeffs.drg_offsets:
                 raise ConfigError(f"los_coeffs.drg_offsets missing {drg!r}")
@@ -203,9 +231,10 @@ class GeneratorConfig:
         return len(self.transition_matrices)
 
     @cached_property
-    def drg_table(self) -> tuple[tuple[str, ...], list[float]]:
-        """The DRG levels and their running probability sums."""
-        return tuple(self.drg_probs), cumulative(self.drg_probs.values())
+    def samplers(self) -> tuple[AttributeSampler, ...]:
+        """The attribute sampler of each comorbidity link."""
+        return tuple(AttributeSampler(self.age_mix, self.gender_p, rate, self.drg_probs)
+                     for rate in self.comorbidity_rate_by_age)
 
     def comorbidity_rate(self, severity: int) -> LinearRate:
         rates = self.comorbidity_rate_by_age
@@ -293,32 +322,8 @@ def sample_profile(
     """
     if severity is None:
         severity = _draw_severity(config, rng)
-    return draw_attributes(rng, config.age_mix, config.gender_p,
-                           config.comorbidity_rate(severity), config.drg_table)
-
-
-def draw_attributes(
-    rng: Generator,
-    age_mix: AgeMixture,
-    gender_p: float,
-    comorbidity: LinearRate,
-    drgs: tuple[tuple[str, ...], list[float]],
-) -> tuple:
-    """Draw age (rejection from the mixture truncated to [0, 120]),
-    gender, a Poisson comorbidity count capped at 30 and a DRG from
-    ``drgs``, the levels and running sums of ``drg_table``."""
-    while True:
-        if rng.random() < age_mix.weight:
-            x = rng.normal(age_mix.mean1, age_mix.sd1)
-        else:
-            x = rng.normal(age_mix.mean2, age_mix.sd2)
-        if 0.0 <= x <= AGE_MAX:
-            break
-    age = int(round(x))
-    gender = "F" if rng.random() < gender_p else "M"
-    com = min(int(rng.poisson(comorbidity.at(age))), COMORBIDITY_MAX)
-    levels, cum = drgs
-    return age, gender, com, levels[draw_cumulative(cum, rng)]
+    samplers = config.samplers
+    return samplers[min(severity, len(samplers) - 1)].draw(rng)
 
 
 def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
@@ -329,8 +334,8 @@ def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
 
 def generate(config: GeneratorConfig) -> GenerateResult:
     """Produce a full synthetic event log with its hidden ground truth."""
-    arrivals = sample_arrivals(config, stream(config.seed, _STREAM_ARRIVALS))
-    rng = stream(config.seed, _STREAM_PATIENTS)
+    arrivals = sample_arrivals(config, stream(config.seed, 0))
+    rng = stream(config.seed, 1)  # attributes, stays, costs and walks
     los = config.los_coeffs
     cot = config.cot_coeffs
     entry_idx = config.departments.index(config.entry_department)

@@ -893,6 +893,9 @@ CONFIG_HOLES = [
     ("simulate", ("departments",), ["ER"], 2),
     ("simulate", ("departments",), 5, 2),
     ("simulate", ("los_models",), [1], 2),
+    ("simulate", ("census_bucket",), 1e-300, 2),
+    ("compare", ("census_bucket",), 1e-30, 2),
+    ("compare", ("capacities",), {"XX": 2}, 2),
 ]
 
 
@@ -912,7 +915,8 @@ def test_config_value_runs_or_exits_with_one_line(tmp_path, capsys, default_scen
     else:
         argv = ["simulate", "--config", write_json(
             tmp_path / "sim.json", replaced(attribute_sim_config(), path, value))]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    with time_limit(60):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:

@@ -1,5 +1,8 @@
+import heapq
 import math
+from collections import deque
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -541,8 +544,48 @@ def small_capped_configs(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_capped_configs())
+@st.composite
+def tie_heavy_configs(draw):
+    """Capped configs whose events fall at equal times: deterministic
+    arrivals evenly spaced from each bucket start, constant whole-hour
+    stays, gamma stays that underflow to 0.0, and self-loops."""
+    names = ("A", "B")[:draw(st.integers(1, 2))]
+    # a stay of exactly h hours (math.exp(math.log(h)) == h for each), or
+    # None: a gamma stay, which mostly underflows to 0.0
+    stay = st.sampled_from([1, 2, 4, 6, 12, None]).map(
+        lambda h: GammaFit(shape=1e-3, scale=24.0, n=10, loglik=0.0) if h is None
+        else LognormalFit(mu=math.log(h), sigma=0.0, n=10, loglik=0.0))
+    weight = st.sampled_from([0.0, 0.5, 1.0])
+
+    def row(i):
+        weights = [draw(weight) for _ in names] + [draw(st.sampled_from([0.25, 1.0]))]
+        if i:
+            weights[i - 1] = draw(st.sampled_from([0.5, 1.0]))  # a self-loop
+        elif not any(weights[:-1]):
+            weights[0] = 1.0  # every arrival is admitted somewhere
+        return tuple(w / sum(weights) for w in weights)
+
+    n = len(names) + 1
+    matrix = TransitionMatrix(departments=names, probs=tuple(row(i) for i in range(n)),
+                              counts=((0,) * n,) * n, row_observed=(True,) * n)
+    width = float(draw(st.sampled_from([1, 2, 6, 12])))
+    buckets = draw(st.integers(4, 24))
+    return capped_config(
+        departments=tuple(DepartmentSpec(d, draw(st.integers(1, 2))) for d in names),
+        horizon=buckets * width,
+        warm_up=0.0,
+        arrival_driver=ForecastDriven(
+            forecast=tuple(float(draw(st.integers(1, 6))) for _ in range(buckets)),
+            bucket_width=width, deterministic=True),
+        los_models={d: draw(stay) for d in names},
+        pathway=matrix,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        replications=1,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_capped_configs(), tie_heavy_configs()))
 def test_capped_runs_conserve_bound_and_queue_fifo(config):
     result = run(config)
     cohort = result.admission >= result.warm_up
@@ -558,6 +601,135 @@ def test_capped_runs_conserve_bound_and_queue_fifo(config):
         order = np.lexsort((result.stay_start[waited], result.stay_request[waited]))
         starts = result.stay_start[waited][order]
         assert np.all(np.diff(starts) >= 0.0), name
+
+
+# --- the loop that made bed requests events --------------------------------------------
+
+def reference_run(config, replication=0):
+    """The event loop that made every bed request an event at ``now``,
+    behind every event already scheduled for ``now``, and that routed a
+    leaving patient before it granted the freed bed. It returns per
+    patient a dict of admission, discharge, cost, cluster and stays (each
+    (department, request, start, end)), the census steps per department,
+    the truncated walks and the unseen levels."""
+    tables = config.tables
+    arrivals = inject_arrivals(config.arrival_driver, config.horizon,
+                               stream(config.seed, replication, 0))
+    profiles = iter(tables.arrival_profiles(stream(config.seed, replication, 1),
+                                            len(arrivals)))
+    uniforms = blocks(stream(config.seed, replication, 2).random)
+    stays = tables.stay_source(stream(config.seed, replication, 3))
+    costs = tables.cost_source(stream(config.seed, replication, 4))
+    capacity = tables.capacity
+    occupied = [0] * len(capacity)
+    queues = [deque() for _ in capacity]
+    census = [[(0.0, 0)] for _ in capacity]
+    patients = []
+    totals = {"truncated": 0, "unseen": 0}
+    heap, seq = [], count()
+    arrival_kind, seize_kind, stay_end_kind = 0, 1, 2
+
+    def start_stay(patient, d, now):
+        occupied[d] += 1
+        census[d].append((now, occupied[d]))
+        entry = patient["entry"]
+        los = tables.stay_draw[d](entry.loc[d], next(stays))
+        totals["unseen"] += entry.unseen[d]
+        patient["stays"].append((d, patient["request"], now, now + los))
+        heapq.heappush(heap, (now + los, next(seq), stay_end_kind, patient, d))
+
+    def route(patient, state, now):
+        entry = patient["entry"]
+        nxt = entry.routing.next(state, uniforms)
+        if nxt != engine._DISCHARGE and len(patient["stays"]) >= WALK_CAP:
+            totals["truncated"] += 1
+            nxt = engine._DISCHARGE
+        if nxt == engine._DISCHARGE:
+            patient["discharge"] = now
+            patient["cost"] = tables.cost_draw(entry.loc[-1], next(costs))
+            totals["unseen"] += entry.unseen[-1]
+        else:
+            patient["request"] = now
+            heapq.heappush(heap, (now, next(seq), seize_kind, patient, nxt))
+
+    pending = iter(arrivals)
+    arrival = next(pending, math.inf)
+    while heap or arrival < math.inf:
+        if heap and heap[0][0] < arrival:
+            time, _, kind, patient, d = heapq.heappop(heap)
+        else:
+            time, kind = arrival, arrival_kind
+            arrival = next(pending, math.inf)
+        if time >= config.horizon:
+            break
+        if kind == arrival_kind:
+            entry = next(profiles)
+            patient = dict(entry=entry, admission=time, discharge=math.nan, cost=math.nan,
+                           cluster=entry.cluster, stays=[])
+            patients.append(patient)
+            route(patient, 0, time)
+        elif kind == seize_kind:
+            if capacity[d] is None or occupied[d] < capacity[d]:
+                start_stay(patient, d, time)
+            else:
+                queues[d].append(patient)
+        else:
+            occupied[d] -= 1
+            census[d].append((time, occupied[d]))
+            route(patient, 1 + d, time)
+            if queues[d] and (capacity[d] is None or occupied[d] < capacity[d]):
+                start_stay(queues[d].popleft(), d, time)
+    for d, steps in enumerate(census):
+        steps.append((config.horizon, occupied[d]))
+    return patients, census, totals
+
+
+@st.composite
+def tie_free_configs(draw):
+    """``small_capped_configs``, with some departments unbounded and some
+    stays gamma, which the scalar path draws."""
+    config = draw(small_capped_configs())
+    gamma = st.builds(GammaFit, shape=st.floats(0.5, 4.0), scale=st.floats(0.5, 12.0),
+                      n=st.just(10), loglik=st.just(0.0))
+    return replace(
+        config,
+        departments=tuple(DepartmentSpec(d.name, draw(st.sampled_from([d.bed_capacity, None])))
+                          for d in config.departments),
+        los_models={name: draw(st.one_of(st.just(model), gamma))
+                    for name, model in config.los_models.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_free_configs())
+def test_run_equals_the_loop_that_made_requests_events(config):
+    """Without equal-time events, serving a bed request inside the event
+    that makes it changes nothing."""
+    result = run(config)
+    patients, census, totals = reference_run(config)
+    for name in ("admission", "discharge", "cost", "cluster"):
+        assert np.array_equal(getattr(result, name), [p[name] for p in patients],
+                              equal_nan=True), name
+    assert np.diff(result.stay_offset).tolist() == [len(p["stays"]) for p in patients]
+    assert list(zip(result.stay_department.tolist(), result.stay_request.tolist(),
+                    result.stay_start.tolist(), result.stay_end.tolist())) == [
+        s for p in patients for s in p["stays"]]
+    assert result.census == {name: tuple(steps)
+                             for name, steps in zip(result.departments, census)}
+    assert (result.truncated_walks, result.unseen_levels) == (totals["truncated"],
+                                                              totals["unseen"])
+
+
+def test_an_arrival_at_a_stay_end_is_served_before_the_stay_ends():
+    """A bed request is served at once: the arrival at 12 h takes its bed
+    before the stay that ends at 12 h frees one."""
+    config = base_config(
+        horizon=40.0,
+        arrival_driver=ForecastDriven(forecast=(1.0, 1.0, 0.0, 0.0), bucket_width=12.0,
+                                      deterministic=True),
+        los_models={"W": LognormalFit(mu=math.log(12.0), sigma=0.0, n=10, loglik=0.0)},
+    )
+    assert run(config).census["W"] == ((0.0, 0), (0.0, 1), (12.0, 2), (12.0, 1),
+                                       (24.0, 0), (40.0, 0))
 
 
 # --- census buckets -------------------------------------------------------------------
