@@ -6,11 +6,11 @@ queue head, then route onward or discharge). A bed request is served
 inside the event that makes it: the patient takes a free bed or joins
 the back of the department's FIFO wait queue. Arrival times are all
 drawn up front and sorted; stay ends go through a priority queue keyed
-by (end time, seq) with a monotone seq, so stay ends at equal times run
-in the order their stays began and a fixed (config, seed) pair replays
-bit-identically. The loop merges the two: it takes the next arrival
-whenever its time is at or before the queue's earliest, so at equal
-times arrivals go before stay ends.
+by (end time, stay row), the row being the stay's index in grant order,
+so stay ends at equal times run in the order their stays began and a
+fixed (config, seed) pair replays bit-identically. The loop merges the
+two: it takes the next arrival whenever its time is at or before the
+queue's earliest, so at equal times arrivals go before stay ends.
 
 Conventions:
 
@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import count, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Union
 
@@ -94,14 +94,28 @@ class ForecastDriven:
 ArrivalDriver = Union[PoissonBaseline, ForecastDriven]
 
 
+# expected arrivals per replication; scenarios/default.json's log has 47,277
+ARRIVALS_MAX = 10_000_000
+
+
+def _check_expected_arrivals(expected: float, source: str, horizon: float) -> None:
+    if not expected <= ARRIVALS_MAX:
+        raise ConfigError(f"arrival_driver {source} expects {expected:.3g} arrivals over "
+                          f"{horizon!r} h, more than {ARRIVALS_MAX}")
+
+
 def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> list[float]:
     """Materialize arrival times on [0, horizon), sorted.
 
     Poisson gaps are ``rng.exponential(1 / rate)`` draws, taken in blocks
-    of standard exponentials and scaled as numpy scales them.
+    of standard exponentials and scaled as numpy scales them. A driver
+    that expects more than ARRIVALS_MAX arrivals, or a count that is not
+    finite, is rejected before the first draw.
     """
     if isinstance(driver, PoissonBaseline):
         rate = driver.lam / driver.bucket_width  # per hour
+        _check_expected_arrivals(rate * horizon, f"lam {driver.lam!r} per bucket_width "
+                                 f"{driver.bucket_width!r} h", horizon)
         times: list[float] = []
         if rate <= 0.0:
             return times
@@ -114,11 +128,12 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
             times.append(t)
     if isinstance(driver, ForecastDriven):
         w = driver.bucket_width
-        n_buckets = int(math.ceil(horizon / w - 1e-9))
-        if len(driver.forecast) < n_buckets:
-            raise DataError(
-                f"forecast covers {len(driver.forecast)} buckets, horizon needs {n_buckets}"
-            )
+        needed = horizon / w - 1e-9  # a float, inf for a tiny width
+        if len(driver.forecast) < needed:
+            raise DataError(f"forecast covers {len(driver.forecast)} buckets, horizon needs "
+                            f"{needed:.6g} of bucket_width {w!r} h")
+        n_buckets = math.ceil(needed)
+        _check_expected_arrivals(sum(driver.forecast[:n_buckets]), "forecast", horizon)
         times = []
         for b in range(n_buckets):
             lo, hi = b * w, min((b + 1) * w, horizon)
@@ -476,28 +491,6 @@ class _Tables:
         return [self.profiles[key] for key in keys]
 
 
-class _Patient:
-    __slots__ = ("index", "entry", "request_time", "n_stays")
-
-    def __init__(self, index: int, entry: _Profile, t: float):
-        self.index = index
-        self.entry = entry
-        self.request_time = t
-        self.n_stays = 0
-
-
-class _Dept:
-    __slots__ = ("index", "capacity", "occupied", "queue", "times", "occupancy")
-
-    def __init__(self, index: int, capacity: int | None):
-        self.index = index
-        self.capacity = capacity
-        self.occupied = 0
-        self.queue: deque[_Patient] = deque()
-        self.times: list[float] = [0.0]
-        self.occupancy: list[int] = [0]
-
-
 _SLIVER = 1e-12  # a census piece this short at the end of a step is dropped
 CENSUS_BUCKETS_MAX = 1_000_000  # a 0.004 h width over the paper's 4,032 h horizon
 
@@ -543,110 +536,106 @@ def bucket_census(times: Sequence[float], values: Sequence[float], width: float,
     lo, hi = lo[keep], hi[keep]
     v = np.asarray(values, dtype=float)[:-1][keep]
     first = np.minimum(lo // width, nb - 1).astype(np.int64)
-    # a step's last bucket is the last edge k * width below hi - 1e-12,
-    # found exactly by correcting the quotient's rounding
-    bound = hi - _SLIVER
-    last = np.ceil(bound / width).astype(np.int64) - 1
-    while True:
-        down = last * width >= bound
-        up = (last + 1) * width < bound
-        if not (down.any() or up.any()):
-            break
-        last += up.astype(np.int64) - down
-    last = np.clip(last, first, nb - 1)
+    # a step's last bucket is the last edge k * width below hi - 1e-12
+    edges = np.arange(nb + 1) * width
+    last = np.clip(np.searchsorted(edges, hi - _SLIVER) - 1, first, nb - 1)
     counts = last - first + 1
     step = np.repeat(np.arange(len(lo)), counts)
     k = np.arange(len(step)) - np.repeat(np.cumsum(counts) - counts, counts) + first[step]
-    start = np.where(k == first[step], lo[step], k * width)
-    last_end = np.where(last < nb - 1, np.minimum((last + 1) * width, hi), hi)
-    end = np.where(k == last[step], last_end[step], (k + 1) * width)
+    start = np.where(k == first[step], lo[step], edges[k])
+    last_end = np.where(last < nb - 1, np.minimum(edges[last + 1], hi), hi)
+    end = np.where(k == last[step], last_end[step], edges[k + 1])
     acc = np.bincount(k, weights=v[step] * (end - start), minlength=nb)
-    edge = np.arange(nb)
-    return acc / (np.minimum((edge + 1) * width, horizon) - edge * width)
+    return acc / (np.minimum(edges[1:], horizon) - edges[:-1])
 
 
 def run(config: SimConfig, replication: int = 0) -> SimResult:
-    """Execute one replication of the event loop."""
+    """Execute one replication of the event loop. Patient i is the i-th
+    arrival and department d the d-th of the config; each is an index
+    into the lists that hold its state."""
     tables = config.tables
     arrivals = inject_arrivals(config.arrival_driver, config.horizon,
                                stream(config.seed, replication, 0))
-    profiles = iter(tables.arrival_profiles(stream(config.seed, replication, 1),
-                                            len(arrivals)))
+    entries = tables.arrival_profiles(stream(config.seed, replication, 1), len(arrivals))
     uniforms = blocks(stream(config.seed, replication, 2).random)
     stays = tables.stay_source(stream(config.seed, replication, 3))
     costs = tables.cost_source(stream(config.seed, replication, 4))
     stay_draw, cost_draw = tables.stay_draw, tables.cost_draw
-    # stay ends as (end, seq, patient, d); arrivals come from their sorted list
-    heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-    seq = count()
-
-    depts = [_Dept(i, cap) for i, cap in enumerate(tables.capacity)]
-    n_depts = len(depts)
-    # per patient, in arrival order
-    admission: list[float] = []
-    discharge: list[float] = []
-    cost: list[float] = []
-    cluster: list[int] = []
+    capacity = tables.capacity
+    n_depts = len(capacity)
+    # per patient: the time of the last bed request, stays so far, and
+    # discharge and cost, NaN until discharged
+    request = [math.nan] * len(arrivals)
+    n_stays = [0] * len(arrivals)
+    discharge = [math.nan] * len(arrivals)
+    cost = [math.nan] * len(arrivals)
+    # per department: beds in use, the FIFO of waiting patients, the census
+    occupied = [0] * n_depts
+    queue: list[deque[int]] = [deque() for _ in range(n_depts)]
+    times: list[list[float]] = [[0.0] for _ in range(n_depts)]
+    occupancy: list[list[int]] = [[0] for _ in range(n_depts)]
     # per stay, in the order beds are granted
     stay_patient: list[int] = []
     stay_department: list[int] = []
     stay_request: list[float] = []
     stay_start: list[float] = []
     stay_end: list[float] = []
+    # stay ends as (end, row), row indexing the stay lists; arrivals come
+    # from their sorted list
+    heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     truncated = 0
     unseen = 0
     last_time = 0.0
 
-    def start_stay(patient: _Patient, dept: _Dept, now: float):
+    def start_stay(i: int, d: int, now: float):
         nonlocal unseen
-        dept.occupied += 1
-        dept.times.append(now)
-        dept.occupancy.append(dept.occupied)
-        d = dept.index
-        entry = patient.entry
-        los = stay_draw[d](entry.loc[d], next(stays))
+        occupied[d] += 1
+        times[d].append(now)
+        occupancy[d].append(occupied[d])
+        entry = entries[i]
+        end = now + stay_draw[d](entry.loc[d], next(stays))
         unseen += entry.unseen[d]
-        patient.n_stays += 1
-        stay_patient.append(patient.index)
+        n_stays[i] += 1
+        push(heap, (end, len(stay_end)))
+        stay_patient.append(i)
         stay_department.append(d)
-        stay_request.append(patient.request_time)
+        stay_request.append(request[i])
         stay_start.append(now)
-        stay_end.append(now + los)
-        push(heap, (now + los, next(seq), patient, d))
+        stay_end.append(end)
 
-    def route(patient: _Patient, state: int, now: float):
+    def route(i: int, state: int, now: float):
         # the move out of state 0 (an arrival) or 1 + d (a stay in d ends);
         # a bed request takes a free bed or joins the back of the queue
         nonlocal truncated, unseen
-        entry = patient.entry
+        entry = entries[i]
         nxt = entry.routing.next(state, uniforms)
-        if nxt != _DISCHARGE and patient.n_stays >= WALK_CAP:
+        if nxt != _DISCHARGE and n_stays[i] >= WALK_CAP:
             truncated += 1
             nxt = _DISCHARGE
         if nxt == _DISCHARGE:
-            discharge[patient.index] = now
-            cost[patient.index] = cost_draw(entry.loc[-1], next(costs))
+            discharge[i] = now
+            cost[i] = cost_draw(entry.loc[-1], next(costs))
             unseen += entry.unseen[-1]
         elif nxt >= n_depts:
             raise ConfigError(
                 f"pathway routes to unknown department {tables.target_names[nxt]!r}")
         else:
-            patient.request_time = now
-            dept = depts[nxt]
-            if dept.capacity is None or dept.occupied < dept.capacity:
-                start_stay(patient, dept, now)
+            request[i] = now
+            if capacity[nxt] is None or occupied[nxt] < capacity[nxt]:
+                start_stay(i, nxt, now)
             else:
-                dept.queue.append(patient)
+                queue[nxt].append(i)
 
     # at equal times an arrival goes before every stay end
+    n = 0  # arrivals handled
     pending = iter(arrivals)
     arrival = next(pending, math.inf)
     while heap or arrival < math.inf:
         if heap and heap[0][0] < arrival:
-            time, _, patient, d = pop(heap)
+            time, row = pop(heap)
         else:
-            time, patient = arrival, None
+            time, row = arrival, None
             arrival = next(pending, math.inf)
         if time >= config.horizon:
             break
@@ -654,49 +643,44 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             raise InvariantViolation("event time", f"{time} precedes {last_time}")
         last_time = time
 
-        if patient is None:  # an arrival
-            entry = next(profiles)
-            patient = _Patient(len(admission), entry, time)
-            admission.append(time)
-            discharge.append(math.nan)
-            cost.append(math.nan)
-            cluster.append(entry.cluster)
-            route(patient, 0, time)
+        if row is None:  # an arrival
+            route(n, 0, time)
+            n += 1
         else:  # a stay in d ends
-            dept = depts[d]
-            dept.occupied -= 1
-            dept.times.append(time)
-            dept.occupancy.append(dept.occupied)
+            d = stay_department[row]
+            occupied[d] -= 1
+            times[d].append(time)
+            occupancy[d].append(occupied[d])
             # a queue is non-empty only while its department is full; its
             # head takes the freed bed before this patient routes on
-            if dept.queue:
-                start_stay(dept.queue.popleft(), dept, time)
-            route(patient, 1 + d, time)
+            if queue[d]:
+                start_stay(queue[d].popleft(), d, time)
+            route(stay_patient[row], 1 + d, time)
 
     names = tuple(spec.name for spec in config.departments)
     census_times = {}
     census_occupied = {}
     avg_census = {}
     utilization = {}
-    for name, dept in zip(names, depts):
-        dept.times.append(config.horizon)
-        dept.occupancy.append(dept.occupied)
-        census_times[name] = np.array(dept.times, dtype=float)
-        census_occupied[name] = np.array(dept.occupancy, dtype=np.int32)
+    for d, name in enumerate(names):
+        times[d].append(config.horizon)
+        occupancy[d].append(occupied[d])
+        census_times[name] = np.array(times[d], dtype=float)
+        census_occupied[name] = np.array(occupancy[d], dtype=np.int32)
         avg = _integrate_mean(census_times[name], census_occupied[name],
                               config.warm_up, config.horizon)
         avg_census[name] = avg
-        utilization[name] = (avg / dept.capacity) if dept.capacity is not None else None
+        utilization[name] = (avg / capacity[d]) if capacity[d] is not None else None
 
     # stays are granted in event order; a stable sort by patient makes
     # them patient-major while keeping each patient's stays in order
     by_patient = np.array(stay_patient, dtype=np.int64)
     order = np.argsort(by_patient, kind="stable")
-    stay_offset = np.zeros(len(admission) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(by_patient, minlength=len(admission)), out=stay_offset[1:])
+    stay_offset = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(by_patient, minlength=n), out=stay_offset[1:])
 
-    admission_col = np.array(admission, dtype=float)
-    discharge_col = np.array(discharge, dtype=float)
+    admission_col = np.array(arrivals[:n], dtype=float)
+    discharge_col = np.array(discharge[:n], dtype=float)
     cohort = admission_col >= config.warm_up
     admissions = int(np.count_nonzero(cohort))
     discharges = int(np.count_nonzero(cohort & ~np.isnan(discharge_col)))
@@ -715,8 +699,8 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
         departments=names,
         admission=admission_col,
         discharge=discharge_col,
-        cost=np.array(cost, dtype=float),
-        cluster=np.array(cluster, dtype=np.int32),
+        cost=np.array(cost[:n], dtype=float),
+        cluster=np.array([entry.cluster for entry in entries[:n]], dtype=np.int32),
         stay_offset=stay_offset,
         stay_department=np.array(stay_department, dtype=np.int32)[order],
         stay_request=np.array(stay_request, dtype=float)[order],

@@ -133,10 +133,6 @@ class LagRegression:
         if self.n_train < len(self.history):
             raise ConfigError(f"n_train {self.n_train} is shorter than the history")
 
-    @property
-    def intercept(self) -> float:
-        return self.coef[0]
-
 
 InflowModel = Union[HomogeneousPoisson, SeasonalNaive, HoltWinters, LagRegression]
 

@@ -236,10 +236,6 @@ class GeneratorConfig:
         return tuple(AttributeSampler(self.age_mix, self.gender_p, rate, self.drg_probs)
                      for rate in self.comorbidity_rate_by_age)
 
-    def comorbidity_rate(self, severity: int) -> LinearRate:
-        rates = self.comorbidity_rate_by_age
-        return rates[min(severity, len(rates) - 1)]
-
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         return codec.read(cls, d, "generator")
@@ -308,24 +304,6 @@ def sample_arrivals(config: GeneratorConfig, rng: Generator) -> list[float]:
     return times
 
 
-def sample_profile(
-    config: GeneratorConfig,
-    rng: Generator,
-    severity: int | None = None,
-) -> tuple:
-    """Draw one patient's (age, gender, comorbidity_count, drg).
-
-    ``severity`` selects the comorbidity link for that class; when None
-    and two classes are configured, the class is drawn internally from
-    ``severity_split`` (and discarded), so the marginal law matches
-    ``generate``.
-    """
-    if severity is None:
-        severity = _draw_severity(config, rng)
-    samplers = config.samplers
-    return samplers[min(severity, len(samplers) - 1)].draw(rng)
-
-
 def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
     if config.n_classes == 1:
         return 0
@@ -341,6 +319,7 @@ def generate(config: GeneratorConfig) -> GenerateResult:
     entry_idx = config.departments.index(config.entry_department)
     n_dep = len(config.departments)
     walk_rows = [[cumulative(row) for row in matrix] for matrix in config.transition_matrices]
+    samplers = config.samplers  # by severity; the last serves every higher class
 
     stays: list[tuple] = []  # (patient, department, enter, exit, cost)
     profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
@@ -350,7 +329,7 @@ def generate(config: GeneratorConfig) -> GenerateResult:
     for i, t0 in enumerate(arrivals):
         pid = f"P{i + 1:06d}"
         severity = _draw_severity(config, rng)
-        profiles.append(sample_profile(config, rng, severity=severity))
+        profiles.append(samplers[min(severity, len(samplers) - 1)].draw(rng))
         age, _, com, drg = profiles[-1]
         rows = walk_rows[severity]
         mu_fixed = (

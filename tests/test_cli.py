@@ -896,13 +896,25 @@ CONFIG_HOLES = [
     ("simulate", ("census_bucket",), 1e-300, 2),
     ("compare", ("census_bucket",), 1e-30, 2),
     ("compare", ("capacities",), {"XX": 2}, 2),
+    ("simulate", ("arrival_driver", "forecast"), [1e300] * 100, 2),
+    ("simulate", ("arrival_driver", "forecast"), [1e12] * 100, 2),
+    ("simulate", ("arrival_driver", "bucket_width"), 1e-320, 3),
+    ("simulate", ("arrival_driver",), {"kind": "poisson", "lam": 2.0, "bucket_width": 1e-10}, 2),
+    ("simulate", ("arrival_driver",), {"kind": "poisson", "lam": 2.0, "bucket_width": 1e-320},
+     2),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, path, value, code", CONFIG_HOLES,
-    ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{'missing' if c[2] is MISSING else c[2]}"
-         for c in CONFIG_HOLES])
+def hole_id(command, path, value, code):
+    if value is MISSING:
+        value = "missing"
+    elif isinstance(value, list) and len(value) > 3:
+        value = f"[{value[0]}]*{len(value)}"
+    return f"{command}-{'.'.join(map(str, path))}-{value}"
+
+
+@pytest.mark.parametrize("command, path, value, code", CONFIG_HOLES,
+                         ids=[hole_id(*hole) for hole in CONFIG_HOLES])
 def test_config_value_runs_or_exits_with_one_line(tmp_path, capsys, default_scenario_dict,
                                                   command, path, value, code):
     if command == "synth":

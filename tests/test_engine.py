@@ -46,7 +46,6 @@ from patientflow.synthehr import (
     GeneratorConfig,
     LinearRate,
     generate,
-    sample_profile,
 )
 
 from conftest import attribute_sim_config, time_limit
@@ -453,10 +452,10 @@ def test_config_validation():
 def test_attribute_sampler_matches_generator_profiles(default_generator):
     config = default_generator
     sampler = AttributeSampler(config.age_mix, config.gender_p,
-                               config.comorbidity_rate(1), config.drg_probs)
+                               config.comorbidity_rate_by_age[1], config.drg_probs)
     rng_a, rng_b = stream(41), stream(41)
     for _ in range(300):
-        assert sampler.draw(rng_a) == sample_profile(config, rng_b, 1)
+        assert sampler.draw(rng_a) == config.samplers[1].draw(rng_b)
 
 
 # --- columnar results -------------------------------------------------------------
@@ -732,6 +731,32 @@ def test_an_arrival_at_a_stay_end_is_served_before_the_stay_ends():
                                        (24.0, 0), (40.0, 0))
 
 
+def test_stay_ends_at_one_time_run_in_the_order_their_beds_were_granted():
+    """Patient 1 arrives at 6 h to a full W and takes its bed at 12 h,
+    granted before patient 0 routes on to X; both 12 h stays end at 24 h.
+    The W stay, granted first, ends first, so patient 1 reaches X while
+    patient 0 is still there."""
+    twelve = LognormalFit(mu=math.log(12.0), sigma=0.0, n=10, loglik=0.0)
+    config = base_config(
+        departments=(DepartmentSpec("W", 1), DepartmentSpec("X", None)),
+        horizon=48.0,
+        arrival_driver=ForecastDriven(forecast=(2.0, 0.0, 0.0, 0.0), bucket_width=12.0,
+                                      deterministic=True),
+        los_models={"W": twelve, "X": twelve},
+        pathway=two_dept_matrix(1.0),
+    )
+    result = run(config)
+    assert result.census == {
+        "W": ((0.0, 0), (0.0, 1), (12.0, 0), (12.0, 1), (24.0, 0), (48.0, 0)),
+        "X": ((0.0, 0), (12.0, 1), (24.0, 2), (24.0, 1), (36.0, 0), (48.0, 0)),
+    }
+    assert [[(s.department, s.request_time, s.start_time, s.end_time) for s in p.stays]
+            for p in result.patients] == [
+        [("W", 0.0, 0.0, 12.0), ("X", 12.0, 12.0, 24.0)],
+        [("W", 6.0, 12.0, 24.0), ("X", 24.0, 24.0, 36.0)],
+    ]
+
+
 # --- census buckets -------------------------------------------------------------------
 
 def reference_bucket_census(series, width, horizon):
@@ -779,6 +804,65 @@ def test_bucket_census_whole_widths_keep_their_bits(horizon):
         series = list(zip(times.tolist(), values.tolist()))
         expected = reference_bucket_census(series, width, horizon)
         assert bucket_census(times, values, width, horizon).tolist() == expected
+
+
+def quotient_bucket_census(times, values, width, horizon):
+    """``bucket_census`` as it found each step's last bucket before the
+    edge search: from the quotient, corrected one bucket at a time until
+    ``k * width < hi - 1e-12 <= (k + 1) * width``."""
+    nb = engine.census_buckets(width, horizon)
+    t = np.asarray(times, dtype=float)
+    lo = np.maximum(t[:-1], 0.0)
+    hi = np.minimum(t[1:], horizon)
+    keep = lo < hi - 1e-12
+    lo, hi = lo[keep], hi[keep]
+    v = np.asarray(values, dtype=float)[:-1][keep]
+    first = np.minimum(lo // width, nb - 1).astype(np.int64)
+    bound = hi - 1e-12
+    last = np.ceil(bound / width).astype(np.int64) - 1
+    while True:
+        down = last * width >= bound
+        up = (last + 1) * width < bound
+        if not (down.any() or up.any()):
+            break
+        last += up.astype(np.int64) - down
+    last = np.clip(last, first, nb - 1)
+    counts = last - first + 1
+    step = np.repeat(np.arange(len(lo)), counts)
+    k = np.arange(len(step)) - np.repeat(np.cumsum(counts) - counts, counts) + first[step]
+    start = np.where(k == first[step], lo[step], k * width)
+    last_end = np.where(last < nb - 1, np.minimum((last + 1) * width, hi), hi)
+    end = np.where(k == last[step], last_end[step], (k + 1) * width)
+    acc = np.bincount(k, weights=v[step] * (end - start), minlength=nb)
+    edge = np.arange(nb)
+    return acc / (np.minimum((edge + 1) * width, horizon) - edge * width)
+
+
+@st.composite
+def census_series(draw):
+    """(times, values, width, horizon): widths that do not divide the
+    horizon and ones that do, steps past either end of [0, horizon), and
+    steps on bucket edges or a sliver away from them."""
+    width = draw(st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.1, 1.0, 24.0, 168.0]),
+                           st.floats(0.01, 300.0)))
+    horizon = draw(st.one_of(st.sampled_from([240.0, 240.0000000001, 250.5, 100.0, 1.0]),
+                             st.floats(0.5, 500.0)))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    times = rng.uniform(-0.1 * horizon, 1.2 * horizon, draw(st.integers(0, 40)))
+    edges = np.arange(0.0, horizon, width)[:50]
+    for shift in draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, 2e-12]),
+                               max_size=3)):
+        times = np.concatenate([times, edges + shift])
+    times = np.concatenate([[0.0], np.sort(times), [horizon]])
+    return times, rng.integers(0, 9, len(times)), width, horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_series())
+def test_bucket_census_edge_search_keeps_the_bits_of_the_quotient_loop(series):
+    times, values, width, horizon = series
+    assert (bucket_census(times, values, width, horizon).tobytes()
+            == quotient_bucket_census(times, values, width, horizon).tobytes())
 
 
 # --- compiled configuration ----------------------------------------------------------

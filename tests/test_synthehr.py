@@ -16,7 +16,6 @@ from patientflow.synthehr import (
     rate_at,
     rate_max,
     sample_arrivals,
-    sample_profile,
 )
 
 from conftest import flat_generator_dict
@@ -156,31 +155,32 @@ def test_thinning_hourly_counts_pass_chi_squared(default_generator):
 def test_profile_gender_extreme():
     config = make_config(gender_p=1.0)
     rng = stream(1)
-    assert all(sample_profile(config, rng)[1] == "F" for _ in range(200))
+    assert all(config.samplers[0].draw(rng)[1] == "F" for _ in range(200))
 
 
 def test_profile_zero_comorbidity_link():
     config = make_config(comorbidity_rate_by_age=[{"c0": 0.0, "c1": 0.0}])
     rng = stream(2)
-    assert all(sample_profile(config, rng)[2] == 0 for _ in range(200))
+    assert all(config.samplers[0].draw(rng)[2] == 0 for _ in range(200))
 
 
 def test_profile_age_mixture_mean():
     config = make_config()
     rng = stream(10)
-    ages = [sample_profile(config, rng)[0] for _ in range(100_000)]
+    ages = [config.samplers[0].draw(rng)[0] for _ in range(100_000)]
     analytic = 0.5 * 42.0 + 0.5 * 72.0
     assert abs(np.mean(ages) - analytic) / analytic < 0.01
 
 
 def test_profile_always_valid(default_generator):
     rng = stream(3)
-    for _ in range(500):
-        age, gender, comorbidity_count, drg = sample_profile(default_generator, rng)
-        assert 0 <= age <= 120
-        assert gender in ("F", "M")
-        assert 0 <= comorbidity_count <= 30
-        assert drg in default_generator.drg_probs
+    for sampler in default_generator.samplers:
+        for _ in range(500):
+            age, gender, comorbidity_count, drg = sampler.draw(rng)
+            assert 0 <= age <= 120
+            assert gender in ("F", "M")
+            assert 0 <= comorbidity_count <= 30
+            assert drg in default_generator.drg_probs
 
 
 def test_generate_single_department_single_stay():
