@@ -138,6 +138,15 @@ def check_stay(enter: float, exit_: float, cost: float) -> None:
         raise InvariantViolation("cost", f"{cost} < 0")
 
 
+def check_stays(enter: np.ndarray, exit_: np.ndarray, cost: np.ndarray) -> None:
+    """``check_stay`` over columns: the first bad row raises its error."""
+    bad = (~(np.isfinite(enter) & np.isfinite(exit_) & np.isfinite(cost))
+           | (enter < 0) | (exit_ <= enter) | (cost < 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        check_stay(enter[i].item(), exit_[i].item(), cost[i].item())
+
+
 _COLUMNS = ("patient", "department", "enter", "exit", "cost")
 
 

@@ -53,7 +53,7 @@ from .errors import ConfigError, DataError, InvariantViolation
 from .estimators import PROFILE_MODELS, draw_z, locations, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
 from .seeding import blocks, stream
-from .synthehr import WALK_CAP, AttributeSampler
+from .synthehr import WALK_CAP, AttributeSampler, check_expected_arrivals
 
 
 # --- arrival drivers ----------------------------------------------------------
@@ -94,16 +94,6 @@ class ForecastDriven:
 ArrivalDriver = Union[PoissonBaseline, ForecastDriven]
 
 
-# expected arrivals per replication; scenarios/default.json's log has 47,277
-ARRIVALS_MAX = 10_000_000
-
-
-def _check_expected_arrivals(expected: float, source: str, horizon: float) -> None:
-    if not expected <= ARRIVALS_MAX:
-        raise ConfigError(f"arrival_driver {source} expects {expected:.3g} arrivals over "
-                          f"{horizon!r} h, more than {ARRIVALS_MAX}")
-
-
 def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> list[float]:
     """Materialize arrival times on [0, horizon), sorted.
 
@@ -114,8 +104,8 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
     """
     if isinstance(driver, PoissonBaseline):
         rate = driver.lam / driver.bucket_width  # per hour
-        _check_expected_arrivals(rate * horizon, f"lam {driver.lam!r} per bucket_width "
-                                 f"{driver.bucket_width!r} h", horizon)
+        check_expected_arrivals(rate * horizon, f"arrival_driver lam {driver.lam!r} per "
+                                f"bucket_width {driver.bucket_width!r} h", horizon)
         times: list[float] = []
         if rate <= 0.0:
             return times
@@ -133,7 +123,8 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
             raise DataError(f"forecast covers {len(driver.forecast)} buckets, horizon needs "
                             f"{needed:.6g} of bucket_width {w!r} h")
         n_buckets = math.ceil(needed)
-        _check_expected_arrivals(sum(driver.forecast[:n_buckets]), "forecast", horizon)
+        check_expected_arrivals(sum(driver.forecast[:n_buckets]), "arrival_driver forecast",
+                                horizon)
         times = []
         for b in range(n_buckets):
             lo, hi = b * w, min((b + 1) * w, horizon)

@@ -27,7 +27,7 @@ from numpy.random import Generator
 
 from .domain import Profiles
 from .errors import ConfigError, DataError, NumericError
-from .seeding import cumulative, draw_cumulative, kmeanspp, stream
+from .seeding import cumulative, distinct_rows, draw_cumulative, kmeanspp, stream
 
 RIDGE_DAMPING = 1e-8
 SIGMA_FLOOR = 1e-4          # EM component floor, prevents collapse
@@ -258,7 +258,7 @@ def fit_mixture_em(
             raise ConfigError("init parameter lengths must equal k")
         w = w / w.sum()
     else:
-        mu = kmeanspp(lnx[:, None], k, stream(seed))[:, 0]
+        mu = kmeanspp(distinct_rows(lnx[:, None]), k, stream(seed))[:, 0]
         sigma = np.full(k, max(float(np.std(lnx)), SIGMA_FLOOR))
         w = np.full(k, 1.0 / k)
 

@@ -505,13 +505,12 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     (out / "census_compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     cap = 20000  # keep plot files bounded
-    lines = ["source,los_hours"]
-    for source, values in (
-        ("truth", truth_los),
-        (STACK_A, sim_los_by_stack[STACK_A]),
-        (STACK_B, sim_los_by_stack[STACK_B]),
-    ):
-        stride = max(1, len(values) // cap)
-        for v in values[::stride]:
-            lines.append(f"{source},{v:.6f}")
-    (out / "los_hist.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out / "los_hist.csv", "w", encoding="utf-8") as fh:
+        fh.write("source,los_hours\n")
+        for source, values in (
+            ("truth", truth_los),
+            (STACK_A, sim_los_by_stack[STACK_A]),
+            (STACK_B, sim_los_by_stack[STACK_B]),
+        ):
+            stride = max(1, len(values) // cap)
+            fh.writelines(f"{source},{v:.6f}\n" for v in values[::stride])

@@ -22,7 +22,7 @@ from numpy.random import Generator
 
 from .domain import ENTRY, Profiles, Trajectories
 from .errors import ConfigError, DataError
-from .seeding import cumulative, kmeanspp, sq_distances, stream
+from .seeding import Distinct, cumulative, distinct_rows, kmeanspp, sq_distances, stream
 
 MIN_CLUSTER_MEMBERS = 20  # smaller clusters route with the global matrix
 ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told apart
@@ -244,24 +244,25 @@ class PathwayClusters:
 KMEANS_RESTARTS = 10
 
 
-def _kmeans_once(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    centroids = kmeanspp(X, k, rng)
+def _kmeans_once(X: np.ndarray, points: Distinct, k: int,
+                 rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    centroids = kmeanspp(points, k, rng)
     for _ in range(KMEANS_MAX_ITER):
-        labels = _nearest(X, centroids)
+        labels = _nearest(points, centroids)
         new_centroids = np.vstack([X[labels == j].mean(axis=0) for j in range(k)])
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
-    return centroids, _nearest(X, centroids)
+    return centroids, _nearest(points, centroids)
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(points: Distinct, centroids: np.ndarray) -> np.ndarray:
     """Label each point with its nearest centroid, then repair empty
     clusters by stealing the globally worst-fitting point."""
-    dists = sq_distances(X, centroids)
+    dists = points.sq_distances(centroids)
     labels = np.argmin(dists, axis=1)
-    assigned_d2 = dists[np.arange(len(X)), labels]
+    assigned_d2 = dists[np.arange(len(dists)), labels]
     for j in range(len(centroids)):
         if not np.any(labels == j):
             worst = int(np.argmax(assigned_d2))
@@ -271,10 +272,12 @@ def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _kmeans(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm, best of KMEANS_RESTARTS seeded restarts by inertia."""
+    """Lloyd's algorithm, best of KMEANS_RESTARTS seeded restarts by
+    inertia. Distances are computed once per distinct row of ``X``."""
+    points = distinct_rows(X)
     best = None
     for _ in range(KMEANS_RESTARTS):
-        centroids, labels = _kmeans_once(X, k, rng)
+        centroids, labels = _kmeans_once(X, points, k, rng)
         inertia = float(np.sum((X - centroids[labels]) ** 2))
         if best is None or inertia < best[0]:
             best = (inertia, centroids, labels)

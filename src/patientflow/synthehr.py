@@ -23,6 +23,7 @@ stay mixes), not any real hospital's numbers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,11 +37,12 @@ from .domain import (
     COMORBIDITY_MAX,
     EventLog,
     Profiles,
-    check_stay,
+    check_stays,
     event_log,
     serialize_event_log,
 )
 from .errors import ConfigError, DataError
+from .estimators import _exp
 from .seeding import cumulative, draw_cumulative, stream
 
 WALK_CAP = 50       # max stays per patient before forced discharge
@@ -258,20 +260,39 @@ class GenerateResult:
     truth: GroundTruth
 
 
-def rate_at(t: float, config: GeneratorConfig) -> float:
-    """Instantaneous admission rate (per hour) at time t."""
-    if not (0.0 <= t < config.horizon):
-        raise DataError(f"t={t} outside [0, {config.horizon})")
-    hour = int(math.floor(t)) % 24
-    day = int(math.floor(t / 24.0)) % 7
-    month = int(math.floor(t / 720.0)) % 12
-    return (
+# expected arrivals per run: a generator's and an engine arrival driver's;
+# the log of scenarios/default.json has 47,277
+ARRIVALS_MAX = 10_000_000
+
+
+def check_expected_arrivals(expected: float, source: str, horizon: float) -> None:
+    """Reject, before the first draw, a source of arrivals that expects
+    more than ARRIVALS_MAX of them, or a count that is not finite."""
+    if not expected <= ARRIVALS_MAX:
+        raise ConfigError(f"{source} expects {expected:.3g} arrivals over horizon "
+                          f"{horizon!r} h, more than {ARRIVALS_MAX}")
+
+
+def rate_at(t, config: GeneratorConfig):
+    """Instantaneous admission rate (per hour) at time t, or at each time
+    of an array t. Each rate takes the scalar formula's operations in
+    its order, so the array form has the scalar form's bits."""
+    times = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= times) & (times < config.horizon))
+    if outside.any():
+        raise DataError(f"t={times[outside].flat[0].item()} outside [0, {config.horizon})")
+    # a float remainder is exact, and unlike an int64 cast it holds any t
+    hour = (np.floor(times) % 24).astype(np.intp)
+    day = (np.floor(times / 24.0) % 7).astype(np.intp)
+    month = (np.floor(times / 720.0) % 12).astype(np.intp)
+    rate = (
         config.base_rate
-        * (1.0 + config.trend_slope * t / config.horizon)
-        * config.hourly_profile[hour]
-        * config.weekly_profile[day]
-        * config.monthly_profile[month]
+        * (1.0 + config.trend_slope * times / config.horizon)
+        * np.asarray(config.hourly_profile)[hour]
+        * np.asarray(config.weekly_profile)[day]
+        * np.asarray(config.monthly_profile)[month]
     )
+    return rate if times.ndim else float(rate)
 
 
 def rate_max(config: GeneratorConfig) -> float:
@@ -290,45 +311,56 @@ def sample_arrivals(config: GeneratorConfig, rng: Generator) -> list[float]:
 
     Candidate points arrive at constant rate ``rate_max`` and are kept
     with probability rate(t) / rate_max, which yields an exact draw of
-    the nonhomogeneous process. Times are strictly increasing.
+    the nonhomogeneous process. Times are strictly increasing. Each
+    candidate takes an ``exponential`` gap, then a ``random`` uniform;
+    the acceptance test runs once over all candidates after the draws.
     """
     rmax = rate_max(config)
-    times: list[float] = []
+    check_expected_arrivals(rmax * config.horizon, f"generator base_rate "
+                            f"{config.base_rate!r} (peak rate {rmax:.3g} per h)",
+                            config.horizon)
+    exponential, random = rng.exponential, rng.random
+    scale = 1.0 / rmax
+    times, uniforms = array("d"), array("d")
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / rmax)
+        t += exponential(scale)
         if t >= config.horizon:
             break
-        if rng.random() * rmax < rate_at(t, config):
-            times.append(t)
-    return times
-
-
-def _draw_severity(config: GeneratorConfig, rng: Generator) -> int:
-    if config.n_classes == 1:
-        return 0
-    return 1 if rng.random() < config.severity_split else 0
+        times.append(t)
+        uniforms.append(random())
+    t_all = np.frombuffer(times)
+    return t_all[np.frombuffer(uniforms) * rmax < rate_at(t_all, config)].tolist()
 
 
 def generate(config: GeneratorConfig) -> GenerateResult:
-    """Produce a full synthetic event log with its hidden ground truth."""
+    """Produce a full synthetic event log with its hidden ground truth.
+
+    Patient i draws, in order: its severity (one ``random``, none with one
+    class), its attributes, then per stay a ``normal`` log stay, a
+    ``normal`` cost term and a ``random`` next move. The stays are checked
+    as ``check_stay`` checks them once the draws are done.
+    """
     arrivals = sample_arrivals(config, stream(config.seed, 0))
     rng = stream(config.seed, 1)  # attributes, stays, costs and walks
+    random, normal = rng.random, rng.normal
     los = config.los_coeffs
     cot = config.cot_coeffs
+    sigma_ln, sigma_cot, gamma1 = los.sigma_ln, cot.sigma, cot.gamma1
+    two_classes, split = config.n_classes == 2, config.severity_split
     entry_idx = config.departments.index(config.entry_department)
     n_dep = len(config.departments)
     walk_rows = [[cumulative(row) for row in matrix] for matrix in config.transition_matrices]
     samplers = config.samplers  # by severity; the last serves every higher class
 
-    stays: list[tuple] = []  # (patient, department, enter, exit, cost)
+    patient, department = array("q"), array("q")
+    enter, exit_, cost = array("d"), array("d"), array("d")
     profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
     latent: dict[str, int] = {}
     truncated = 0
 
-    for i, t0 in enumerate(arrivals):
-        pid = f"P{i + 1:06d}"
-        severity = _draw_severity(config, rng)
+    for i, t in enumerate(arrivals):
+        severity = (1 if random() < split else 0) if two_classes else 0
         profiles.append(samplers[min(severity, len(samplers) - 1)].draw(rng))
         age, _, com, drg = profiles[-1]
         rows = walk_rows[severity]
@@ -341,14 +373,15 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         cost_fixed = cot.gamma0 + cot.drg_offsets[drg]
 
         state = entry_idx
-        t = t0
         n_stays = 0
         while n_stays < WALK_CAP:
-            stay_los = max(math.exp(rng.normal(mu_fixed, los.sigma_ln)), LOS_FLOOR)
-            cost = max(0.0, cost_fixed + cot.gamma1 * stay_los + rng.normal(0.0, cot.sigma))
-            check_stay(t, t + stay_los, cost)
-            stays.append((i, state, t, t + stay_los, cost))
+            stay_los = max(_exp(normal(mu_fixed, sigma_ln)), LOS_FLOOR)
+            patient.append(i)
+            department.append(state)
+            enter.append(t)
             t += stay_los
+            exit_.append(t)
+            cost.append(max(0.0, cost_fixed + gamma1 * stay_los + normal(0.0, sigma_cot)))
             n_stays += 1
             nxt = draw_cumulative(rows[state], rng)
             if nxt == n_dep:  # DISCHARGE column
@@ -357,15 +390,18 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         else:
             truncated += 1
 
-        latent[pid] = severity
+        latent[f"P{i + 1:06d}"] = severity
 
+    enter, exit_, cost = (np.frombuffer(column) for column in (enter, exit_, cost))
+    check_stays(enter, exit_, cost)
     truth = GroundTruth(
         latent_class=latent,
         truncated_walks=truncated,
         n_patients=len(arrivals),
         config=config,
     )
-    log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
+    log = event_log(config.departments, np.frombuffer(patient, dtype=np.int64),
+                    np.frombuffer(department, dtype=np.int64), enter, exit_, cost)
     return GenerateResult(log, Profiles.from_rows(list(latent), profiles), truth)
 
 

@@ -902,6 +902,8 @@ CONFIG_HOLES = [
     ("simulate", ("arrival_driver",), {"kind": "poisson", "lam": 2.0, "bucket_width": 1e-10}, 2),
     ("simulate", ("arrival_driver",), {"kind": "poisson", "lam": 2.0, "bucket_width": 1e-320},
      2),
+    ("synth", ("horizon",), 1e9, 2),
+    ("synth", ("base_rate",), 1e9, 2),
 ]
 
 
@@ -934,6 +936,19 @@ def test_config_value_runs_or_exits_with_one_line(tmp_path, capsys, default_scen
     if code:
         assert len(err.strip().splitlines()) == 1
         assert str(path[-1]) in err
+
+
+@pytest.mark.parametrize("path, value", [(("los_coeffs", "beta0"), 800.0),
+                                         (("los_coeffs", "sigma_ln"), 1e300)],
+                         ids=["beta0-800", "sigma_ln-1e300"])
+def test_generator_stay_that_overflows_exits_3(tmp_path, capsys, default_scenario_dict,
+                                               path, value):
+    generator = {**default_scenario_dict["generator"], "horizon": 48.0}
+    config = write_json(tmp_path / "gen.json", replaced(generator, path, value))
+    assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["data error: exit_time: inf is not finite"]
 
 
 @pytest.mark.parametrize("column, value", [("exit_time", "inf"), ("cost", "nan"),

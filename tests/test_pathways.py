@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,10 @@ from patientflow import codec, engine
 from patientflow.domain import DISCHARGE, ENTRY, extract_trajectories
 from patientflow.errors import DataError
 from patientflow.pathways import (
+    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
+    KMEANS_TOL,
+    _kmeans,
     assign_all,
     STAY_COUNT_SCALE,
     cluster,
@@ -16,7 +22,7 @@ from patientflow.pathways import (
     row_average_tv,
     sweep_k,
 )
-from patientflow.seeding import blocks, stream
+from patientflow.seeding import blocks, distinct_rows, kmeanspp, sq_distances, stream
 from patientflow.synthehr import GeneratorConfig, generate
 
 from conftest import Row, flat_generator_dict, table, trajectories_of, trajectory_paths
@@ -450,3 +456,90 @@ def test_pathway_json_round_trips():
     assert clone == pc
     q = table([profile("q", age=42)])
     assert assign_all(q, clone) == assign_all(q, pc)
+
+
+# --- k-means that measured every point ---------------------------------------------------
+
+def reference_kmeanspp(X, k, rng):
+    n = len(X)
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = sq_distances(X, centroids[:1])[:, 0]
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centroids[j] = X[rng.integers(n)]
+        else:
+            u = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), u))
+            centroids[j] = X[min(idx, n - 1)]
+        d2 = np.minimum(d2, sq_distances(X, centroids[j:j + 1])[:, 0])
+    return centroids
+
+
+def reference_nearest(X, centroids):
+    dists = sq_distances(X, centroids)
+    labels = np.argmin(dists, axis=1)
+    assigned_d2 = dists[np.arange(len(X)), labels]
+    for j in range(len(centroids)):
+        if not np.any(labels == j):
+            worst = int(np.argmax(assigned_d2))
+            labels[worst] = j
+            assigned_d2[worst] = -np.inf
+    return labels
+
+
+def reference_kmeans(X, k, rng):
+    """``_kmeans`` as it was when every distance was taken per point."""
+    best = None
+    for _ in range(KMEANS_RESTARTS):
+        centroids = reference_kmeanspp(X, k, rng)
+        for _ in range(KMEANS_MAX_ITER):
+            labels = reference_nearest(X, centroids)
+            new_centroids = np.vstack([X[labels == j].mean(axis=0) for j in range(k)])
+            shift = float(np.max(np.abs(new_centroids - centroids)))
+            centroids = new_centroids
+            if shift < KMEANS_TOL:
+                break
+        labels = reference_nearest(X, centroids)
+        inertia = float(np.sum((X - centroids[labels]) ** 2))
+        if best is None or inertia < best[0]:
+            best = (inertia, centroids, labels)
+    return best[1], best[2]
+
+
+@st.composite
+def point_sets(draw):
+    """Points drawn from a pool of a few rows, so most repeat; the pool's
+    coordinates come from a short list, so distances tie; and k may exceed
+    the distinct rows, so clusters go empty and are repaired."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0]),
+                                  min_size=d, max_size=d), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return np.array(rows, dtype=float), draw(st.integers(1, min(4, len(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.integers(0, 2**32 - 1))
+def test_kmeans_keeps_the_bits_of_the_per_point_distances(points, seed):
+    X, k = points
+    with warnings.catch_warnings():
+        # a repair can empty a cluster it already repaired, whose mean then
+        # warns; both forms do it alike, and the comparison covers the case
+        warnings.simplefilter("ignore", RuntimeWarning)
+        centroids, labels = _kmeans(X, k, stream(seed))
+        reference_centroids, reference_labels = reference_kmeans(X, k, stream(seed))
+    assert centroids.tobytes() == reference_centroids.tobytes()
+    assert labels.tobytes() == reference_labels.tobytes()
+    assert kmeanspp(distinct_rows(X), k, stream(seed)).tobytes() == reference_kmeanspp(
+        X, k, stream(seed)).tobytes()
+
+
+def test_kmeans_repairs_an_empty_cluster():
+    X = np.array([[0.0, 1.0]] * 5 + [[1.0, 0.0]])
+    centroids, labels = _kmeans(X, 3, stream(3))
+    assert sorted(set(labels.tolist())) == [0, 1, 2]
+    reference_centroids, reference_labels = reference_kmeans(X, 3, stream(3))
+    assert centroids.tobytes() == reference_centroids.tobytes()
+    assert labels.tobytes() == reference_labels.tobytes()

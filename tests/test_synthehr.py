@@ -4,14 +4,20 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from patientflow import codec
-from patientflow.domain import serialize_event_log
+from patientflow.domain import Profiles, check_stay, event_log, serialize_event_log
 from patientflow.errors import ConfigError, DataError
-from patientflow.seeding import stream
+from patientflow.seeding import cumulative, draw_cumulative, stream
 from patientflow.synthehr import (
+    LOS_FLOOR,
+    WALK_CAP,
+    GenerateResult,
     GeneratorConfig,
+    GroundTruth,
     generate,
     rate_at,
     rate_max,
@@ -277,3 +283,172 @@ def test_draw_index_sums_in_order_and_falls_through_to_last():
     expected = 0 if u < 0.25 else 1 if u < 0.75 else 2
     assert draw_index([0.25, 0.5, 0.25], stream(17)) == expected
     assert draw_index([0.0, 0.0, 0.0], stream(17)) == 2  # total short of any uniform
+
+
+# --- the generator that drew into 5-tuples ---------------------------------------------
+
+def reference_rate_at(t, config):
+    hour = int(math.floor(t)) % 24
+    day = int(math.floor(t / 24.0)) % 7
+    month = int(math.floor(t / 720.0)) % 12
+    return (config.base_rate * (1.0 + config.trend_slope * t / config.horizon)
+            * config.hourly_profile[hour] * config.weekly_profile[day]
+            * config.monthly_profile[month])
+
+
+def reference_sample_arrivals(config, rng):
+    """Thinning with the acceptance test after each candidate's draws."""
+    rmax = rate_max(config)
+    times = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / rmax)
+        if t >= config.horizon:
+            break
+        if rng.random() * rmax < reference_rate_at(t, config):
+            times.append(t)
+    return times
+
+
+def reference_generate(config):
+    """``generate`` as it was when every stay was a 5-tuple, checked as it
+    was drawn."""
+    arrivals = reference_sample_arrivals(config, stream(config.seed, 0))
+    rng = stream(config.seed, 1)
+    los, cot = config.los_coeffs, config.cot_coeffs
+    entry_idx = config.departments.index(config.entry_department)
+    n_dep = len(config.departments)
+    walk_rows = [[cumulative(row) for row in matrix] for matrix in config.transition_matrices]
+    samplers = config.samplers
+    stays, profiles, latent, truncated = [], [], {}, 0
+    for i, t0 in enumerate(arrivals):
+        severity = 0 if config.n_classes == 1 else (
+            1 if rng.random() < config.severity_split else 0)
+        profiles.append(samplers[min(severity, len(samplers) - 1)].draw(rng))
+        age, _, com, drg = profiles[-1]
+        rows = walk_rows[severity]
+        mu_fixed = (los.beta0 + los.beta_age * age / 100.0 + los.beta_com * com
+                    + los.drg_offsets[drg])
+        cost_fixed = cot.gamma0 + cot.drg_offsets[drg]
+        state, t, n_stays = entry_idx, t0, 0
+        while n_stays < WALK_CAP:
+            stay_los = max(math.exp(rng.normal(mu_fixed, los.sigma_ln)), LOS_FLOOR)
+            cost = max(0.0, cost_fixed + cot.gamma1 * stay_los + rng.normal(0.0, cot.sigma))
+            check_stay(t, t + stay_los, cost)
+            stays.append((i, state, t, t + stay_los, cost))
+            t += stay_los
+            n_stays += 1
+            nxt = draw_cumulative(rows[state], rng)
+            if nxt == n_dep:
+                break
+            state = nxt
+        else:
+            truncated += 1
+        latent[f"P{i + 1:06d}"] = severity
+    truth = GroundTruth(latent, truncated, len(arrivals), config)
+    log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
+    return GenerateResult(log, Profiles.from_rows(list(latent), profiles), truth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=50), st.floats(-0.9, 2.0))
+def test_rate_at_over_an_array_has_the_scalar_bits(times, slope):
+    d = flat_generator_dict(horizon=math.nextafter(1e300, math.inf))
+    d.update(trend_slope=slope, hourly_profile=[0.5 + h / 10 for h in range(24)],
+             weekly_profile=[1.0 + w / 7 for w in range(7)],
+             monthly_profile=[2.0 - m / 12 for m in range(12)])
+    config = GeneratorConfig.from_dict(d)
+    rates = rate_at(np.array(times), config)
+    assert rates.tolist() == [reference_rate_at(t, config) for t in times]
+    assert [rate_at(t, config) for t in times] == rates.tolist()
+
+
+def _stochastic(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def generator_configs(draw):
+    """Small generators: one or two classes, a shared or per-class
+    comorbidity link, sigma_ln 0 or not, a rate that may give no arrivals
+    and matrices whose walks may never discharge (WALK_CAP)."""
+    n_dep = draw(st.integers(1, 3))
+    departments = ["ER", "ICU", "WARD"][:n_dep]
+    n_classes = draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0)
+
+    def row():
+        weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]),
+                                min_size=n_dep + 1, max_size=n_dep + 1))
+        if draw(st.booleans()):
+            weights[-1] = 0.0  # never discharges: the walk runs to WALK_CAP
+        if not any(weights):
+            weights[0] = 1.0
+        return _stochastic(weights)
+
+    drgs = ["A", "B", "C"][:draw(st.integers(1, 3))]
+    offsets = st.floats(-0.5, 0.5)
+    positive = st.floats(0.2, 2.0)
+    return GeneratorConfig.from_dict({
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "horizon": draw(st.floats(0.5, 60.0)),
+        "base_rate": draw(st.floats(0.05, 2.0)) if draw(st.integers(0, 5)) else 1e-9,
+        "trend_slope": draw(st.floats(-0.9, 2.0)),
+        "hourly_profile": draw(st.lists(positive, min_size=24, max_size=24)),
+        "weekly_profile": draw(st.lists(positive, min_size=7, max_size=7)),
+        "monthly_profile": draw(st.lists(positive, min_size=12, max_size=12)),
+        "age_mix": {"weight": draw(unit), "mean1": draw(st.floats(20.0, 90.0)),
+                    "sd1": draw(st.sampled_from([0.0, 5.0, 15.0])),
+                    "mean2": draw(st.floats(20.0, 90.0)), "sd2": 10.0},
+        "gender_p": draw(unit),
+        "comorbidity_rate_by_age": [
+            {"c0": draw(st.floats(0.0, 5.0)), "c1": draw(st.floats(-0.05, 0.1))}
+            for _ in range(draw(st.sampled_from(sorted({1, n_classes}))))],
+        "drg_probs": dict(zip(drgs, _stochastic(
+            draw(st.lists(st.floats(0.1, 1.0), min_size=len(drgs), max_size=len(drgs)))))),
+        "los_coeffs": {"beta0": draw(st.floats(-1.0, 3.0)),
+                       "beta_age": draw(st.floats(-1.0, 1.0)),
+                       "beta_com": draw(st.floats(-0.1, 0.2)),
+                       "drg_offsets": {d: draw(offsets) for d in drgs},
+                       "sigma_ln": draw(st.sampled_from([0.0, 0.3, 1.0]))},
+        "cot_coeffs": {"gamma0": draw(st.floats(-500.0, 1000.0)),
+                       "gamma1": draw(st.floats(0.0, 50.0)),
+                       "drg_offsets": {d: draw(offsets) for d in drgs},
+                       "sigma": draw(st.sampled_from([0.0, 250.0]))},
+        "severity_split": draw(unit),
+        "departments": departments,
+        "entry_department": draw(st.sampled_from(departments)),
+        "transition_matrices": [[row() for _ in departments] for _ in range(n_classes)],
+    })
+
+
+def assert_same_result(result, reference):
+    for name in ("patient", "department", "enter", "exit", "cost"):
+        assert getattr(result.log, name).tobytes() == getattr(reference.log, name).tobytes()
+    assert result.log.departments == reference.log.departments
+    assert result.profiles == reference.profiles
+    assert list(result.profiles.patient_id) == list(reference.profiles.patient_id)
+    assert codec.document(result.truth) == codec.document(reference.truth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(generator_configs())
+def test_generate_keeps_the_bits_of_the_tuple_generator(config):
+    assert sample_arrivals(config, stream(config.seed, 0)) == reference_sample_arrivals(
+        config, stream(config.seed, 0))
+    assert_same_result(generate(config), reference_generate(config))
+
+
+@pytest.mark.parametrize("case", [
+    lambda config: config.n_classes == 1,
+    lambda config: config.n_classes == 2 and len(config.comorbidity_rate_by_age) == 1,
+    lambda config: len(config.comorbidity_rate_by_age) == 2,
+    lambda config: config.los_coeffs.sigma_ln == 0.0,
+    lambda config: not sample_arrivals(config, stream(config.seed, 0)),
+    lambda config: generate(config).truth.truncated_walks > 0,
+], ids=["one-class", "two-classes-shared-link", "per-class-links", "sigma-ln-0",
+        "no-arrivals", "walk-cap"])
+def test_generator_configs_reach_each_case(case):
+    find(generator_configs(), case, settings=settings(
+        max_examples=500, deadline=None, database=None, phases=[Phase.generate]))
