@@ -29,6 +29,9 @@ from .errors import (
 
 GENDERS = ("F", "M")
 BUCKET_WIDTHS = (1.0, 24.0, 168.0, 720.0)  # hour, day, week, month
+# the most buckets a series, a forecast or a census may have: a 0.004 h
+# census width over the paper's 4,032 h horizon
+BUCKETS_MAX = 1_000_000
 
 # Virtual pathway states bracketing every trajectory.
 ENTRY = "ENTRY"
@@ -229,6 +232,12 @@ class Trajectories:
         return self.stays.patient[self.offset[:-1]]
 
 
+def check_bucket_width(width: float) -> None:
+    """Reject a series bucket width that is not one of ``BUCKET_WIDTHS``."""
+    if float(width) not in BUCKET_WIDTHS:
+        raise InvariantViolation("bucket_width", f"{width} not one of {BUCKET_WIDTHS}")
+
+
 @dataclass(frozen=True)
 class ArrivalSeries:
     """Bucketed admission counts, the forecasting substrate."""
@@ -238,10 +247,7 @@ class ArrivalSeries:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if float(self.bucket_width) not in BUCKET_WIDTHS:
-            raise InvariantViolation(
-                "bucket_width", f"{self.bucket_width} not one of {BUCKET_WIDTHS}"
-            )
+        check_bucket_width(self.bucket_width)
         if abs(self.start_time % self.bucket_width) > 1e-9:
             raise InvariantViolation(
                 "start_time", f"{self.start_time} not aligned to bucket boundary"
@@ -422,9 +428,14 @@ def bucketize(
     """Count admissions per bucket over [start_time, start_time + horizon).
 
     Only each patient's first stay counts as an admission; stays outside
-    the window are ignored. ``horizon`` must be a positive multiple of
-    ``bucket_width``.
+    the window are ignored. ``bucket_width`` must be one of
+    ``BUCKET_WIDTHS``, and ``horizon`` a positive multiple of it that
+    spans at most ``BUCKETS_MAX`` buckets.
     """
+    check_bucket_width(bucket_width)
+    if not horizon / bucket_width <= BUCKETS_MAX:
+        raise ConfigError(f"horizon {horizon!r} makes more than {BUCKETS_MAX} "
+                          f"{bucket_width}h buckets")
     n_buckets = int(round(horizon / bucket_width))
     if n_buckets < 1 or abs(n_buckets * bucket_width - horizon) > 1e-6:
         raise DataError(

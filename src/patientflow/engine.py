@@ -48,7 +48,7 @@ import numpy as np
 from numpy.random import Generator
 
 from . import codec
-from .domain import DepartmentSpec, Profiles
+from .domain import BUCKETS_MAX, DepartmentSpec, Profiles
 from .errors import ConfigError, DataError, InvariantViolation
 from .estimators import PROFILE_MODELS, draw_z, locations, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
@@ -483,7 +483,6 @@ class _Tables:
 
 
 _SLIVER = 1e-12  # a census piece this short at the end of a step is dropped
-CENSUS_BUCKETS_MAX = 1_000_000  # a 0.004 h width over the paper's 4,032 h horizon
 
 
 def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -> float:
@@ -501,10 +500,10 @@ def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -
 
 def census_buckets(width: float, horizon: float) -> int:
     """The number of census buckets of the given width on [0, horizon), at
-    least one; a width giving more than CENSUS_BUCKETS_MAX is rejected."""
+    least one; a width giving more than BUCKETS_MAX is rejected."""
     n = horizon / width - 1e-9
-    if not n <= CENSUS_BUCKETS_MAX:
-        raise ConfigError(f"census_bucket {width!r} makes more than {CENSUS_BUCKETS_MAX} "
+    if not n <= BUCKETS_MAX:
+        raise ConfigError(f"census_bucket {width!r} makes more than {BUCKETS_MAX} "
                           f"buckets over {horizon!r} h")
     return max(1, math.ceil(n))
 

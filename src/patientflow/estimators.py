@@ -230,18 +230,15 @@ def fit_mixture_em(
     x: Sequence[float],
     k: int,
     seed: int,
-    init: tuple[Sequence[float], Sequence[float], Sequence[float]] | None = None,
     max_iter: int = 500,
     tol: float = EM_TOL,
 ) -> MixtureFit:
     """Fit a k-component lognormal mixture by EM on ln x.
 
-    ``init`` optionally supplies (means, sigmas, weights) to start from,
-    e.g. a previously fitted smaller mixture with one component split;
-    otherwise means are seeded k-means++ style, sigmas at the global sd
-    and weights uniform. The log-likelihood trace (one entry per E step,
-    Jacobian term included so values are comparable with
-    ``fit_lognormal``) is non-decreasing up to the component sd floor.
+    Means are seeded k-means++ style, sigmas at the global sd and weights
+    uniform. The log-likelihood trace (one entry per E step, Jacobian
+    term included so values are comparable with ``fit_lognormal``) is
+    non-decreasing up to the component sd floor.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -249,18 +246,9 @@ def fit_mixture_em(
     lnx = np.log(arr)
     n = len(arr)
     jacobian = float(np.sum(lnx))
-
-    if init is not None:
-        mu = np.asarray(init[0], dtype=float)
-        sigma = np.maximum(np.asarray(init[1], dtype=float), SIGMA_FLOOR)
-        w = np.asarray(init[2], dtype=float)
-        if not (len(mu) == len(sigma) == len(w) == k):
-            raise ConfigError("init parameter lengths must equal k")
-        w = w / w.sum()
-    else:
-        mu = kmeanspp(distinct_rows(lnx[:, None]), k, stream(seed))[:, 0]
-        sigma = np.full(k, max(float(np.std(lnx)), SIGMA_FLOOR))
-        w = np.full(k, 1.0 / k)
+    mu = kmeanspp(distinct_rows(lnx[:, None]), k, stream(seed))[:, 0]
+    sigma = np.full(k, max(float(np.std(lnx)), SIGMA_FLOOR))
+    w = np.full(k, 1.0 / k)
 
     # One array per component. Each sum adds in the order numpy reduces the
     # (n, k) responsibility array: a row folds its components left to right,

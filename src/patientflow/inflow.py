@@ -31,7 +31,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .domain import ArrivalSeries
+from .domain import BUCKETS_MAX, ArrivalSeries
 from .errors import ConfigError, DataError
 from .estimators import ridge_solve
 
@@ -297,8 +297,8 @@ def fit_lag_regression(
 
 def forecast(model: InflowModel, h: int) -> list[float]:
     """Expected counts for the next h buckets, clamped at 0."""
-    if h < 1:
-        raise ConfigError("forecast horizon must be >= 1")
+    if not 1 <= h <= BUCKETS_MAX:
+        raise ConfigError(f"forecast horizon h must be between 1 and {BUCKETS_MAX}, got {h}")
     if isinstance(model, HomogeneousPoisson):
         return [max(0.0, model.lam)] * h
     if isinstance(model, SeasonalNaive):

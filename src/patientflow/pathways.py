@@ -14,7 +14,6 @@ sequence-edit-distance medoids are possible extensions, not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -169,14 +168,10 @@ class ProfileEncoder:
         if any(sd <= 0.0 for sd in self.sds):
             raise ConfigError("profile encoder sds must be > 0")
 
-    @cached_property
-    def _scale(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.means), np.asarray(self.sds)
-
     def encode_all(self, profiles: Profiles) -> np.ndarray:
         """One row per profile: (raw row - means) / sds."""
-        means, sds = self._scale
-        return (_raw_rows(profiles, self.drg_levels) - means) / sds
+        return ((_raw_rows(profiles, self.drg_levels) - np.asarray(self.means))
+                / np.asarray(self.sds))
 
 
 def _raw_rows(profiles: Profiles, drg_levels: tuple[str, ...]) -> np.ndarray:
@@ -186,19 +181,18 @@ def _raw_rows(profiles: Profiles, drg_levels: tuple[str, ...]) -> np.ndarray:
                             is_level]).astype(float)
 
 
-def _build_profile_encoder(profiles: Profiles) -> tuple[ProfileEncoder, np.ndarray]:
-    """The encoder and the raw rows of ``profiles`` it was fitted on."""
+def _build_profile_encoder(profiles: Profiles) -> ProfileEncoder:
+    """The encoder standardized on ``profiles``."""
     levels = tuple(sorted(set(profiles.drg.tolist())))
     raw = _raw_rows(profiles, levels)
     means = raw.mean(axis=0)
     sds = raw.std(axis=0)
     sds[sds < 1e-12] = 1.0
-    encoder = ProfileEncoder(
+    return ProfileEncoder(
         means=tuple(float(m) for m in means),
         sds=tuple(float(s) for s in sds),
         drg_levels=levels,
     )
-    return encoder, raw
 
 
 # --- clustering -----------------------------------------------------------------
@@ -208,7 +202,7 @@ class PathwayCluster:
     centroid: tuple[float, ...]
     matrix: TransitionMatrix
     member_count: int
-    attribute_centroid: tuple[float, ...] | None
+    attribute_centroid: tuple[float, ...]
     use_fallback: bool
 
 
@@ -218,7 +212,7 @@ class PathwayClusters:
     departments: tuple[str, ...]
     clusters: tuple[PathwayCluster, ...]
     fallback: TransitionMatrix
-    profile_encoder: ProfileEncoder | None
+    profile_encoder: ProfileEncoder
     labels: tuple[int, ...]  # training assignment, aligned with the input order
 
     def __post_init__(self):
@@ -229,12 +223,10 @@ class PathwayClusters:
             if m.departments != self.departments:
                 raise ConfigError(f"pathway cluster matrices must be over the departments "
                                   f"{list(self.departments)}, got {list(m.departments)}")
-        if self.profile_encoder is not None:
-            width = len(self.profile_encoder.means)
-            if any(c.attribute_centroid is not None and len(c.attribute_centroid) != width
-                   for c in self.clusters):
-                raise ConfigError(f"pathway cluster attribute_centroid must have the "
-                                  f"profile encoder's {width} entries")
+        width = len(self.profile_encoder.means)
+        if any(len(c.attribute_centroid) != width for c in self.clusters):
+            raise ConfigError(f"pathway cluster attribute_centroid must have the "
+                              f"profile encoder's {width} entries")
 
     def routing_matrix(self, index: int) -> TransitionMatrix:
         c = self.clusters[index]
@@ -258,16 +250,19 @@ def _kmeans_once(X: np.ndarray, points: Distinct, k: int,
 
 
 def _nearest(points: Distinct, centroids: np.ndarray) -> np.ndarray:
-    """Label each point with its nearest centroid, then repair empty
-    clusters by stealing the globally worst-fitting point."""
+    """Label each point with its nearest centroid, then fill each empty
+    cluster, in order, with the worst-fitting point of a cluster that
+    keeps another member. With at least as many points as clusters, no
+    cluster is left empty."""
     dists = points.sq_distances(centroids)
     labels = np.argmin(dists, axis=1)
     assigned_d2 = dists[np.arange(len(dists)), labels]
-    for j in range(len(centroids)):
-        if not np.any(labels == j):
-            worst = int(np.argmax(assigned_d2))
-            labels[worst] = j
-            assigned_d2[worst] = -np.inf  # each repair takes a fresh point
+    sizes = np.bincount(labels, minlength=len(centroids))
+    for j in np.flatnonzero(sizes == 0):
+        worst = int(np.argmax(np.where(sizes[labels] > 1, assigned_d2, -np.inf)))
+        sizes[labels[worst]] -= 1
+        sizes[j] = 1
+        labels[worst] = j
     return labels
 
 
@@ -288,21 +283,22 @@ def cluster(
     trajectories: Trajectories,
     k: int,
     seed: int,
-    profiles: Profiles | None = None,
+    profiles: Profiles,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
     """Cluster trajectory encodings and fit one transition matrix each.
 
-    ``profiles`` (aligned with ``trajectories``) enables attribute
-    centroids, which ``assign_all`` needs. Clusters below
-    ``MIN_CLUSTER_MEMBERS`` members are flagged to route with the global
-    fallback matrix.
+    Each cluster's attribute centroid, which ``assign_all`` routes by, is
+    the mean encoded profile of its members (``profiles`` is aligned with
+    ``trajectories``). Clusters below ``MIN_CLUSTER_MEMBERS`` members, or
+    whose attribute centroid lies within ``ATTR_SEPARATION_MIN`` of
+    another's, are flagged to route with the global fallback matrix.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     if len(trajectories) < k:
         raise DataError(f"{len(trajectories)} trajectories for k={k}")
-    if profiles is not None and len(profiles) != len(trajectories):
+    if len(profiles) != len(trajectories):
         raise ConfigError("profiles must align with trajectories")
     departments = _alphabet(trajectories, departments)
     counts = transition_counts(trajectories, departments)
@@ -313,53 +309,29 @@ def cluster(
     counts = counts.astype(np.min_scalar_type(counts.max()))
     centroids, labels = _kmeans(X, k, stream(seed))
 
-    encoder, raw = _build_profile_encoder(profiles) if profiles is not None else (None, None)
-    attr_centroids: list[np.ndarray | None] = []
-    matrices = []
-    member_counts = []
-    for j in range(k):
-        member_idx = np.where(labels == j)[0]
-        member_counts.append(len(member_idx))
-        matrices.append(
-            _matrix(counts[member_idx].sum(axis=0), departments)
-            if len(member_idx) else fallback
-        )
-        if encoder is not None and len(member_idx) > 0:
-            means, sds = encoder._scale
-            attr_centroids.append(((raw[member_idx] - means) / sds).mean(axis=0))
-        else:
-            attr_centroids.append(None)
-
+    encoder = _build_profile_encoder(profiles)
+    encoded = encoder.encode_all(profiles)
+    members = [labels == j for j in range(k)]  # none is empty
+    sizes = [int(m.sum()) for m in members]
+    attr = [encoded[m].mean(axis=0) for m in members]
     # a cluster's matrix is only usable at admission time if its members
     # are attribute-distinguishable; otherwise route with the global matrix
-    separated = [True] * k
-    if k > 1 and encoder is not None:
-        for i in range(k):
-            for j in range(i + 1, k):
-                if attr_centroids[i] is None or attr_centroids[j] is None:
-                    continue
-                gap = float(np.linalg.norm(attr_centroids[i] - attr_centroids[j]))
-                if gap < ATTR_SEPARATION_MIN:
-                    separated[i] = separated[j] = False
-
-    clusters = []
-    for j in range(k):
-        clusters.append(
-            PathwayCluster(
-                centroid=tuple(float(v) for v in centroids[j]),
-                matrix=matrices[j],
-                member_count=member_counts[j],
-                attribute_centroid=(
-                    None if attr_centroids[j] is None
-                    else tuple(float(v) for v in attr_centroids[j])
-                ),
-                use_fallback=member_counts[j] < MIN_CLUSTER_MEMBERS or not separated[j],
-            )
+    clusters = tuple(
+        PathwayCluster(
+            centroid=tuple(float(v) for v in centroids[i]),
+            matrix=_matrix(counts[m].sum(axis=0), departments),
+            member_count=sizes[i],
+            attribute_centroid=tuple(float(v) for v in attr[i]),
+            use_fallback=sizes[i] < MIN_CLUSTER_MEMBERS or not all(
+                np.linalg.norm(attr[i] - attr[j]) >= ATTR_SEPARATION_MIN
+                for j in range(k) if j != i),
         )
+        for i, m in enumerate(members)
+    )
     return PathwayClusters(
         k=k,
         departments=departments,
-        clusters=tuple(clusters),
+        clusters=clusters,
         fallback=fallback,
         profile_encoder=encoder,
         labels=tuple(int(v) for v in labels),
@@ -369,12 +341,6 @@ def cluster(
 def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
     """Each profile's cluster: the nearest attribute centroid in
     standardized profile space, the lowest index on ties."""
-    if clusters.profile_encoder is None or any(
-        c.attribute_centroid is None for c in clusters.clusters
-    ):
-        raise DataError(
-            "clusters were fitted without profiles; cannot assign by attributes"
-        )
     centroids = np.array([c.attribute_centroid for c in clusters.clusters])
     dists = sq_distances(clusters.profile_encoder.encode_all(profiles), centroids)
     return np.argmin(dists, axis=1).tolist()
@@ -432,7 +398,7 @@ def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
 def sweep_k(
     trajectories: Trajectories,
     seed: int,
-    profiles: Profiles | None = None,
+    profiles: Profiles,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
     """Fit every k in ``SWEEP_K`` and keep the best mean silhouette.

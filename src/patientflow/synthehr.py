@@ -316,6 +316,9 @@ def sample_arrivals(config: GeneratorConfig, rng: Generator) -> list[float]:
     the acceptance test runs once over all candidates after the draws.
     """
     rmax = rate_max(config)
+    if not rmax > 0.0:
+        raise ConfigError(f"generator base_rate {config.base_rate!r} gives a peak rate "
+                          f"of {rmax!r} per h, which must be > 0")
     check_expected_arrivals(rmax * config.horizon, f"generator base_rate "
                             f"{config.base_rate!r} (peak rate {rmax:.3g} per h)",
                             config.horizon)

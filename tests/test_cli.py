@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -508,6 +511,8 @@ FIRST, SECOND = CLUSTERS["clusters"]
                    SECOND]}),
     ("pathway", CLUSTERS, {"profile_encoder": {**ENCODER, "sds": ENCODER["sds"][:-1]}}),
     ("pathway", CLUSTERS, {"profile_encoder": {**ENCODER, "sds": [0.0, *ENCODER["sds"][1:]]}}),
+    ("pathway", CLUSTERS, {"profile_encoder": None}),
+    ("pathway", CLUSTERS, {"clusters": [{**FIRST, "attribute_centroid": None}, SECOND]}),
     ("pathway", CLUSTERS, {"departments": ["ER", "ICU"]}),
 ], ids=["seasonal-shorter-than-m", "phase-equals-m", "phase-negative", "coef-too-short",
         "history-too-short", "no-lags", "ragged-probs-row", "counts-missing-row",
@@ -518,7 +523,8 @@ FIRST, SECOND = CLUSTERS["clusters"]
         "mixture-weights-sum-to-0", "forecast-negative", "forecast-negative-deterministic",
         "clusters-k-above-count", "clusters-k-negative", "clusters-k-0-none",
         "clusters-k-below-count", "clusters-centroid-short", "clusters-sds-short",
-        "clusters-sds-0", "clusters-departments-not-matrices"])
+        "clusters-sds-0", "clusters-encoder-null", "clusters-centroid-null",
+        "clusters-departments-not-matrices"])
 def test_model_document_of_wrong_shape_exits_2(tmp_path, capsys, slot, base, change):
     """A forecast model document (slot None), or a simulation config with
     the document in its pathway, arrival-driver or ER stay-model slot."""
@@ -949,6 +955,53 @@ def test_generator_stay_that_overflows_exits_3(tmp_path, capsys, default_scenari
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines() == ["data error: exit_time: inf is not finite"]
+
+
+def test_generator_peak_rate_that_underflows_exits_2(tmp_path, capsys, default_scenario_dict):
+    generator = {**default_scenario_dict["generator"], "horizon": 48.0, "base_rate": 1e-300,
+                 "hourly_profile": [1e-30] * 24}
+    config = write_json(tmp_path / "gen.json", generator)
+    assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "base_rate" in err
+
+
+# runs the CLI on its arguments with at most 2 GiB of address space, so that a
+# run that asks for more fails at once instead of exhausting the host
+BOUNDED_CLI = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from patientflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_bounded(argv) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", BOUNDED_CLI, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["fit", "--model", "poisson", "--bucket-width", "1e-9"], 3, "bucket_width"),
+    (["fit", "--model", "poisson", "--bucket-width", "1", "--horizon", "1e12"], 2, "horizon"),
+    (["forecast", "--h", "100000000000"], 2, "horizon"),
+], ids=["fit-bucket-width-1e-9", "fit-horizon-1e12", "forecast-h-1e11"])
+def test_bucket_count_is_checked_before_it_is_allocated(tmp_path, log_path, argv, code, named):
+    if argv[0] == "fit":
+        argv = [*argv, "--log", log_path, "--out", tmp_path / "model.json"]
+    else:
+        argv = [*argv, "--model", write_json(tmp_path / "model.json",
+                                             {"kind": "poisson", "lam": 4.0})]
+    run = run_bounded(argv)
+    assert run.returncode == code, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.strip().splitlines()) == 1
+    assert named in run.stderr
 
 
 @pytest.mark.parametrize("column, value", [("exit_time", "inf"), ("cost", "nan"),

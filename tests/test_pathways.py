@@ -2,12 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patientflow import codec, engine
 from patientflow.domain import DISCHARGE, ENTRY, extract_trajectories
-from patientflow.errors import DataError
+from patientflow.errors import ConfigError, DataError
 from patientflow.pathways import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -35,6 +35,12 @@ def encode(path, departments):
 
 def profile(pid, age=50, gender="F", com=1, drg="ACS"):
     return Row(pid, age, gender, com, drg)
+
+
+def same_profiles(trajectories):
+    """One default profile per trajectory, so every attribute centroid is
+    the same."""
+    return table([profile(str(i)) for i in range(len(trajectories))])
 
 
 def state_index(m, state):
@@ -225,7 +231,7 @@ def test_cluster_matrices_count_their_members():
     trs = extract_trajectories(result.log, result.profiles)
     paths = trajectory_paths(trs)
     departments = tuple(sorted(config.departments))
-    pc = cluster(trs, 3, seed=2, departments=departments)
+    pc = cluster(trs, 3, 2, result.profiles.take(trs.patient), departments)
     labels = np.asarray(pc.labels)
     assert np.array_equal(np.asarray(pc.fallback.counts),
                           loop_transition_counts(paths, departments))
@@ -240,7 +246,7 @@ def test_cluster_matrices_count_their_members():
 
 def test_cluster_k1_equals_global_matrix():
     trs = trajectories_of([["A", "B"], ["A"], ["B", "B"]])
-    pc = cluster(trs, 1, seed=0)
+    pc = cluster(trs, 1, 0, same_profiles(trs))
     global_m = fit_transition_matrix(trs)
     assert pc.clusters[0].matrix.counts == global_m.counts
     assert pc.clusters[0].matrix.probs == global_m.probs
@@ -250,7 +256,7 @@ def test_cluster_separates_two_pure_groups():
     trs = trajectories_of([["A"] for i in range(30)] + [
         ["A", "B", "B"] for i in range(30)
     ])
-    pc = cluster(trs, 2, seed=1)
+    pc = cluster(trs, 2, 1, same_profiles(trs))
     labels = np.asarray(pc.labels)
     assert set(labels[:30]) != set(labels[30:])
     assert len(set(labels[:30])) == 1
@@ -268,7 +274,7 @@ def test_cluster_counts_conserved():
         length = int(rng.integers(1, 6))
         paths.append([departments[int(rng.integers(3))] for _ in range(length)])
     trs = trajectories_of(paths)
-    pc = cluster(trs, 3, seed=5)
+    pc = cluster(trs, 3, 5, same_profiles(trs))
     global_m = fit_transition_matrix(trs, pc.departments)
     summed = np.zeros_like(np.asarray(global_m.counts))
     for c in pc.clusters:
@@ -279,18 +285,18 @@ def test_cluster_counts_conserved():
 
 def test_cluster_handles_more_clusters_than_distinct_points():
     trs = trajectories_of([["A"] for i in range(5)])
-    pc = cluster(trs, 3, seed=6)
+    pc = cluster(trs, 3, 6, same_profiles(trs))
     assert sum(c.member_count for c in pc.clusters) == 5
 
 
 def test_cluster_too_few():
     with pytest.raises(DataError, match="1 trajectories for k=2"):
-        cluster(trajectories_of([["A"]]), 2, seed=0)
+        cluster(trajectories_of([["A"]]), 2, 0, table([profile("p")]))
 
 
 def test_cluster_small_clusters_use_fallback():
     trs = trajectories_of([["A"] for i in range(40)] + [["A", "B"]])
-    pc = cluster(trs, 2, seed=7)
+    pc = cluster(trs, 2, 7, same_profiles(trs))
     sizes = sorted(c.member_count for c in pc.clusters)
     assert sizes == [1, 40]
     small = min(pc.clusters, key=lambda c: c.member_count)
@@ -325,9 +331,14 @@ def test_assign_k1_always_zero():
 
 
 def test_assign_requires_attribute_centroids():
-    pc = cluster(trajectories_of([["A"], ["A"]]), 1, seed=0)
-    with pytest.raises(DataError, match="fitted without profiles"):
-        assign_all(table([profile("x")]), pc)
+    """A clusters document without its profile encoder or an attribute
+    centroid does not decode, so ``assign_all`` always has both."""
+    trs = trajectories_of([["A"], ["A"]])
+    doc = codec.document(cluster(trs, 1, 0, same_profiles(trs)))
+    with pytest.raises(ConfigError, match=r"\.profile_encoder: expected an object"):
+        codec.decode({**doc, "profile_encoder": None})
+    with pytest.raises(ConfigError, match=r"\.attribute_centroid: expected a list"):
+        codec.decode({**doc, "clusters": [{**doc["clusters"][0], "attribute_centroid": None}]})
 
 
 def test_assign_exact_centroid_match():
@@ -478,14 +489,16 @@ def reference_kmeanspp(X, k, rng):
 
 
 def reference_nearest(X, centroids):
+    """Each point's nearest centroid; then each empty cluster, in order,
+    takes the worst-fitting point (the first on ties) of a cluster that
+    keeps another member."""
     dists = sq_distances(X, centroids)
     labels = np.argmin(dists, axis=1)
     assigned_d2 = dists[np.arange(len(X)), labels]
     for j in range(len(centroids)):
         if not np.any(labels == j):
-            worst = int(np.argmax(assigned_d2))
-            labels[worst] = j
-            assigned_d2[worst] = -np.inf
+            movable = [i for i in range(len(X)) if np.sum(labels == labels[i]) > 1]
+            labels[max(movable, key=lambda i: assigned_d2[i])] = j
     return labels
 
 
@@ -524,16 +537,25 @@ def point_sets(draw):
 @given(point_sets(), st.integers(0, 2**32 - 1))
 def test_kmeans_keeps_the_bits_of_the_per_point_distances(points, seed):
     X, k = points
-    with warnings.catch_warnings():
-        # a repair can empty a cluster it already repaired, whose mean then
-        # warns; both forms do it alike, and the comparison covers the case
-        warnings.simplefilter("ignore", RuntimeWarning)
-        centroids, labels = _kmeans(X, k, stream(seed))
-        reference_centroids, reference_labels = reference_kmeans(X, k, stream(seed))
+    centroids, labels = _kmeans(X, k, stream(seed))
+    reference_centroids, reference_labels = reference_kmeans(X, k, stream(seed))
     assert centroids.tobytes() == reference_centroids.tobytes()
     assert labels.tobytes() == reference_labels.tobytes()
     assert kmeanspp(distinct_rows(X), k, stream(seed)).tobytes() == reference_kmeanspp(
         X, k, stream(seed)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.integers(0, 2**32 - 1))
+@example((np.array([[0.0, 0.0, 0.0, 0.0]] * 2 + [[0.0, 0.0, 0.0, 0.25]] * 2), 4), 0)
+def test_kmeans_leaves_no_cluster_empty(points, seed):
+    """With at least as many points as clusters, a repair never takes a
+    cluster's only member, so no mean is of an empty slice."""
+    X, k = points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, labels = _kmeans(X, k, stream(seed))
+    assert np.bincount(labels, minlength=k).min() >= 1
 
 
 def test_kmeans_repairs_an_empty_cluster():
