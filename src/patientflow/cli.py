@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__, codec, estimators, inflow, pathways
 from .domain import (
     LOG_ARRAYS_TAG,
-    DepartmentSpec,
     bucketize,
     extract_trajectories,
     log_arrays,
@@ -35,10 +34,7 @@ from .domain import (
     parse_event_log,
 )
 from .engine import (
-    AttributeSampler,
     EmpiricalSampler,
-    ForecastDriven,
-    PoissonBaseline,
     SimConfig,
     replicate,
     write_census_csv,
@@ -151,6 +147,17 @@ def _parse_lags(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad --lags {text!r}, expected e.g. 1,24,168") from None
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: a number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _finite(value: float, flag: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{flag} must be a finite number, got {value}")
@@ -238,59 +245,26 @@ def _cmd_forecast(args) -> int:
     return 0
 
 
-def _kind(d):
-    return d.get("kind") if isinstance(d, dict) else None
-
-
-def _parse_sampler(d, base: Path):
-    kind = _kind(d)
-    if kind == "empirical":
-        if not isinstance(d.get("log"), str):
-            raise ConfigError("empirical sampler requires a 'log' path")
-        _, profiles = _load_log(str((base / d["log"]).resolve()))
-        if not profiles:
-            raise DataError("empirical sampler log has no profiles")
-        return EmpiricalSampler(profiles)
-    if kind == "attributes":
-        return codec.read(AttributeSampler, d, "profile_sampler")
-    raise ConfigError(f"unknown profile sampler kind {kind!r}")
-
-
-DRIVERS = {"poisson": PoissonBaseline, "forecast": ForecastDriven}
-
-
-def _parse_driver(d):
-    kind = _kind(d)
-    if not isinstance(kind, str) or kind not in DRIVERS:
-        raise ConfigError(f"unknown arrival driver kind {kind!r}")
-    return codec.read(DRIVERS[kind], d, "arrival_driver")
+def _parse_sampler(d: dict, base: Path) -> EmpiricalSampler:
+    """The empirical sampler of the log ``d`` names, relative to ``base``."""
+    log = codec.read(str, d.get("log"), "simulation config.profile_sampler.log")
+    _, profiles = _load_log(str((base / log).resolve()))
+    if not profiles:
+        raise DataError("empirical sampler log has no profiles")
+    return EmpiricalSampler(profiles)
 
 
 def _read_sim_config(d, base: Path) -> tuple[SimConfig, float]:
-    """A simulation config document and its census bucket width; an
-    empirical sampler's log path is relative to ``base``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"simulation config: expected an object, got {d!r:.60}")
-    try:
-        config = SimConfig(
-            departments=codec.read(tuple[DepartmentSpec, ...], d["departments"],
-                                   "departments"),
-            horizon=codec.read(float, d["horizon"], "horizon"),
-            warm_up=codec.read(float, d.get("warm_up", 0.0), "warm_up"),
-            arrival_driver=_parse_driver(d["arrival_driver"]),
-            los_models={
-                name: codec.decode(m, *codec.ESTIMATOR_KINDS)
-                for name, m in codec.read(dict, d["los_models"], "los_models").items()
-            },
-            cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
-            pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
-            profile_sampler=_parse_sampler(d["profile_sampler"], base),
-            seed=codec.read(int, d["seed"], "seed"),
-            replications=codec.read(int, d.get("replications", 1), "replications"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulation config missing key {exc}") from None
-    return config, codec.read(float, d.get("census_bucket", 24.0), "census_bucket")
+    """A simulation config document and its census bucket width. The
+    document is ``SimConfig``'s but for two things read here: the log file
+    an empirical sampler names, relative to ``base``, and ``census_bucket``,
+    an argument of ``replicate``."""
+    sampler = d.get("profile_sampler") if isinstance(d, dict) else None
+    if isinstance(sampler, dict) and sampler.get("kind") == "empirical":
+        d = {**d, "profile_sampler": _parse_sampler(sampler, base)}
+    config = codec.read(SimConfig, d, "simulation config")
+    return config, codec.read(float, d.get("census_bucket", 24.0),
+                              "simulation config.census_bucket")
 
 
 def _cmd_simulate(args) -> int:
@@ -428,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the simulation engine")
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="fit both stacks and compare on held-out data")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="print a human-readable summary")

@@ -6,14 +6,16 @@ simulation configs are documents of the same form, and ``write`` puts
 every JSON file the CLI writes in that form. A document holds a
 dataclass's fields by name: tuples become lists, nested dataclasses and
 ``dict[str, T]`` values nest. Every class in ``KINDS`` carries its
-``"kind"`` (nested transition matrices keep theirs) and tree nodes carry
-``"leaf"``, which is how ``decode`` tells alternatives apart.
+``"kind"`` (nested transition matrices keep theirs), as does each class
+marked ``tagged``, and tree nodes carry ``"leaf"``, which is how
+``decode`` and ``read`` tell alternatives apart.
 
 ``read`` converts each field to its annotated type. A field with a
 default may be absent; unknown keys are ignored. A field annotated
-``object`` is passed as it is, for its class to check. Anything else
-that does not fit, including a NaN or infinite float, raises
-``ConfigError`` naming the value's path in the document.
+``object`` is passed as it is, for its class to check, and so is a value
+that is already an instance of the field's dataclass. Anything else that
+does not fit, including a NaN or infinite float, raises ``ConfigError``
+naming the value's path in the document.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ PATHWAY_KINDS = _kinds_of(pathways)
 _TAGS = {cls: ("kind", kind) for kind, cls in KINDS.items()}
 _TAGS[estimators.TreeLeaf] = ("leaf", True)
 _TAGS[estimators.TreeSplit] = ("leaf", False)
+
+
+def tagged(kind: str):
+    """Class decorator: the documents of a dataclass outside ``KINDS``
+    carry ``"kind": kind``, so that ``read`` picks it out of a union."""
+    def register(cls):
+        _TAGS[cls] = ("kind", kind)
+        return cls
+    return register
 
 
 @functools.cache
@@ -145,6 +156,8 @@ def _decode(value, hint, path: str):
         item = typing.get_args(hint)[1]
         return {k: _decode(v, item, f"{path}.{k}") for k, v in value.items()}
     if dataclasses.is_dataclass(hint):
+        if isinstance(value, hint):
+            return value
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {value!r:.60}")
         values = {}

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -50,7 +51,7 @@ from numpy.random import Generator
 from . import codec
 from .domain import BUCKETS_MAX, DepartmentSpec, Profiles
 from .errors import ConfigError, DataError, InvariantViolation
-from .estimators import PROFILE_MODELS, draw_z, locations, sampler
+from .estimators import PROFILE_MODELS, Model, draw_z, locations, sampler
 from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
 from .seeding import blocks, stream
 from .synthehr import WALK_CAP, AttributeSampler, check_expected_arrivals
@@ -63,6 +64,7 @@ def _check_bucket_width(width: float) -> None:
         raise ConfigError(f"arrival bucket_width must be positive, got {width}")
 
 
+@codec.tagged("poisson")
 @dataclass(frozen=True)
 class PoissonBaseline:
     """Homogeneous Poisson arrivals at lam per bucket."""
@@ -76,6 +78,7 @@ class PoissonBaseline:
             raise ConfigError(f"PoissonBaseline lam must be >= 0, got {self.lam!r}")
 
 
+@codec.tagged("forecast")
 @dataclass(frozen=True)
 class ForecastDriven:
     """Arrivals follow a per-bucket expected-count forecast."""
@@ -155,24 +158,34 @@ ProfileSampler = Union[AttributeSampler, EmpiricalSampler]
 
 # --- configuration and results -----------------------------------------------------
 
+REPLICATIONS_MAX = 10_000  # 500 times the paper's 20
+
+
+def check_replications(replications: int) -> None:
+    """Reject a replication count outside [1, REPLICATIONS_MAX] before any
+    replication's work is allocated."""
+    if not 1 <= replications <= REPLICATIONS_MAX:
+        raise ConfigError(f"replications must lie in [1, {REPLICATIONS_MAX}], "
+                          f"got {replications}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     departments: tuple[DepartmentSpec, ...]
     horizon: float
-    warm_up: float
     arrival_driver: ArrivalDriver
-    los_models: dict  # department name -> estimator model
-    cot_model: object  # admission-level cost model
+    los_models: dict[str, Model]  # department name -> stay-duration model
+    cot_model: Model  # admission-level cost model
     pathway: Union[TransitionMatrix, PathwayClusters]
     profile_sampler: ProfileSampler
     seed: int
+    warm_up: float = 0.0
     replications: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.warm_up < self.horizon):
             raise ConfigError("warm_up must lie in [0, horizon)")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        check_replications(self.replications)
         names = [d.name for d in self.departments]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate department names")
@@ -747,18 +760,22 @@ def replicate(
 
     Replication r draws from sub-streams keyed by (seed, r), so results
     are identical whatever the execution order or the number of worker
-    processes; the summary reduces results pre-sorted by index.
+    processes; the summary reduces results pre-sorted by index. The pool
+    has one worker per chunk of replications, at most ``jobs`` and at most
+    ``os.cpu_count()``; with one, the replications run in this process.
     """
     if not census_bucket > 0.0:
         raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     census_buckets(census_bucket, config.horizon)
-    indices = list(range(config.replications))
-    if jobs > 1 and config.replications > 1:
+    indices = range(config.replications)
+    workers = min(jobs, config.replications, os.cpu_count() or 1)
+    if workers > 1:
         # Each worker gets the config once, as its initializer argument: a
         # forked worker inherits it without pickling, other start methods
-        # pickle it once per worker. One chunk of replications per worker.
-        chunk = math.ceil(config.replications / jobs)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_config,
+        # pickle it once per worker.
+        chunk = math.ceil(config.replications / workers)
+        with ProcessPoolExecutor(max_workers=math.ceil(config.replications / chunk),
+                                 initializer=_set_worker_config,
                                  initargs=(config,)) as pool:
             results = list(pool.map(_run_in_worker, indices, chunksize=chunk))
     else:

@@ -563,6 +563,10 @@ class RegressionTree:
 # models whose draws depend on the patient profile
 PROFILE_MODELS = (ConditionalModel, RegressionTree)
 
+# any stay-duration or cost model, as a simulation config holds one
+Model = Union[LognormalFit, GammaFit, WeibullFit, MixtureFit, ConditionalModel,
+              RegressionTree]
+
 
 def _best_numeric_split(values: np.ndarray, y: np.ndarray, min_leaf: int):
     order = np.argsort(values, kind="stable")

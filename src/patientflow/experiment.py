@@ -49,11 +49,12 @@ from .engine import (
     SimConfig,
     SimResult,
     bucket_census,
+    check_replications,
     replicate,
 )
 from .errors import ConfigError, DataError
 from .inflow import ForecasterSpec, MetricReport, default_calendar
-from .synthehr import GeneratorConfig, GenerateResult, generate
+from .synthehr import GeneratorConfig, generate
 from .pathways import TransitionMatrix
 
 STACK_A = "stack_a"
@@ -78,6 +79,9 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        check_replications(self.replications)
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
         if not self.bucket_width > 0:
@@ -285,13 +289,12 @@ def generator_class_matrix(config: GeneratorConfig, severity: int) -> Transition
 def run_experiment(
     scenario: ScenarioConfig,
     out_dir: str | Path | None = None,
-    oracle: GenerateResult | None = None,
 ) -> ComparisonReport:
     """Generate, split, fit both stacks, simulate the held-out window,
     and score both against ground truth. Deterministic given the
     scenario (byte-identical report JSON)."""
     gen_config = scenario.generator
-    result = oracle if oracle is not None else generate(gen_config)
+    result = generate(gen_config)
     log, profiles, truth = result.log, result.profiles, result.truth
 
     t_split = scenario.split_time

@@ -92,6 +92,7 @@ class LinearRate:
         return max(0.0, self.c0 + self.c1 * age)
 
 
+@codec.tagged("attributes")
 @dataclass(frozen=True)
 class AttributeSampler:
     """Parametric attribute generator (age mixture, gender, comorbidity

@@ -53,6 +53,26 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor`` in ``engine``: records the
+    number of workers each pool is asked for and maps in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return list(map(fn, iterable))
+
+
 # One patient's profile as a test writes it; ``table`` makes ``Profiles``
 # of a sequence of them.
 Row = namedtuple("Row", PROFILE_FIELDS)

@@ -16,23 +16,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import cli, codec, pathways
+from patientflow import cli, codec, engine, pathways
 from patientflow.cli import _read_sim_config, main
 from patientflow.domain import (
     CSV_FIELDS,
     PROFILE_FIELDS,
+    DepartmentSpec,
     event_log,
     parse_event_log,
     serialize_event_log,
 )
 from patientflow.estimators import TARGET_COT, fit_conditional, fit_mixture_em
-from patientflow.errors import PatientFlowError
+from patientflow.engine import (
+    AttributeSampler,
+    EmpiricalSampler,
+    ForecastDriven,
+    PoissonBaseline,
+    SimConfig,
+)
+from patientflow.errors import ConfigError, DataError, PatientFlowError
 from patientflow.experiment import ScenarioConfig
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
 from conftest import (
     SCENARIOS,
+    RecordingPool,
     Row,
     attribute_sim_config,
     flat_generator_dict,
@@ -910,6 +919,10 @@ CONFIG_HOLES = [
      2),
     ("synth", ("horizon",), 1e9, 2),
     ("synth", ("base_rate",), 1e9, 2),
+    ("simulate", ("replications",), 10_001, 2),
+    ("compare", ("replications",), 10_001, 2),
+    ("compare", ("jobs",), 0, 2),
+    ("compare", ("jobs",), -3, 2),
 ]
 
 
@@ -1433,3 +1446,179 @@ def test_fits_and_the_sampler_read_the_copy_the_first_fit_wrote(tmp_path, log_pa
                      "--out", str(tmp_path / f"parse{i}.json")]) == 0
         assert (tmp_path / f"parse{i}.json").read_bytes() == (
             tmp_path / f"copy{i}.json").read_bytes()
+
+
+# --- the simulation config reader against the field-by-field one it replaced ------
+
+def reference_read_sim_config(d, base: Path):
+    """The simulation config reader that built ``SimConfig`` field by field,
+    with its own driver table and sampler dispatch."""
+    def kind_of(doc):
+        return doc.get("kind") if isinstance(doc, dict) else None
+
+    def parse_sampler(doc):
+        kind = kind_of(doc)
+        if kind == "empirical":
+            if not isinstance(doc.get("log"), str):
+                raise ConfigError("empirical sampler requires a 'log' path")
+            _, profiles = cli._load_log(str((base / doc["log"]).resolve()))
+            if not profiles:
+                raise DataError("empirical sampler log has no profiles")
+            return EmpiricalSampler(profiles)
+        if kind == "attributes":
+            return codec.read(AttributeSampler, doc, "profile_sampler")
+        raise ConfigError(f"unknown profile sampler kind {kind!r}")
+
+    drivers = {"poisson": PoissonBaseline, "forecast": ForecastDriven}
+
+    def parse_driver(doc):
+        kind = kind_of(doc)
+        if not isinstance(kind, str) or kind not in drivers:
+            raise ConfigError(f"unknown arrival driver kind {kind!r}")
+        return codec.read(drivers[kind], doc, "arrival_driver")
+
+    if not isinstance(d, dict):
+        raise ConfigError(f"simulation config: expected an object, got {d!r:.60}")
+    try:
+        config = SimConfig(
+            departments=codec.read(tuple[DepartmentSpec, ...], d["departments"],
+                                   "departments"),
+            horizon=codec.read(float, d["horizon"], "horizon"),
+            warm_up=codec.read(float, d.get("warm_up", 0.0), "warm_up"),
+            arrival_driver=parse_driver(d["arrival_driver"]),
+            los_models={
+                name: codec.decode(m, *codec.ESTIMATOR_KINDS)
+                for name, m in codec.read(dict, d["los_models"], "los_models").items()
+            },
+            cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
+            pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
+            profile_sampler=parse_sampler(d["profile_sampler"]),
+            seed=codec.read(int, d["seed"], "seed"),
+            replications=codec.read(int, d.get("replications", 1), "replications"),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"simulation config missing key {exc}") from None
+    return config, codec.read(float, d.get("census_bucket", 24.0), "census_bucket")
+
+
+def assert_read_alike(doc, base=Path(".")):
+    config, width = _read_sim_config(doc, base)
+    assert (config, width) == reference_read_sim_config(doc, base)
+    return config
+
+
+def test_sim_config_fixtures_read_as_the_reference_reads_them(ml_sim_config_path, log_path):
+    empirical = {**capped_two_department_config(),
+                 "profile_sampler": {"kind": "empirical", "log": Path(log_path).name}}
+    configs = [assert_read_alike(doc) for doc in
+               (attribute_sim_config(), capped_two_department_config(),
+                scalar_streams_config())]
+    configs.append(assert_read_alike(empirical, Path(log_path).parent))
+    path = Path(ml_sim_config_path)
+    configs.append(assert_read_alike(json.loads(path.read_text()), path.parent))
+    assert {type(c.profile_sampler).__name__ for c in configs} == {
+        "AttributeSampler", "EmpiricalSampler"}
+    assert {type(c.arrival_driver).__name__ for c in configs} == {
+        "PoissonBaseline", "ForecastDriven"}
+    assert {type(c.pathway).__name__ for c in configs} == {
+        "TransitionMatrix", "PathwayClusters"}
+
+
+def finite(low, high):
+    """A JSON number in [low, high]: an integer or a float."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)),
+                     st.floats(low, high, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sim_documents(draw):
+    """Valid simulation config documents: each optional key present or
+    absent, either driver, any stay and cost model, capped or not, and
+    unknown keys here and there."""
+    doc = attribute_sim_config()
+    doc["horizon"] = draw(finite(1.0, 1e4))
+    doc["seed"] = draw(st.integers(0, 2**63))
+    if draw(st.booleans()):
+        doc["warm_up"] = draw(finite(0.0, 1.0)) * doc["horizon"] * 0.99
+    if draw(st.booleans()):
+        doc["replications"] = draw(st.integers(1, 10_000))
+    if draw(st.booleans()):
+        doc["census_bucket"] = draw(finite(1.0, 1e3))
+    if draw(st.booleans()):
+        doc["arrival_driver"] = {"kind": "poisson", "lam": draw(finite(0.0, 1e3))}
+    driver = doc["arrival_driver"]
+    if draw(st.booleans()):
+        driver["bucket_width"] = draw(finite(0.5, 48.0))
+    if driver["kind"] == "forecast" and draw(st.booleans()):
+        driver["deterministic"] = draw(st.booleans())
+    doc["departments"][0]["bed_capacity"] = draw(st.one_of(st.none(),
+                                                           st.integers(1, 10**6)))
+    doc["los_models"]["ER"] = draw(st.sampled_from(sorted(SCALE_MODELS.values(),
+                                                          key=json.dumps)))
+    doc["cot_model"] = draw(st.sampled_from(sorted(SCALE_MODELS.values(), key=json.dumps)))
+    if draw(st.booleans()):
+        doc["note"] = "unknown keys are ignored"
+        driver["note"] = 1
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_documents())
+def test_valid_sim_documents_read_as_the_reference_reads_them(doc):
+    assert_read_alike(json.loads(json.dumps(doc)))
+
+
+# --- bounds on replications and worker processes ----------------------------------
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_replications_are_checked_before_they_are_allocated(tmp_path, default_scenario_dict,
+                                                            command):
+    if command == "simulate":
+        doc = {**attribute_sim_config(), "replications": 10**12}
+        argv = ["simulate", "--config", write_json(tmp_path / "sim.json", doc)]
+    else:
+        generator = {**default_scenario_dict["generator"], "horizon": 1008.0,
+                     "base_rate": 4.0}
+        doc = {**default_scenario_dict, "generator": generator, "replications": 10**12}
+        argv = ["compare", "--scenario", write_json(tmp_path / "scenario.json", doc)]
+    run = run_bounded([*argv, "--out", tmp_path / "out"])
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.strip().splitlines()) == 1
+    assert "replications" in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_flag_below_1_exits_2(tmp_path, capsys, default_scenario_dict, command, jobs):
+    if command == "simulate":
+        argv = ["simulate", "--config",
+                write_json(tmp_path / "sim.json", attribute_sim_config())]
+    else:
+        argv = ["compare", "--scenario",
+                write_json(tmp_path / "scenario.json", default_scenario_dict)]
+    with time_limit(60):
+        assert main([*argv, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "argument --jobs: expected an integer >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch):
+    """``--jobs 4`` with 2 replications starts 2 workers, and writes what
+    ``--jobs 1`` writes."""
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(engine, "_worker_config", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    config = write_json(tmp_path / "sim.json",
+                        {**capped_two_department_config(), "replications": 2})
+    outputs = {}
+    for jobs in ("1", "4"):
+        out = tmp_path / jobs
+        assert main(["simulate", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+        outputs[jobs] = [(out / name).read_bytes() for name in SIMULATE_GOLDEN]
+    assert RecordingPool.started == [2]
+    assert outputs["4"] == outputs["1"]

@@ -1,5 +1,6 @@
 import heapq
 import math
+import os
 from collections import deque
 from dataclasses import replace
 from itertools import count
@@ -48,7 +49,7 @@ from patientflow.synthehr import (
     generate,
 )
 
-from conftest import attribute_sim_config, time_limit
+from conftest import RecordingPool, attribute_sim_config, time_limit
 
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
@@ -447,6 +448,30 @@ def test_config_validation():
         base_config(warm_up=720.0)
     with pytest.raises(ConfigError):
         base_config(replications=0)
+
+
+def test_replications_are_capped():
+    base_config(replications=engine.REPLICATIONS_MAX)
+    with pytest.raises(ConfigError, match="replications must lie in"):
+        base_config(replications=engine.REPLICATIONS_MAX + 1)
+
+
+@pytest.mark.parametrize("jobs, replications, cpus, workers", [
+    (8, 10, 2, 2), (4, 10, 1, None), (4, 5, 8, 3), (3, 7, 8, 3), (4, 2, 8, 2),
+    (2, 1, 8, None), (1, 4, 8, None),
+])
+def test_pool_starts_one_worker_per_chunk_and_at_most_one_per_cpu(
+        monkeypatch, jobs, replications, cpus, workers):
+    """The pool a fake executor records: ``None`` means the replications ran
+    in this process. Results are those of the serial run."""
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(engine, "_worker_config", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = base_config(seed=31, horizon=120.0, replications=replications)
+    results, summary = replicate(config, jobs=jobs)
+    assert RecordingPool.started == ([] if workers is None else [workers])
+    assert (results, summary) == replicate(replace(config), jobs=1)
 
 
 def test_attribute_sampler_matches_generator_profiles(default_generator):
