@@ -45,12 +45,10 @@ from .errors import ConfigError, DataError, NumericError, PatientFlowError
 from .experiment import ScenarioConfig, run_experiment
 from .synthehr import GeneratorConfig, generate, write_outputs
 
-INFLOW_KINDS = codec.INFLOW_KINDS
 LOS_KINDS = ("lognormal_los", "gamma_los", "weibull_los", "mixture_los",
              "conditional_los", "tree_los")
 COT_KINDS = ("lognormal_cot", "conditional_cot")
-PATHWAY_KINDS = ("transition", "clusters")
-FIT_KINDS = INFLOW_KINDS + LOS_KINDS + COT_KINDS + PATHWAY_KINDS
+FIT_KINDS = inflow.INFLOW_KINDS + LOS_KINDS + COT_KINDS + ("transition", "clusters")
 
 
 def _info(msg: str) -> None:
@@ -80,6 +78,8 @@ def _read_json(path: str) -> dict:
         return json.loads(_decode(path, _read_bytes(path), ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
 
 
 def _load_log(path: str):
@@ -186,7 +186,7 @@ def _cmd_fit(args) -> int:
     if not len(log):
         raise DataError("event log is empty")
 
-    if kind in INFLOW_KINDS:
+    if kind in inflow.INFLOW_KINDS:
         width = _finite(args.bucket_width, "--bucket-width")
         if width <= 0.0:
             raise ConfigError(f"--bucket-width must be positive, got {width}")
@@ -223,7 +223,7 @@ def _cmd_fit(args) -> int:
         else:  # conditional_cot
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
 
-    else:  # pathway kinds
+    else:  # transition or clusters
         trajectories = extract_trajectories(log, profiles)
         if kind == "transition":
             model = pathways.fit_transition_matrix(trajectories)
@@ -239,7 +239,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    model = codec.decode(_read_json(args.model), *codec.INFLOW_KINDS)
+    model = codec.read(inflow.InflowModel, _read_json(args.model), args.model)
     for value in inflow.forecast(model, args.h):
         sys.stdout.write(f"{value:.6f}\n")
     return 0

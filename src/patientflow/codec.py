@@ -5,10 +5,10 @@ experiment's fingerprints read them; the generator, scenario and
 simulation configs are documents of the same form, and ``write`` puts
 every JSON file the CLI writes in that form. A document holds a
 dataclass's fields by name: tuples become lists, nested dataclasses and
-``dict[str, T]`` values nest. Every class in ``KINDS`` carries its
-``"kind"`` (nested transition matrices keep theirs), as does each class
-marked ``tagged``, and tree nodes carry ``"leaf"``, which is how
-``decode`` and ``read`` tell alternatives apart.
+``dict[str, T]`` values nest. Each model class, and each other
+alternative of a union, declares with ``tagged`` the tag its documents
+carry: a ``"kind"`` (nested transition matrices keep theirs), or for
+tree nodes a ``"leaf"``. That is how ``read`` tells alternatives apart.
 
 ``read`` converts each field to its annotated type. A field with a
 default may be absent; unknown keys are ignored. A field annotated
@@ -28,46 +28,23 @@ import types
 import typing
 from pathlib import Path
 
-from . import estimators, inflow, pathways
 from .errors import ConfigError
 
-KINDS = {
-    "lognormal": estimators.LognormalFit,
-    "gamma": estimators.GammaFit,
-    "weibull": estimators.WeibullFit,
-    "lognormal_mixture": estimators.MixtureFit,
-    "conditional": estimators.ConditionalModel,
-    "tree": estimators.RegressionTree,
-    "poisson": inflow.HomogeneousPoisson,
-    "seasonal_naive": inflow.SeasonalNaive,
-    "holt_winters": inflow.HoltWinters,
-    "lag_regression": inflow.LagRegression,
-    "transition_matrix": pathways.TransitionMatrix,
-    "pathway_clusters": pathways.PathwayClusters,
-}
+_TAGS: dict[type, tuple[str, object]] = {}  # class -> the (key, tag) its documents carry
 
 
-def _kinds_of(module) -> tuple[str, ...]:
-    return tuple(kind for kind, cls in KINDS.items() if cls.__module__ == module.__name__)
-
-
-ESTIMATOR_KINDS = _kinds_of(estimators)  # stay and cost models
-INFLOW_KINDS = _kinds_of(inflow)
-PATHWAY_KINDS = _kinds_of(pathways)
-
-# the (key, value) pair a class's document carries to name its class
-_TAGS = {cls: ("kind", kind) for kind, cls in KINDS.items()}
-_TAGS[estimators.TreeLeaf] = ("leaf", True)
-_TAGS[estimators.TreeSplit] = ("leaf", False)
-
-
-def tagged(kind: str):
-    """Class decorator: the documents of a dataclass outside ``KINDS``
-    carry ``"kind": kind``, so that ``read`` picks it out of a union."""
+def tagged(tag, key: str = "kind"):
+    """Class decorator: the documents of a dataclass carry ``key: tag``, by
+    which ``read`` picks it out of a union; the tag need be unique only there."""
     def register(cls):
-        _TAGS[cls] = ("kind", kind)
+        _TAGS[cls] = (key, tag)
         return cls
     return register
+
+
+def tags(union) -> tuple:
+    """The tags of a union's tagged alternatives, in the union's order."""
+    return tuple(_TAGS[t][1] for t in typing.get_args(union) if t in _TAGS)
 
 
 @functools.cache
@@ -108,28 +85,21 @@ def _encode(value):
     return doc
 
 
-def decode(doc, *kinds: str):
-    """Read a model document back. ``kinds`` limits the accepted kinds
-    (all of ``KINDS`` when empty)."""
-    allowed = kinds or tuple(KINDS)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in allowed:
-        raise ConfigError(f"model kind {kind!r} is not one of {', '.join(allowed)}")
-    return _decode(doc, KINDS[kind], kind)
-
-
 def read(cls, doc, path: str):
     """Decode the document of ``cls``, a dataclass or a scalar type such as
     ``float``; ``path`` names the document in error messages."""
-    return _decode(doc, cls, path)
+    try:
+        return _decode(doc, cls, path)
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
 
 
 def _matches(value, option) -> bool:
-    """Whether a value can be read as one alternative of a union: tagged
-    dataclasses by their tag, scalars by their exact JSON type."""
-    if option in _TAGS:
-        key, tag = _TAGS[option]
-        return isinstance(value, dict) and value.get(key) == tag
+    """Whether a value can be read as one alternative of a union: a tagged
+    dataclass's document by its tag, anything else by its exact type."""
+    key, tag = _TAGS.get(option, (None, None))
+    if isinstance(value, dict) and key in value:
+        return value[key] == tag
     return type(value) is option
 
 
@@ -139,7 +109,8 @@ def _decode(value, hint, path: str):
         if value is None and len(options) < len(typing.get_args(hint)):
             return None
         if len(options) > 1:
-            names = " or ".join(t.__name__ for t in options)
+            names = " or ".join(repr(_TAGS[t][1]) if t in _TAGS else t.__name__
+                                for t in options)
             options = [t for t in options if _matches(value, t)]
             if not options:
                 raise ConfigError(f"{path}: expected {names}, got {value!r:.60}")

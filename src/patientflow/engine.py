@@ -52,7 +52,7 @@ from . import codec
 from .domain import BUCKETS_MAX, DepartmentSpec, Profiles
 from .errors import ConfigError, DataError, InvariantViolation
 from .estimators import PROFILE_MODELS, Model, draw_z, locations, sampler
-from .pathways import PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
+from .pathways import Pathway, PathwayClusters, TransitionMatrix, assign_all, cumulative_rows
 from .seeding import blocks, stream
 from .synthehr import WALK_CAP, AttributeSampler, check_expected_arrivals
 
@@ -146,6 +146,7 @@ def inject_arrivals(driver: ArrivalDriver, horizon: float, rng: Generator) -> li
 
 # --- profile samplers -----------------------------------------------------------
 
+@codec.tagged("empirical")
 @dataclass(frozen=True)
 class EmpiricalSampler:
     """Resample observed profiles uniformly with replacement."""
@@ -176,7 +177,7 @@ class SimConfig:
     arrival_driver: ArrivalDriver
     los_models: dict[str, Model]  # department name -> stay-duration model
     cot_model: Model  # admission-level cost model
-    pathway: Union[TransitionMatrix, PathwayClusters]
+    pathway: Pathway
     profile_sampler: ProfileSampler
     seed: int
     warm_up: float = 0.0

@@ -25,6 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.random import Generator
 
+from . import codec
 from .domain import Profiles
 from .errors import ConfigError, DataError, NumericError
 from .seeding import cumulative, distinct_rows, draw_cumulative, kmeanspp, stream
@@ -58,6 +59,7 @@ def ridge_solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # --- univariate fits ---------------------------------------------------------
 
+@codec.tagged("lognormal")
 @dataclass(frozen=True)
 class LognormalFit:
     mu: float
@@ -70,6 +72,7 @@ class LognormalFit:
         _check_non_negative(self, "sigma")
 
 
+@codec.tagged("gamma")
 @dataclass(frozen=True)
 class GammaFit:
     shape: float
@@ -81,6 +84,7 @@ class GammaFit:
         _check_non_negative(self, "shape", "scale")
 
 
+@codec.tagged("weibull")
 @dataclass(frozen=True)
 class WeibullFit:
     shape: float
@@ -207,6 +211,7 @@ class MixtureComponent:
         _check_non_negative(self, "weight", "sigma")
 
 
+@codec.tagged("lognormal_mixture")
 @dataclass(frozen=True)
 class MixtureFit:
     components: tuple[MixtureComponent, ...]
@@ -382,6 +387,7 @@ def build_feature_spec(profiles: Profiles) -> FeatureSpec:
     return FeatureSpec(numeric=tuple(nums), categorical=tuple(cats))
 
 
+@codec.tagged("conditional")
 @dataclass(frozen=True)
 class ConditionalModel:
     """ln-target linear model with Gaussian residuals."""
@@ -520,12 +526,14 @@ def sampler(model) -> Callable[[float, Generator], float]:
 
 # --- CART regression tree ------------------------------------------------------
 
+@codec.tagged(True, key="leaf")
 @dataclass(frozen=True)
 class TreeLeaf:
     mean_ln: float
     count: int
 
 
+@codec.tagged(False, key="leaf")
 @dataclass(frozen=True)
 class TreeSplit:
     feature: str
@@ -547,6 +555,7 @@ class TreeSplit:
 TreeNode = Union[TreeLeaf, TreeSplit]
 
 
+@codec.tagged("tree")
 @dataclass(frozen=True)
 class RegressionTree:
     root: TreeNode

@@ -92,6 +92,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown cot_estimator {self.cot_estimator!r}")
         if not (isinstance(self.pathway_k, int) or self.pathway_k == "sweep"):
             raise ConfigError("pathway_k must be an integer or 'sweep'")
+        if isinstance(self.pathway_k, int) and self.pathway_k < 1:
+            raise ConfigError(f"pathway_k must be >= 1, got {self.pathway_k}")
         if self.capacities is not None:
             if not isinstance(self.capacities, dict):
                 raise ConfigError("capacities must map departments to bed capacities")

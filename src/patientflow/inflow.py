@@ -31,6 +31,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import codec
 from .domain import BUCKETS_MAX, ArrivalSeries
 from .errors import ConfigError, DataError
 from .estimators import ridge_solve
@@ -38,6 +39,7 @@ from .estimators import ridge_solve
 HW_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
+@codec.tagged("poisson")
 @dataclass(frozen=True)
 class HomogeneousPoisson:
     """Constant per-bucket rate, the stochastic-distribution baseline."""
@@ -50,6 +52,7 @@ class HomogeneousPoisson:
             raise ConfigError(f"HomogeneousPoisson lam must be >= 0, got {self.lam!r}")
 
 
+@codec.tagged("seasonal_naive")
 @dataclass(frozen=True)
 class SeasonalNaive:
     """Repeats the last observed season."""
@@ -64,6 +67,7 @@ class SeasonalNaive:
             raise ConfigError("tail length must equal m")
 
 
+@codec.tagged("holt_winters")
 @dataclass(frozen=True)
 class HoltWinters:
     """Additive level + trend + seasonal state after smoothing."""
@@ -105,6 +109,7 @@ class CalendarTerm:
         return (t // self.phase_width) % self.n_phases
 
 
+@codec.tagged("lag_regression")
 @dataclass(frozen=True)
 class LagRegression:
     """Least squares on lagged counts, calendar one-hots and a ramp.
@@ -135,6 +140,7 @@ class LagRegression:
 
 
 InflowModel = Union[HomogeneousPoisson, SeasonalNaive, HoltWinters, LagRegression]
+INFLOW_KINDS = codec.tags(InflowModel)  # the kinds fit and ForecasterSpec accept
 
 
 @dataclass(frozen=True)
@@ -366,7 +372,7 @@ def evaluate(predicted: Sequence[float], actual: Sequence[float]) -> MetricRepor
 class ForecasterSpec:
     """Declarative choice of inflow model, used by the experiment and the CLI."""
 
-    kind: str  # poisson | seasonal_naive | holt_winters | lag_regression
+    kind: str  # one of INFLOW_KINDS
     m: int | None = None
     alpha: float | None = None
     beta: float | None = None
@@ -374,19 +380,20 @@ class ForecasterSpec:
     lags: tuple[int, ...] = ()
     calendar: tuple[CalendarTerm, ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in INFLOW_KINDS:
+            raise ConfigError(f"unknown forecaster kind {self.kind!r}, expected one of "
+                              f"{', '.join(INFLOW_KINDS)}")
+        if self.kind in ("seasonal_naive", "holt_winters") and self.m is None:
+            raise ConfigError(f"{self.kind} requires m")
+        if self.kind == "lag_regression" and not self.lags:
+            raise ConfigError("lag_regression requires lags")
+
     def fit(self, series: ArrivalSeries) -> InflowModel:
         if self.kind == "poisson":
             return fit_poisson(series)
         if self.kind == "seasonal_naive":
-            if self.m is None:
-                raise ConfigError("seasonal_naive requires m")
             return fit_seasonal_naive(series, self.m)
         if self.kind == "holt_winters":
-            if self.m is None:
-                raise ConfigError("holt_winters requires m")
             return fit_holt_winters(series, self.m, self.alpha, self.beta, self.gamma)
-        if self.kind == "lag_regression":
-            if not self.lags:
-                raise ConfigError("lag_regression requires lags")
-            return fit_lag_regression(series, self.lags, self.calendar)
-        raise ConfigError(f"unknown forecaster kind {self.kind!r}")
+        return fit_lag_regression(series, self.lags, self.calendar)

@@ -14,11 +14,12 @@ sequence-edit-distance medoids are possible extensions, not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.random import Generator
 
+from . import codec
 from .domain import ENTRY, Profiles, Trajectories
 from .errors import ConfigError, DataError
 from .seeding import Distinct, cumulative, distinct_rows, kmeanspp, sq_distances, stream
@@ -31,6 +32,7 @@ SWEEP_K = (1, 2, 3, 4, 5)  # the cluster counts sweep_k tries
 SILHOUETTE_CAP = 2000     # sweep_k scores at most this many trajectories
 
 
+@codec.tagged("transition_matrix")
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transitions; rows ENTRY + departments, columns
@@ -206,6 +208,7 @@ class PathwayCluster:
     use_fallback: bool
 
 
+@codec.tagged("pathway_clusters")
 @dataclass(frozen=True)
 class PathwayClusters:
     k: int
@@ -232,6 +235,8 @@ class PathwayClusters:
         c = self.clusters[index]
         return self.fallback if c.use_fallback else c.matrix
 
+
+Pathway = Union[TransitionMatrix, PathwayClusters]  # a simulation's pathway model
 
 KMEANS_RESTARTS = 10
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patientflow import cli, codec, engine, pathways
+from patientflow import cli, codec, engine, experiment, pathways
 from patientflow.cli import _read_sim_config, main
 from patientflow.domain import (
     CSV_FIELDS,
@@ -26,7 +26,7 @@ from patientflow.domain import (
     parse_event_log,
     serialize_event_log,
 )
-from patientflow.estimators import TARGET_COT, fit_conditional, fit_mixture_em
+from patientflow.estimators import TARGET_COT, Model, fit_conditional, fit_mixture_em
 from patientflow.engine import (
     AttributeSampler,
     EmpiricalSampler,
@@ -1487,11 +1487,11 @@ def reference_read_sim_config(d, base: Path):
             warm_up=codec.read(float, d.get("warm_up", 0.0), "warm_up"),
             arrival_driver=parse_driver(d["arrival_driver"]),
             los_models={
-                name: codec.decode(m, *codec.ESTIMATOR_KINDS)
+                name: codec.read(Model, m, f"los_models.{name}")
                 for name, m in codec.read(dict, d["los_models"], "los_models").items()
             },
-            cot_model=codec.decode(d["cot_model"], *codec.ESTIMATOR_KINDS),
-            pathway=codec.decode(d["pathway"], *codec.PATHWAY_KINDS),
+            cot_model=codec.read(Model, d["cot_model"], "cot_model"),
+            pathway=codec.read(pathways.Pathway, d["pathway"], "pathway"),
             profile_sampler=parse_sampler(d["profile_sampler"]),
             seed=codec.read(int, d["seed"], "seed"),
             replications=codec.read(int, d.get("replications", 1), "replications"),
@@ -1622,3 +1622,103 @@ def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch
         outputs[jobs] = [(out / name).read_bytes() for name in SIMULATE_GOLDEN]
     assert RecordingPool.started == [2]
     assert outputs["4"] == outputs["1"]
+
+
+# --- the tags a union slot's error lists --------------------------------------------
+
+ESTIMATOR_TAGS = ("'lognormal' or 'gamma' or 'weibull' or 'lognormal_mixture' or "
+                  "'conditional' or 'tree'")
+
+
+@pytest.mark.parametrize("slot, path, tags", [
+    (("los_models", "ER"), "simulation config.los_models.ER", ESTIMATOR_TAGS),
+    (("cot_model",), "simulation config.cot_model", ESTIMATOR_TAGS),
+    (("pathway",), "simulation config.pathway", "'transition_matrix' or 'pathway_clusters'"),
+    (("arrival_driver",), "simulation config.arrival_driver", "'poisson' or 'forecast'"),
+    (("profile_sampler",), "simulation config.profile_sampler",
+     "'attributes' or 'empirical'"),
+    ((), None, "'poisson' or 'seasonal_naive' or 'holt_winters' or 'lag_regression'"),
+], ids=["los_models", "cot_model", "pathway", "arrival_driver", "profile_sampler",
+        "forecast-model"])
+def test_unknown_kind_error_lists_the_slot_tags(tmp_path, capsys, slot, path, tags):
+    if slot:
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--config", write_json(
+            tmp_path / "sim.json", replaced(attribute_sim_config(), slot, {"kind": "bad"}))]
+    else:
+        path = write_json(tmp_path / "model.json", {"kind": "bad"})
+        argv = ["forecast", "--model", path, "--h", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected {tags}, got {{'kind': 'bad'}}\n")
+
+
+# --- documents nested deeper than the parser's recursion limit ---------------------
+
+DEEP = '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "compare", "forecast", "report"])
+def test_deeply_nested_document_exits_2_in_one_line(tmp_path, capsys, command):
+    doc = tmp_path / ("report.json" if command == "report" else "doc.json")
+    doc.write_text(DEEP)
+    out = ["--out", str(tmp_path / "out")]
+    argv = {"synth": ["synth", "--config", str(doc), *out],
+            "simulate": ["simulate", "--config", str(doc), *out],
+            "compare": ["compare", "--scenario", str(doc), *out],
+            "forecast": ["forecast", "--model", str(doc), "--h", "2"],
+            "report": ["report", "--in", str(tmp_path)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {doc}: nested too deeply\n"
+
+
+def tree_stay_config(depth: int) -> str:
+    """The text of ``attribute_sim_config`` with a tree stay model of
+    ``depth`` nested splits, written without the recursive JSON encoder."""
+    root = '{"leaf": true, "mean_ln": 3.0, "count": 5}'
+    for i in range(depth):
+        root = ('{"leaf": false, "feature": "age", "kind": "numeric", '
+                f'"threshold": {depth - i}.5, "level": null, '
+                f'"left": {{"leaf": true, "mean_ln": 2.0, "count": 5}}, "right": {root}}}')
+    config = attribute_sim_config()
+    config["los_models"]["ER"] = {**TREE, "root": "ROOT", "max_depth": depth}
+    return json.dumps(config).replace('"ROOT"', root)
+
+
+@pytest.mark.parametrize("depth, code", [(900, 0), (2_000, 2)])
+def test_deep_tree_stay_model_runs_or_exits_2(tmp_path, capsys, depth, code):
+    config = tmp_path / "sim.json"
+    config.write_text(tree_stay_config(depth))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err == f"error: {config}: nested too deeply\n"
+
+
+# --- scenario checks that come before the generator runs -----------------------------
+
+@pytest.mark.parametrize("key, value, message", [
+    ("forecaster", {"kind": "bogus"}, "unknown forecaster kind 'bogus'"),
+    ("forecaster", {"kind": "holt_winters"}, "holt_winters requires m"),
+    ("forecaster", {"kind": "seasonal_naive"}, "seasonal_naive requires m"),
+    ("forecaster", {"kind": "lag_regression"}, "lag_regression requires lags"),
+    ("pathway_k", 0, "pathway_k must be >= 1, got 0"),
+    ("pathway_k", -2, "pathway_k must be >= 1, got -2"),
+], ids=["bogus-kind", "holt-winters-no-m", "seasonal-naive-no-m", "lag-regression-no-lags",
+        "pathway-k-0", "pathway-k-minus-2"])
+def test_scenario_is_checked_before_generate(tmp_path, capsys, monkeypatch,
+                                             default_scenario_dict, key, value, message):
+    calls = []
+
+    def generate(config):
+        calls.append(config)
+        return real_generate(config)
+
+    real_generate = experiment.generate
+    monkeypatch.setattr(experiment, "generate", generate)
+    scenario = write_json(tmp_path / "scenario.json", {**default_scenario_dict, key: value})
+    assert main(["compare", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert calls == []
+    assert len(err.splitlines()) == 1
+    assert message in err

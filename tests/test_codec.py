@@ -1,5 +1,8 @@
+import ast
 import json
 import math
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -46,19 +49,42 @@ def one_model_per_kind():
     ]
 
 
+# the unions a model document is read as, the slots of fit's outputs
+MODEL_UNIONS = (estimators.Model, inflow.InflowModel, pathways.Pathway)
+
+
+def union_of(model):
+    return next(u for u in MODEL_UNIONS if type(model) in typing.get_args(u))
+
+
 def test_every_kind_round_trips_through_json():
     models = one_model_per_kind()
-    assert {type(m) for m in models} == set(codec.KINDS.values())
     for model in models:
         doc = json.loads(json.dumps(codec.document(model)))
-        assert codec.KINDS[doc["kind"]] is type(model)
-        assert codec.decode(doc) == model
+        assert codec.read(union_of(model), doc, "model") == model
 
 
-def test_slot_kinds_partition_the_table():
-    slots = codec.ESTIMATOR_KINDS + codec.INFLOW_KINDS + codec.PATHWAY_KINDS
-    assert sorted(slots) == sorted(codec.KINDS)
-    assert codec.PATHWAY_KINDS == ("transition_matrix", "pathway_clusters")
+def test_model_unions_hold_the_twelve_classes_under_distinct_tags():
+    members = [t for u in MODEL_UNIONS for t in typing.get_args(u)]
+    assert len(members) == len(set(members)) == 12
+    assert set(members) == {type(m) for m in one_model_per_kind()}
+    for union in MODEL_UNIONS:
+        tags = codec.tags(union)
+        assert len(tags) == len(typing.get_args(union)) == len(set(tags))
+    assert codec.tags(pathways.Pathway) == ("transition_matrix", "pathway_clusters")
+    assert inflow.INFLOW_KINDS == codec.tags(inflow.InflowModel)
+
+
+def test_codec_imports_nothing_from_the_package_but_errors():
+    """The codec is a leaf: the model modules import it to declare their tags."""
+    tree = ast.parse(Path(codec.__file__).read_text(encoding="utf-8"))
+    names = [(node.level, node.module or "") for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)]
+    names += [(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names]
+    package = [module for level, module in names
+               if level or module.split(".")[0] == "patientflow"]
+    assert package == ["errors"]
 
 
 # --- golden documents: kinds no benchmark digest covers ---------------------------
@@ -130,24 +156,24 @@ def test_golden_document(fit, expected):
 LOGNORMAL = {"kind": "lognormal", "mu": 1.0, "sigma": 0.5, "n": 3, "loglik": 0.0}
 
 
-@pytest.mark.parametrize("doc, kinds", [
-    ([LOGNORMAL], ()),
-    ({**LOGNORMAL, "kind": "forest"}, ()),
-    (LOGNORMAL, codec.INFLOW_KINDS),
-    ({**LOGNORMAL, "n": 3.5}, ()),
-    ({**LOGNORMAL, "degenerate": "no"}, ()),
-    ({**LOGNORMAL, "sigma": -math.inf}, ()),
-    ({**LOGNORMAL, "mu": 10**400}, ()),
-    ({"kind": "seasonal_naive", "m": 2, "tail": 5.0}, ()),
-    ({"kind": "seasonal_naive", "m": 2, "tail": [1.0]}, ()),
+@pytest.mark.parametrize("doc, union", [
+    ([LOGNORMAL], estimators.Model),
+    ({**LOGNORMAL, "kind": "forest"}, estimators.Model),
+    (LOGNORMAL, inflow.InflowModel),
+    ({**LOGNORMAL, "n": 3.5}, estimators.Model),
+    ({**LOGNORMAL, "degenerate": "no"}, estimators.Model),
+    ({**LOGNORMAL, "sigma": -math.inf}, estimators.Model),
+    ({**LOGNORMAL, "mu": 10**400}, estimators.Model),
+    ({"kind": "seasonal_naive", "m": 2, "tail": 5.0}, inflow.InflowModel),
+    ({"kind": "seasonal_naive", "m": 2, "tail": [1.0]}, inflow.InflowModel),
     ({"kind": "tree", "max_depth": 1, "min_leaf": 1, "numeric": [], "categorical": [],
-      "root": {"mean_ln": 0.0, "count": 3}}, ()),
+      "root": {"mean_ln": 0.0, "count": 3}}, estimators.Model),
 ], ids=["not-an-object", "unknown-kind", "outside-slot", "fractional-int", "string-bool",
         "infinite-float", "huge-int", "scalar-for-list", "post-init-check",
         "untagged-tree-node"])
-def test_malformed_documents_raise_config_error(doc, kinds):
+def test_malformed_documents_raise_config_error(doc, union):
     with pytest.raises(ConfigError):
-        codec.decode(doc, *kinds)
+        codec.read(union, doc, "model")
 
 
 @pytest.mark.parametrize("row, state, probs", [
@@ -159,11 +185,11 @@ def test_observed_transition_row_must_sum_to_one(row, state, probs):
     doc = codec.document(pathways.fit_transition_matrix(trajectories_of([["ER", "WARD"]])))
     doc["probs"][row] = probs
     with pytest.raises(ConfigError, match=rf"row '{state}' sums to"):
-        codec.decode(doc)
+        codec.read(pathways.Pathway, doc, "pathway")
     clusters = {"kind": "pathway_clusters", "k": 1, "departments": ["ER", "WARD"],
                 "clusters": [], "fallback": doc, "profile_encoder": None, "labels": []}
     with pytest.raises(ConfigError, match=rf"row '{state}' sums to"):
-        codec.decode(clusters)
+        codec.read(pathways.Pathway, clusters, "pathway")
 
 
 def test_unobserved_transition_row_may_be_zero_and_a_near_one_sum_passes():
@@ -171,11 +197,11 @@ def test_unobserved_transition_row_may_be_zero_and_a_near_one_sum_passes():
     doc["probs"][1] = [0.0, 1.0 - 5e-10, 0.0]
     doc["probs"][2] = [0.0, 0.0, 0.0]
     doc["row_observed"][2] = False
-    assert codec.decode(doc).probs[2] == (0.0, 0.0, 0.0)
+    assert codec.read(pathways.Pathway, doc, "pathway").probs[2] == (0.0, 0.0, 0.0)
 
 
 def test_defaults_may_be_absent_and_errors_name_the_path():
-    assert codec.decode(LOGNORMAL) == estimators.LognormalFit(1.0, 0.5, 3, 0.0)
+    assert codec.read(estimators.Model, LOGNORMAL, "model") == estimators.LognormalFit(1.0, 0.5, 3, 0.0)
     doc = codec.document(pathways.fit_transition_matrix(trajectories_of([["A"]])))
     clusters = {"kind": "pathway_clusters", "k": 1, "departments": ["A"],
                 "clusters": [{"centroid": [0.0], "matrix": {**doc, "probs": [[1.0], "x"]},
@@ -183,4 +209,26 @@ def test_defaults_may_be_absent_and_errors_name_the_path():
                               "use_fallback": False}],
                 "fallback": doc, "profile_encoder": None, "labels": [0]}
     with pytest.raises(ConfigError, match=r"clusters\[0\]\.matrix\.probs\[1\]"):
-        codec.decode(clusters)
+        codec.read(pathways.Pathway, clusters, "pathway")
+
+
+def test_union_error_names_tagged_alternatives_by_tag_and_others_by_type():
+    with pytest.raises(ConfigError, match=r"^model: expected 'poisson' or 'seasonal_naive' "
+                       r"or 'holt_winters' or 'lag_regression', got \{'kind': 'lognormal'"):
+        codec.read(inflow.InflowModel, LOGNORMAL, "model")
+    with pytest.raises(ConfigError, match=r"^node: expected True or False, got"):
+        codec.read(estimators.TreeNode, {"mean_ln": 0.0, "count": 3}, "node")
+    with pytest.raises(ConfigError, match=r"^k: expected int or str, got 2\.5$"):
+        codec.read(int | str, 2.5, "k")
+
+
+def test_document_too_deep_to_read_raises_config_error():
+    leaf = {"leaf": True, "mean_ln": 0.0, "count": 3}
+    root = leaf
+    for _ in range(5_000):
+        root = {"leaf": False, "feature": "age", "kind": "numeric", "threshold": 1.0,
+                "level": None, "left": leaf, "right": root}
+    doc = {"kind": "tree", "max_depth": 5_000, "min_leaf": 1, "numeric": ["age"],
+           "categorical": [], "root": root}
+    with pytest.raises(ConfigError, match=r"^model: nested too deeply$"):
+        codec.read(estimators.Model, doc, "model")

@@ -600,7 +600,7 @@ def test_estimator_json_round_trips():
     ]
     first = table(profiles[:1])
     for model in models:
-        clone = codec.decode(codec.document(model))
+        clone = codec.read(estimators.Model, codec.document(model), "model")
         rng_a, rng_b = stream(30), stream(30)
         if isinstance(model, (estimators.ConditionalModel,)):
             assert sampler(model)(locations(model, first)[0][0], rng_a) == sampler(

@@ -12,6 +12,7 @@ from patientflow.inflow import (
     CalendarTerm,
     ForecasterSpec,
     HoltWinters,
+    InflowModel,
     evaluate,
     fit_holt_winters,
     fit_lag_regression,
@@ -360,5 +361,5 @@ def test_json_round_trip_preserves_forecasts():
         fit_lag_regression(series, (1, 6), calendar=(CalendarTerm(6, 1),)),
     ]
     for model in models:
-        clone = codec.decode(codec.document(model))
+        clone = codec.read(InflowModel, codec.document(model), "model")
         assert forecast(clone, 12) == forecast(model, 12)

@@ -12,6 +12,7 @@ from patientflow.pathways import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
     KMEANS_TOL,
+    Pathway,
     _kmeans,
     assign_all,
     STAY_COUNT_SCALE,
@@ -336,9 +337,10 @@ def test_assign_requires_attribute_centroids():
     trs = trajectories_of([["A"], ["A"]])
     doc = codec.document(cluster(trs, 1, 0, same_profiles(trs)))
     with pytest.raises(ConfigError, match=r"\.profile_encoder: expected an object"):
-        codec.decode({**doc, "profile_encoder": None})
+        codec.read(Pathway, {**doc, "profile_encoder": None}, "pathway")
     with pytest.raises(ConfigError, match=r"\.attribute_centroid: expected a list"):
-        codec.decode({**doc, "clusters": [{**doc["clusters"][0], "attribute_centroid": None}]})
+        codec.read(Pathway, {**doc, "clusters": [{**doc["clusters"][0], "attribute_centroid": None}]},
+                   "pathway")
 
 
 def test_assign_exact_centroid_match():
@@ -461,9 +463,9 @@ def test_pathway_json_round_trips():
     ])
     profiles = [profile(f"p{i}", age=30 + i) for i in range(50)]
     m = fit_transition_matrix(trs)
-    assert codec.decode(codec.document(m)) == m
+    assert codec.read(Pathway, codec.document(m), "pathway") == m
     pc = cluster(trs, 2, seed=11, profiles=table(profiles))
-    clone = codec.decode(codec.document(pc))
+    clone = codec.read(Pathway, codec.document(pc), "pathway")
     assert clone == pc
     q = table([profile("q", age=42)])
     assert assign_all(q, clone) == assign_all(q, pc)
