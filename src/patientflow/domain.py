@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -276,28 +277,53 @@ class DepartmentSpec:
                               f"integer >= 1 or null, got {cap!r:.60}")
 
 
-def serialize_event_log(log: EventLog, profiles: Profiles) -> str:
-    """Render a log and its profiles to the canonical CSV document.
+_WRITE_ROWS = 4096  # log rows formatted per write
+
+
+def write_event_log(log: EventLog, profiles: Profiles, file: TextIO) -> None:
+    """Write a log and its profiles to a text file as the canonical CSV
+    document, ``_WRITE_ROWS`` rows at a time.
 
     Canonical form: fixed field order, reals as 6-decimal fixed point,
-    LF line endings. ``parse_event_log`` of the output reproduces the
-    inputs, and re-serializing reproduces the document byte for byte.
+    LF line endings (open the file with ``newline=""``).
+    ``parse_event_log`` of the output reproduces the inputs, and
+    re-serializing reproduces the document byte for byte.
     """
     ids = profiles.patient_id.tolist()
     attributes = [",".join(map(str, key)) for key in profiles.keys()]
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{ids[i]},{log.departments[d]},{enter:.6f},{exit_:.6f},{cost:.6f},{attributes[i]}"
-        for i, d, enter, exit_, cost in zip(
-            log.patient.tolist(), log.department.tolist(), log.enter.tolist(),
-            log.exit.tolist(), log.cost.tolist()))
-    return "\n".join(lines) + "\n"
+    file.write(CSV_HEADER + "\n")
+    for start in range(0, len(log), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        file.write("".join(
+            f"{ids[i]},{log.departments[d]},{enter:.6f},{exit_:.6f},{cost:.6f},{attributes[i]}\n"
+            for i, d, enter, exit_, cost in zip(
+                log.patient[rows].tolist(), log.department[rows].tolist(),
+                log.enter[rows].tolist(), log.exit[rows].tolist(), log.cost[rows].tolist())))
+
+
+def serialize_event_log(log: EventLog, profiles: Profiles) -> str:
+    """The canonical CSV document of a log and its profiles, as
+    ``write_event_log`` writes it."""
+    text = io.StringIO()
+    write_event_log(log, profiles, text)
+    return text.getvalue()
+
+
+def _lines(text: str):
+    """The lines of ``text``, each with its ``\\n``, as ``io.StringIO(text)``
+    gives them, without the copy of the text a StringIO makes at 4 bytes
+    per character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _records(text: str):
     """The CSV records of ``text``; a record the csv module rejects (such
     as a field over its size limit) is a ``RowParseError``."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         yield from reader
     except csv.Error as exc:
@@ -325,7 +351,8 @@ def parse_event_log(text: str) -> tuple[EventLog, Profiles]:
     department_index: dict[str, int] = {}
     profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
     first_line: list[int] = []
-    stays: list[tuple] = []  # (patient, department, enter, exit, cost)
+    columns = (array("q"), array("q"), array("d"), array("d"), array("d"))
+    stay_patient, stay_department, stay_enter, stay_exit, stay_cost = columns
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue  # tolerate trailing blank line
@@ -351,9 +378,11 @@ def parse_event_log(text: str) -> tuple[EventLog, Profiles]:
             first_line.append(lineno)
         elif attributes != profiles[index]:
             raise ConflictingProfile(pid, lineno, first_line[index])
-        code = department_index.setdefault(dept, len(department_index))
-        stays.append((index, code, enter, exit_, cost))
-    columns = np.array(stays, dtype=float).reshape(-1, 5).T
+        stay_patient.append(index)
+        stay_department.append(department_index.setdefault(dept, len(department_index)))
+        stay_enter.append(enter)
+        stay_exit.append(exit_)
+        stay_cost.append(cost)
     return event_log(tuple(department_index), *columns), Profiles.from_rows(
         list(patient_index), profiles)
 

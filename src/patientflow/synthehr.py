@@ -39,7 +39,7 @@ from .domain import (
     Profiles,
     check_stays,
     event_log,
-    serialize_event_log,
+    write_event_log,
 )
 from .errors import ConfigError, DataError
 from .estimators import _exp
@@ -415,6 +415,7 @@ def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Pa
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "log.csv"
     truth_path = out / "ground_truth.json"
-    log_path.write_text(serialize_event_log(result.log, result.profiles), encoding="utf-8")
+    with open(log_path, "w", encoding="utf-8", newline="") as file:
+        write_event_log(result.log, result.profiles, file)
     codec.write(result.truth, truth_path)
     return log_path, truth_path

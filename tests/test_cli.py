@@ -1695,6 +1695,17 @@ def test_deep_tree_stay_model_runs_or_exits_2(tmp_path, capsys, depth, code):
         assert err == f"error: {config}: nested too deeply\n"
 
 
+@pytest.mark.parametrize("tag", [1, 0, 0.0])
+def test_tree_stay_model_with_a_numeric_leaf_tag_exits_2(tmp_path, capsys, tag):
+    config = tmp_path / "sim.json"
+    config.write_text(tree_stay_config(1).replace('"leaf": true', f'"leaf": {tag}', 1))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation config.los_models.ER.root.left: "
+                          "expected True or False, got")
+    assert len(err.splitlines()) == 1
+
+
 # --- scenario checks that come before the generator runs -----------------------------
 
 @pytest.mark.parametrize("key, value, message", [

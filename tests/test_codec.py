@@ -222,6 +222,14 @@ def test_union_error_names_tagged_alternatives_by_tag_and_others_by_type():
         codec.read(int | str, 2.5, "k")
 
 
+@pytest.mark.parametrize("tag", [1, 0, 0.0])
+def test_union_tag_must_have_the_tags_exact_type(tag):
+    """A tree node's ``"leaf"`` is a JSON boolean: 1 is not True, 0 and 0.0
+    are not False."""
+    with pytest.raises(ConfigError, match=r"^node: expected True or False, got"):
+        codec.read(estimators.TreeNode, {"leaf": tag, "mean_ln": 0.0, "count": 3}, "node")
+
+
 def test_document_too_deep_to_read_raises_config_error():
     leaf = {"leaf": True, "mean_ln": 0.0, "count": 3}
     root = leaf
