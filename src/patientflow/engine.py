@@ -38,7 +38,6 @@ import os
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
@@ -754,6 +753,15 @@ def _run_in_worker(replication: int) -> SimResult:
     return run(_worker_config, replication)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a process pinned to fewer CPUs than the machine has
+    counts only those), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replicate(
     config: SimConfig, jobs: int = 1, census_bucket: float = 24.0
 ) -> tuple[list[SimResult], ReplicationSummary]:
@@ -763,14 +771,18 @@ def replicate(
     are identical whatever the execution order or the number of worker
     processes; the summary reduces results pre-sorted by index. The pool
     has one worker per chunk of replications, at most ``jobs`` and at most
-    ``os.cpu_count()``; with one, the replications run in this process.
+    ``usable_cpus()``; with one, the replications run in this process.
     """
     if not census_bucket > 0.0:
         raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     census_buckets(census_bucket, config.horizon)
     indices = range(config.replications)
-    workers = min(jobs, config.replications, os.cpu_count() or 1)
+    workers = min(jobs, config.replications, usable_cpus())
     if workers > 1:
+        # Imported here so that a serial run loads no process-pool code
+        # (multiprocessing, socket, subprocess and their kin).
+        from concurrent.futures import ProcessPoolExecutor
+
         # Each worker gets the config once, as its initializer argument: a
         # forked worker inherits it without pickling, other start methods
         # pickle it once per worker.

@@ -54,8 +54,9 @@ def time_limit(seconds):
 
 
 class RecordingPool:
-    """Stands in for ``ProcessPoolExecutor`` in ``engine``: records the
-    number of workers each pool is asked for and maps in this process."""
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``, which
+    ``engine.replicate`` imports when it starts a pool: records the number
+    of workers each pool is asked for and maps in this process."""
 
     started: list = []
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -1609,10 +1610,10 @@ def test_jobs_flag_below_1_exits_2(tmp_path, capsys, default_scenario_dict, comm
 def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch):
     """``--jobs 4`` with 2 replications starts 2 workers, and writes what
     ``--jobs 1`` writes."""
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(engine, "_worker_config", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 8)
     config = write_json(tmp_path / "sim.json",
                         {**capped_two_department_config(), "replications": 2})
     outputs = {}
@@ -1622,6 +1623,42 @@ def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch
         outputs[jobs] = [(out / name).read_bytes() for name in SIMULATE_GOLDEN]
     assert RecordingPool.started == [2]
     assert outputs["4"] == outputs["1"]
+
+
+# runs perfbench's cli-pipeline workload (synth, its six fits, forecast and
+# simulate) at the tiny scale through ``main`` in one process, with
+# ``simulate --jobs 1``, and prints which of the named modules it loaded
+SERIAL_PIPELINE = """\
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from patientflow.cli import main
+
+def call(argv):
+    if argv[0] == "simulate":
+        argv = [*argv, "--jobs", "1"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return main(argv), out.getvalue()
+
+workloads.write_inputs("cli-pipeline", Path("."), 20260810, "tiny")
+workloads.run("cli-pipeline", Path("."), 20260810, "tiny", call)
+print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+
+def test_serial_pipeline_loads_no_process_pool_code(tmp_path):
+    """Only ``replicate`` with more than one worker needs a process pool, so
+    a serial run imports none of its stack."""
+    src = Path(cli.__file__).resolve().parents[1]
+    perfbench = src.parent / "perfbench"
+    pool_modules = ["concurrent.futures", "multiprocessing", "socket", "subprocess"]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", SERIAL_PIPELINE, str(perfbench),
+                           *pool_modules], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # --- the tags a union slot's error lists --------------------------------------------

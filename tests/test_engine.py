@@ -1,3 +1,4 @@
+import concurrent.futures
 import heapq
 import math
 import os
@@ -458,20 +459,31 @@ def test_replications_are_capped():
 
 @pytest.mark.parametrize("jobs, replications, cpus, workers", [
     (8, 10, 2, 2), (4, 10, 1, None), (4, 5, 8, 3), (3, 7, 8, 3), (4, 2, 8, 2),
-    (2, 1, 8, None), (1, 4, 8, None),
+    (2, 1, 8, None), (1, 4, 8, None), (2, 4, 1, None),
 ])
 def test_pool_starts_one_worker_per_chunk_and_at_most_one_per_cpu(
         monkeypatch, jobs, replications, cpus, workers):
     """The pool a fake executor records: ``None`` means the replications ran
-    in this process. Results are those of the serial run."""
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    in this process. Results are those of the serial run. ``cpus`` is the
+    number this process may use of a machine's 8."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(engine, "_worker_config", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     config = base_config(seed=31, horizon=120.0, replications=replications)
     results, summary = replicate(config, jobs=jobs)
     assert RecordingPool.started == ([] if workers is None else [workers])
     assert (results, summary) == replicate(replace(config), jobs=1)
+
+
+def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert engine.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine.usable_cpus() == 1
 
 
 def test_attribute_sampler_matches_generator_profiles(default_generator):
