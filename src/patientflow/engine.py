@@ -35,6 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import pickle
+import signal
+import sys
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -741,16 +744,79 @@ class ReplicationSummary:
     mean_utilization: dict
 
 
-_worker_config: SimConfig | None = None  # the config a pool worker runs
+# Where CPython's own worker processes start by fork by default: not on
+# Windows, which has no fork, nor on macOS, where system frameworks are
+# unsafe in a forked child. There replicate runs every replication in
+# this process.
+FORK_SAFE = hasattr(os, "fork") and sys.platform != "darwin"
 
 
-def _set_worker_config(config: SimConfig) -> None:
-    global _worker_config
-    _worker_config = config
+class _Child:
+    """A forked process that runs the replications ``indices`` of ``config``
+    and writes one pickle to its pipe, the list of their results or the
+    exception it raised; it always ends with ``os._exit``."""
+
+    def __init__(self, config: SimConfig, indices: range):
+        self.indices = indices
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = (True, [run(config, r) for r in indices])
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        # closed at once: a later child must not inherit this write end,
+        # or the pipe would stay open after this child has ended
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def join(self) -> list[SimResult]:
+        """Read the child's pipe to its end and reap the child; its results,
+        or its exception raised here."""
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(f"the worker running replications {self.indices.start} to "
+                               f"{self.indices.stop - 1} ended with {how} before it "
+                               "sent its results")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill and reap the child if it has not been joined."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
-def _run_in_worker(replication: int) -> SimResult:
-    return run(_worker_config, replication)
+def _fork_join(config: SimConfig, chunks: list[range]) -> list[SimResult]:
+    """The results of every chunk of replications, each run in its own
+    forked child, in chunk order. Whatever happens here, every child is
+    reaped before this returns or raises."""
+    children: list[_Child] = []
+    try:
+        for indices in chunks:
+            children.append(_Child(config, indices))
+        return [result for child in children for result in child.join()]
+    finally:
+        for child in children:
+            child.stop()
 
 
 def usable_cpus() -> int:
@@ -769,28 +835,20 @@ def replicate(
 
     Replication r draws from sub-streams keyed by (seed, r), so results
     are identical whatever the execution order or the number of worker
-    processes; the summary reduces results pre-sorted by index. The pool
-    has one worker per chunk of replications, at most ``jobs`` and at most
-    ``usable_cpus()``; with one, the replications run in this process.
+    processes; the summary reduces results pre-sorted by index. The
+    replications are cut into chunks of ceil(R / W), W = min(jobs, R,
+    ``usable_cpus()``), and each chunk runs in its own forked child; with
+    W = 1, or where forking is not safe, they run in this process.
     """
     if not census_bucket > 0.0:
         raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     census_buckets(census_bucket, config.horizon)
     indices = range(config.replications)
-    workers = min(jobs, config.replications, usable_cpus())
+    workers = min(jobs, config.replications, usable_cpus()) if FORK_SAFE else 1
     if workers > 1:
-        # Imported here so that a serial run loads no process-pool code
-        # (multiprocessing, socket, subprocess and their kin).
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Each worker gets the config once, as its initializer argument: a
-        # forked worker inherits it without pickling, other start methods
-        # pickle it once per worker.
         chunk = math.ceil(config.replications / workers)
-        with ProcessPoolExecutor(max_workers=math.ceil(config.replications / chunk),
-                                 initializer=_set_worker_config,
-                                 initargs=(config,)) as pool:
-            results = list(pool.map(_run_in_worker, indices, chunksize=chunk))
+        results = _fork_join(config, [indices[start:start + chunk]
+                                      for start in range(0, config.replications, chunk)])
     else:
         results = [run(config, r) for r in indices]
 

@@ -8,7 +8,9 @@ exit 4). ``PatientFlowError`` is the base of all three.
 The other four classes are ``DataError`` leaves that format their message
 from fields: ``RowParseError`` and ``ConflictingProfile`` (an event-log
 line), ``InvariantViolation`` (a field, optionally on a line) and
-``OverlappingStays`` (a patient).
+``OverlappingStays`` (a patient). Each pickles as its constructor's
+arguments, so that it crosses a process boundary (a ``replicate`` worker
+sends back the exception it raised) as the same error.
 """
 
 
@@ -34,6 +36,10 @@ class RowParseError(DataError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line, self.message)
 
 
 class InvariantViolation(DataError):
@@ -44,6 +50,9 @@ class InvariantViolation(DataError):
         self.message = message
         self.line = line
 
+    def __reduce__(self):
+        return type(self), (self.field, self.message, self.line)
+
 
 class ConflictingProfile(DataError):
     def __init__(self, patient_id: str, line: int, first_line: int):
@@ -51,9 +60,16 @@ class ConflictingProfile(DataError):
                          f"attributes (first seen on line {first_line})")
         self.patient_id = patient_id
         self.line = line
+        self.first_line = first_line
+
+    def __reduce__(self):
+        return type(self), (self.patient_id, self.line, self.first_line)
 
 
 class OverlappingStays(DataError):
     def __init__(self, patient_id: str):
         super().__init__(f"patient {patient_id!r} has overlapping stays")
         self.patient_id = patient_id
+
+    def __reduce__(self):
+        return type(self), (self.patient_id,)

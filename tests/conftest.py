@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from patientflow import engine
 from patientflow.domain import (
     PROFILE_FIELDS,
     Profiles,
@@ -53,25 +54,22 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-class RecordingPool:
-    """Stands in for ``concurrent.futures.ProcessPoolExecutor``, which
-    ``engine.replicate`` imports when it starts a pool: records the number
-    of workers each pool is asked for and maps in this process."""
+class InProcessChild:
+    """Stands in for ``engine._Child``, which forks a child per chunk of
+    replications: records each chunk it is started with and runs it in
+    this process."""
 
     started: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.started.append(max_workers)
-        initializer(*initargs)
+    def __init__(self, config, indices):
+        self.started.append(indices)
+        self.results = [engine.run(config, r) for r in indices]
 
-    def __enter__(self):
-        return self
+    def join(self):
+        return self.results
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return list(map(fn, iterable))
+    def stop(self):
+        pass
 
 
 # One patient's profile as a test writes it; ``table`` makes ``Profiles``

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -42,7 +41,7 @@ from patientflow.synthehr import GeneratorConfig
 
 from conftest import (
     SCENARIOS,
-    RecordingPool,
+    InProcessChild,
     Row,
     attribute_sim_config,
     flat_generator_dict,
@@ -1610,9 +1609,8 @@ def test_jobs_flag_below_1_exits_2(tmp_path, capsys, default_scenario_dict, comm
 def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch):
     """``--jobs 4`` with 2 replications starts 2 workers, and writes what
     ``--jobs 1`` writes."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(engine, "_worker_config", None)
+    monkeypatch.setattr(engine, "_Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "started", [])
     monkeypatch.setattr(engine, "usable_cpus", lambda: 8)
     config = write_json(tmp_path / "sim.json",
                         {**capped_two_department_config(), "replications": 2})
@@ -1621,8 +1619,31 @@ def test_simulate_starts_no_more_workers_than_replications(tmp_path, monkeypatch
         out = tmp_path / jobs
         assert main(["simulate", "--config", config, "--out", str(out), "--jobs", jobs]) == 0
         outputs[jobs] = [(out / name).read_bytes() for name in SIMULATE_GOLDEN]
-    assert RecordingPool.started == [2]
+    assert InProcessChild.started == [range(0, 1), range(1, 2)]
     assert outputs["4"] == outputs["1"]
+
+
+def test_simulate_error_in_a_worker_exits_2_in_one_line(tmp_path, monkeypatch, capsys):
+    """A pathway that routes to an unknown department fails inside each
+    forked worker; the parent raises the worker's ``ConfigError``, and the
+    command exits 2 with one line and no traceback."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    doc = {**attribute_sim_config(), "replications": 2,
+           "pathway": {"kind": "transition_matrix", "departments": ["ER", "GHOST"],
+                       "probs": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                       "counts": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                       "row_observed": [True, True, True]}}
+    config = write_json(tmp_path / "sim.json", doc)
+    with time_limit(60):
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out"),
+                     "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "error: pathway routes to unknown department 'GHOST'"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # runs perfbench's cli-pipeline workload (synth, its six fits, forecast and
@@ -1647,18 +1668,54 @@ print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
 """
 
 
+POOL_MODULES = ["concurrent.futures", "multiprocessing", "socket", "subprocess"]
+
+
+def loaded_modules(tmp_path, script: str) -> list[str]:
+    """Which of ``POOL_MODULES`` ``script`` loads, run in a fresh
+    interpreter with perfbench's directory and the modules as arguments."""
+    src = Path(cli.__file__).resolve().parents[1]
+    perfbench = src.parent / "perfbench"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, str(perfbench), *POOL_MODULES],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_serial_pipeline_loads_no_process_pool_code(tmp_path):
     """Only ``replicate`` with more than one worker needs a process pool, so
     a serial run imports none of its stack."""
-    src = Path(cli.__file__).resolve().parents[1]
-    perfbench = src.parent / "perfbench"
-    pool_modules = ["concurrent.futures", "multiprocessing", "socket", "subprocess"]
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", SERIAL_PIPELINE, str(perfbench),
-                           *pool_modules], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    assert loaded_modules(tmp_path, SERIAL_PIPELINE) == []
+
+
+# runs perfbench's compare-capped-j2 workload at the tiny scale through
+# ``main`` with ``--jobs 2`` and two usable CPUs, so each stack's replicate
+# forks two workers, and prints which of the named modules it loaded
+FORKED_COMPARE = """\
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from patientflow import engine
+from patientflow.cli import main
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return main([*argv, "--jobs", "2"]), out.getvalue()
+
+engine.usable_cpus = lambda: 2
+workloads.write_inputs("compare-capped-j2", Path("."), 20260810, "tiny")
+workloads.run("compare-capped-j2", Path("."), 20260810, "tiny", call)
+print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+
+def test_forked_compare_loads_no_process_pool_code(tmp_path):
+    """``replicate`` forks its workers itself, so a ``compare`` at
+    ``--jobs 2`` loads no process-pool stack either."""
+    assert loaded_modules(tmp_path, FORKED_COMPARE) == []
 
 
 # --- the tags a union slot's error lists --------------------------------------------

@@ -1,7 +1,7 @@
-import concurrent.futures
 import heapq
 import math
 import os
+import pickle
 from collections import deque
 from dataclasses import replace
 from itertools import count
@@ -50,7 +50,7 @@ from patientflow.synthehr import (
     generate,
 )
 
-from conftest import RecordingPool, attribute_sim_config, time_limit
+from conftest import InProcessChild, attribute_sim_config, time_limit
 
 
 CONST_COST = LognormalFit(mu=math.log(100.0), sigma=0.0, n=10, loglik=0.0)
@@ -463,19 +463,81 @@ def test_replications_are_capped():
 ])
 def test_pool_starts_one_worker_per_chunk_and_at_most_one_per_cpu(
         monkeypatch, jobs, replications, cpus, workers):
-    """The pool a fake executor records: ``None`` means the replications ran
-    in this process. Results are those of the serial run. ``cpus`` is the
-    number this process may use of a machine's 8."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(engine, "_worker_config", None)
+    """The children a fake records: ``None`` means the replications ran in
+    this process. Each child runs one chunk of ceil(R / W) replications, in
+    order. Results are those of the serial run. ``cpus`` is the number this
+    process may use of a machine's 8."""
+    monkeypatch.setattr(engine, "_Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "started", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     config = base_config(seed=31, horizon=120.0, replications=replications)
     results, summary = replicate(config, jobs=jobs)
-    assert RecordingPool.started == ([] if workers is None else [workers])
+    if workers is None:
+        assert InProcessChild.started == []
+    else:
+        chunk = math.ceil(replications / workers)
+        assert InProcessChild.started == [range(i, min(i + chunk, replications))
+                                          for i in range(0, replications, chunk)]
+        assert len(InProcessChild.started) == workers
     assert (results, summary) == replicate(replace(config), jobs=1)
+
+
+def test_replicate_runs_in_process_where_fork_is_unsafe(monkeypatch):
+    """Without a safe fork (Windows, macOS), ``--jobs 2`` starts no child
+    and gives the ``--jobs 1`` results."""
+    monkeypatch.setattr(engine, "FORK_SAFE", False)
+    monkeypatch.setattr(engine, "_Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "started", [])
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 8)
+    config = base_config(seed=31, horizon=120.0, replications=4)
+    assert replicate(config, jobs=2) == replicate(replace(config), jobs=1)
+    assert InProcessChild.started == []
+
+
+def busy_config(replications):
+    """A config whose every chunk of two replications pickles to more than a
+    pipe's 64 KiB buffer, so a child blocks in its write until the parent
+    reads its pipe."""
+    config = base_config(seed=5, horizon=720.0, replications=replications,
+                         arrival_driver=PoissonBaseline(lam=60.0, bucket_width=24.0))
+    assert len(pickle.dumps([run(config, r) for r in range(2)])) > 65536
+    return config
+
+
+def test_two_forked_children_send_their_chunks_in_order(monkeypatch):
+    """Two real children, each with a chunk of two replications, give the
+    serial results in order. Each pipe's write end is closed in the parent
+    right after its fork: were the second child to inherit the first
+    pipe's, the parent would wait for the first pipe's end while the second
+    child waited, in its write, for the parent to read it."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    config = busy_config(4)
+    with time_limit(60):
+        results, summary = replicate(config, jobs=2)
+    assert [r.replication for r in results] == [0, 1, 2, 3]
+    assert (results, summary) == replicate(replace(config), jobs=1)
+
+
+def test_a_worker_that_dies_is_named_by_its_exit_status(monkeypatch):
+    """The child of the first chunk ends in replication 0 without sending
+    anything; ``replicate`` says so and leaves no child behind."""
+    real_run = engine.run
+
+    def dying_run(config, replication=0):
+        if replication == 0:
+            os._exit(3)
+        return real_run(config, replication)
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    config = busy_config(4)
+    monkeypatch.setattr(engine, "run", dying_run)
+    with time_limit(60), pytest.raises(RuntimeError, match=(
+            "worker running replications 0 to 1 ended with exit status 3")):
+        replicate(config, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
