@@ -61,9 +61,10 @@ class TransitionMatrix:
                                   "not 1")
 
 
-def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) -> np.ndarray:
-    """Each trajectory's moves as an (ENTRY + departments) x (departments +
-    DISCHARGE) integer count matrix: shape (len(trajectories), n + 1, n + 1).
+def _moves(trajectories: Trajectories,
+           departments: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each move's cell in the flattened (ENTRY + departments) x (departments
+    + DISCHARGE) count matrix, and the index of its trajectory.
 
     ENTRY -> first department and last department -> DISCHARGE count as
     pseudo-moves, so a trajectory of s stays has s + 1 moves.
@@ -81,15 +82,33 @@ def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) 
     rows = np.empty_like(codes)  # the state each stay is entered from
     rows[1:] = 1 + codes[:-1]
     rows[ends - lengths] = 0     # a first stay is entered from ENTRY
-    owner = np.repeat(np.arange(m), lengths)
-    cells = np.concatenate([(owner * (n + 1) + rows) * (n + 1) + codes,
-                            (np.arange(m) * (n + 1) + 1 + codes[ends - 1]) * (n + 1) + n])
-    return np.bincount(cells, minlength=m * (n + 1) ** 2).reshape(m, n + 1, n + 1)
+    cells = np.concatenate([rows * (n + 1) + codes, (1 + codes[ends - 1]) * (n + 1) + n])
+    return cells, np.concatenate([np.repeat(np.arange(m), lengths), np.arange(m)])
+
+
+def transition_counts(trajectories: Trajectories, departments: tuple[str, ...]) -> Distinct:
+    """Each trajectory's flattened move-count matrix (``_moves``), as the
+    distinct rows of these counts in their smallest exact dtype."""
+    cells, owner = _moves(trajectories, departments)
+    # s stays make s + 1 moves, and no cell of a trajectory's row counts more
+    most = np.diff(trajectories.offset).max(initial=0) + 1
+    counts = np.zeros((len(trajectories), (len(departments) + 1) ** 2),
+                      dtype=np.min_scalar_type(most))
+    np.add.at(counts, (owner, cells), 1)
+    return distinct_rows(counts)
+
+
+def _summed(counts: Distinct, members: np.ndarray | None = None) -> np.ndarray:
+    """The exact integer sum of the count rows of the ``members`` mask's
+    trajectories (of all of them by default)."""
+    inverse = counts.inverse if members is None else counts.inverse[members]
+    return np.bincount(inverse, minlength=len(counts.rows)) @ counts.rows.astype(np.int64)
 
 
 def _matrix(counts: np.ndarray, departments: tuple[str, ...]) -> TransitionMatrix:
-    """Row-normalise an (n + 1) x (n + 1) count matrix; rows with no
-    observations are flagged rather than invented."""
+    """Row-normalise a flattened (n + 1) x (n + 1) count matrix; rows with
+    no observations are flagged rather than invented."""
+    counts = counts.reshape(len(departments) + 1, -1)
     row_sums = counts.sum(axis=1)
     probs = np.zeros_like(counts, dtype=float)
     observed = row_sums > 0
@@ -115,7 +134,8 @@ def fit_transition_matrix(
     if not len(trajectories):
         raise DataError("need at least one trajectory")
     departments = _alphabet(trajectories, departments)
-    return _matrix(transition_counts(trajectories, departments).sum(axis=0), departments)
+    cells, _ = _moves(trajectories, departments)
+    return _matrix(np.bincount(cells, minlength=(len(departments) + 1) ** 2), departments)
 
 
 # --- trajectory encoding ------------------------------------------------------
@@ -141,14 +161,17 @@ def encode_all(trajectories: Trajectories, departments: Sequence[str]) -> np.nda
     length, dominates clustering distances. Trajectories with
     proportional transition counts and equal length encode identically.
     """
-    return _encoding(transition_counts(trajectories, tuple(departments)), trajectories)
+    counts = transition_counts(trajectories, tuple(departments))
+    return _encoding(counts.rows)[counts.inverse]
 
 
-def _encoding(counts: np.ndarray, trajectories: Trajectories) -> np.ndarray:
-    flat = counts.reshape(len(counts), -1)
-    X = np.empty((len(flat), flat.shape[1] + 1))
-    X[:, :-1] = flat / flat.sum(axis=1, keepdims=True)
-    X[:, -1] = np.diff(trajectories.offset) / STAY_COUNT_SCALE
+def _encoding(counts: np.ndarray) -> np.ndarray:
+    """The encodings of flattened count matrices, one per row; a row's
+    stay count is its move count - 1."""
+    total = counts.sum(axis=1, dtype=np.int64)
+    X = np.empty((len(counts), counts.shape[1] + 1))
+    X[:, :-1] = counts / total[:, None]
+    X[:, -1] = (total - 1) / STAY_COUNT_SCALE
     return X
 
 
@@ -239,14 +262,16 @@ class PathwayClusters:
 Pathway = Union[TransitionMatrix, PathwayClusters]  # a simulation's pathway model
 
 KMEANS_RESTARTS = 10
+MEAN_BLOCK = 2048   # the member rows a k-means mean gathers at a time
+SUM_LEAF = 16_384   # the squares an inertia builds at a time; at least numpy's 128
 
 
-def _kmeans_once(X: np.ndarray, points: Distinct, k: int,
-                 rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+def _kmeans_once(points: Distinct, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    rows, inverse = points
     centroids = kmeanspp(points, k, rng)
     for _ in range(KMEANS_MAX_ITER):
         labels = _nearest(points, centroids)
-        new_centroids = np.vstack([X[labels == j].mean(axis=0) for j in range(k)])
+        new_centroids = np.vstack([_mean(rows, inverse[labels == j]) for j in range(k)])
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < KMEANS_TOL:
@@ -254,14 +279,27 @@ def _kmeans_once(X: np.ndarray, points: Distinct, k: int,
     return centroids, _nearest(points, centroids)
 
 
+def _mean(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index].mean(axis=0)`` with the same bits, gathering at most
+    ``MEAN_BLOCK`` rows at a time. numpy sums a C-ordered (n, d) array
+    over axis 0 row by row, in order, when d > 1 (an encoding has at least
+    5 coordinates), so each block's sum continues the running sum of the
+    blocks before it."""
+    total = rows[index[:MEAN_BLOCK]].sum(axis=0)
+    for start in range(MEAN_BLOCK, len(index), MEAN_BLOCK):
+        total = np.vstack([total, rows[index[start:start + MEAN_BLOCK]]]).sum(axis=0)
+    return total / len(index)
+
+
 def _nearest(points: Distinct, centroids: np.ndarray) -> np.ndarray:
     """Label each point with its nearest centroid, then fill each empty
     cluster, in order, with the worst-fitting point of a cluster that
     keeps another member. With at least as many points as clusters, no
     cluster is left empty."""
-    dists = points.sq_distances(centroids)
-    labels = np.argmin(dists, axis=1)
-    assigned_d2 = dists[np.arange(len(dists)), labels]
+    dists = sq_distances(points.rows, centroids)
+    nearest = np.argmin(dists, axis=1)
+    labels = nearest[points.inverse]
+    assigned_d2 = dists[np.arange(len(dists)), nearest][points.inverse]
     sizes = np.bincount(labels, minlength=len(centroids))
     for j in np.flatnonzero(sizes == 0):
         worst = int(np.argmax(np.where(sizes[labels] > 1, assigned_d2, -np.inf)))
@@ -271,14 +309,40 @@ def _nearest(points: Distinct, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _kmeans(X: np.ndarray, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm, best of KMEANS_RESTARTS seeded restarts by
-    inertia. Distances are computed once per distinct row of ``X``."""
-    points = distinct_rows(X)
+def _inertia(points: Distinct, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """``np.sum((X - centroids[labels]) ** 2)`` of the points X, with the
+    same bits, building at most ``SUM_LEAF`` of the n x d squares at a
+    time (``_pairwise``)."""
+    squares = (points.rows[:, None, :] - centroids[None, :, :]) ** 2
+    return float(_pairwise(squares, points.inverse, labels, 0, len(labels) * squares.shape[2]))
+
+
+def _pairwise(squares: np.ndarray, inverse: np.ndarray, labels: np.ndarray,
+              lo: int, hi: int) -> float:
+    """The sum of elements ``lo:hi`` of the flattened squares of the points,
+    point i's being ``squares[inverse[i], labels[i]]``, as numpy sums them
+    inside the whole: numpy splits a run of elements at half its length,
+    rounded down to a multiple of 8, until at most 128 are left. This sum
+    splits the same way down to runs of ``SUM_LEAF``, which numpy sums."""
+    if hi - lo > SUM_LEAF:
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return (_pairwise(squares, inverse, labels, lo, mid)
+                + _pairwise(squares, inverse, labels, mid, hi))
+    d = squares.shape[2]
+    first, last = lo // d, -(-hi // d)
+    run = squares[inverse[first:last], labels[first:last]].reshape(-1)
+    return np.sum(run[lo - first * d:hi - first * d])
+
+
+def _kmeans(points: Distinct, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm over points given as their distinct rows, best of
+    KMEANS_RESTARTS seeded restarts by inertia. Distances are computed
+    once per distinct row; means and inertia add the points' rows and
+    squares in the order of the points."""
     best = None
     for _ in range(KMEANS_RESTARTS):
-        centroids, labels = _kmeans_once(X, points, k, rng)
-        inertia = float(np.sum((X - centroids[labels]) ** 2))
+        centroids, labels = _kmeans_once(points, k, rng)
+        inertia = _inertia(points, centroids, labels)
         if best is None or inertia < best[0]:
             best = (inertia, centroids, labels)
     return best[1], best[2]
@@ -307,12 +371,8 @@ def cluster(
         raise ConfigError("profiles must align with trajectories")
     departments = _alphabet(trajectories, departments)
     counts = transition_counts(trajectories, departments)
-    fallback = _matrix(counts.sum(axis=0), departments)
-    X = _encoding(counts, trajectories)
-    # the per-cluster sums need the counts through k-means, whose distance
-    # arrays set the peak memory: hold them in the smallest exact dtype
-    counts = counts.astype(np.min_scalar_type(counts.max()))
-    centroids, labels = _kmeans(X, k, stream(seed))
+    centroids, labels = _kmeans(Distinct(_encoding(counts.rows), counts.inverse), k,
+                                stream(seed))
 
     encoder = _build_profile_encoder(profiles)
     encoded = encoder.encode_all(profiles)
@@ -324,7 +384,7 @@ def cluster(
     clusters = tuple(
         PathwayCluster(
             centroid=tuple(float(v) for v in centroids[i]),
-            matrix=_matrix(counts[m].sum(axis=0), departments),
+            matrix=_matrix(_summed(counts, m), departments),
             member_count=sizes[i],
             attribute_centroid=tuple(float(v) for v in attr[i]),
             use_fallback=sizes[i] < MIN_CLUSTER_MEMBERS or not all(
@@ -337,7 +397,7 @@ def cluster(
         k=k,
         departments=departments,
         clusters=clusters,
-        fallback=fallback,
+        fallback=_matrix(_summed(counts), departments),
         profile_encoder=encoder,
         labels=tuple(int(v) for v in labels),
     )
@@ -414,18 +474,20 @@ def sweep_k(
     Ties go to the smaller k.
     """
     departments = _alphabet(trajectories, departments)
-    X = encode_all(trajectories, departments)
-    if len(X) > SILHOUETTE_CAP:
-        pick = stream(seed, 999).choice(len(X), size=SILHOUETTE_CAP, replace=False)
+    counts = transition_counts(trajectories, departments)
+    n = len(trajectories)
+    if n > SILHOUETTE_CAP:
+        pick = stream(seed, 999).choice(n, size=SILHOUETTE_CAP, replace=False)
         pick.sort()
     else:
-        pick = np.arange(len(X))
+        pick = np.arange(n)
+    X = _encoding(counts.rows)[counts.inverse[pick]]
     best = None
     for k in SWEEP_K:
-        if len(trajectories) < k:
+        if n < k:
             continue
         result = cluster(trajectories, k, seed, profiles, departments)
-        score = mean_silhouette(X[pick], np.asarray(result.labels)[pick])
+        score = mean_silhouette(X, np.asarray(result.labels)[pick])
         if best is None or score > best[0] + 1e-12:
             best = (score, result)
     if best is None:

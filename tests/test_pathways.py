@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +13,21 @@ from patientflow import codec, engine
 from patientflow.domain import DISCHARGE, ENTRY, extract_trajectories
 from patientflow.errors import ConfigError, DataError
 from patientflow.pathways import (
+    ATTR_SEPARATION_MIN,
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
     KMEANS_TOL,
+    MEAN_BLOCK,
+    MIN_CLUSTER_MEMBERS,
+    SILHOUETTE_CAP,
+    SUM_LEAF,
     Pathway,
+    PathwayCluster,
+    PathwayClusters,
+    _build_profile_encoder,
+    _inertia,
     _kmeans,
+    _mean,
     assign_all,
     STAY_COUNT_SCALE,
     cluster,
@@ -448,6 +462,26 @@ def test_sweep_k_picks_two_for_two_pure_groups():
     assert pc.k == 2
 
 
+def document_sha256(obj) -> str:
+    """The SHA-256 of ``obj``'s document as ``codec.write`` writes it."""
+    text = json.dumps(codec.document(obj), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sweep_k of the default generator's log over 200 h at seed 7 (2,329
+# trajectories, so the silhouettes score a subsample), fitted with seed 3
+SWEEP_K_GOLDEN = "91e2062e354002b643961c366c13c615fbba0cc4da183afd5d70412ecf477f44"
+
+
+def test_sweep_k_golden_bytes(default_generator):
+    config = dataclasses.replace(default_generator, horizon=200.0, seed=7)
+    result = generate(config)
+    trs = extract_trajectories(result.log, result.profiles)
+    assert len(trs) > SILHOUETTE_CAP
+    pc = sweep_k(trs, 3, result.profiles.take(trs.patient), sorted(config.departments))
+    assert document_sha256(pc) == SWEEP_K_GOLDEN
+
+
 # --- diagnostics and serialization ------------------------------------------------------
 
 def test_row_average_tv_identical_and_disjoint():
@@ -539,7 +573,7 @@ def point_sets(draw):
 @given(point_sets(), st.integers(0, 2**32 - 1))
 def test_kmeans_keeps_the_bits_of_the_per_point_distances(points, seed):
     X, k = points
-    centroids, labels = _kmeans(X, k, stream(seed))
+    centroids, labels = _kmeans(distinct_rows(X), k, stream(seed))
     reference_centroids, reference_labels = reference_kmeans(X, k, stream(seed))
     assert centroids.tobytes() == reference_centroids.tobytes()
     assert labels.tobytes() == reference_labels.tobytes()
@@ -556,14 +590,119 @@ def test_kmeans_leaves_no_cluster_empty(points, seed):
     X, k = points
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, labels = _kmeans(X, k, stream(seed))
+        _, labels = _kmeans(distinct_rows(X), k, stream(seed))
     assert np.bincount(labels, minlength=k).min() >= 1
+
+
+@pytest.mark.parametrize("d", [2, 5, 17])
+def test_blocked_mean_keeps_the_bits_of_the_whole_gather(d):
+    """A k-means mean gathers its members' rows a block at a time; across
+    block edges it adds them in the order one whole gather does."""
+    for seed in range(4):
+        rng = stream(seed, d)
+        rows = rng.standard_normal((100, d)) * 10.0 ** rng.integers(-3, 4, (100, 1))
+        for n in (1, MEAN_BLOCK - 1, MEAN_BLOCK, MEAN_BLOCK + 1, 3 * MEAN_BLOCK + 5):
+            index = rng.integers(0, 100, n)
+            assert _mean(rows, index).tobytes() == rows[index].mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17])
+def test_inertia_keeps_the_bits_of_the_whole_sum(d):
+    """The inertia builds its squares a run at a time; split where numpy
+    splits its pairwise sum, the runs add up to the whole sum's bits."""
+    for seed in range(4):
+        rng = stream(seed, d)
+        rows = rng.standard_normal((100, d)) * 10.0 ** rng.integers(-3, 4, (100, 1))
+        centroids = rng.standard_normal((3, d))
+        for n in (1, 7, SUM_LEAF // d + 3, 5 * SUM_LEAF // d + 11):
+            X = rows[rng.integers(0, 100, n)]
+            labels = rng.integers(0, 3, n)
+            expected = np.sum((X - centroids[labels]) ** 2)
+            assert _inertia(distinct_rows(X), centroids, labels) == expected
 
 
 def test_kmeans_repairs_an_empty_cluster():
     X = np.array([[0.0, 1.0]] * 5 + [[1.0, 0.0]])
-    centroids, labels = _kmeans(X, 3, stream(3))
+    centroids, labels = _kmeans(distinct_rows(X), 3, stream(3))
     assert sorted(set(labels.tolist())) == [0, 1, 2]
     reference_centroids, reference_labels = reference_kmeans(X, 3, stream(3))
     assert centroids.tobytes() == reference_centroids.tobytes()
     assert labels.tobytes() == reference_labels.tobytes()
+
+
+# --- clustering the distinct rows against clustering every trajectory ----------------------
+
+def reference_cluster(paths, k, seed, profiles, departments):
+    """``cluster`` as it was when k-means ran on one encoding per trajectory
+    and the matrices summed one count matrix per trajectory."""
+    X = encode_all(trajectories_of(paths), departments)
+    centroids, labels = reference_kmeans(X, k, stream(seed))
+    encoder = _build_profile_encoder(profiles)
+    encoded = encoder.encode_all(profiles)
+    attr = [encoded[labels == j].mean(axis=0) for j in range(k)]
+    clusters = []
+    for j in range(k):
+        members = [path for path, label in zip(paths, labels) if label == j]
+        separated = all(np.linalg.norm(attr[j] - attr[i]) >= ATTR_SEPARATION_MIN
+                        for i in range(k) if i != j)
+        clusters.append(PathwayCluster(
+            centroid=tuple(float(v) for v in centroids[j]),
+            matrix=fit_transition_matrix(trajectories_of(members), departments),
+            member_count=len(members),
+            attribute_centroid=tuple(float(v) for v in attr[j]),
+            use_fallback=len(members) < MIN_CLUSTER_MEMBERS or not separated,
+        ))
+    return PathwayClusters(
+        k=k,
+        departments=departments,
+        clusters=tuple(clusters),
+        fallback=fit_transition_matrix(trajectories_of(paths), departments),
+        profile_encoder=encoder,
+        labels=tuple(int(v) for v in labels),
+    )
+
+
+@st.composite
+def cluster_inputs(draw):
+    """Up to 60 trajectories drawn from a pool of a few routes, so most
+    repeat and k may exceed the distinct routes, each with a profile drawn
+    from a few ages and DRGs."""
+    routes = draw(st.lists(st.lists(st.sampled_from(DEPARTMENTS), min_size=1, max_size=4),
+                           min_size=1, max_size=5))
+    paths = draw(st.lists(st.sampled_from(routes), min_size=1, max_size=60))
+    profiles = table([profile(f"p{i}", age=draw(st.sampled_from([30, 55, 80])),
+                              drg=draw(st.sampled_from(["ACS", "HF"])))
+                      for i in range(len(paths))])
+    return paths, draw(st.integers(1, min(5, len(paths)))), profiles
+
+
+# restarts that split off B -> A or A -> B reach the same inertia up to
+# rounding, so the bits of the inertia sum pick the one that is kept
+TIED = [["A"]] * 5 + [["B", "A"], ["A"], ["A", "B"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cluster_inputs(), st.integers(0, 2**32 - 1))
+@example((TIED, 2, table([profile(f"p{i}", age=30) for i in range(len(TIED))])), 0)
+def test_cluster_matches_the_per_trajectory_reference(inputs, seed):
+    paths, k, profiles = inputs
+    pc = cluster(trajectories_of(paths), k, seed, profiles, DEPARTMENTS)
+    expected = reference_cluster(paths, k, seed, profiles, DEPARTMENTS)
+    assert document_sha256(pc) == document_sha256(expected)
+
+
+def test_cluster_peaks_below_two_encoding_matrices(default_oracle, default_generator):
+    """``cluster`` holds no float matrix with a row per trajectory for long:
+    its traced peak stays below two (trajectories x encoding width) float64
+    matrices."""
+    trs = extract_trajectories(default_oracle.log, default_oracle.profiles)
+    profiles = default_oracle.profiles.take(trs.patient)
+    departments = tuple(sorted(default_generator.departments))
+    width = (len(departments) + 1) ** 2 + 1
+    tracemalloc.start()
+    try:
+        cluster(trs, 2, 20260810, profiles, departments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(trs) * width * 8
