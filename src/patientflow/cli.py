@@ -96,7 +96,9 @@ def _load_log(path: str):
     copy = Path(path + ".columns.npz")
     loaded = _read_log_copy(copy, key)
     if loaded is None:
-        loaded = parse_event_log(_decode(path, data, DataError))
+        text = _decode(path, data, DataError)
+        del data  # the text holds the same content
+        loaded = parse_event_log(text)
         _write_log_copy(copy, key, *loaded)
     return loaded
 

@@ -400,16 +400,17 @@ LOG_ARRAYS = {"departments": "U", "patient": np.int64, "department": np.int64,
 
 def log_arrays(log: EventLog, profiles: Profiles) -> dict[str, np.ndarray] | None:
     """A log and its profiles as the arrays of ``LOG_ARRAYS``, or None when
-    a string would not come back the same (numpy drops trailing NULs)."""
+    a string would not come back the same: numpy stores only ``str``s, and
+    drops their trailing NULs."""
     arrays = {name: getattr(log, name) for name in _COLUMNS}
     arrays.update((name, getattr(profiles, name)) for name in PROFILE_FIELDS)
     arrays["departments"] = log.departments
     for name, dtype in LOG_ARRAYS.items():
         if dtype == "U":
-            strings = list(arrays[name])
-            arrays[name] = np.array(strings, dtype=str)
-            if arrays[name].tolist() != strings:
+            strings = arrays[name]
+            if not all(isinstance(s, str) and not s.endswith("\0") for s in strings):
                 return None
+            arrays[name] = np.array(strings, dtype=str)
     return arrays
 
 

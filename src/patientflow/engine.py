@@ -779,19 +779,24 @@ class _Child:
         self.pipe = open(read, "rb")
 
     def join(self) -> list[SimResult]:
-        """Read the child's pipe to its end and reap the child; its results,
-        or its exception raised here."""
+        """Unpickle the child's outcome straight from its pipe and reap the
+        child; its results, or its exception raised here. A child that
+        ends before its pickle is whole, having sent nothing or a part,
+        raises one ``RuntimeError``."""
         with self.pipe:
-            data = self.pipe.read()
+            try:
+                outcome = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if not data:
+        if outcome is None:
             code = os.waitstatus_to_exitcode(status)
             how = f"exit status {code}" if code >= 0 else f"signal {-code}"
             raise RuntimeError(f"the worker running replications {self.indices.start} to "
                                f"{self.indices.stop - 1} ended with {how} before it "
                                "sent its results")
-        ok, value = pickle.loads(data)
+        ok, value = outcome
         if not ok:
             raise value
         return value

@@ -47,7 +47,6 @@ from .engine import (
     PoissonBaseline,
     ReplicationSummary,
     SimConfig,
-    SimResult,
     bucket_census,
     check_replications,
     replicate,
@@ -288,16 +287,86 @@ def generator_class_matrix(config: GeneratorConfig, severity: int) -> Transition
 
 # --- the experiment ----------------------------------------------------------------
 
+def _los_hist_sample(values: np.ndarray) -> np.ndarray:
+    """What los_hist.csv keeps of ``values``: every ``max(1, n // 20000)``-th
+    one, which bounds the file; a copy, so ``values`` can die."""
+    return values[::max(1, len(values) // 20000)].copy()
+
+
+def _generate(config: GeneratorConfig):
+    """The generated log, its profiles, and each profile's latent class as
+    an int8 column aligned with the profiles (the truth dict's order is the
+    profile row order)."""
+    result = generate(config)
+    latent = result.truth.latent_class
+    return result.log, result.profiles, np.fromiter(latent.values(), np.int8, len(latent))
+
+
+def _fit_stacks(scenario, train_log, train_idx, profiles, departments):
+    """Both stacks, fitted on the training stays ``train_log`` of the
+    patients ``train_idx``. The training targets built here die on return."""
+    train_series = bucketize(train_log, scenario.bucket_width, 0.0, scenario.split_time)
+    # per department in first-appearance order: patients and stay hours in log order
+    los = train_log.los
+    stay_rows = {}
+    for code, dept in enumerate(train_log.departments):
+        rows = train_log.department == code
+        stay_rows[dept] = (train_log.patient[rows], los[rows].tolist())
+    cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
+                              minlength=len(profiles))
+    cost_rows = (train_idx, cost_totals[train_idx].tolist())
+    trajectories = extract_trajectories(train_log, profiles)
+    return (_fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments),
+            _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,
+                         profiles, departments))
+
+
+def _simulate(scenario, stack, driver, dept_specs, sampler):
+    """Replicate one stack over the held-out window and keep what scoring
+    reads: the summary, the stay hours of the cohort (patients admitted
+    at or after the warm-up) by department, each concatenated over the
+    replications in order, and the costs of the cohort's discharged
+    patients. The ``SimResult``s die on return."""
+    config = SimConfig(
+        departments=dept_specs,
+        horizon=scenario.generator.horizon - scenario.split_time,
+        warm_up=scenario.warm_up,
+        arrival_driver=driver,
+        los_models=stack.los_models,
+        cot_model=stack.cot_model,
+        pathway=stack.pathway,
+        profile_sampler=sampler,
+        seed=scenario.generator.seed,
+        replications=scenario.replications,
+    )
+    results, summary = replicate(config, jobs=scenario.jobs,
+                                 census_bucket=scenario.census_bucket)
+    parts = {d.name: [] for d in dept_specs}
+    costs = []
+    for res in results:
+        admitted = res.admission >= scenario.warm_up
+        cohort = np.repeat(admitted, np.diff(res.stay_offset))
+        los = res.stay_end - res.stay_start
+        for index, d in enumerate(res.departments):
+            parts[d].append(los[cohort & (res.stay_department == index)])
+        costs.append(res.cost[admitted & ~np.isnan(res.cost)])
+    return summary, {d: np.concatenate(p) for d, p in parts.items()}, np.concatenate(costs)
+
+
 def run_experiment(
     scenario: ScenarioConfig,
     out_dir: str | Path | None = None,
 ) -> ComparisonReport:
     """Generate, split, fit both stacks, simulate the held-out window,
     and score both against ground truth. Deterministic given the
-    scenario (byte-identical report JSON)."""
+    scenario (byte-identical report JSON).
+
+    Each phase keeps only what the later ones read: the training data
+    lives inside ``_fit_stacks``, each stack's replications inside
+    ``_simulate``, and the generated log only until its held-out stays
+    are taken."""
     gen_config = scenario.generator
-    result = generate(gen_config)
-    log, profiles, truth = result.log, result.profiles, result.truth
+    log, profiles, latent = _generate(gen_config)
 
     t_split = scenario.split_time
     horizon = gen_config.horizon
@@ -310,33 +379,20 @@ def run_experiment(
     admission = admission_times(log)
     train = admission < t_split
     test = admission >= t_split
-    train_log = log.rows(train[log.patient])
-    test_log = log.rows(test[log.patient])
     train_idx = np.flatnonzero(train)
     test_idx = np.flatnonzero(test)
     by_id = np.argsort(profiles.patient_id)  # every patient, in patient_id order
     departments = tuple(sorted(gen_config.departments))
 
-    train_series = bucketize(train_log, scenario.bucket_width, 0.0, t_split)
-    # per department in first-appearance order: patients and stay hours in log order
-    los = train_log.los
-    stay_rows = {}
-    for code, dept in enumerate(train_log.departments):
-        rows = train_log.department == code
-        stay_rows[dept] = (train_log.patient[rows], los[rows].tolist())
-    cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
-                              minlength=len(profiles))
-    cost_rows = (train_idx, cost_totals[train_idx].tolist())
-    trajectories = extract_trajectories(train_log, profiles)
+    stack_a, stack_b = _fit_stacks(scenario, log.rows(train[log.patient]), train_idx,
+                                   profiles, departments)
+    test_log = log.rows(test[log.patient])
+    del log  # only its held-out stays are read from here on
 
-    stack_a = _fit_stack_a(train_series, stay_rows, cost_rows, trajectories,
-                           departments)
-    stack_b = _fit_stack_b(scenario, train_series, stay_rows, cost_rows,
-                           trajectories, profiles, departments)
-
-    # held-out admissions per bucket
+    # held-out admissions per bucket (every patient admitted in the window
+    # is a test patient)
     n_test_buckets = int(round(h_test / scenario.bucket_width))
-    test_series = bucketize(log, scenario.bucket_width, t_split, h_test)
+    test_series = bucketize(test_log, scenario.bucket_width, t_split, h_test)
     forecasts = {
         STACK_A: inflow.forecast(stack_a.inflow_model, n_test_buckets),
         STACK_B: inflow.forecast(stack_b.inflow_model, n_test_buckets),
@@ -351,34 +407,22 @@ def run_experiment(
         DepartmentSpec(name=d, bed_capacity=capacities.get(d)) for d in departments
     )
     sampler = EmpiricalSampler(profiles.take(by_id[train[by_id]]))
-    sims: dict[str, tuple[list[SimResult], ReplicationSummary]] = {}
-    for stack, driver in (
-        (stack_a, PoissonBaseline(lam=stack_a.inflow_model.lam,
-                                  bucket_width=scenario.bucket_width)),
-        (stack_b, ForecastDriven(forecast=tuple(forecasts[STACK_B]),
-                                 bucket_width=scenario.bucket_width)),
-    ):
-        config = SimConfig(
-            departments=dept_specs,
-            horizon=h_test,
-            warm_up=scenario.warm_up,
-            arrival_driver=driver,
-            los_models=stack.los_models,
-            cot_model=stack.cot_model,
-            pathway=stack.pathway,
-            profile_sampler=sampler,
-            seed=gen_config.seed,
-            replications=scenario.replications,
+    sims = {
+        stack.name: _simulate(scenario, stack, driver, dept_specs, sampler)
+        for stack, driver in (
+            (stack_a, PoissonBaseline(lam=stack_a.inflow_model.lam,
+                                      bucket_width=scenario.bucket_width)),
+            (stack_b, ForecastDriven(forecast=tuple(forecasts[STACK_B]),
+                                     bucket_width=scenario.bucket_width)),
         )
-        sims[stack.name] = replicate(config, jobs=scenario.jobs,
-                                     census_bucket=scenario.census_bucket)
+    }
 
     truth_curves = {dept: bucket_census(*truth_census_steps(test_log, dept, t_split, horizon),
                                         scenario.census_bucket, h_test)
                     for dept in departments}
     census_mae = {
         name: census_error(summary, truth_curves, scenario.warm_up)
-        for name, (_, summary) in sims.items()
+        for name, (summary, _, _) in sims.items()
     }
     census_mae_mean = {
         name: float(np.mean(list(per_dept.values())))
@@ -391,16 +435,10 @@ def run_experiment(
     truth_los = test_log.los
     truth_los_by_dept = {d: truth_los[test_log.in_department(d)] for d in departments}
     los_ks = {}
-    sim_los_by_stack = {}
-    for name, (results, _) in sims.items():
-        parts = {d: [] for d in departments}
-        for res in results:
-            cohort = np.repeat(res.admission >= scenario.warm_up, np.diff(res.stay_offset))
-            los = res.stay_end - res.stay_start
-            for index, d in enumerate(res.departments):
-                parts[d].append(los[cohort & (res.stay_department == index)])
-        sim_by_dept = {d: np.concatenate(parts[d]) for d in departments}
-        sim_los_by_stack[name] = np.concatenate([sim_by_dept[d] for d in departments])
+    los_hist = {"truth": _los_hist_sample(truth_los)}
+    for name, (_, sim_by_dept, _) in sims.items():
+        los_hist[name] = _los_hist_sample(
+            np.concatenate([sim_by_dept[d] for d in departments]))
         acc = 0.0
         total = 0
         for d in departments:
@@ -419,11 +457,7 @@ def run_experiment(
     discharged = test_idx[last_exit[test_idx] <= horizon]
     truth_mean_cost = float(np.mean(truth_costs[discharged]))
     cot_rel_err = {}
-    for name, (results, _) in sims.items():
-        sim_costs = np.concatenate([
-            res.cost[(res.admission >= scenario.warm_up) & ~np.isnan(res.cost)]
-            for res in results
-        ])
+    for name, (_, _, sim_costs) in sims.items():
         sim_mean = float(np.mean(sim_costs)) if len(sim_costs) else math.nan
         cot_rel_err[name] = abs(sim_mean - truth_mean_cost) / truth_mean_cost
 
@@ -436,11 +470,11 @@ def run_experiment(
     clusters_b = stack_b.pathway
     tv_by_class = [pathways.row_average_tv(stack_a.pathway, m) for m in class_matrices]
     tv_by_pair = {}
-    held_out = profiles.take(by_id[test[by_id]])
+    held_out = by_id[test[by_id]]  # held-out profile rows, in patient_id order
     tv_a = []
     tv_b = []
-    for pid, k in zip(held_out.patient_id.tolist(), pathways.assign_all(held_out, clusters_b)):
-        cls = truth.latent_class[pid]
+    for cls, k in zip(latent[held_out].tolist(),
+                      pathways.assign_all(profiles.take(held_out), clusters_b)):
         pair = (cls, k)
         if pair not in tv_by_pair:
             tv_by_pair[pair] = pathways.row_average_tv(
@@ -475,16 +509,17 @@ def run_experiment(
 
     if out_dir is not None:
         _write_outputs(
-            Path(out_dir), report, scenario, test_series, forecasts, sims,
-            truth_curves, t_split, truth_los, sim_los_by_stack,
+            Path(out_dir), report, scenario, test_series, forecasts,
+            {name: summary for name, (summary, _, _) in sims.items()},
+            truth_curves, t_split, los_hist,
         )
     return report
 
 
 # --- plot-ready exports ---------------------------------------------------------
 
-def _write_outputs(out, report, scenario, test_series, forecasts, sims,
-                   truth_curves, t_split, truth_los, sim_los_by_stack):
+def _write_outputs(out, report, scenario, test_series, forecasts, summaries,
+                   truth_curves, t_split, los_hist):
     out.mkdir(parents=True, exist_ok=True)
     codec.write(report, out / "report.json")
 
@@ -500,8 +535,8 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
     cw = scenario.census_bucket
     lines = ["bucket_start_hour,department,truth,stack_a,stack_b"]
     for dept, truth_curve in truth_curves.items():
-        a_curve = sims[STACK_A][1].mean_census_per_bucket[dept]
-        b_curve = sims[STACK_B][1].mean_census_per_bucket[dept]
+        a_curve = summaries[STACK_A].mean_census_per_bucket[dept]
+        b_curve = summaries[STACK_B].mean_census_per_bucket[dept]
         for i, tv in enumerate(truth_curve):
             lines.append(
                 f"{t_split + i * cw:.6f},{dept},{tv:.6f},"
@@ -509,13 +544,7 @@ def _write_outputs(out, report, scenario, test_series, forecasts, sims,
             )
     (out / "census_compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    cap = 20000  # keep plot files bounded
     with open(out / "los_hist.csv", "w", encoding="utf-8") as fh:
         fh.write("source,los_hours\n")
-        for source, values in (
-            ("truth", truth_los),
-            (STACK_A, sim_los_by_stack[STACK_A]),
-            (STACK_B, sim_los_by_stack[STACK_B]),
-        ):
-            stride = max(1, len(values) // cap)
-            fh.writelines(f"{source},{v:.6f}\n" for v in values[::stride])
+        for source, values in los_hist.items():  # truth, stack A, stack B
+            fh.writelines(f"{source},{v:.6f}\n" for v in values)

@@ -540,6 +540,52 @@ def test_a_worker_that_dies_is_named_by_its_exit_status(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("chunk, named", [(0, "0 to 1"), (1, "2 to 3")])
+def test_a_worker_that_dies_inside_its_pickle_is_one_error(monkeypatch, chunk, named):
+    """The child of one chunk writes half of its pickle and exits with
+    status 3. The parent's unpickling runs out of data: ``replicate``
+    raises one ``RuntimeError`` naming that worker, and leaves no child
+    behind, also when the other child is still blocked in its write."""
+    real_run, real_open = engine.run, open
+    ran = []  # in a child: the replications it has run
+
+    def recording_run(config, replication=0):
+        ran.append(replication)
+        return real_run(config, replication)
+
+    class HalfWriter:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            if ran[0] // 2 != chunk:
+                return self.file.write(data)
+            self.file.write(data[:len(data) // 2])
+            self.file.flush()
+            os._exit(3)
+
+    def half_open(fd, mode="r"):
+        file = real_open(fd, mode)
+        return HalfWriter(file) if mode == "wb" else file
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    config = busy_config(4)
+    monkeypatch.setattr(engine, "run", recording_run)
+    monkeypatch.setattr(engine, "open", half_open, raising=False)
+    with time_limit(60), pytest.raises(RuntimeError, match=(
+            f"worker running replications {named} ended with exit status 3 "
+            "before it sent its results")):
+        replicate(config, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

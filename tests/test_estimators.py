@@ -584,6 +584,34 @@ def test_ks_empty_sample():
         ks_statistic([], [1.0])
 
 
+def ks_on_the_joint_grid(sample_a, sample_b) -> float:
+    """The KS distance with both empirical CDFs evaluated on the
+    concatenation of the two sorted samples."""
+    a, b = np.sort(np.asarray(sample_a, dtype=float)), np.sort(np.asarray(sample_b, dtype=float))
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+# a few values, each drawn often: ties within and across the samples
+tied = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.25, 1e9]), min_size=1,
+                max_size=40)
+spread = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tied, spread), st.one_of(tied, spread))
+@example([1.0, 1.0, 2.0], [1.0, 2.0, 2.0])
+@example([0.0], [0.0, 0.0, 0.0])
+def test_ks_equals_the_joint_grid_formula(sample_a, sample_b):
+    """Taking the gap at each sample's own points gives the bits of the
+    joint grid, ties and repeated values included."""
+    ks = ks_statistic(sample_a, sample_b)
+    assert np.float64(ks).tobytes() == np.float64(
+        ks_on_the_joint_grid(sample_a, sample_b)).tobytes()
+
+
 # --- serialization -----------------------------------------------------------------------
 
 def test_estimator_json_round_trips():

@@ -1,10 +1,11 @@
 import json
+import weakref
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from patientflow import codec, inflow
+from patientflow import codec, engine, experiment, inflow
 from patientflow.domain import admission_times, bucketize
 from patientflow.engine import ReplicationSummary, bucket_census
 from patientflow.errors import ConfigError, DataError
@@ -252,3 +253,43 @@ def test_sweep_variant_runs(default_scenario_dict):
                             replications=1)
     report = run_experiment(ScenarioConfig.from_dict(d))
     assert np.isfinite(report.pathway_tv[STACK_B])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compare_lets_each_phase_die_before_the_next(monkeypatch, tmp_path,
+                                                     default_scenario_dict, jobs):
+    """When stack B's ``replicate`` is called, stack A's ``SimResult``s
+    and the training ``EventLog`` that the trajectories were extracted from
+    are dead; when the outputs are written, so are stack B's results."""
+    real_extract = experiment.extract_trajectories
+    real_replicate = experiment.replicate
+    real_write = experiment._write_outputs
+    training_logs = []  # weakrefs to each log passed to extract_trajectories
+    results = []        # per replicate call, weakrefs to the results it returned
+    alive = {}
+
+    def extract(log, *args, **kwargs):
+        training_logs.append(weakref.ref(log))
+        return real_extract(log, *args, **kwargs)
+
+    def replicate(*args, **kwargs):
+        if results:
+            alive["stack A results"] = sum(r() is not None for r in results[0])
+            alive["training log"] = sum(r() is not None for r in training_logs)
+        out = real_replicate(*args, **kwargs)
+        results.append([weakref.ref(r) for r in out[0]])
+        return out
+
+    def write(*args, **kwargs):
+        alive["stack B results"] = sum(r() is not None for r in results[1])
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiment, "extract_trajectories", extract)
+    monkeypatch.setattr(experiment, "replicate", replicate)
+    monkeypatch.setattr(experiment, "_write_outputs", write)
+    scenario = ScenarioConfig.from_dict(small_scenario_dict(default_scenario_dict, jobs=jobs))
+    run_experiment(scenario, out_dir=tmp_path)
+    assert [len(r) for r in results] == [2, 2]
+    assert len(training_logs) == 1
+    assert alive == {"stack A results": 0, "training log": 0, "stack B results": 0}
