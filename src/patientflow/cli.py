@@ -177,9 +177,9 @@ def _targets(kind, log, profiles, department):
     if kind in COT_KINDS:
         totals = np.bincount(log.patient, weights=log.cost, minlength=len(profiles))
         order = np.argsort(profiles.patient_id)
-        return profiles.take(order), totals[order].tolist()
+        return profiles.take(order), totals[order]
     rows = log.in_department(department) if department is not None else slice(None)
-    return profiles.take(log.patient[rows]), log.los[rows].tolist()
+    return profiles.take(log.patient[rows]), log.los[rows]
 
 
 def _cmd_fit(args) -> int:
@@ -221,7 +221,7 @@ def _cmd_fit(args) -> int:
         elif kind == "tree_los":
             model = estimators.fit_tree(profs, targets, args.max_depth, args.min_leaf)
         elif kind == "lognormal_cot":
-            model = estimators.fit_lognormal([max(t, estimators.COST_FLOOR) for t in targets])
+            model = estimators.fit_lognormal(np.maximum(targets, estimators.COST_FLOOR))
         else:  # conditional_cot
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
 

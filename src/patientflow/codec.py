@@ -121,6 +121,8 @@ def _decode(value, hint, path: str):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r:.60}")
         item = typing.get_args(hint)[0]
+        if item in (int, str) and set(map(type, value)) <= {item}:
+            return tuple(value)  # every element has the exact type: nothing to check
         return tuple(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is dict:
         if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):

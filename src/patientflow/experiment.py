@@ -223,13 +223,12 @@ class _Stack:
 
 def _fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments):
     inflow_model = inflow.fit_poisson(train_series)
-    all_los = [t for _, targets in stay_rows.values() for t in targets]
+    all_los = np.concatenate([targets for _, targets in stay_rows.values()])
     los_models = {}
     for dept in departments:
-        targets = stay_rows.get(dept, (None, []))[1]
+        targets = stay_rows.get(dept, (None, all_los[:0]))[1]
         los_models[dept] = estimators.fit_lognormal(targets if len(targets) >= 2 else all_los)
-    costs = [max(c, estimators.COST_FLOOR) for c in cost_rows[1]]
-    cot_model = estimators.fit_lognormal(costs)
+    cot_model = estimators.fit_lognormal(np.maximum(cost_rows[1], estimators.COST_FLOOR))
     pathway = pathways.fit_transition_matrix(trajectories, departments)
     return _Stack(STACK_A, inflow_model, los_models, cot_model, pathway)
 
@@ -238,11 +237,11 @@ def _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,
                  profiles, departments):
     inflow_model = scenario.forecaster.fit(train_series)
     all_patients = np.concatenate([patients for patients, _ in stay_rows.values()])
-    all_targets = [t for _, targets in stay_rows.values() for t in targets]
+    all_targets = np.concatenate([targets for _, targets in stay_rows.values()])
     fit = estimators.fit_tree if scenario.los_estimator == "tree" else estimators.fit_conditional
     los_models = {}
     for dept in departments:
-        patients, targets = stay_rows.get(dept, (all_patients[:0], []))
+        patients, targets = stay_rows.get(dept, (all_patients[:0], all_targets[:0]))
         try:
             los_models[dept] = fit(profiles.take(patients), targets)
         except DataError:  # departments with too little data fall back to a pooled fit
@@ -295,11 +294,9 @@ def _los_hist_sample(values: np.ndarray) -> np.ndarray:
 
 def _generate(config: GeneratorConfig):
     """The generated log, its profiles, and each profile's latent class as
-    an int8 column aligned with the profiles (the truth dict's order is the
-    profile row order)."""
+    an int8 column aligned with the profiles."""
     result = generate(config)
-    latent = result.truth.latent_class
-    return result.log, result.profiles, np.fromiter(latent.values(), np.int8, len(latent))
+    return result.log, result.profiles, result.latent_class
 
 
 def _fit_stacks(scenario, train_log, train_idx, profiles, departments):
@@ -311,10 +308,10 @@ def _fit_stacks(scenario, train_log, train_idx, profiles, departments):
     stay_rows = {}
     for code, dept in enumerate(train_log.departments):
         rows = train_log.department == code
-        stay_rows[dept] = (train_log.patient[rows], los[rows].tolist())
+        stay_rows[dept] = (train_log.patient[rows], los[rows])
     cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
                               minlength=len(profiles))
-    cost_rows = (train_idx, cost_totals[train_idx].tolist())
+    cost_rows = (train_idx, cost_totals[train_idx])
     trajectories = extract_trajectories(train_log, profiles)
     return (_fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments),
             _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,

@@ -246,7 +246,8 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Latent state the simulator never sees but tests may consult."""
+    """Latent state the simulator never sees: the ``ground_truth.json``
+    document."""
 
     latent_class: dict[str, int]
     truncated_walks: int
@@ -254,11 +255,28 @@ class GroundTruth:
     config: GeneratorConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerateResult:
+    """A generated log and its profiles, with the latent state: each
+    profile's severity class (an int8 column aligned with the profile
+    rows) and the walks cut at ``WALK_CAP``."""
+
     log: EventLog
     profiles: Profiles
-    truth: GroundTruth
+    latent_class: np.ndarray
+    truncated_walks: int
+    config: GeneratorConfig
+
+
+def ground_truth(result: GenerateResult) -> GroundTruth:
+    """The ground-truth document of a result, its latent classes keyed by
+    patient id in profile row order."""
+    return GroundTruth(
+        latent_class=dict(zip(result.profiles.patient_id, map(int, result.latent_class))),
+        truncated_walks=result.truncated_walks,
+        n_patients=len(result.profiles),
+        config=result.config,
+    )
 
 
 # expected arrivals per run: a generator's and an engine arrival driver's;
@@ -359,14 +377,19 @@ def generate(config: GeneratorConfig) -> GenerateResult:
 
     patient, department = array("q"), array("q")
     enter, exit_, cost = array("d"), array("d"), array("d")
-    profiles: list[tuple] = []  # (age, gender, comorbidity_count, drg)
-    latent: dict[str, int] = {}
+    ages, comorbidities, severities = array("q"), array("q"), array("b")
+    genders: list[str] = []
+    drgs: list[str] = []
     truncated = 0
 
     for i, t in enumerate(arrivals):
         severity = (1 if random() < split else 0) if two_classes else 0
-        profiles.append(samplers[min(severity, len(samplers) - 1)].draw(rng))
-        age, _, com, drg = profiles[-1]
+        age, gender, com, drg = samplers[min(severity, len(samplers) - 1)].draw(rng)
+        ages.append(age)
+        genders.append(gender)
+        comorbidities.append(com)
+        drgs.append(drg)
+        severities.append(severity)
         rows = walk_rows[severity]
         mu_fixed = (
             los.beta0
@@ -394,19 +417,15 @@ def generate(config: GeneratorConfig) -> GenerateResult:
         else:
             truncated += 1
 
-        latent[f"P{i + 1:06d}"] = severity
-
     enter, exit_, cost = (np.frombuffer(column) for column in (enter, exit_, cost))
     check_stays(enter, exit_, cost)
-    truth = GroundTruth(
-        latent_class=latent,
-        truncated_walks=truncated,
-        n_patients=len(arrivals),
-        config=config,
-    )
     log = event_log(config.departments, np.frombuffer(patient, dtype=np.int64),
                     np.frombuffer(department, dtype=np.int64), enter, exit_, cost)
-    return GenerateResult(log, Profiles.from_rows(list(latent), profiles), truth)
+    profiles = Profiles([f"P{i + 1:06d}" for i in range(len(arrivals))],
+                        np.frombuffer(ages, dtype=np.int64), genders,
+                        np.frombuffer(comorbidities, dtype=np.int64), drgs)
+    return GenerateResult(log, profiles, np.frombuffer(severities, dtype=np.int8),
+                          truncated, config)
 
 
 def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Path]:
@@ -417,5 +436,5 @@ def write_outputs(result: GenerateResult, out_dir: str | Path) -> tuple[Path, Pa
     truth_path = out / "ground_truth.json"
     with open(log_path, "w", encoding="utf-8", newline="") as file:
         write_event_log(result.log, result.profiles, file)
-    codec.write(result.truth, truth_path)
+    codec.write(ground_truth(result), truth_path)
     return log_path, truth_path

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from patientflow import engine
+from patientflow import engine, estimators
 from patientflow.domain import (
     PROFILE_FIELDS,
     Profiles,
@@ -124,6 +124,21 @@ def attribute_sim_config():
                             "comorbidity": {"c0": 1.0, "c1": 0.0},
                             "drg_probs": {"GEN": 1.0}},
     }
+
+
+def spy_on_targets(monkeypatch):
+    """Record the type and dtype of the targets each stay and cost fit of
+    ``estimators`` is handed."""
+    seen = []
+    for name, position in (("fit_lognormal", 0), ("fit_gamma_mom", 0), ("fit_weibull", 0),
+                           ("fit_mixture_em", 0), ("fit_conditional", 1), ("fit_tree", 1)):
+        def spy(*args, _real=getattr(estimators, name), _name=name, _position=position,
+                **kwargs):
+            targets = args[_position]
+            seen.append((_name, type(targets), getattr(targets, "dtype", None)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(estimators, name, spy)
+    return seen
 
 
 def trajectory_paths(trajectories):

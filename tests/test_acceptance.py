@@ -172,8 +172,7 @@ def test_ac3_pathway_thesis(default_generator):
         pc = cluster(trajectories, 2, seed=314, profiles=profiles,
                      departments=sorted(config.departments))
         labels = np.asarray(pc.labels)
-        truth = np.asarray([oracle.truth.latent_class[pid]
-                            for pid in profiles.patient_id])
+        truth = oracle.latent_class[trajectories.patient]
         agree = float(np.mean(labels == truth))
         purities[label] = max(agree, 1.0 - agree)
         mapping = (0, 1) if agree >= 0.5 else (1, 0)

@@ -46,6 +46,7 @@ from conftest import (
     attribute_sim_config,
     flat_generator_dict,
     make_log,
+    spy_on_targets,
     table,
     time_limit,
     trajectories_of,
@@ -169,6 +170,21 @@ def test_fit_estimator_kinds(tmp_path, log_path):
         assert main(["fit", "--log", log_path, "--model", kind,
                      "--out", str(out)]) == 0, kind
         assert json.loads(out.read_text())["kind"]
+
+
+def test_fit_hands_the_estimators_float64_arrays(monkeypatch, tmp_path, log_path):
+    """``_targets`` gives each stay and cost fit a float64 array, and so
+    does the cost floor of ``lognormal_cot``."""
+    seen = spy_on_targets(monkeypatch)
+    kinds = ("lognormal_los", "gamma_los", "weibull_los", "conditional_los", "tree_los",
+             "lognormal_cot", "conditional_cot")
+    for kind in kinds:
+        assert main(["fit", "--log", log_path, "--model", kind,
+                     "--out", str(tmp_path / "m.json")]) == 0, kind
+    assert main(["fit", "--log", log_path, "--model", "mixture_los", "--k", "2",
+                 "--seed", "1", "--department", "WARD", "--out", str(tmp_path / "m.json")]) == 0
+    assert len(seen) == len(kinds) + 1
+    assert {(kind, dtype) for _, kind, dtype in seen} == {(np.ndarray, np.dtype(np.float64))}
 
 
 def test_fit_takes_cost_rows_in_patient_id_order(tmp_path):

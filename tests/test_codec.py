@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 import typing
 from pathlib import Path
 
@@ -210,6 +211,28 @@ def test_defaults_may_be_absent_and_errors_name_the_path():
                 "fallback": doc, "profile_encoder": None, "labels": [0]}
     with pytest.raises(ConfigError, match=r"clusters\[0\]\.matrix\.probs\[1\]"):
         codec.read(pathways.Pathway, clusters, "pathway")
+
+
+@pytest.mark.parametrize("bad, got", [
+    (True, "True"), (1.0, "1.0"), ("1", "'1'"), (None, "None"),
+], ids=["bool", "float", "str", "null"])
+def test_int_tuple_element_of_another_type_raises_naming_its_index(bad, got):
+    """A tuple of exact ints is read in one pass; any other element, a
+    bool too, still fails with its own path."""
+    trajectories = trajectories_of([["A"]] * 3 + [["A", "B"]] * 3)
+    doc = codec.document(pathways.cluster(trajectories, 2, seed=11,
+                                          profiles=PROFILES.take(slice(0, 6))))
+    assert codec.read(pathways.Pathway, doc, "pathway").labels == tuple(doc["labels"])
+    doc["labels"][4] = bad
+    with pytest.raises(ConfigError, match=rf"^pathway\.labels\[4\]: expected a number "
+                       rf"\(an integer\), got {re.escape(got)}$"):
+        codec.read(pathways.Pathway, doc, "pathway")
+
+
+def test_str_tuple_element_of_another_type_raises_naming_its_index():
+    assert codec.read(tuple[str, ...], ["a", "b"], "names") == ("a", "b")
+    with pytest.raises(ConfigError, match=r"^names\[1\]: expected str, got 2$"):
+        codec.read(tuple[str, ...], ["a", 2, "c"], "names")
 
 
 def test_union_error_names_tagged_alternatives_by_tag_and_others_by_type():

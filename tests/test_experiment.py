@@ -21,7 +21,7 @@ from patientflow.experiment import (
 )
 from patientflow.seeding import stream
 
-from conftest import make_log
+from conftest import make_log, spy_on_targets
 
 
 def small_scenario_dict(default_scenario_dict, **overrides):
@@ -253,6 +253,21 @@ def test_sweep_variant_runs(default_scenario_dict):
                             replications=1)
     report = run_experiment(ScenarioConfig.from_dict(d))
     assert np.isfinite(report.pathway_tv[STACK_B])
+
+
+@pytest.mark.parametrize("los_estimator", ["conditional", "tree"])
+def test_fit_stacks_hand_the_fits_float64_arrays(monkeypatch, default_scenario_dict,
+                                                 los_estimator):
+    seen = spy_on_targets(monkeypatch)
+    scenario = ScenarioConfig.from_dict(
+        small_scenario_dict(default_scenario_dict, los_estimator=los_estimator))
+    log, profiles, _ = experiment._generate(scenario.generator)
+    train = admission_times(log) < scenario.split_time
+    experiment._fit_stacks(scenario, log.rows(train[log.patient]), np.flatnonzero(train),
+                           profiles, tuple(sorted(scenario.generator.departments)))
+    fit_b = "fit_tree" if los_estimator == "tree" else "fit_conditional"
+    assert {name for name, _, _ in seen} == {"fit_lognormal", fit_b, "fit_conditional"}
+    assert {(kind, dtype) for _, kind, dtype in seen} == {(np.ndarray, np.dtype(np.float64))}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -331,7 +331,7 @@ def test_cluster_recovers_latent_classes(default_generator):
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[pid] for pid in profiles.patient_id])
+    truth = result.latent_class[trs.patient]
     agreement = float(np.mean(labels == truth))
     assert max(agreement, 1.0 - agreement) >= 0.9
 
@@ -385,7 +385,7 @@ def test_assign_accuracy_against_latent_class(default_generator):
     pc = cluster(trs, 2, seed=314, profiles=profiles,
                  departments=sorted(config.departments))
     labels = np.asarray(pc.labels)
-    truth = np.asarray([result.truth.latent_class[pid] for pid in profiles.patient_id])
+    truth = result.latent_class[trs.patient]
     mapping = (0, 1) if np.mean(labels == truth) >= 0.5 else (1, 0)
     assigned = np.asarray([mapping[k] for k in assign_all(profiles, pc)])
     assert float(np.mean(assigned == truth)) > 0.75

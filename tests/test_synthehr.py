@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -15,10 +16,10 @@ from patientflow.seeding import cumulative, draw_cumulative, stream
 from patientflow.synthehr import (
     LOS_FLOOR,
     WALK_CAP,
-    GenerateResult,
     GeneratorConfig,
     GroundTruth,
     generate,
+    ground_truth,
     rate_at,
     rate_max,
     sample_arrivals,
@@ -28,6 +29,7 @@ from conftest import flat_generator_dict
 from test_seeding import draw_index
 
 Stay = namedtuple("Stay", "enter_time exit_time")
+ReferenceResult = namedtuple("ReferenceResult", "log profiles truth")
 
 
 def make_config(**overrides):
@@ -194,7 +196,7 @@ def test_generate_single_department_single_stay():
     result = generate(config)
     lengths = dict(enumerate(np.bincount(result.log.patient).tolist()))
     assert set(lengths.values()) == {1}
-    assert result.truth.truncated_walks == 0
+    assert result.truncated_walks == 0
 
 
 def test_generate_deterministic_los():
@@ -225,7 +227,7 @@ def test_generate_bit_identical(default_generator):
     assert serialize_event_log(a.log, a.profiles) == serialize_event_log(
         b.log, b.profiles
     )
-    assert codec.document(a.truth) == codec.document(b.truth)
+    assert codec.document(ground_truth(a)) == codec.document(ground_truth(b))
 
 
 def test_generate_positive_skew_when_noisy():
@@ -274,8 +276,32 @@ def test_generate_contiguous_trajectories(default_oracle):
 
 
 def test_ground_truth_classes_cover_all_patients(default_oracle):
-    assert set(default_oracle.truth.latent_class) == set(default_oracle.profiles.patient_id)
-    assert set(default_oracle.truth.latent_class.values()) == {0, 1}
+    assert default_oracle.latent_class.dtype == np.int8
+    assert len(default_oracle.latent_class) == len(default_oracle.profiles)
+    assert set(default_oracle.latent_class.tolist()) == {0, 1}
+    truth = ground_truth(default_oracle)
+    assert set(truth.latent_class) == set(default_oracle.profiles.patient_id)
+    assert set(truth.latent_class.values()) == {0, 1}
+
+
+# tracemalloc peak of generate on the default generator over 504 h (6,035
+# patients, 9,795 stays): 2,021,987 B when it drew each patient's profile
+# into a tuple, built the table from an object matrix and keyed the latent
+# classes by patient id in a dict; 1,445,122 B drawing them into columns
+GENERATE_PEAK_MAX = 1_750_000
+
+
+def test_generate_peak_stays_below_the_per_patient_objects(default_generator):
+    config = GeneratorConfig.from_dict({**codec.document(default_generator), "horizon": 504.0})
+    generate(config)  # first-call caches stay out of the traced peak
+    tracemalloc.start()
+    try:
+        result = generate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(result.profiles), len(result.log)) == (6035, 9795)
+    assert peak < GENERATE_PEAK_MAX
 
 
 def test_draw_index_sums_in_order_and_falls_through_to_last():
@@ -347,7 +373,7 @@ def reference_generate(config):
         latent[f"P{i + 1:06d}"] = severity
     truth = GroundTruth(latent, truncated, len(arrivals), config)
     log = event_log(config.departments, *np.array(stays, dtype=float).reshape(-1, 5).T)
-    return GenerateResult(log, Profiles.from_rows(list(latent), profiles), truth)
+    return ReferenceResult(log, Profiles.from_rows(list(latent), profiles), truth)
 
 
 @settings(max_examples=100, deadline=None)
@@ -429,7 +455,7 @@ def assert_same_result(result, reference):
     assert result.log.departments == reference.log.departments
     assert result.profiles == reference.profiles
     assert list(result.profiles.patient_id) == list(reference.profiles.patient_id)
-    assert codec.document(result.truth) == codec.document(reference.truth)
+    assert codec.document(ground_truth(result)) == codec.document(reference.truth)
 
 
 @settings(max_examples=120, deadline=None)
@@ -446,7 +472,7 @@ def test_generate_keeps_the_bits_of_the_tuple_generator(config):
     lambda config: len(config.comorbidity_rate_by_age) == 2,
     lambda config: config.los_coeffs.sigma_ln == 0.0,
     lambda config: not sample_arrivals(config, stream(config.seed, 0)),
-    lambda config: generate(config).truth.truncated_walks > 0,
+    lambda config: generate(config).truncated_walks > 0,
 ], ids=["one-class", "two-classes-shared-link", "per-class-links", "sigma-ln-0",
         "no-arrivals", "walk-cap"])
 def test_generator_configs_reach_each_case(case):
