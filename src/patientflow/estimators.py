@@ -226,8 +226,8 @@ class MixtureFit:
                               f"sum to 1, got {len(self.components)} summing to {total!r}")
 
     def converged(self) -> bool:
-        """Whether EM stopped on a log-likelihood gain below the default
-        ``EM_TOL`` rather than at its iteration cap."""
+        """Whether EM stopped on a log-likelihood gain below ``EM_TOL``
+        rather than at its iteration cap."""
         return len(self.trace) >= 2 and self.trace[-1] - self.trace[-2] < EM_TOL
 
 
@@ -236,7 +236,6 @@ def fit_mixture_em(
     k: int,
     seed: int,
     max_iter: int = 500,
-    tol: float = EM_TOL,
 ) -> MixtureFit:
     """Fit a k-component lognormal mixture by EM on ln x.
 
@@ -271,7 +270,7 @@ def fit_mixture_em(
                                                 [np.exp(c - row_max) for c in logp]))
         ll = float(lse.sum()) - jacobian
         trace.append(ll)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < EM_TOL:
             break
         resp = [np.exp(c - lse) for c in logp]
         # M step
@@ -583,21 +582,15 @@ def _best_numeric_split(values: np.ndarray, y: np.ndarray, min_leaf: int):
     n = len(ys)
     csum = np.cumsum(ys)
     csum2 = np.cumsum(ys**2)
-    total, total2 = csum[-1], csum2[-1]
-    best = None
-    for i in range(min_leaf, n - min_leaf + 1):
-        if i < n and v[i - 1] == v[i]:
-            continue  # cannot split inside a tie group
-        nl = i
-        sl, sl2 = csum[i - 1], csum2[i - 1]
-        sse_l = sl2 - sl * sl / nl
-        nr = n - i
-        sr, sr2 = total - sl, total2 - sl2
-        sse_r = sr2 - sr * sr / nr
-        sse = sse_l + sse_r
-        if best is None or sse < best[0]:
-            best = (sse, 0.5 * (v[i - 1] + v[i]))
-    return best  # (sse, threshold) or None
+    i = np.arange(min_leaf, n - min_leaf + 1)
+    i = i[v[i - 1] != v[i]]  # cannot split inside a tie group
+    if not len(i):
+        return None
+    sl, sl2 = csum[i - 1], csum2[i - 1]
+    sr, sr2 = csum[-1] - sl, csum2[-1] - sl2
+    sse = (sl2 - sl * sl / i) + (sr2 - sr * sr / (n - i))
+    best = int(np.argmin(sse))  # the first cut of least SSE
+    return sse[best], 0.5 * (v[i[best] - 1] + v[i[best]])  # (sse, threshold)
 
 
 def _best_categorical_split(values: np.ndarray, y: np.ndarray, min_leaf: int):

@@ -266,16 +266,11 @@ def generator_class_matrix(config: GeneratorConfig, severity: int) -> Transition
     """The generating chain of one severity class as a TransitionMatrix
     (ENTRY row one-hot on the entry department, alphabet sorted)."""
     departments = tuple(sorted(config.departments))
-    src_order = list(config.departments)
     n = len(departments)
+    order = [config.departments.index(d) for d in departments]
     probs = np.zeros((n + 1, n + 1))
     probs[0, departments.index(config.entry_department)] = 1.0
-    raw = config.transition_matrices[severity]
-    for i, dept in enumerate(departments):
-        row = raw[src_order.index(dept)]
-        for j, target in enumerate(departments):
-            probs[1 + i, j] = row[src_order.index(target)]
-        probs[1 + i, n] = row[-1]
+    probs[1:] = np.asarray(config.transition_matrices[severity])[order][:, order + [n]]
     return TransitionMatrix(
         departments=departments,
         probs=tuple(tuple(float(p) for p in r) for r in probs),
@@ -466,18 +461,17 @@ def run_experiment(
     ]
     clusters_b = stack_b.pathway
     tv_by_class = [pathways.row_average_tv(stack_a.pathway, m) for m in class_matrices]
-    tv_by_pair = {}
     held_out = by_id[test[by_id]]  # held-out profile rows, in patient_id order
-    tv_a = []
-    tv_b = []
-    for cls, k in zip(latent[held_out].tolist(),
-                      pathways.assign_all(profiles.take(held_out), clusters_b)):
-        pair = (cls, k)
-        if pair not in tv_by_pair:
-            tv_by_pair[pair] = pathways.row_average_tv(
-                clusters_b.routing_matrix(pair[1]), class_matrices[cls])
-        tv_a.append(tv_by_class[cls])
-        tv_b.append(tv_by_pair[pair])
+    classes = latent[held_out].astype(np.int64)
+    k = clusters_b.k
+    pairs, pair_of = np.unique(
+        classes * k + pathways.assign_all(profiles.take(held_out), clusters_b),
+        return_inverse=True)
+    tv_by_pair = np.array([
+        pathways.row_average_tv(clusters_b.routing_matrix(p % k), class_matrices[p // k])
+        for p in pairs.tolist()])
+    tv_a = np.asarray(tv_by_class)[classes]
+    tv_b = tv_by_pair[pair_of]
     pathway_tv = {STACK_A: float(np.mean(tv_a)), STACK_B: float(np.mean(tv_b))}
 
     verdicts = {

@@ -435,29 +435,25 @@ def row_average_tv(a: TransitionMatrix, b: TransitionMatrix) -> float:
     return float(np.mean(tvs))
 
 
-def mean_silhouette(X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette score; 0.0 for a single cluster by convention."""
-    ks = np.unique(labels)
+def mean_silhouette(points: Distinct, labels: np.ndarray) -> float:
+    """Mean silhouette score of the points (``distinct_rows`` of their
+    coordinates); 0.0 for a single cluster by convention. A point's score
+    depends only on its row and its label, so each distinct (row, label)
+    pair is scored once, weighted by its count, from one row's distances
+    to the distinct rows at a time: no (m, m, d) array is built."""
+    rows, inverse = points
+    ks, label = np.unique(labels, return_inverse=True)
     if len(ks) < 2:
         return 0.0
-    n = len(X)
-    scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        n_same = int(same.sum())
-        if n_same <= 1:
-            scores[i] = 0.0
-            continue
-        dists = np.sqrt(np.maximum(sq_distances(X[i:i + 1], X)[0], 0.0))
-        a = float(dists[same].sum()) / (n_same - 1)
-        b = min(
-            float(dists[labels == other].mean())
-            for other in ks
-            if other != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
-    return float(scores.mean())
+    weight = np.bincount(inverse * len(ks) + label, minlength=len(rows) * len(ks))
+    weight = weight.reshape(len(rows), len(ks))
+    sizes = weight.sum(axis=0)
+    sums = np.vstack([np.sqrt(sq_distances(row[None], rows)) @ weight for row in rows])
+    a = sums / np.maximum(sizes - 1, 1)  # a point's own distance is 0
+    b = np.where(np.eye(len(ks), dtype=bool), np.inf, (sums / sizes)[:, None, :]).min(axis=2)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros_like(a), where=(denom > 0.0) & (sizes > 1))
+    return float(np.sum(weight * scores) / len(inverse))
 
 
 def sweep_k(
@@ -469,9 +465,10 @@ def sweep_k(
     """Fit every k in ``SWEEP_K`` and keep the best mean silhouette.
 
     Silhouette needs pairwise distances, so points are subsampled
-    (deterministically) beyond ``SILHOUETTE_CAP``. k = 1 scores 0, so it
-    wins exactly when every proper clustering has a negative silhouette.
-    Ties go to the smaller k.
+    (deterministically) beyond ``SILHOUETTE_CAP`` and scored by the
+    distinct rows of their encodings. k = 1 scores 0, so it wins exactly
+    when every proper clustering has a negative silhouette. Ties go to the
+    smaller k.
     """
     departments = _alphabet(trajectories, departments)
     counts = transition_counts(trajectories, departments)
@@ -481,13 +478,13 @@ def sweep_k(
         pick.sort()
     else:
         pick = np.arange(n)
-    X = _encoding(counts.rows)[counts.inverse[pick]]
+    sample = distinct_rows(_encoding(counts.rows)[counts.inverse[pick]])
     best = None
     for k in SWEEP_K:
         if n < k:
             continue
         result = cluster(trajectories, k, seed, profiles, departments)
-        score = mean_silhouette(X, np.asarray(result.labels)[pick])
+        score = mean_silhouette(sample, np.asarray(result.labels)[pick])
         if best is None or score > best[0] + 1e-12:
             best = (score, result)
     if best is None:

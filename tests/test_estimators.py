@@ -450,6 +450,56 @@ def test_tree_leaves_partition_training_points():
     assert total == len(profiles)
 
 
+def reference_best_numeric_split(values, y, min_leaf):
+    """The per-cut loop ``_best_numeric_split`` replaced: the first cut
+    of least SSE, by a strict ``<``."""
+    order = np.argsort(values, kind="stable")
+    v, ys = values[order], y[order]
+    n = len(ys)
+    csum = np.cumsum(ys)
+    csum2 = np.cumsum(ys**2)
+    total, total2 = csum[-1], csum2[-1]
+    best = None
+    for i in range(min_leaf, n - min_leaf + 1):
+        if i < n and v[i - 1] == v[i]:
+            continue
+        sl, sl2 = csum[i - 1], csum2[i - 1]
+        sse_l = sl2 - sl * sl / i
+        sr, sr2 = total - sl, total2 - sl2
+        sse_r = sr2 - sr * sr / (n - i)
+        sse = sse_l + sse_r
+        if best is None or sse < best[0]:
+            best = (sse, 0.5 * (v[i - 1] + v[i]))
+    return best
+
+
+@st.composite
+def split_cases(draw):
+    """(values, y, min_leaf): 1-40 values from 7 levels, so that they tie,
+    targets that often repeat, so that cuts tie in SSE, and min_leaf up
+    to n + 1, past n/2, where no cut is admissible."""
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    y = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(-8.0, 8.0)),
+                      min_size=n, max_size=n))
+    return np.asarray(values, dtype=float), np.asarray(y), draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(split_cases())
+@example((np.arange(12.0) % 4, np.full(12, 1.5), 2))  # every cut has SSE 0
+def test_best_numeric_split_matches_the_per_cut_loop(case):
+    """Every cut scored at once picks the loop's cut with the same bits:
+    the first cut of least SSE, none inside a tie group."""
+    got = estimators._best_numeric_split(*case)
+    want = reference_best_numeric_split(*case)
+    if want is None:
+        assert got is None
+    else:
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # --- columns against the per-profile references ----------------------------------------
 #
 # The per-profile code the column code replaced, each profile read with
