@@ -29,7 +29,6 @@ ATTR_SEPARATION_MIN = 0.5  # standardized units; closer centroids cannot be told
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
 SWEEP_K = (1, 2, 3, 4, 5)  # the cluster counts sweep_k tries
-SILHOUETTE_CAP = 2000     # sweep_k scores at most this many trajectories
 
 
 @codec.tagged("transition_matrix")
@@ -435,25 +434,17 @@ def row_average_tv(a: TransitionMatrix, b: TransitionMatrix) -> float:
     return float(np.mean(tvs))
 
 
-def mean_silhouette(points: Distinct, labels: np.ndarray) -> float:
-    """Mean silhouette score of the points (``distinct_rows`` of their
-    coordinates); 0.0 for a single cluster by convention. A point's score
-    depends only on its row and its label, so each distinct (row, label)
-    pair is scored once, weighted by its count, from one row's distances
-    to the distinct rows at a time: no (m, m, d) array is built."""
-    rows, inverse = points
-    ks, label = np.unique(labels, return_inverse=True)
-    if len(ks) < 2:
-        return 0.0
-    weight = np.bincount(inverse * len(ks) + label, minlength=len(rows) * len(ks))
-    weight = weight.reshape(len(rows), len(ks))
-    sizes = weight.sum(axis=0)
-    sums = np.vstack([np.sqrt(sq_distances(row[None], rows)) @ weight for row in rows])
-    a = sums / np.maximum(sizes - 1, 1)  # a point's own distance is 0
-    b = np.where(np.eye(len(ks), dtype=bool), np.inf, (sums / sizes)[:, None, :]).min(axis=2)
-    denom = np.maximum(a, b)
-    scores = np.divide(b - a, denom, out=np.zeros_like(a), where=(denom > 0.0) & (sizes > 1))
-    return float(np.sum(weight * scores) / len(inverse))
+def routing_loglik(counts: Distinct, profiles: Profiles, clusters: PathwayClusters) -> float:
+    """Mean log-likelihood per trajectory of its moves (``transition_counts``,
+    aligned with ``profiles``) under the matrix that ``assign_all`` routes
+    its profile by, each matrix's counts smoothed by one per cell."""
+    rows, inverse = counts
+    assigned = np.asarray(assign_all(profiles, clusters))
+    weight = np.bincount(assigned * len(rows) + inverse, minlength=clusters.k * len(rows))
+    smoothed = np.array([clusters.routing_matrix(j).counts for j in range(clusters.k)],
+                        dtype=float) + 1.0
+    log_probs = np.log(smoothed / smoothed.sum(axis=2, keepdims=True)).reshape(clusters.k, -1)
+    return float(weight @ (log_probs @ rows.T).reshape(-1) / len(inverse))
 
 
 def sweep_k(
@@ -462,29 +453,21 @@ def sweep_k(
     profiles: Profiles,
     departments: Sequence[str] | None = None,
 ) -> PathwayClusters:
-    """Fit every k in ``SWEEP_K`` and keep the best mean silhouette.
+    """Fit every k in ``SWEEP_K`` and keep the best ``routing_loglik``.
 
-    Silhouette needs pairwise distances, so points are subsampled
-    (deterministically) beyond ``SILHOUETTE_CAP`` and scored by the
-    distinct rows of their encodings. k = 1 scores 0, so it wins exactly
-    when every proper clustering has a negative silhouette. Ties go to the
-    smaller k.
+    A new patient's trajectory is unknown at admission, so each k is
+    scored by how well the matrices that ``assign_all`` routes by explain
+    the training moves, not by how well the trajectories cluster. A later
+    k must score more than 1e-12 higher, so ties go to the smaller k.
     """
     departments = _alphabet(trajectories, departments)
     counts = transition_counts(trajectories, departments)
-    n = len(trajectories)
-    if n > SILHOUETTE_CAP:
-        pick = stream(seed, 999).choice(n, size=SILHOUETTE_CAP, replace=False)
-        pick.sort()
-    else:
-        pick = np.arange(n)
-    sample = distinct_rows(_encoding(counts.rows)[counts.inverse[pick]])
     best = None
     for k in SWEEP_K:
-        if n < k:
+        if len(trajectories) < k:
             continue
         result = cluster(trajectories, k, seed, profiles, departments)
-        score = mean_silhouette(sample, np.asarray(result.labels)[pick])
+        score = routing_loglik(counts, profiles, result)
         if best is None or score > best[0] + 1e-12:
             best = (score, result)
     if best is None:

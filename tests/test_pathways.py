@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -19,7 +20,6 @@ from patientflow.pathways import (
     KMEANS_TOL,
     MEAN_BLOCK,
     MIN_CLUSTER_MEMBERS,
-    SILHOUETTE_CAP,
     SUM_LEAF,
     SWEEP_K,
     Pathway,
@@ -34,9 +34,10 @@ from patientflow.pathways import (
     cluster,
     encode_all,
     fit_transition_matrix,
-    mean_silhouette,
+    routing_loglik,
     row_average_tv,
     sweep_k,
+    transition_counts,
 )
 from patientflow.seeding import blocks, distinct_rows, kmeanspp, sq_distances, stream
 from patientflow.synthehr import GeneratorConfig, generate
@@ -443,103 +444,92 @@ def test_walks_terminate_within_cap(default_oracle, default_generator):
     assert capped / 10_000 <= 0.001
 
 
-# --- k sweep and silhouette -----------------------------------------------------------
+# --- k sweep by routing log-likelihood --------------------------------------------------
 
-def test_mean_silhouette_two_tight_groups():
-    X = np.vstack([np.zeros((10, 2)), np.ones((10, 2))])
-    labels = np.asarray([0] * 10 + [1] * 10)
-    assert mean_silhouette(distinct_rows(X), labels) == pytest.approx(1.0)
-    assert mean_silhouette(distinct_rows(X), np.zeros(20, dtype=int)) == 0.0
-
-
-def reference_mean_silhouette(X, labels):
-    """The per-point loop ``mean_silhouette`` replaced, over the points'
-    coordinates ``X``."""
-    ks = np.unique(labels)
-    if len(ks) < 2:
-        return 0.0
-    n = len(X)
-    scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        n_same = int(same.sum())
-        if n_same <= 1:
-            scores[i] = 0.0
-            continue
-        dists = np.sqrt(np.maximum(sq_distances(X[i:i + 1], X)[0], 0.0))
-        a = float(dists[same].sum()) / (n_same - 1)
-        b = min(float(dists[labels == other].mean()) for other in ks if other != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
-    return float(scores.mean())
+def reference_routing_loglik(paths, profiles, clusters):
+    """The per-trajectory loop that ``routing_loglik`` stands for: each
+    move's log probability under the matrix its profile routes by, each
+    count smoothed by one."""
+    total = 0.0
+    for path, j in zip(paths, assign_all(profiles, clusters)):
+        m = clusters.routing_matrix(j)
+        for state, nxt in zip((ENTRY, *path), (*path, DISCHARGE)):
+            row = m.counts[state_index(m, state)]
+            cell = row[(*m.departments, DISCHARGE).index(nxt)]
+            total += math.log((cell + 1) / (sum(row) + len(row)))
+    return total / len(paths)
 
 
-@st.composite
-def labelled_points(draw):
-    """(X, labels): 1-40 points drawn from a few rows, so that rows
-    repeat, with coordinates that include -0.0 beside 0.0, and 1-4 labels,
-    so that a label may hold a single point or be the only one."""
-    d = draw(st.integers(1, 5))
-    coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
-    pool = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=8))
-    n = draw(st.integers(1, 40))
-    X = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
-    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    return X, labels
-
-
-@settings(max_examples=500, deadline=None)
-@given(labelled_points())
-@example((np.array([[0.0], [-0.0], [1.0]]), np.array([0, 1, 1])))
-@example((np.array([[1.0, 2.0]] * 3), np.array([2, 2, 2])))
-def test_mean_silhouette_matches_the_per_point_loop(points):
-    """Scoring each distinct (row, label) pair once, weighted by its
-    count, gives the per-point loop's mean silhouette."""
-    X, labels = points
-    got = mean_silhouette(distinct_rows(X), labels)
-    assert abs(got - reference_mean_silhouette(X, labels)) <= 1e-12
-
-
-# tracemalloc peaks of one score of 2,000 distinct 17-wide rows with
-# three labels: 1,467,236 bytes for the per-point loop over the (2000, 17)
-# array, and 726,148 bytes for the distinct-row scoring (numpy 2.4.6)
-def test_mean_silhouette_builds_no_square_matrix():
-    rng = stream(5)
-    points = distinct_rows(rng.standard_normal((2000, 17)))
-    labels = rng.integers(0, 3, 2000)
-    assert len(points.rows) == 2000
-    tracemalloc.start()
-    try:
-        mean_silhouette(points, labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2000 * 2000 * 8  # one (2000, 2000) float64 matrix
+def test_routing_loglik_matches_the_per_trajectory_loop():
+    """A flagged cluster's profiles score with the fallback matrix."""
+    paths = [["A"]] * 40 + [["A", "B", "B"]] * 6 + [["A", "B"], ["A", "C", "B"]] * 3
+    profiles = table([profile(f"a{i}", age=30 + i % 3) for i in range(40)]
+                     + [profile(f"b{i}", age=70 + 2 * i, com=i % 4) for i in range(12)])
+    trs = trajectories_of(paths)
+    pc = cluster(trs, 2, seed=5, profiles=profiles)
+    flagged = [c.use_fallback for c in pc.clusters]
+    assert sorted(flagged) == [False, True]
+    assert pc.clusters[flagged.index(True)].matrix != pc.fallback
+    assert flagged.index(True) in assign_all(profiles, pc)
+    got = routing_loglik(transition_counts(trs, pc.departments), profiles, pc)
+    assert abs(got - reference_routing_loglik(paths, profiles, pc)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_sweep_k_picks_the_per_point_loops_k(default_generator, monkeypatch, seed):
-    """On generated logs larger than the silhouette sample, ``sweep_k``
-    keeps the k that the per-point loop's scores pick, by the same rule:
-    a later k must score more than 1e-12 higher."""
+    """On generated logs, ``sweep_k`` keeps the k that the per-trajectory
+    loop's scores pick, by the same rule: a later k must score more than
+    1e-12 higher. That k is 2, the generator's two latent classes."""
     config = dataclasses.replace(default_generator, horizon=200.0, seed=seed)
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
-    assert len(trs) > SILHOUETTE_CAP
+    paths = trajectory_paths(trs)
     reference = []  # the loop's score of each k, in SWEEP_K order
 
-    def both(points, labels):
-        reference.append(reference_mean_silhouette(points.rows[points.inverse], labels))
-        return mean_silhouette(points, labels)
+    def both(counts, profiles, clusters):
+        reference.append(reference_routing_loglik(paths, profiles, clusters))
+        return routing_loglik(counts, profiles, clusters)
 
-    monkeypatch.setattr(pathways, "mean_silhouette", both)
+    monkeypatch.setattr(pathways, "routing_loglik", both)
     pc = sweep_k(trs, seed, result.profiles.take(trs.patient), sorted(config.departments))
     assert len(reference) == len(SWEEP_K)
     best = None
     for k, score in zip(SWEEP_K, reference):
         if best is None or score > best[0] + 1e-12:
             best = (score, k)
-    assert pc.k == best[1]
+    assert pc.k == best[1] == 2
+
+
+def test_sweep_k_picks_one_on_the_homogeneous_generator(homogeneous_scenario_dict, monkeypatch):
+    """With one latent class every proper clustering falls back to the
+    global matrix, so every k scores the same up to rounding, and the
+    1e-12 margin keeps k = 1. (With numpy 2.4.6, k = 3 and k = 4 score 1
+    and 2 ulps above k = 1 here.)"""
+    config = dataclasses.replace(GeneratorConfig.from_dict(homogeneous_scenario_dict["generator"]),
+                                 horizon=200.0, seed=1)
+    result = generate(config)
+    trs = extract_trajectories(result.log, result.profiles)
+    scores = []
+
+    def recorded(*args):
+        scores.append(routing_loglik(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(pathways, "routing_loglik", recorded)
+    pc = sweep_k(trs, 3, result.profiles.take(trs.patient), sorted(config.departments))
+    assert pc.k == 1
+    assert len(scores) == len(SWEEP_K) and max(scores) - min(scores) <= 1e-12
+
+
+def test_sweep_k_picks_three_for_three_planted_classes():
+    """Three routes, each taken by its own age group: only k = 3 routes
+    every patient by its own class's matrix."""
+    routes = (["A"], ["A", "B", "B"], ["A", "C"])
+    trs = trajectories_of([route for route in routes for _ in range(40)])
+    profiles = [profile(f"p{age}-{i}", age=age) for age in (20, 50, 80) for i in range(40)]
+    pc = sweep_k(trs, seed=10, profiles=table(profiles))
+    assert pc.k == 3
+    assert not any(c.use_fallback for c in pc.clusters)
 
 
 def test_sweep_k_picks_two_for_two_pure_groups():
@@ -560,15 +550,14 @@ def document_sha256(obj) -> str:
 
 
 # sweep_k of the default generator's log over 200 h at seed 7 (2,329
-# trajectories, so the silhouettes score a subsample), fitted with seed 3
-SWEEP_K_GOLDEN = "91e2062e354002b643961c366c13c615fbba0cc4da183afd5d70412ecf477f44"
+# trajectories), fitted with seed 3: the k = 2 fit, byte for byte
+SWEEP_K_GOLDEN = "0b3e8c4433457a3c25dbba84093fdeed19d8217e3d18970f12836872ee78ef39"
 
 
 def test_sweep_k_golden_bytes(default_generator):
     config = dataclasses.replace(default_generator, horizon=200.0, seed=7)
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
-    assert len(trs) > SILHOUETTE_CAP
     pc = sweep_k(trs, 3, result.profiles.take(trs.patient), sorted(config.departments))
     assert document_sha256(pc) == SWEEP_K_GOLDEN
 

@@ -81,8 +81,7 @@ def test_blocks_yield_the_scalar_draws(kind, seed, draws):
 
 # the squared-distance forms that sq_distances replaced: one pair at a time
 # (assign_all), one centroid at a time (kmeanspp) and every pair of points
-# as one (n, n, d) array (the first mean_silhouette; it now takes one
-# distinct row's distances to all distinct rows at a time)
+# as one (n, n, d) array (the first, since removed, silhouette score)
 def per_pair(X, C):
     return np.array([[float(((v - a) ** 2).sum()) for a in C] for v in X])
 
