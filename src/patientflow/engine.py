@@ -202,12 +202,6 @@ class SimConfig:
         each process; the models must not change after that."""
         return _Tables(self)
 
-    def __getstate__(self) -> dict:
-        # a pickled config carries no tables: each process builds its own
-        state = self.__dict__.copy()
-        state.pop("tables", None)
-        return state
-
 
 @dataclass(frozen=True)
 class StayRecord:

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import codec, estimators, inflow, pathways
 from .domain import (
+    BUCKET_WIDTHS,
     DepartmentSpec,
     EventLog,
     admission_times,
@@ -83,8 +84,8 @@ class ScenarioConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
-        if not self.bucket_width > 0:
-            raise ConfigError(f"bucket_width must be positive, got {self.bucket_width}")
+        if self.bucket_width not in BUCKET_WIDTHS:
+            raise ConfigError(f"bucket_width {self.bucket_width} not one of {BUCKET_WIDTHS}")
         if self.los_estimator not in ("conditional", "tree"):
             raise ConfigError(f"unknown los_estimator {self.los_estimator!r}")
         if self.cot_estimator != "conditional":

@@ -13,7 +13,9 @@ sequence-edit-distance medoids are possible extensions, not implemented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -261,8 +263,7 @@ class PathwayClusters:
 Pathway = Union[TransitionMatrix, PathwayClusters]  # a simulation's pathway model
 
 KMEANS_RESTARTS = 10
-MEAN_BLOCK = 2048   # the member rows a k-means mean gathers at a time
-SUM_LEAF = 16_384   # the squares an inertia builds at a time; at least numpy's 128
+MEAN_BLOCK = 2048  # the member rows a k-means mean gathers at a time
 
 
 def _kmeans_once(points: Distinct, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -309,35 +310,21 @@ def _nearest(points: Distinct, centroids: np.ndarray) -> np.ndarray:
 
 
 def _inertia(points: Distinct, centroids: np.ndarray, labels: np.ndarray) -> float:
-    """``np.sum((X - centroids[labels]) ** 2)`` of the points X, with the
-    same bits, building at most ``SUM_LEAF`` of the n x d squares at a
-    time (``_pairwise``)."""
-    squares = (points.rows[:, None, :] - centroids[None, :, :]) ** 2
-    return float(_pairwise(squares, points.inverse, labels, 0, len(labels) * squares.shape[2]))
-
-
-def _pairwise(squares: np.ndarray, inverse: np.ndarray, labels: np.ndarray,
-              lo: int, hi: int) -> float:
-    """The sum of elements ``lo:hi`` of the flattened squares of the points,
-    point i's being ``squares[inverse[i], labels[i]]``, as numpy sums them
-    inside the whole: numpy splits a run of elements at half its length,
-    rounded down to a multiple of 8, until at most 128 are left. This sum
-    splits the same way down to runs of ``SUM_LEAF``, which numpy sums."""
-    if hi - lo > SUM_LEAF:
-        mid = lo + (hi - lo) // 2 // 8 * 8
-        return (_pairwise(squares, inverse, labels, lo, mid)
-                + _pairwise(squares, inverse, labels, mid, hi))
-    d = squares.shape[2]
-    first, last = lo // d, -(-hi // d)
-    run = squares[inverse[first:last], labels[first:last]].reshape(-1)
-    return np.sum(run[lo - first * d:hi - first * d])
+    """The exactly rounded sum of the points' squared distances to their
+    centroids, which no order of the points changes. Each distinct
+    (row, label) pair's distance is computed once and repeated as often as
+    the pair occurs."""
+    rows, inverse = points
+    count = np.bincount(labels * len(rows) + inverse, minlength=len(centroids) * len(rows))
+    d2 = sq_distances(rows, centroids).T.reshape(-1)
+    return math.fsum(chain.from_iterable(map(repeat, d2.tolist(), count.tolist())))
 
 
 def _kmeans(points: Distinct, k: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm over points given as their distinct rows, best of
     KMEANS_RESTARTS seeded restarts by inertia. Distances are computed
-    once per distinct row; means and inertia add the points' rows and
-    squares in the order of the points."""
+    once per distinct row. Means add the points' rows in the order of the
+    points; the inertia is exactly rounded, so it has no order."""
     best = None
     for _ in range(KMEANS_RESTARTS):
         centroids, labels = _kmeans_once(points, k, rng)

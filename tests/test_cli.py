@@ -919,6 +919,7 @@ CONFIG_HOLES = [
     ("simulate", ("arrival_driver", "deterministic"), "no", 2),
     ("synth", ("seed",), -1, 2),
     ("compare", ("bucket_width",), 0.0, 2),
+    ("compare", ("bucket_width",), 2.0, 2),
     ("simulate", ("seed",), -1, 2),
     ("simulate", ("arrival_driver", "bucket_width"), 0.0, 2),
     ("simulate", ("departments",), ["ER"], 2),

@@ -20,7 +20,6 @@ from patientflow.pathways import (
     KMEANS_TOL,
     MEAN_BLOCK,
     MIN_CLUSTER_MEMBERS,
-    SUM_LEAF,
     SWEEP_K,
     Pathway,
     PathwayCluster,
@@ -618,6 +617,12 @@ def reference_nearest(X, centroids):
     return labels
 
 
+def reference_inertia(X, centroids, labels):
+    """The exactly rounded sum of each point's squared distance to its
+    centroid."""
+    return math.fsum(sq_distances(X, centroids)[np.arange(len(X)), labels].tolist())
+
+
 def reference_kmeans(X, k, rng):
     """``_kmeans`` as it was when every distance was taken per point."""
     best = None
@@ -631,7 +636,7 @@ def reference_kmeans(X, k, rng):
             if shift < KMEANS_TOL:
                 break
         labels = reference_nearest(X, centroids)
-        inertia = float(np.sum((X - centroids[labels]) ** 2))
+        inertia = reference_inertia(X, centroids, labels)
         if best is None or inertia < best[0]:
             best = (inertia, centroids, labels)
     return best[1], best[2]
@@ -687,18 +692,20 @@ def test_blocked_mean_keeps_the_bits_of_the_whole_gather(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 17])
-def test_inertia_keeps_the_bits_of_the_whole_sum(d):
-    """The inertia builds its squares a run at a time; split where numpy
-    splits its pairwise sum, the runs add up to the whole sum's bits."""
+def test_inertia_is_the_exact_sum_in_any_order(d):
+    """The inertia is the exactly rounded sum of the per-point squared
+    distances, so permuting the points and their labels leaves its bits."""
     for seed in range(4):
         rng = stream(seed, d)
         rows = rng.standard_normal((100, d)) * 10.0 ** rng.integers(-3, 4, (100, 1))
         centroids = rng.standard_normal((3, d))
-        for n in (1, 7, SUM_LEAF // d + 3, 5 * SUM_LEAF // d + 11):
+        for n in (1, 7, 1000, 20_000):
             X = rows[rng.integers(0, 100, n)]
             labels = rng.integers(0, 3, n)
-            expected = np.sum((X - centroids[labels]) ** 2)
-            assert _inertia(distinct_rows(X), centroids, labels) == expected
+            inertia = _inertia(distinct_rows(X), centroids, labels)
+            assert inertia == reference_inertia(X, centroids, labels)
+            order = rng.permutation(n)
+            assert _inertia(distinct_rows(X[order]), centroids, labels[order]) == inertia
 
 
 def test_kmeans_repairs_an_empty_cluster():
@@ -757,7 +764,7 @@ def cluster_inputs(draw):
 
 
 # restarts that split off B -> A or A -> B reach the same inertia up to
-# rounding, so the bits of the inertia sum pick the one that is kept
+# rounding; the exactly rounded inertia picks the one that is kept
 TIED = [["A"]] * 5 + [["B", "A"], ["A"], ["A", "B"]]
 
 
