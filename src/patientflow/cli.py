@@ -195,6 +195,7 @@ def _cmd_fit(args) -> int:
         horizon = (_finite(args.horizon, "--horizon") if args.horizon is not None
                    else _auto_horizon(log, width))
         series = bucketize(log, width, _finite(args.start, "--start"), horizon)
+        del log, profiles  # the fit reads only the series
         calendar = () if args.calendar == "none" else inflow.default_calendar(width)
         spec = inflow.ForecasterSpec(kind, args.m, args.alpha, args.beta, args.gamma,
                                      _parse_lags(args.lags or ""), calendar)
@@ -202,6 +203,7 @@ def _cmd_fit(args) -> int:
 
     elif kind in LOS_KINDS or kind in COT_KINDS:
         profs, targets = _targets(kind, log, profiles, args.department)
+        del log, profiles  # the fit reads only its rows
         if kind == "lognormal_los":
             model = estimators.fit_lognormal(targets)
         elif kind == "gamma_los":
@@ -214,7 +216,7 @@ def _cmd_fit(args) -> int:
             model = estimators.fit_mixture_em(targets, args.k, args.seed)
             if not model.converged():
                 _info(f"warning: EM reached max_iter ({len(model.trace)}) before the "
-                      f"log-likelihood gain fell below tol ({estimators.EM_TOL:g}); "
+                      f"log-likelihood gain fell below EM_TOL ({estimators.EM_TOL:g}); "
                       f"last gain {model.trace[-1] - model.trace[-2]:.3g}")
         elif kind == "conditional_los":
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_LOS)
@@ -226,14 +228,15 @@ def _cmd_fit(args) -> int:
             model = estimators.fit_conditional(profs, targets, estimators.TARGET_COT)
 
     else:  # transition or clusters
+        if kind == "clusters" and (args.k is None or args.seed is None):
+            raise ConfigError("clusters requires --k and --seed")
         trajectories = extract_trajectories(log, profiles)
+        traj_profiles = profiles.take(trajectories.patient) if kind == "clusters" else None
+        del log, profiles  # the fit reads only the trajectories and their profiles
         if kind == "transition":
             model = pathways.fit_transition_matrix(trajectories)
         else:
-            if args.k is None or args.seed is None:
-                raise ConfigError("clusters requires --k and --seed")
-            model = pathways.cluster(trajectories, args.k, args.seed,
-                                     profiles.take(trajectories.patient))
+            model = pathways.cluster(trajectories, args.k, args.seed, traj_profiles)
 
     codec.write(model, args.out)
     _info(f"fitted {kind}, wrote {args.out}")

@@ -295,9 +295,10 @@ def _generate(config: GeneratorConfig):
     return result.log, result.profiles, result.latent_class
 
 
-def _fit_stacks(scenario, train_log, train_idx, profiles, departments):
-    """Both stacks, fitted on the training stays ``train_log`` of the
-    patients ``train_idx``. The training targets built here die on return."""
+def _fit_inputs(scenario, train_log, train_idx, profiles):
+    """What the fits read of the training stays ``train_log`` of the
+    patients ``train_idx``: the admission series, the stay rows by
+    department, the cost rows and the trajectories."""
     train_series = bucketize(train_log, scenario.bucket_width, 0.0, scenario.split_time)
     # per department in first-appearance order: patients and stay hours in log order
     los = train_log.los
@@ -308,10 +309,7 @@ def _fit_stacks(scenario, train_log, train_idx, profiles, departments):
     cost_totals = np.bincount(train_log.patient, weights=train_log.cost,
                               minlength=len(profiles))
     cost_rows = (train_idx, cost_totals[train_idx])
-    trajectories = extract_trajectories(train_log, profiles)
-    return (_fit_stack_a(train_series, stay_rows, cost_rows, trajectories, departments),
-            _fit_stack_b(scenario, train_series, stay_rows, cost_rows, trajectories,
-                         profiles, departments))
+    return train_series, stay_rows, cost_rows, extract_trajectories(train_log, profiles)
 
 
 def _simulate(scenario, stack, driver, dept_specs, sampler):
@@ -354,10 +352,10 @@ def run_experiment(
     and score both against ground truth. Deterministic given the
     scenario (byte-identical report JSON).
 
-    Each phase keeps only what the later ones read: the training data
-    lives inside ``_fit_stacks``, each stack's replications inside
-    ``_simulate``, and the generated log only until its held-out stays
-    are taken."""
+    Each phase keeps only what the later ones read: the generated log
+    lives until its training and held-out stays are taken, the training
+    stays until the fit inputs are built, those until both stacks are
+    fitted, and each stack's replications inside ``_simulate``."""
     gen_config = scenario.generator
     log, profiles, latent = _generate(gen_config)
 
@@ -377,10 +375,13 @@ def run_experiment(
     by_id = np.argsort(profiles.patient_id)  # every patient, in patient_id order
     departments = tuple(sorted(gen_config.departments))
 
-    stack_a, stack_b = _fit_stacks(scenario, log.rows(train[log.patient]), train_idx,
-                                   profiles, departments)
-    test_log = log.rows(test[log.patient])
-    del log  # only its held-out stays are read from here on
+    train_log, test_log = log.rows(train[log.patient]), log.rows(test[log.patient])
+    del log  # only its training and held-out stays are read from here on
+    inputs = _fit_inputs(scenario, train_log, train_idx, profiles)
+    del train_log  # the fits read only the inputs built from it
+    stack_a = _fit_stack_a(*inputs, departments)
+    stack_b = _fit_stack_b(scenario, *inputs, profiles, departments)
+    del inputs
 
     # held-out admissions per bucket (every patient admitted in the window
     # is a test patient)

@@ -353,15 +353,28 @@ def cluster(
         raise ConfigError("k must be >= 1")
     if len(trajectories) < k:
         raise DataError(f"{len(trajectories)} trajectories for k={k}")
+    return _cluster(*_cluster_inputs(trajectories, profiles, departments), k, seed)
+
+
+def _cluster_inputs(
+    trajectories: Trajectories,
+    profiles: Profiles,
+    departments: Sequence[str] | None,
+) -> tuple[tuple[str, ...], Distinct, ProfileEncoder, np.ndarray]:
+    """What ``_cluster`` reads for any k: the alphabet, the transition
+    counts, the profile encoder and the encoded profiles."""
     if len(profiles) != len(trajectories):
         raise ConfigError("profiles must align with trajectories")
     departments = _alphabet(trajectories, departments)
-    counts = transition_counts(trajectories, departments)
+    encoder = _build_profile_encoder(profiles)
+    return (departments, transition_counts(trajectories, departments), encoder,
+            encoder.encode_all(profiles))
+
+
+def _cluster(departments: tuple[str, ...], counts: Distinct, encoder: ProfileEncoder,
+             encoded: np.ndarray, k: int, seed: int) -> PathwayClusters:
     centroids, labels = _kmeans(Distinct(_encoding(counts.rows), counts.inverse), k,
                                 stream(seed))
-
-    encoder = _build_profile_encoder(profiles)
-    encoded = encoder.encode_all(profiles)
     members = [labels == j for j in range(k)]  # none is empty
     sizes = [int(m.sum()) for m in members]
     attr = [encoded[m].mean(axis=0) for m in members]
@@ -392,9 +405,13 @@ def cluster(
 def assign_all(profiles: Profiles, clusters: PathwayClusters) -> list[int]:
     """Each profile's cluster: the nearest attribute centroid in
     standardized profile space, the lowest index on ties."""
+    return _nearest_attribute(clusters.profile_encoder.encode_all(profiles), clusters).tolist()
+
+
+def _nearest_attribute(encoded: np.ndarray, clusters: PathwayClusters) -> np.ndarray:
+    """The cluster of each encoded profile, as ``assign_all`` routes it."""
     centroids = np.array([c.attribute_centroid for c in clusters.clusters])
-    dists = sq_distances(clusters.profile_encoder.encode_all(profiles), centroids)
-    return np.argmin(dists, axis=1).tolist()
+    return np.argmin(sq_distances(encoded, centroids), axis=1)
 
 
 def cumulative_rows(matrix: TransitionMatrix) -> tuple[list[float] | None, ...]:
@@ -421,12 +438,13 @@ def row_average_tv(a: TransitionMatrix, b: TransitionMatrix) -> float:
     return float(np.mean(tvs))
 
 
-def routing_loglik(counts: Distinct, profiles: Profiles, clusters: PathwayClusters) -> float:
+def routing_loglik(counts: Distinct, encoded: np.ndarray, clusters: PathwayClusters) -> float:
     """Mean log-likelihood per trajectory of its moves (``transition_counts``,
-    aligned with ``profiles``) under the matrix that ``assign_all`` routes
-    its profile by, each matrix's counts smoothed by one per cell."""
+    aligned with ``encoded``, its profiles as ``clusters.profile_encoder``
+    encodes them) under the matrix that ``assign_all`` routes its profile
+    by, each matrix's counts smoothed by one per cell."""
     rows, inverse = counts
-    assigned = np.asarray(assign_all(profiles, clusters))
+    assigned = _nearest_attribute(encoded, clusters)
     weight = np.bincount(assigned * len(rows) + inverse, minlength=clusters.k * len(rows))
     smoothed = np.array([clusters.routing_matrix(j).counts for j in range(clusters.k)],
                         dtype=float) + 1.0
@@ -447,16 +465,15 @@ def sweep_k(
     the training moves, not by how well the trajectories cluster. A later
     k must score more than 1e-12 higher, so ties go to the smaller k.
     """
-    departments = _alphabet(trajectories, departments)
-    counts = transition_counts(trajectories, departments)
+    feasible = [k for k in SWEEP_K if k <= len(trajectories)]
+    if not feasible:
+        raise DataError("no feasible k in range")
+    inputs = _cluster_inputs(trajectories, profiles, departments)  # the same for every k
+    _, counts, _, encoded = inputs
     best = None
-    for k in SWEEP_K:
-        if len(trajectories) < k:
-            continue
-        result = cluster(trajectories, k, seed, profiles, departments)
-        score = routing_loglik(counts, profiles, result)
+    for k in feasible:
+        result = _cluster(*inputs, k, seed)
+        score = routing_loglik(counts, encoded, result)
         if best is None or score > best[0] + 1e-12:
             best = (score, result)
-    if best is None:
-        raise DataError("no feasible k in range")
     return best[1]

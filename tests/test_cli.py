@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -248,6 +249,34 @@ def test_fit_clusters(tmp_path, log_path):
     payload = json.loads(out.read_text())
     assert payload["kind"] == "pathway_clusters"
     assert payload["k"] == 2
+
+
+@pytest.mark.parametrize("model, module, fit, options", [
+    ("clusters", pathways, "cluster", ["--k", "2", "--seed", "3"]),
+    ("conditional_los", cli.estimators, "fit_conditional", []),
+], ids=["clusters", "conditional_los"])
+def test_fit_lets_the_log_die_before_the_fit(monkeypatch, tmp_path, log_path,
+                                             model, module, fit, options):
+    """Once the model's inputs are built, ``fit`` drops the loaded log
+    and profiles: neither is alive when the fit runs."""
+    real_load, real_fit = cli._load_log, getattr(module, fit)
+    loaded = []  # weakrefs to the log and profiles _load_log returned
+    alive = []
+
+    def load(*args):
+        out = real_load(*args)
+        loaded.extend(weakref.ref(part) for part in out)
+        return out
+
+    def fitted(*args, **kwargs):
+        alive.append(sum(r() is not None for r in loaded))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_log", load)
+    monkeypatch.setattr(module, fit, fitted)
+    assert main(["fit", "--log", log_path, "--model", model, *options,
+                 "--out", str(tmp_path / "model.json")]) == 0
+    assert len(loaded) == 2 and alive == [0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -263,8 +263,11 @@ def test_fit_stacks_hand_the_fits_float64_arrays(monkeypatch, default_scenario_d
         small_scenario_dict(default_scenario_dict, los_estimator=los_estimator))
     log, profiles, _ = experiment._generate(scenario.generator)
     train = admission_times(log) < scenario.split_time
-    experiment._fit_stacks(scenario, log.rows(train[log.patient]), np.flatnonzero(train),
-                           profiles, tuple(sorted(scenario.generator.departments)))
+    inputs = experiment._fit_inputs(scenario, log.rows(train[log.patient]),
+                                    np.flatnonzero(train), profiles)
+    departments = tuple(sorted(scenario.generator.departments))
+    experiment._fit_stack_a(*inputs, departments)
+    experiment._fit_stack_b(scenario, *inputs, profiles, departments)
     fit_b = "fit_tree" if los_estimator == "tree" else "fit_conditional"
     assert {name for name, _, _ in seen} == {"fit_lognormal", fit_b, "fit_conditional"}
     assert {(kind, dtype) for _, kind, dtype in seen} == {(np.ndarray, np.dtype(np.float64))}
@@ -273,19 +276,33 @@ def test_fit_stacks_hand_the_fits_float64_arrays(monkeypatch, default_scenario_d
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_compare_lets_each_phase_die_before_the_next(monkeypatch, tmp_path,
                                                      default_scenario_dict, jobs):
-    """When stack B's ``replicate`` is called, stack A's ``SimResult``s
-    and the training ``EventLog`` that the trajectories were extracted from
-    are dead; when the outputs are written, so are stack B's results."""
+    """When stack A is fitted, the generated ``EventLog`` and the training
+    ``EventLog`` that the trajectories were extracted from are dead; when
+    stack B's ``replicate`` is called, so are stack A's ``SimResult``s;
+    when the outputs are written, so are stack B's results."""
+    real_generate = experiment._generate
     real_extract = experiment.extract_trajectories
+    real_fit_a = experiment._fit_stack_a
     real_replicate = experiment.replicate
     real_write = experiment._write_outputs
-    training_logs = []  # weakrefs to each log passed to extract_trajectories
-    results = []        # per replicate call, weakrefs to the results it returned
+    generated_logs = []  # weakrefs to each log _generate returned
+    training_logs = []   # weakrefs to each log passed to extract_trajectories
+    results = []         # per replicate call, weakrefs to the results it returned
     alive = {}
+
+    def generate(*args, **kwargs):
+        out = real_generate(*args, **kwargs)
+        generated_logs.append(weakref.ref(out[0]))
+        return out
 
     def extract(log, *args, **kwargs):
         training_logs.append(weakref.ref(log))
         return real_extract(log, *args, **kwargs)
+
+    def fit_a(*args, **kwargs):
+        alive["generated log at fit"] = sum(r() is not None for r in generated_logs)
+        alive["training log at fit"] = sum(r() is not None for r in training_logs)
+        return real_fit_a(*args, **kwargs)
 
     def replicate(*args, **kwargs):
         if results:
@@ -300,11 +317,14 @@ def test_compare_lets_each_phase_die_before_the_next(monkeypatch, tmp_path,
         return real_write(*args, **kwargs)
 
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiment, "_generate", generate)
     monkeypatch.setattr(experiment, "extract_trajectories", extract)
+    monkeypatch.setattr(experiment, "_fit_stack_a", fit_a)
     monkeypatch.setattr(experiment, "replicate", replicate)
     monkeypatch.setattr(experiment, "_write_outputs", write)
     scenario = ScenarioConfig.from_dict(small_scenario_dict(default_scenario_dict, jobs=jobs))
     run_experiment(scenario, out_dir=tmp_path)
     assert [len(r) for r in results] == [2, 2]
-    assert len(training_logs) == 1
-    assert alive == {"stack A results": 0, "training log": 0, "stack B results": 0}
+    assert len(generated_logs) == len(training_logs) == 1
+    assert alive == {"generated log at fit": 0, "training log at fit": 0,
+                     "stack A results": 0, "training log": 0, "stack B results": 0}

@@ -470,7 +470,8 @@ def test_routing_loglik_matches_the_per_trajectory_loop():
     assert sorted(flagged) == [False, True]
     assert pc.clusters[flagged.index(True)].matrix != pc.fallback
     assert flagged.index(True) in assign_all(profiles, pc)
-    got = routing_loglik(transition_counts(trs, pc.departments), profiles, pc)
+    got = routing_loglik(transition_counts(trs, pc.departments),
+                         pc.profile_encoder.encode_all(profiles), pc)
     assert abs(got - reference_routing_loglik(paths, profiles, pc)) <= 1e-12
 
 
@@ -483,14 +484,16 @@ def test_sweep_k_picks_the_per_point_loops_k(default_generator, monkeypatch, see
     result = generate(config)
     trs = extract_trajectories(result.log, result.profiles)
     paths = trajectory_paths(trs)
+    profiles = result.profiles.take(trs.patient)
     reference = []  # the loop's score of each k, in SWEEP_K order
 
-    def both(counts, profiles, clusters):
+    def both(counts, encoded, clusters):
+        assert np.array_equal(encoded, clusters.profile_encoder.encode_all(profiles))
         reference.append(reference_routing_loglik(paths, profiles, clusters))
-        return routing_loglik(counts, profiles, clusters)
+        return routing_loglik(counts, encoded, clusters)
 
     monkeypatch.setattr(pathways, "routing_loglik", both)
-    pc = sweep_k(trs, seed, result.profiles.take(trs.patient), sorted(config.departments))
+    pc = sweep_k(trs, seed, profiles, sorted(config.departments))
     assert len(reference) == len(SWEEP_K)
     best = None
     for k, score in zip(SWEEP_K, reference):
@@ -518,6 +521,30 @@ def test_sweep_k_picks_one_on_the_homogeneous_generator(homogeneous_scenario_dic
     pc = sweep_k(trs, 3, result.profiles.take(trs.patient), sorted(config.departments))
     assert pc.k == 1
     assert len(scores) == len(SWEEP_K) and max(scores) - min(scores) <= 1e-12
+
+
+def test_sweep_k_counts_the_moves_once(default_generator, monkeypatch):
+    """The transition counts, the profile encoder and the encoded profiles
+    do not depend on k: one sweep builds each once, and its pick is the
+    k = 2 fit that ``cluster`` makes on its own."""
+    config = dataclasses.replace(default_generator, horizon=200.0, seed=2)
+    result = generate(config)
+    trs = extract_trajectories(result.log, result.profiles)
+    profiles = result.profiles.take(trs.patient)
+    calls = {"transition_counts": 0, "_build_profile_encoder": 0}
+    for name in calls:
+        def counted(*args, real=getattr(pathways, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(pathways, name, counted)
+    pc = sweep_k(trs, 3, profiles, sorted(config.departments))
+    assert calls == {"transition_counts": 1, "_build_profile_encoder": 1}
+    assert pc == cluster(trs, 2, 3, profiles, sorted(config.departments))
+
+
+def test_sweep_k_of_no_trajectories_is_a_data_error():
+    with pytest.raises(DataError, match="no feasible k"):
+        sweep_k(trajectories_of([]), seed=1, profiles=table([]), departments=["A"])
 
 
 def test_sweep_k_picks_three_for_three_planted_classes():
