@@ -106,7 +106,7 @@ def _load_log(path: str):
 def _read_log_copy(copy: Path, key: bytes):
     """The log and profiles stored in ``copy`` under ``key``, or None."""
     try:
-        with np.load(copy, allow_pickle=False) as arrays:
+        with open(copy, "rb") as file, np.load(file, allow_pickle=False) as arrays:
             if arrays["key"].tobytes() != key:
                 return None
             return log_from_arrays(arrays)

@@ -4,7 +4,9 @@ Two event kinds exist: Arrival (sample a profile, pick a pathway,
 request the first bed) and StayEnd (release the bed, hand it to the
 queue head, then route onward or discharge). A bed request is served
 inside the event that makes it: the patient takes a free bed or joins
-the back of the department's FIFO wait queue. Arrival times are all
+the back of the department's FIFO wait queue. An event's requests are
+served in the order it makes them: at a stay end the queue head's for
+the freed bed, then the leaving patient's. Arrival times are all
 drawn up front and sorted; stay ends go through a priority queue keyed
 by (end time, stay row), the row being the stay's index in grant order,
 so stay ends at equal times run in the order their stays began and a
@@ -365,7 +367,7 @@ class PatientsView(Sequence):
 # profile-dependent stay and cost model (``estimators.locations``: one
 # dot product per encoded row, or the tree leaf) and the cluster from
 # ``pathways.assign_all``. An empirical sampler's whole pool is compiled
-# on first use. Transition matrices become rows of running sums over
+# with the rest. Transition matrices become rows of running sums over
 # department indices, drawn by bisection.
 #
 # Each stream is compiled once into a source of what its draws consume:
@@ -454,8 +456,9 @@ class _Tables:
         self.target_names = list(targets)
         self.slots = len(models)
         self.profiles: dict[tuple, _Profile] = {}
-        self.profile_sampler = config.profile_sampler
-        self.pool: list[_Profile] | None = None  # an empirical sampler's, by index
+        sampler = self.profile_sampler = config.profile_sampler
+        empirical = isinstance(sampler, EmpiricalSampler)
+        self.pool = self.entries(sampler.profiles) if empirical else None  # its entries
 
     def arrival_profiles(self, rng: Generator, n: int) -> list[_Profile]:
         """The profile entries of n arrivals, in arrival order. An empirical
@@ -463,12 +466,9 @@ class _Tables:
         sampler draws its profiles one by one."""
         if n == 0:
             return []
-        sampler = self.profile_sampler
-        if isinstance(sampler, EmpiricalSampler):
-            if self.pool is None:
-                self.pool = self.entries(sampler.profiles)
+        if self.pool is not None:
             return [self.pool[i] for i in rng.integers(len(self.pool), size=n).tolist()]
-        rows = [sampler.draw(rng) for _ in range(n)]
+        rows = [self.profile_sampler.draw(rng) for _ in range(n)]
         return self.entries(Profiles.from_rows([""] * n, rows))
 
     def entries(self, profiles: Profiles) -> list[_Profile]:
@@ -588,45 +588,6 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
     unseen = 0
     last_time = 0.0
 
-    def start_stay(i: int, d: int, now: float):
-        nonlocal unseen
-        occupied[d] += 1
-        times[d].append(now)
-        occupancy[d].append(occupied[d])
-        entry = entries[i]
-        end = now + stay_draw[d](entry.loc[d], next(stays))
-        unseen += entry.unseen[d]
-        n_stays[i] += 1
-        push(heap, (end, len(stay_end)))
-        stay_patient.append(i)
-        stay_department.append(d)
-        stay_request.append(request[i])
-        stay_start.append(now)
-        stay_end.append(end)
-
-    def route(i: int, state: int, now: float):
-        # the move out of state 0 (an arrival) or 1 + d (a stay in d ends);
-        # a bed request takes a free bed or joins the back of the queue
-        nonlocal truncated, unseen
-        entry = entries[i]
-        nxt = entry.routing.next(state, uniforms)
-        if nxt != _DISCHARGE and n_stays[i] >= WALK_CAP:
-            truncated += 1
-            nxt = _DISCHARGE
-        if nxt == _DISCHARGE:
-            discharge[i] = now
-            cost[i] = cost_draw(entry.loc[-1], next(costs))
-            unseen += entry.unseen[-1]
-        elif nxt >= n_depts:
-            raise ConfigError(
-                f"pathway routes to unknown department {tables.target_names[nxt]!r}")
-        else:
-            request[i] = now
-            if capacity[nxt] is None or occupied[nxt] < capacity[nxt]:
-                start_stay(i, nxt, now)
-            else:
-                queue[nxt].append(i)
-
     # at equal times an arrival goes before every stay end
     n = 0  # arrivals handled
     pending = iter(arrivals)
@@ -643,19 +604,52 @@ def run(config: SimConfig, replication: int = 0) -> SimResult:
             raise InvariantViolation("event time", f"{time} precedes {last_time}")
         last_time = time
 
-        if row is None:  # an arrival
-            route(n, 0, time)
+        if row is None:  # an arrival: patient n leaves state 0
+            i, state, requests = n, 0, []
             n += 1
-        else:  # a stay in d ends
+        else:  # a stay in d ends: its patient leaves state 1 + d
             d = stay_department[row]
             occupied[d] -= 1
             times[d].append(time)
             occupancy[d].append(occupied[d])
+            i, state = stay_patient[row], 1 + d
             # a queue is non-empty only while its department is full; its
-            # head takes the freed bed before this patient routes on
-            if queue[d]:
-                start_stay(queue[d].popleft(), d, time)
-            route(stay_patient[row], 1 + d, time)
+            # head asks for the freed bed before this patient routes on
+            requests = [(queue[d].popleft(), d)] if queue[d] else []
+        entry = entries[i]
+        nxt = entry.routing.next(state, uniforms)
+        if nxt != _DISCHARGE and n_stays[i] >= WALK_CAP:
+            truncated += 1
+            nxt = _DISCHARGE
+        if nxt == _DISCHARGE:
+            discharge[i] = time
+            cost[i] = cost_draw(entry.loc[-1], next(costs))
+            unseen += entry.unseen[-1]
+        elif nxt >= n_depts:
+            raise ConfigError(
+                f"pathway routes to unknown department {tables.target_names[nxt]!r}")
+        else:
+            request[i] = time
+            requests.append((i, nxt))
+        # the event's bed requests (patient, department), in the order it made
+        # them: each takes a free bed or joins the back of the queue
+        for i, d in requests:
+            if capacity[d] is not None and occupied[d] >= capacity[d]:
+                queue[d].append(i)
+                continue
+            occupied[d] += 1
+            times[d].append(time)
+            occupancy[d].append(occupied[d])
+            entry = entries[i]
+            end = time + stay_draw[d](entry.loc[d], next(stays))
+            unseen += entry.unseen[d]
+            n_stays[i] += 1
+            push(heap, (end, len(stay_end)))
+            stay_patient.append(i)
+            stay_department.append(d)
+            stay_request.append(request[i])
+            stay_start.append(time)
+            stay_end.append(end)
 
     names = tuple(spec.name for spec in config.departments)
     census_times = {}

@@ -372,6 +372,8 @@ def run_experiment(
     test = admission >= t_split
     train_idx = np.flatnonzero(train)
     test_idx = np.flatnonzero(test)
+    if not len(train_idx):
+        raise DataError(f"no patient is admitted before the split at {t_split:g} h")
     by_id = np.argsort(profiles.patient_id)  # every patient, in patient_id order
     departments = tuple(sorted(gen_config.departments))
 
@@ -440,7 +442,7 @@ def run_experiment(
                 n = len(truth_los_by_dept[d])
                 acc += n * estimators.ks_statistic(sim_by_dept[d], truth_los_by_dept[d])
                 total += n
-        los_ks[name] = acc / total
+        los_ks[name] = acc / total if total else math.nan
 
     # cost per admission, both sides restricted to patients discharged
     # inside the window so horizon censoring hits them identically
@@ -449,11 +451,12 @@ def run_experiment(
     truth_costs = np.bincount(test_log.patient, weights=test_log.cost,
                               minlength=len(profiles))
     discharged = test_idx[last_exit[test_idx] <= horizon]
-    truth_mean_cost = float(np.mean(truth_costs[discharged]))
+    truth_mean_cost = float(np.mean(truth_costs[discharged])) if len(discharged) else math.nan
     cot_rel_err = {}
     for name, (_, _, sim_costs) in sims.items():
         sim_mean = float(np.mean(sim_costs)) if len(sim_costs) else math.nan
-        cot_rel_err[name] = abs(sim_mean - truth_mean_cost) / truth_mean_cost
+        cot_rel_err[name] = (abs(sim_mean - truth_mean_cost) / truth_mean_cost
+                             if truth_mean_cost else math.nan)
 
     # pathway matrices vs each held-out patient's latent class; the
     # distances depend only on the (class, cluster) pair, and the cluster

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -483,6 +484,42 @@ def test_compare_scenario_missing_key_exits_2(tmp_path, capsys, default_scenario
     path = write_json(tmp_path / "scenario.json", scenario)
     assert main(["compare", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+SEASONAL_NAIVE = {"kind": "seasonal_naive", "m": 24}
+
+
+@pytest.mark.parametrize("generator, overrides, code, undefined", [
+    # no patient is admitted before the split at 420 h
+    ({"horizon": 504.0, "base_rate": 0.005, "seed": 4}, {}, 3, None),
+    # stack B's forecast is all zeros, so it simulates no stay to score
+    ({"horizon": 504.0, "base_rate": 0.01, "seed": 1}, {"forecaster": SEASONAL_NAIVE}, 0,
+     ("los_ks", "stack_b")),
+    # the one held-out patient discharged in the window cost 0.0
+    ({"horizon": 336.0, "base_rate": 1.0, "seed": 4},
+     {"forecaster": SEASONAL_NAIVE, "split_fraction": 0.95}, 0, ("cot_rel_err", "stack_a")),
+], ids=["empty-training-window", "no-simulated-stay", "zero-truth-cost"])
+def test_compare_of_a_sparse_window_exits_without_a_traceback(
+        tmp_path, capsys, default_scenario_dict, generator, overrides, code, undefined):
+    """A score that is undefined for a stack is NaN with a false verdict,
+    computed without a numpy warning (the mean of no cost, say)."""
+    scenario = json.loads(json.dumps(default_scenario_dict))
+    scenario["generator"].update(generator)
+    scenario.update(overrides, replications=1)
+    path = write_json(tmp_path / "scenario.json", scenario)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["compare", "--scenario", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if undefined is None:
+        assert err == "data error: no patient is admitted before the split at 420 h\n"
+        return
+    metric, stack = undefined
+    report = json.loads((out / "report.json").read_text())
+    assert math.isnan(report[metric][stack])
+    assert report["verdicts"][metric] is False
 
 
 LAG_REGRESSION = {"kind": "lag_regression", "lags": [1, 2],

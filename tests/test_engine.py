@@ -902,6 +902,29 @@ def test_stay_ends_at_one_time_run_in_the_order_their_beds_were_granted():
     ]
 
 
+def test_a_patient_back_into_a_full_department_queues_behind_its_head():
+    """Patient 1 waits for W's one bed from 6 h. At 12 h patient 0 leaves
+    W and asks for W again: the queue head's request comes first and
+    takes the freed bed, so patient 0 joins the back of the queue, and
+    the two swap the bed every 12 h."""
+    config = base_config(
+        departments=(DepartmentSpec("W", 1),),
+        horizon=40.0,
+        arrival_driver=ForecastDriven((2.0, 0.0, 0.0, 0.0), 12.0, deterministic=True),
+        los_models={"W": LognormalFit(mu=math.log(12.0), sigma=0.0, n=10, loglik=0.0)},
+        pathway=TransitionMatrix(departments=("W",), probs=((1.0, 0.0), (1.0, 0.0)),
+                                 counts=((1, 0), (1, 0)), row_observed=(True, True)),
+    )
+    result = run(config)
+    assert result.census["W"] == ((0.0, 0), (0.0, 1), (12.0, 0), (12.0, 1), (24.0, 0),
+                                  (24.0, 1), (36.0, 0), (36.0, 1), (40.0, 1))
+    assert [[(s.department, s.request_time, s.start_time, s.end_time) for s in p.stays]
+            for p in result.patients] == [
+        [("W", 0.0, 0.0, 12.0), ("W", 12.0, 24.0, 36.0)],
+        [("W", 6.0, 12.0, 24.0), ("W", 24.0, 36.0, 48.0)],
+    ]
+
+
 # --- census buckets -------------------------------------------------------------------
 
 def reference_bucket_census(series, width, horizon):
