@@ -184,6 +184,8 @@ def _targets(kind, log, profiles, department):
 
 def _cmd_fit(args) -> int:
     kind = args.model
+    if args.department is not None and kind not in LOS_KINDS:
+        raise ConfigError(f"--department applies to stay models only, not {kind}")
     log, profiles = _load_log(args.log)
     if not len(log):
         raise DataError("event log is empty")
@@ -196,9 +198,9 @@ def _cmd_fit(args) -> int:
                    else _auto_horizon(log, width))
         series = bucketize(log, width, _finite(args.start, "--start"), horizon)
         del log, profiles  # the fit reads only the series
-        calendar = () if args.calendar == "none" else inflow.default_calendar(width)
         spec = inflow.ForecasterSpec(kind, args.m, args.alpha, args.beta, args.gamma,
-                                     _parse_lags(args.lags or ""), calendar)
+                                     _parse_lags(args.lags or ""),
+                                     () if args.calendar == "none" else "default")
         model = spec.fit(series)
 
     elif kind in LOS_KINDS or kind in COT_KINDS:

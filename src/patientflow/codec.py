@@ -97,11 +97,11 @@ def read(cls, doc, path: str):
 def _matches(value, option) -> bool:
     """Whether a value can be read as one alternative of a union: a tagged
     dataclass's document by its tag, of the tag's exact type (``1`` is not
-    ``True``), anything else by its exact type."""
+    ``True``), a tuple by a list, anything else by its exact type."""
     key, tag = _TAGS.get(option, (None, None))
     if isinstance(value, dict) and key in value:
         return type(value[key]) is type(tag) and value[key] == tag
-    return type(value) is option
+    return type(value) is (list if typing.get_origin(option) is tuple else option)
 
 
 def _decode(value, hint, path: str):

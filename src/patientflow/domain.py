@@ -449,6 +449,13 @@ def admission_times(log: EventLog) -> np.ndarray:
     return admission
 
 
+def whole_buckets(horizon: float, bucket_width: float) -> int:
+    """The number of ``bucket_width`` buckets that ``horizon`` spans, or 0
+    when it spans no positive whole number of them (to within 1e-6 h)."""
+    n = int(round(horizon / bucket_width))
+    return n if n >= 1 and abs(n * bucket_width - horizon) <= 1e-6 else 0
+
+
 def bucketize(
     log: EventLog,
     bucket_width: float,
@@ -466,8 +473,8 @@ def bucketize(
     if not horizon / bucket_width <= BUCKETS_MAX:
         raise ConfigError(f"horizon {horizon!r} makes more than {BUCKETS_MAX} "
                           f"{bucket_width}h buckets")
-    n_buckets = int(round(horizon / bucket_width))
-    if n_buckets < 1 or abs(n_buckets * bucket_width - horizon) > 1e-6:
+    n_buckets = whole_buckets(horizon, bucket_width)
+    if not n_buckets:
         raise DataError(
             f"horizon {horizon} does not span a positive whole number of "
             f"{bucket_width}h buckets"

@@ -510,7 +510,10 @@ def _integrate_mean(times: np.ndarray, values: np.ndarray, a: float, b: float) -
 
 def census_buckets(width: float, horizon: float) -> int:
     """The number of census buckets of the given width on [0, horizon), at
-    least one; a width giving more than BUCKETS_MAX is rejected."""
+    least one; a width that is not positive, or gives more than
+    BUCKETS_MAX, is rejected."""
+    if not width > 0.0:
+        raise ConfigError(f"census_bucket must be positive, got {width!r}")
     n = horizon / width - 1e-9
     if not n <= BUCKETS_MAX:
         raise ConfigError(f"census_bucket {width!r} makes more than {BUCKETS_MAX} "
@@ -833,8 +836,6 @@ def replicate(
     ``usable_cpus()``), and each chunk runs in its own forked child; with
     W = 1, or where forking is not safe, they run in this process.
     """
-    if not census_bucket > 0.0:
-        raise ConfigError(f"census bucket width must be positive, got {census_bucket}")
     census_buckets(census_bucket, config.horizon)
     indices = range(config.replications)
     workers = min(jobs, config.replications, usable_cpus()) if FORK_SAFE else 1

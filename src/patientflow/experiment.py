@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -41,6 +41,7 @@ from .domain import (
     admission_times,
     bucketize,
     extract_trajectories,
+    whole_buckets,
 )
 from .engine import (
     EmpiricalSampler,
@@ -49,11 +50,12 @@ from .engine import (
     ReplicationSummary,
     SimConfig,
     bucket_census,
+    census_buckets,
     check_replications,
     replicate,
 )
 from .errors import ConfigError, DataError
-from .inflow import ForecasterSpec, MetricReport, default_calendar
+from .inflow import ForecasterSpec, MetricReport
 from .synthehr import GeneratorConfig, generate
 from .pathways import TransitionMatrix
 
@@ -67,8 +69,8 @@ class ScenarioConfig:
 
     generator: GeneratorConfig
     split_fraction: float
-    bucket_width: float
-    forecaster: ForecasterSpec
+    bucket_width: float = 1.0
+    forecaster: ForecasterSpec = ForecasterSpec("holt_winters", m=168)
     los_estimator: str = "conditional"  # or "tree"
     cot_estimator: str = "conditional"
     pathway_k: int | str = 2            # integer, or "sweep"
@@ -86,6 +88,16 @@ class ScenarioConfig:
             raise ConfigError("split_fraction must be in (0, 1)")
         if self.bucket_width not in BUCKET_WIDTHS:
             raise ConfigError(f"bucket_width {self.bucket_width} not one of {BUCKET_WIDTHS}")
+        window = self.generator.horizon - self.split_time  # the held-out window
+        if self.split_time <= 0.0 or window <= 0.0:
+            raise ConfigError(f"split_fraction {self.split_fraction} leaves an empty window")
+        if not whole_buckets(window, self.bucket_width):
+            raise ConfigError(f"generator.horizon {self.generator.horizon} is not a whole "
+                              f"number of {self.bucket_width:g}h buckets")
+        if not 0.0 <= self.warm_up < window:
+            raise ConfigError(f"warm_up {self.warm_up} must lie in [0, {window:g}), "
+                              "the held-out window")
+        census_buckets(self.census_bucket, window)
         if self.los_estimator not in ("conditional", "tree"):
             raise ConfigError(f"unknown los_estimator {self.los_estimator!r}")
         if self.cot_estimator != "conditional":
@@ -109,20 +121,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Read a scenario document. Beyond the fields with defaults, it may
-        leave out ``bucket_width`` (1.0) and ``forecaster`` (Holt-Winters
-        with m = 168); a forecaster ``calendar`` that is absent or
-        ``"default"`` becomes ``default_calendar(bucket_width)``."""
-        if not isinstance(d, dict):
-            return codec.read(cls, d, "scenario")  # raises
-        f = d.get("forecaster", {"kind": "holt_winters", "m": 168})
-        default = isinstance(f, dict) and f.get("calendar", "default") == "default"
-        doc = {"bucket_width": 1.0, **d, "forecaster": {**f, "calendar": []} if default else f}
-        scenario = codec.read(cls, doc, "scenario")
-        if not default:
-            return scenario
-        calendar = default_calendar(scenario.bucket_width)
-        return replace(scenario, forecaster=replace(scenario.forecaster, calendar=calendar))
+        return codec.read(cls, d, "scenario")
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,6 @@ def run_experiment(
     t_split = scenario.split_time
     horizon = gen_config.horizon
     h_test = horizon - t_split
-    if t_split <= 0 or h_test <= 0:
-        raise ConfigError("split leaves an empty window")
 
     # patients by admission time: training before the split, test after;
     # index order is first-appearance order
@@ -387,11 +384,10 @@ def run_experiment(
 
     # held-out admissions per bucket (every patient admitted in the window
     # is a test patient)
-    n_test_buckets = int(round(h_test / scenario.bucket_width))
     test_series = bucketize(test_log, scenario.bucket_width, t_split, h_test)
     forecasts = {
-        STACK_A: inflow.forecast(stack_a.inflow_model, n_test_buckets),
-        STACK_B: inflow.forecast(stack_b.inflow_model, n_test_buckets),
+        STACK_A: inflow.forecast(stack_a.inflow_model, len(test_series)),
+        STACK_B: inflow.forecast(stack_b.inflow_model, len(test_series)),
     }
     inflow_metrics = {
         name: inflow.evaluate(fc, test_series.counts) for name, fc in forecasts.items()

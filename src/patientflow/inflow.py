@@ -39,6 +39,13 @@ from .estimators import ridge_solve
 HW_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
+def _check_smoothing(alpha, beta, gamma) -> None:
+    """Reject a smoothing parameter outside [0, 1]; one not given (None) passes."""
+    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if v is not None and not 0.0 <= v <= 1.0:
+            raise ConfigError(f"{name}={v} outside [0, 1]")
+
+
 @codec.tagged("poisson")
 @dataclass(frozen=True)
 class HomogeneousPoisson:
@@ -82,10 +89,7 @@ class HoltWinters:
     phase: int                   # n_observations mod m
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name}={v} outside [0, 1]")
+        _check_smoothing(self.alpha, self.beta, self.gamma)
         if self.m < 2:
             raise ConfigError("seasonal period m must be >= 2")
         if len(self.seasonal) != self.m:
@@ -210,20 +214,18 @@ def fit_holt_winters(
 ) -> HoltWinters:
     """Fit additive Holt-Winters with period m.
 
-    When any smoothing parameter is omitted, all three are chosen by
-    grid search over {0.1, ..., 0.9}^3 minimizing in-sample one-step
-    RMSE: the recursion runs for all 729 triples at once and the fit
-    keeps the final state of the best one.
+    A given smoothing parameter is kept; each one omitted is chosen by
+    grid search over {0.1, ..., 0.9} minimizing in-sample one-step RMSE:
+    the recursion runs for every candidate triple at once (729 when none
+    is given) and the fit keeps the final state of the best one.
     """
     if m < 2:  # HoltWinters' own check, made before the recursion divides by m
         raise ConfigError("seasonal period m must be >= 2")
     y = np.asarray(series.counts, dtype=float)
     if len(y) < 2 * m:
         raise DataError(f"need at least 2m={2 * m} buckets, got {len(y)}")
-    if alpha is None or beta is None or gamma is None:
-        combos = np.array(list(itertools.product(HW_GRID, HW_GRID, HW_GRID)))
-    else:
-        combos = np.array([[alpha, beta, gamma]], dtype=float)
+    combos = np.array(list(itertools.product(
+        *(HW_GRID if v is None else (v,) for v in (alpha, beta, gamma)))), dtype=float)
     level, trend, seasonal, sse = _hw_smooth(y, m, combos)
     best = int(np.argmin(sse))
     alpha, beta, gamma = (float(v) for v in combos[best])
@@ -378,7 +380,7 @@ class ForecasterSpec:
     beta: float | None = None
     gamma: float | None = None
     lags: tuple[int, ...] = ()
-    calendar: tuple[CalendarTerm, ...] = ()
+    calendar: tuple[CalendarTerm, ...] | str = "default"  # "default": default_calendar(width)
 
     def __post_init__(self):
         if self.kind not in INFLOW_KINDS:
@@ -388,6 +390,10 @@ class ForecasterSpec:
             raise ConfigError(f"{self.kind} requires m")
         if self.kind == "lag_regression" and not self.lags:
             raise ConfigError("lag_regression requires lags")
+        if isinstance(self.calendar, str) and self.calendar != "default":
+            raise ConfigError(f"calendar must be a list of terms or 'default', "
+                              f"got {self.calendar!r}")
+        _check_smoothing(self.alpha, self.beta, self.gamma)
 
     def fit(self, series: ArrivalSeries) -> InflowModel:
         if self.kind == "poisson":
@@ -396,4 +402,7 @@ class ForecasterSpec:
             return fit_seasonal_naive(series, self.m)
         if self.kind == "holt_winters":
             return fit_holt_winters(series, self.m, self.alpha, self.beta, self.gamma)
-        return fit_lag_regression(series, self.lags, self.calendar)
+        calendar = self.calendar
+        if calendar == "default":
+            calendar = default_calendar(series.bucket_width)
+        return fit_lag_regression(series, self.lags, calendar)

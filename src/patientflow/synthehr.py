@@ -194,6 +194,8 @@ class GeneratorConfig:
             raise ConfigError("horizon must be positive")
         if self.base_rate <= 0:
             raise ConfigError("base_rate must be positive")
+        if self.trend_slope < -1.0:  # the rate would turn negative before the horizon
+            raise ConfigError(f"trend_slope {self.trend_slope} is below -1")
         _check_profile("hourly_profile", self.hourly_profile, 24)
         _check_profile("weekly_profile", self.weekly_profile, 7)
         _check_profile("monthly_profile", self.monthly_profile, 12)

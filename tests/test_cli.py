@@ -38,6 +38,7 @@ from patientflow.engine import (
 )
 from patientflow.errors import ConfigError, DataError, PatientFlowError
 from patientflow.experiment import ScenarioConfig
+from patientflow.inflow import HW_GRID
 from patientflow.seeding import stream
 from patientflow.synthehr import GeneratorConfig
 
@@ -303,6 +304,35 @@ def test_fit_department_filter_failure_is_data_error(tmp_path, log_path):
     code = main(["fit", "--log", log_path, "--model", "lognormal_los",
                  "--department", "NOWHERE", "--out", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("kind, flags", [("conditional_cot", ()),
+                                         ("clusters", ("--k", "2", "--seed", "1")),
+                                         ("poisson", ())],
+                         ids=["conditional_cot", "clusters", "poisson"])
+def test_fit_department_outside_stay_models_exits_2(tmp_path, log_path, capsys, kind, flags):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--log", log_path, "--model", kind, *flags,
+                 "--department", "ICU", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --department applies to stay models only, not {kind}"]
+    assert not out.exists()
+
+
+def test_fit_holt_winters_keeps_a_given_parameter(tmp_path, log_path, capsys):
+    """A given alpha is kept while beta and gamma are grid-searched, and
+    one outside [0, 1] is refused before the recursion can overflow."""
+    out = tmp_path / "hw.json"
+    argv = ["fit", "--log", log_path, "--model", "holt_winters", "--bucket-width", "1",
+            "--m", "24", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--alpha", "1e300"]) == 2
+        assert capsys.readouterr().err == "error: alpha=1e+300 outside [0, 1]\n"
+        assert main([*argv, "--alpha", "0.2"]) == 0
+    model = json.loads(out.read_text())
+    assert model["alpha"] == 0.2
+    assert model["beta"] in HW_GRID and model["gamma"] in HW_GRID
 
 
 def test_forecast_rejects_non_inflow_model(tmp_path, log_path, capsys):
@@ -969,6 +999,7 @@ CONFIG_HOLES = [
     ("synth", ("comorbidity_rate_by_age", 0, "c0"), "x", 2),
     ("synth", ("los_coeffs", "drg_offsets", "HF"), "x", 2),
     ("synth", ("trend_slope",), math.nan, 2),
+    ("synth", ("trend_slope",), -1.5, 2),
     ("synth", ("los_coeffs", "sigma_ln"), math.nan, 2),
     ("compare", ("replications",), "x", 2),
     ("compare", ("jobs",), "two", 2),
@@ -1885,17 +1916,25 @@ def test_tree_stay_model_with_a_numeric_leaf_tag_exits_2(tmp_path, capsys, tag):
 
 # --- scenario checks that come before the generator runs -----------------------------
 
-@pytest.mark.parametrize("key, value, message", [
-    ("forecaster", {"kind": "bogus"}, "unknown forecaster kind 'bogus'"),
-    ("forecaster", {"kind": "holt_winters"}, "holt_winters requires m"),
-    ("forecaster", {"kind": "seasonal_naive"}, "seasonal_naive requires m"),
-    ("forecaster", {"kind": "lag_regression"}, "lag_regression requires lags"),
-    ("pathway_k", 0, "pathway_k must be >= 1, got 0"),
-    ("pathway_k", -2, "pathway_k must be >= 1, got -2"),
+@pytest.mark.parametrize("path, value, message", [
+    (("forecaster",), {"kind": "bogus"}, "unknown forecaster kind 'bogus'"),
+    (("forecaster",), {"kind": "holt_winters"}, "holt_winters requires m"),
+    (("forecaster",), {"kind": "seasonal_naive"}, "seasonal_naive requires m"),
+    (("forecaster",), {"kind": "lag_regression"}, "lag_regression requires lags"),
+    (("pathway_k",), 0, "pathway_k must be >= 1, got 0"),
+    (("pathway_k",), -2, "pathway_k must be >= 1, got -2"),
+    (("generator", "horizon"), 4032.5,
+     "generator.horizon 4032.5 is not a whole number of 1h buckets"),
+    (("split_fraction",), 1e-4, "split_fraction 0.0001 leaves an empty window"),
+    (("warm_up",), 700.0, "warm_up 700.0 must lie in [0, 672), the held-out window"),
+    (("census_bucket",), 0.0, "census_bucket must be positive, got 0.0"),
+    (("forecaster", "alpha"), 1.5, "alpha=1.5 outside [0, 1]"),
+    (("forecaster", "alpha"), 1e300, "alpha=1e+300 outside [0, 1]"),
 ], ids=["bogus-kind", "holt-winters-no-m", "seasonal-naive-no-m", "lag-regression-no-lags",
-        "pathway-k-0", "pathway-k-minus-2"])
+        "pathway-k-0", "pathway-k-minus-2", "horizon-not-whole-buckets", "split-fraction-1e-4",
+        "warm-up-past-window", "census-bucket-0", "alpha-1.5", "alpha-1e300"])
 def test_scenario_is_checked_before_generate(tmp_path, capsys, monkeypatch,
-                                             default_scenario_dict, key, value, message):
+                                             default_scenario_dict, path, value, message):
     calls = []
 
     def generate(config):
@@ -1904,8 +1943,11 @@ def test_scenario_is_checked_before_generate(tmp_path, capsys, monkeypatch,
 
     real_generate = experiment.generate
     monkeypatch.setattr(experiment, "generate", generate)
-    scenario = write_json(tmp_path / "scenario.json", {**default_scenario_dict, key: value})
-    assert main(["compare", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 2
+    scenario = write_json(tmp_path / "scenario.json",
+                          replaced(default_scenario_dict, path, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["compare", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert calls == []
     assert len(err.splitlines()) == 1

@@ -245,6 +245,14 @@ def test_union_error_names_tagged_alternatives_by_tag_and_others_by_type():
         codec.read(int | str, 2.5, "k")
 
 
+def test_a_list_reads_as_the_tuple_alternative_of_a_union():
+    hint = tuple[int, ...] | str
+    assert codec.read(hint, [1, 2], "lags") == (1, 2)
+    assert codec.read(hint, "default", "lags") == "default"
+    with pytest.raises(ConfigError, match=r"^lags: expected tuple or str, got 1$"):
+        codec.read(hint, 1, "lags")
+
+
 @pytest.mark.parametrize("tag", [1, 0, 0.0])
 def test_union_tag_must_have_the_tags_exact_type(tag):
     """A tree node's ``"leaf"`` is a JSON boolean: 1 is not True, 0 and 0.0

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from patientflow import codec
 from patientflow.domain import ArrivalSeries, bucketize
-from patientflow.errors import DataError
+from patientflow.errors import ConfigError, DataError
 from patientflow.inflow import (
+    HW_GRID,
     CalendarTerm,
     ForecasterSpec,
     HoltWinters,
     InflowModel,
+    default_calendar,
     evaluate,
     fit_holt_winters,
     fit_lag_regression,
@@ -124,19 +126,20 @@ def scalar_hw_run(y, m, alpha, beta, gamma):
     return level, trend, tuple(float(v) for v in seasonal)
 
 
-UNIT = st.floats(0.0, 1.0)
+UNIT_OR_NONE = st.one_of(st.floats(0.0, 1.0), st.none())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(0, 30),
-       st.one_of(st.tuples(UNIT, UNIT, UNIT), st.none()))
+       st.tuples(UNIT_OR_NONE, UNIT_OR_NONE, UNIT_OR_NONE))
 def test_hw_state_keeps_the_bits_of_the_scalar_recursion(seed, m, extra, triple):
-    """Given or grid-searched, the fitted state is the scalar recursion's,
-    bit for bit, at the fit's (alpha, beta, gamma)."""
+    """Each smoothing parameter given is kept and each one omitted is
+    grid-searched; the fitted state is the scalar recursion's, bit for
+    bit, at the fit's (alpha, beta, gamma)."""
     y = [int(v) for v in stream(seed).poisson(15.0, size=2 * m + extra)]
-    model = fit_holt_winters(series_of(y), m, *(triple or (None, None, None)))
-    if triple is not None:
-        assert (model.alpha, model.beta, model.gamma) == triple
+    model = fit_holt_winters(series_of(y), m, *triple)
+    for fitted, asked in zip((model.alpha, model.beta, model.gamma), triple):
+        assert fitted == asked if asked is not None else fitted in HW_GRID
     expected = scalar_hw_run(y, m, model.alpha, model.beta, model.gamma)
     assert (model.level, model.trend, model.seasonal) == expected
 
@@ -347,6 +350,18 @@ def test_backtest_constant_series():
     reports = held_out(series, 48, all_specs())
     for name, report in reports.items():
         assert report.mae <= 1e-6, name
+
+
+def test_spec_calendar_default_follows_the_series_bucket_width():
+    y = [int(v) for v in stream(3).poisson(8.0, size=60)]
+    for width in (1.0, 24.0):
+        model = ForecasterSpec(kind="lag_regression", lags=(1,)).fit(series_of(y, width))
+        assert model.calendar == default_calendar(width)
+    spec = ForecasterSpec(kind="lag_regression", lags=(1,), calendar=())
+    assert spec.fit(series_of(y)).calendar == ()
+    with pytest.raises(ConfigError, match="^calendar must be a list of terms or 'default', "
+                                          "got 'weekly'$"):
+        ForecasterSpec(kind="lag_regression", lags=(1,), calendar="weekly")
 
 
 # --- serialization -------------------------------------------------------------------
